@@ -7,22 +7,10 @@ dependence-driven futures) on P workers and benchmark the simulators
 themselves; the assertions pin the claim — the future version's critical
 path is never longer, and its simulated speedup at high worker counts is at
 least as good.
-
-The snapshot-freeze microbenchmarks at the bottom quantify the other
-parallelism lever: :meth:`DTRGSnapshot.freeze` is the sequential prefix of
-every sharded parallel check (ALGORITHM.md §12), so its cost per task —
-microseconds to freeze, bytes per task in the frozen arrays and in the
-pickled payload each spawn-mode worker receives — bounds how small a trace
-can be before fan-out pays.
 """
-
-import pickle
-import random
 
 import pytest
 
-from repro.core.reachability import DynamicTaskReachabilityGraph
-from repro.core.snapshot import DTRGSnapshot
 from repro.graph import GraphBuilder
 from repro.runtime.runtime import Runtime
 from repro.runtime.workstealing import (
@@ -74,54 +62,6 @@ def test_futures_expose_at_least_af_parallelism(jacobi_graphs, sor_graphs):
         fut16 = greedy_schedule(fut, 16)
         assert fut16.span <= af16.span
         assert fut16.speedup >= af16.speedup * 0.95  # never meaningfully worse
-
-
-def build_finished_dtrg(num_tasks: int, seed: int = 0):
-    """A terminated DTRG with a future-heavy random topology.
-
-    Tasks spawn under random live parents, half as futures; terminated
-    futures are joined by random live consumers (non-tree edges, so the
-    frozen CSR/LSA columns are populated, not degenerate); everything
-    terminates children-first, which is a legal completion order.
-    """
-    rng = random.Random(seed)
-    dtrg = DynamicTaskReachabilityGraph(cache_precede=False)
-    dtrg.add_root(0)
-    done = []
-    for tid in range(1, num_tasks):
-        dtrg.add_task(rng.randrange(tid), tid,
-                      is_future=rng.random() < 0.5)
-        if done and rng.random() < 0.4:
-            producer = rng.choice(done)
-            if producer != tid:
-                dtrg.record_join(tid, producer)
-        if rng.random() < 0.6:
-            dtrg.on_terminate(tid)
-            done.append(tid)
-    for tid in range(num_tasks - 1, -1, -1):
-        if not dtrg.node(tid).label.final:
-            dtrg.on_terminate(tid)
-    return dtrg
-
-
-@pytest.mark.parametrize("num_tasks", [256, 1024, 4096])
-def test_snapshot_freeze(benchmark, num_tasks):
-    """tasks -> freeze µs, plus bytes/task of the frozen arrays and of
-    the pickled payload a spawn-mode worker receives."""
-    dtrg = build_finished_dtrg(num_tasks)
-    snap = benchmark(DTRGSnapshot.freeze, dtrg)
-    benchmark.extra_info["tasks"] = num_tasks
-    benchmark.extra_info["snapshot_bytes"] = snap.nbytes
-    benchmark.extra_info["bytes_per_task"] = round(
-        snap.nbytes / num_tasks, 1
-    )
-    benchmark.extra_info["pickle_bytes_per_task"] = round(
-        len(pickle.dumps(snap)) / num_tasks, 1
-    )
-    # Freezing must not have changed any answer (spot-check a diagonal).
-    for a in range(0, num_tasks, max(1, num_tasks // 16)):
-        b = (a * 7 + 3) % num_tasks
-        assert snap.precede(a, b) == dtrg.precede(a, b)
 
 
 def test_speedup_report(jacobi_graphs):

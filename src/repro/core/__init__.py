@@ -9,16 +9,12 @@ from repro.core.disjoint_set import DisjointSets
 from repro.core.events import ExecutionObserver, Trace
 from repro.core.exact import ExactDetector, ExactTaskReachability
 from repro.core.labels import IntervalLabel, LabelAllocator
-from repro.core.parallel_check import (
-    ParallelCheckResult,
-    StructureLog,
-    check_trace_parallel,
-)
+from repro.core.fastcheck import CheckResult
+from repro.core.parallel_check import check_trace_parallel
 from repro.core.precede_cache import PrecedeCache
 from repro.core.races import AccessKind, Race, RaceReport, ReportPolicy
 from repro.core.reachability import DynamicTaskReachabilityGraph
 from repro.core.shadow import ShadowCell, ShadowMemory
-from repro.core.snapshot import DTRGSnapshot
 
 __all__ = [
     "DeterminacyRaceDetector",
@@ -34,9 +30,7 @@ __all__ = [
     "RaceReport",
     "ReportPolicy",
     "DynamicTaskReachabilityGraph",
-    "DTRGSnapshot",
-    "ParallelCheckResult",
-    "StructureLog",
+    "CheckResult",
     "check_trace_parallel",
     "PrecedeCache",
     "ShadowCell",

@@ -3,9 +3,11 @@
 :class:`ArrayDTRG` reimplements the mutable
 :class:`~repro.core.reachability.DynamicTaskReachabilityGraph` (Algorithms
 1-7 and 10) over growable ``array('q')`` columns instead of per-task
-``TaskNode``/``SetData`` objects, unifying the live detector with the
-PR 5 array-backed :class:`~repro.core.snapshot.DTRGSnapshot`.  One slot
-per task, allocated in spawn order:
+``TaskNode``/``SetData`` objects.  It is the only array form of Algorithm
+10: the detector's ``engine="array"``, the fast kernel
+(:mod:`repro.core.fastcheck`) and every shard of the sharded checker
+(:mod:`repro.core.parallel_check`) run it.  One slot per task, allocated
+in spawn order:
 
 =============  ==========================================================
 column         meaning (indexed by dense task index)
@@ -31,9 +33,8 @@ column         meaning (indexed by dense task index)
 label is the label *object* of its root-most member, aliased into
 ``SetData.label`` so a terminate finalizes the set label in place.  Here
 unions always keep the *ancestor* side's root as the physical union-find
-root (``uf[descendant_root] = ancestor_root``, exactly like the parallel
-checker's ``_EpochDTRG`` replica), and by induction the physical root of
-every set is its root-most member.  The set label is therefore just
+root (``uf[descendant_root] = ancestor_root``), and by induction the
+physical root of every set is its root-most member.  The set label is therefore just
 ``(pre[root], post[root])`` — no label copies, no owner indirection, and
 ``on_terminate`` updating ``post[i]`` in place finalizes the set label
 exactly when the object graph would.
@@ -44,17 +45,12 @@ and the ``dtrg[array]`` fuzz ablation): verdicts, ``num_precede_queries``,
 ``num_non_tree_edges`` are bit-identical to the object graph's cache-less
 run on the same event sequence.  The PRECEDE verdict cache is *physical
 root identity*-sensitive (naive union and union-by-rank pick different
-representatives), so — like the parallel workers — this graph always runs
-cache-less; ``cache`` is ``None`` and a detector using this engine reports
-``cache_* = 0``.
+representatives), so this graph always runs cache-less; ``cache`` is
+``None`` and a detector using this engine reports ``cache_* = 0``.
 
 Growth policy: columns grow by plain ``append`` — CPython's ``array`` and
 ``list`` over-allocate geometrically (~12.5% and ~12.5-25% headroom), so
-appends are amortized O(1) and no manual doubling is needed.  Freezing is
-a near-memcpy: :meth:`snapshot_state` hands the columns to
-:meth:`DTRGSnapshot.freeze` which copies them wholesale (plus one
-path-compressed ``find`` per task for the ``rep`` column and a CSR pack
-of the ``nt`` lists).
+appends are amortized O(1) and no manual doubling is needed.
 """
 
 from __future__ import annotations
@@ -368,62 +364,3 @@ class ArrayDTRG:
                             return True
             anc = lsa[r]
         return False
-
-    # ------------------------------------------------------------------ #
-    # Freeze fast path                                                   #
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> dict:
-        """Near-memcpy column export consumed by
-        :meth:`DTRGSnapshot.freeze`.
-
-        The label columns are whole-column copies of ``pre``/``post``:
-        under the root-is-owner invariant the set label at every ``rep``
-        slot *is* that slot's own interval, so no gather is needed.
-        ``max_pre``/``lsa`` are likewise copied wholesale — non-root
-        slots carry stale spawn-time values, which the snapshot never
-        reads (it only indexes those columns at ``rep`` slots).
-        """
-        n = len(self.uf)
-        if self.final.count(1) != n:
-            for i in range(n):
-                if not self.final[i]:
-                    raise ValueError(
-                        f"cannot freeze: task {self.keys[i]!r} has not "
-                        "terminated (temporary postorder) — the snapshot "
-                        "reflects the final state of a finished graph only"
-                    )
-        find = self.find
-        rep = array("q", bytes(8 * n))
-        for i in range(n):
-            rep[i] = find(i)
-        nt = self.nt
-        nt_start = array("q", bytes(8 * (n + 1)))
-        total = 0
-        for i in range(n):
-            nt_start[i] = total
-            nt_i = nt[i]
-            if nt_i and self.uf[i] == i:
-                total += len(nt_i)
-        nt_start[n] = total
-        nt_prod = array("q", bytes(8 * total))
-        pos = 0
-        for i in range(n):
-            nt_i = nt[i]
-            if nt_i and self.uf[i] == i:
-                for p in nt_i:
-                    nt_prod[pos] = p
-                    pos += 1
-        return {
-            "keys": list(self.keys),
-            "is_future": bytearray(self.is_future),
-            "pre": array("q", self.pre),
-            "post": array("q", self.post),
-            "parent": array("q", self.parent),
-            "rep": rep,
-            "label_pre": array("q", self.pre),
-            "label_post": array("q", self.post),
-            "max_pre": array("q", self.max_pre),
-            "lsa": array("q", self.lsa),
-            "nt_start": nt_start,
-            "nt_prod": nt_prod,
-        }

@@ -1,13 +1,13 @@
 """Single-pass fast race checking over an encoded trace.
 
-``check_trace_fast`` is the single-thread hot path the ROADMAP's
-"~1M events/s" item calls for: one streaming pass over an
-:class:`~repro.core.events.EncodedTrace` in which *structure* events
-mutate a live :class:`~repro.core.array_dtrg.ArrayDTRG` in place and
-*access* events run Algorithms 8-9 over compact integer-indexed shadow
-state — no per-event Python objects, no replay stand-ins, no epoch
-journal (the graph itself is always at the current epoch, unlike the
-sharded checker which must rewind).
+``check_trace_fast`` is the offline checking kernel: one streaming pass
+over an :class:`~repro.core.events.EncodedTrace` in which *structure*
+events mutate a live :class:`~repro.core.array_dtrg.ArrayDTRG` in place
+and *access* events run Algorithms 8-9 over compact integer-indexed
+shadow state — no per-event Python objects, no replay stand-ins, no epoch
+journal (the graph itself is always at the current epoch).  The sharded
+checker (:mod:`repro.core.parallel_check`) runs this same kernel once per
+shard, restricted to the locations that shard owns.
 
 The shadow state is the structure-of-arrays form of
 :class:`~repro.core.shadow.ShadowMemory`'s cells, indexed by interned
@@ -20,7 +20,7 @@ location id:
 * ``fast_reader[loc]`` / ``fast_epoch[loc]`` — the epoch-memoized
   same-task read fast path.
 
-Equivalence contract (same as the sharded checker's, pinned by
+Equivalence contract (pinned by
 ``tests/properties/test_array_equivalence.py`` and the golden tests):
 race list, detection order, ``RaceReport.summary()``, ``#AvgReaders`` and
 the invariant ``DetectorPerf`` counters (``precede_queries``,
@@ -36,8 +36,7 @@ surfaces (``structure_seconds`` vs ``access_seconds``) falls out of
 timestamping block boundaries instead of single events.
 
 Provenance sites recorded in the trace ride along: races carry the two
-accesses' site labels exactly like the sharded checker's attribution
-(witness *certificates* are sequential-replay-only, as before).
+accesses' site labels (witness *certificates* are sequential-replay-only).
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from repro.core.events import (
 )
 from repro.core.races import AccessKind, Race, RaceReport
 
-__all__ = ["FastCheckResult", "check_trace_fast"]
+__all__ = ["CheckResult", "check_trace_fast"]
 
 _KIND = {
     "read-write": AccessKind.READ_WRITE,
@@ -68,16 +67,29 @@ _KIND = {
 }
 
 
-class FastCheckResult:
-    """Outcome of a fast single-pass check, duck-typed like
-    :class:`~repro.core.parallel_check.ParallelCheckResult` where the
-    harness/CLI consume it (``report``, ``races``, ``racy_locations``,
-    ``perf_stats``, ``avg_readers``, ``summary()``), plus the live
-    :class:`ArrayDTRG` (``dtrg``) for freezing/introspection."""
+class CheckResult:
+    """Outcome of a trace check, fast (:func:`check_trace_fast`) or sharded
+    (:func:`repro.core.parallel_check.check_trace_parallel`), duck-typed
+    like the sequential detector where the harness/CLI consume it
+    (``report``, ``races``, ``racy_locations``, ``perf_stats``,
+    ``avg_readers``, ``summary()``, ``witnesses``).
+
+    ``dtrg`` is the live :class:`ArrayDTRG` of a fast check (``None`` for a
+    sharded one, whose graphs stay in the workers); ``race_rows[i]`` is the
+    access-row ordinal of the access that reported ``races[i]``.  The
+    sharded path fills ``jobs``, ``backend`` and ``shards``.
+    """
 
     def __init__(self) -> None:
         self.report = RaceReport(dedupe=True)
+        self.race_rows: List[int] = []
         self.dtrg: Optional[ArrayDTRG] = None
+        self.jobs = 1
+        self.backend = "inline"
+        #: Per-shard ``{"shard", "events", "races", "seconds"}`` rows.
+        self.shards: List[dict] = []
+        #: Always empty: witness certificates are sequential-replay-only.
+        self.witnesses: List = []
         self.num_tasks = 0
         self.num_events = 0
         self.num_access_events = 0
@@ -92,9 +104,10 @@ class FastCheckResult:
         self.precede_calls_saved = 0
         self.num_accesses = 0
         self.total_readers_seen = 0
-        #: ``encode_seconds`` (trace lowering, 0.0 when given an already
-        #: encoded trace), ``structure_seconds`` (DTRG mutation blocks),
-        #: ``access_seconds`` (shadow check blocks), ``total_seconds``.
+        #: Fast check: ``encode_seconds`` (trace lowering, 0.0 when given
+        #: an already encoded trace), ``structure_seconds`` (DTRG mutation
+        #: blocks), ``access_seconds`` (shadow check blocks),
+        #: ``total_seconds``.  Sharded check: see ``check_trace_parallel``.
         self.timings: Dict[str, float] = {}
 
     @property
@@ -118,8 +131,7 @@ class FastCheckResult:
 
     @property
     def access_events_per_second(self) -> float:
-        """Throughput of the access-check phase alone — the quantity the
-        ISSUE 6 acceptance criterion tracks."""
+        """Throughput of the access-check phase alone."""
         secs = self.timings.get("access_seconds", 0.0)
         return self.num_access_events / secs if secs > 0 else 0.0
 
@@ -147,7 +159,8 @@ def check_trace_fast(
     *,
     names: Optional[Dict[int, str]] = None,
     progress=None,
-) -> FastCheckResult:
+    _owned: Optional[bytearray] = None,
+) -> CheckResult:
     """Check a recorded trace in one pass (see module docstring).
 
     Parameters
@@ -164,6 +177,12 @@ def check_trace_fast(
         per run-length *block* (never per event) so live telemetry costs
         nothing measurable on the hot path; ``None`` (default) keeps the
         function byte-identical to the untelemetered build.
+    _owned:
+        Internal location filter of the sharded checker: when given, only
+        accesses to locations ``lid`` with ``_owned[lid]`` set are checked
+        (structure events are always applied, so the graph stays at the
+        online epoch).  Counters then cover the owned locations only,
+        except the structural ones and ``num_accesses``.
     """
     t0 = perf_counter()
     if isinstance(trace, EncodedTrace):
@@ -206,9 +225,10 @@ def check_trace_fast(
     fast_reader = [-1] * n_locs
     fast_epoch = [-1] * n_locs
 
-    report = FastCheckResult()
+    report = CheckResult()
     report.dtrg = dtrg
     add_race = report.report.add
+    race_rows = report.race_rows
     locs = enc.locs
     sites = enc.access_sites
     retain = sites is not None
@@ -217,13 +237,13 @@ def check_trace_fast(
 
     def _report(kind: str, prev: int, cur: int, lid: int, row: int) -> None:
         # Rare path: build the Race exactly as the sequential detector
-        # would, with site attribution mirroring the sharded workers'.
+        # would, plus the two accesses' recorded sites.
         if kind == "read-write":
             prev_site = read_sites.get(lid, {}).get(prev)
         else:
             ws = write_sites.get(lid)
             prev_site = ws[1] if ws is not None and ws[0] == prev else None
-        add_race(Race(
+        if add_race(Race(
             loc=locs[lid],
             kind=_KIND[kind],
             prev_task=task_keys[prev],
@@ -232,7 +252,8 @@ def check_trace_fast(
             current_name=names_list[cur],
             prev_site=prev_site,
             current_site=sites[row] if retain else None,
-        ))
+        )):
+            race_rows.append(row)
         if progress is not None:
             progress.add_races(1)
 
@@ -265,6 +286,8 @@ def check_trace_fast(
                 task = acc[j + 1]
                 lid = acc[j + 2]
                 j += 3
+                if _owned is not None and not _owned[lid]:
+                    continue
                 rl = readers[lid]
                 w = writers[lid]
                 if is_write:
@@ -428,7 +451,7 @@ def check_trace_fast(
             structure_seconds += perf_counter() - t_blk
 
     # Implicit closing bracket: root finish end, then main terminates
-    # (mirrors replay_trace / the sharded build phase).
+    # (mirrors replay_trace).
     t_blk = perf_counter()
     owner, joins = scopes[0]
     for tid in joins:

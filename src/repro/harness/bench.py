@@ -23,23 +23,22 @@ Schema (``repro.bench/1``)::
        "slowdown_vs_seq": ..., "slowdown_vs_instrumented": ...,
        "races": ..., "structural": {...}, "detector_perf": {...}}, ...]}
 
-``--parallel`` switches to the two-phase sharded checker benchmark
+``--parallel`` switches to the sharded checker benchmark
 (``docs/ALGORITHM.md`` §12) and writes ``BENCH_PR5.json`` by default:
 each workload's trace is recorded once, then checked at every ``--jobs``
 count, recording per-count wall times, speedup over jobs=1, the
-snapshot-freeze overhead (seconds and bytes/task), and whether every
-count reproduced the jobs=1 summary and counters byte-for-byte
-(``identical_across_jobs`` — the determinism contract)::
+shard-plan time (``freeze_seconds``), and whether every count reproduced
+the jobs=1 summary and counters byte-for-byte (``identical_across_jobs``
+— the determinism contract)::
 
     repro-bench --parallel --scale small --jobs 1,2,4 --output BENCH_PR5.json
 
-Schema (``repro.bench.parallel/1``)::
+Schema (``repro.bench.parallel/2``)::
 
-    {"schema": "repro.bench.parallel/1", "scale": ..., "repeats": ...,
+    {"schema": "repro.bench.parallel/2", "scale": ..., "repeats": ...,
      "cpu_count": ..., "tag": ..., "workloads": [{"name": ...,
        "num_events": ..., "num_access_events": ..., "num_tasks": ...,
-       "races": ..., "freeze_seconds": ..., "snapshot_bytes": ...,
-       "bytes_per_task": ..., "identical_across_jobs": ...,
+       "races": ..., "freeze_seconds": ..., "identical_across_jobs": ...,
        "jobs": [{"jobs": 1, "seconds": ..., "check_seconds": ...,
                  "freeze_seconds": ..., "speedup": ...}, ...]}, ...]}
 
@@ -48,27 +47,24 @@ additionally tagged ``"speedup_valid": false`` and a loud warning is
 printed: multi-job wall times there measure sharding *overhead*, never
 speedup, and must not be read as regressions.
 
-``--throughput`` races the three single-thread checking engines
+``--throughput`` races the two single-thread checking engines
 back-to-back over each workload's recorded trace — live object-graph
-replay, the PR 5 snapshot checker at jobs=1, and the PR 6 flat-array
-fast path (:func:`repro.core.fastcheck.check_trace_fast`) — and writes
-``BENCH_PR6.json`` by default::
+replay and the flat-array fast path
+(:func:`repro.core.fastcheck.check_trace_fast`, encoding included) —
+and writes ``BENCH_PR6.json`` by default::
 
     repro-bench --throughput --scale large --only Jacobi
 
-Schema (``repro.bench.throughput/1``)::
+Schema (``repro.bench.throughput/2``)::
 
-    {"schema": "repro.bench.throughput/1", "scale": ..., "repeats": ...,
+    {"schema": "repro.bench.throughput/2", "scale": ..., "repeats": ...,
      "cpu_count": ..., "tag": ..., "workloads": [{"name": ...,
        "num_events": ..., "num_access_events": ..., "races": ...,
        "sequential_replay": {"seconds": ..., "events_per_second": ...},
-       "snapshot_jobs1": {"check_seconds": ..., "total_seconds": ...,
-                          "access_events_per_second": ...},
        "fast": {"encode_seconds": ..., "structure_seconds": ...,
                 "access_seconds": ..., "total_seconds": ...,
                 "events_per_second": ...,
                 "access_events_per_second": ...},
-       "speedup_access_vs_snapshot_jobs1": ...,
        "speedup_total_vs_replay": ...,
        "identical": ..., "mismatches": [...]}, ...]}
 
@@ -165,8 +161,8 @@ workload row.
 ``--baseline FILE`` (throughput mode) gates against a checked-in
 baseline (``benchmarks/throughput_baseline.json``): the run fails if any
 workload's fast-path ``access_events_per_second`` drops more than 10%
-below the baseline value, or if its speedup over the same-process
-snapshot baseline falls below the recorded floor.  Baseline absolute
+below the baseline value, or if its end-to-end speedup over the
+same-process object-graph replay falls below the recorded floor.  Baseline absolute
 numbers are deliberately conservative — shared-CI wall clocks vary
 severalfold — while the speedup floor is box-speed-independent.  With
 ``--backends`` the same flag gates the **dtrg rows only** against
@@ -217,9 +213,9 @@ __all__ = [
 BENCH_SCHEMA = "repro.bench/1"
 BACKEND_BENCH_SCHEMA = "repro.bench.backends/1"
 EXECUTOR_BENCH_SCHEMA = "repro.bench.executors/1"
-PARALLEL_BENCH_SCHEMA = "repro.bench.parallel/1"
+PARALLEL_BENCH_SCHEMA = "repro.bench.parallel/2"
 TELEMETRY_BENCH_SCHEMA = "repro.bench.telemetry/1"
-THROUGHPUT_BENCH_SCHEMA = "repro.bench.throughput/1"
+THROUGHPUT_BENCH_SCHEMA = "repro.bench.throughput/2"
 
 
 def _tick(progress) -> None:
@@ -349,8 +345,6 @@ def parallel_bench_data(
             "num_locations": result.num_locations,
             "races": result.races,
             "freeze_seconds": result.freeze_seconds,
-            "snapshot_bytes": result.snapshot_bytes,
-            "bytes_per_task": round(result.bytes_per_task, 2),
             "identical_across_jobs": result.identical,
             "jobs": [
                 {
@@ -376,8 +370,8 @@ def parallel_bench_data(
             f"bench {name}: {result.num_access_events} accesses, "
             f"jobs=1 {result.per_jobs[jobs[0]]['seconds'] * 1e3:.1f} ms, "
             f"best x{result.per_jobs[fastest]['speedup']:.2f} at "
-            f"jobs={fastest}, freeze {result.freeze_seconds * 1e3:.2f} ms "
-            f"({result.bytes_per_task:.0f} B/task), "
+            f"jobs={fastest}, shard plan "
+            f"{result.freeze_seconds * 1e3:.2f} ms, "
             f"identical={result.identical}",
             file=out,
         )
@@ -415,7 +409,7 @@ def throughput_bench_data(
     progress=None,
 ) -> dict:
     """Run ``names`` through the single-thread engine race and assemble
-    the ``repro.bench.throughput/1`` document (see module docstring)."""
+    the ``repro.bench.throughput/2`` document (see module docstring)."""
     workloads: List[dict] = []
     for name in names:
         try:
@@ -447,13 +441,6 @@ def throughput_bench_data(
                     result.replay_events_per_second, 1
                 ),
             },
-            "snapshot_jobs1": {
-                "check_seconds": result.snapshot_check_seconds,
-                "total_seconds": result.snapshot_total_seconds,
-                "access_events_per_second": round(
-                    result.snapshot_access_events_per_second, 1
-                ),
-            },
             "fast": {
                 "encode_seconds": ft.get("encode_seconds", 0.0),
                 "structure_seconds": ft.get("structure_seconds", 0.0),
@@ -466,9 +453,6 @@ def throughput_bench_data(
                     result.fast_access_events_per_second, 1
                 ),
             },
-            "speedup_access_vs_snapshot_jobs1": round(
-                result.speedup_access_vs_snapshot, 4
-            ),
             "speedup_total_vs_replay": round(
                 result.speedup_total_vs_replay, 4
             ),
@@ -479,11 +463,8 @@ def throughput_bench_data(
         print(
             f"bench {name}: {result.num_access_events} accesses — "
             f"replay {result.replay_events_per_second / 1e3:.0f}k ev/s, "
-            f"snapshot jobs=1 "
-            f"{result.snapshot_access_events_per_second / 1e3:.0f}k acc/s, "
             f"fast {result.fast_access_events_per_second / 1e3:.0f}k acc/s "
-            f"(x{result.speedup_access_vs_snapshot:.2f} access, "
-            f"x{result.speedup_total_vs_replay:.2f} end-to-end), "
+            f"(x{result.speedup_total_vs_replay:.2f} end-to-end), "
             f"identical={result.identical}",
             file=out,
         )
@@ -794,7 +775,7 @@ def check_backends_baseline(data: dict, baseline: dict, out=None) -> List[str]:
 
 
 def check_throughput_baseline(data: dict, baseline: dict, out=None) -> List[str]:
-    """Compare a ``repro.bench.throughput/1`` document against a
+    """Compare a ``repro.bench.throughput/2`` document against a
     checked-in baseline; return a list of violation strings (empty = ok).
 
     Two gates per workload named in the baseline:
@@ -802,9 +783,10 @@ def check_throughput_baseline(data: dict, baseline: dict, out=None) -> List[str]
     * ``access_events_per_second`` — absolute floor with 10% tolerance.
       Baseline values are recorded conservatively (well below a healthy
       run) because shared-CI wall clocks vary severalfold.
-    * ``min_speedup_vs_snapshot`` — the fast path's access-throughput
-      ratio over the same-process PR 5 jobs=1 checker.  Box-speed
-      cancels out of the ratio, so this is the sharper gate.
+    * ``min_speedup_vs_replay`` — the fast path's end-to-end ratio
+      (``speedup_total_vs_replay``: encoding included) over the
+      same-process object-graph replay.  Box speed cancels out of the
+      ratio, so this is the sharper gate.
     """
     rows = {w.get("name"): w for w in data.get("workloads", [])}
     violations: List[str] = []
@@ -821,12 +803,12 @@ def check_throughput_baseline(data: dict, baseline: dict, out=None) -> List[str]
                     f"{name}: fast access throughput {measured:.0f} ev/s "
                     f"regressed >10% below baseline {floor:.0f} ev/s"
                 )
-        min_speedup = gate.get("min_speedup_vs_snapshot")
+        min_speedup = gate.get("min_speedup_vs_replay")
         if min_speedup is not None:
-            measured = row["speedup_access_vs_snapshot_jobs1"]
+            measured = row["speedup_total_vs_replay"]
             if measured < min_speedup:
                 violations.append(
-                    f"{name}: speedup vs snapshot jobs=1 {measured:.2f} "
+                    f"{name}: speedup vs replay {measured:.2f} "
                     f"below floor {min_speedup:.2f}"
                 )
     for violation in violations:
@@ -872,12 +854,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "BENCH_PR5.json with --parallel, or "
                              "BENCH_PR6.json with --throughput)")
     parser.add_argument("--parallel", action="store_true",
-                        help="benchmark the two-phase sharded checker "
+                        help="benchmark the sharded checker "
                              "instead of the live detector")
     parser.add_argument("--throughput", action="store_true",
                         help="race the single-thread checking engines "
-                             "(live replay / snapshot jobs=1 / flat-array "
-                             "fast path) over each recorded trace")
+                             "(live replay / flat-array fast path) over "
+                             "each recorded trace")
     parser.add_argument("--backends", action="store_true",
                         help="race every PRECEDE backend (dtrg / array / "
                              "depa / vc) over each recorded trace")

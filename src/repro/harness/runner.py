@@ -164,11 +164,11 @@ class BenchmarkResult:
 
 @dataclass
 class ParallelBenchResult:
-    """One workload checked by the two-phase sharded checker at several
-    job counts (``docs/ALGORITHM.md`` §12).
+    """One workload checked by the sharded checker at several job counts
+    (``docs/ALGORITHM.md`` §12).
 
     ``per_jobs`` maps each job count to its best-of-``repeats`` wall
-    times: ``seconds`` is the full check (build + freeze + fan-out +
+    times: ``seconds`` is the full check (encode + shard plan + fan-out +
     merge), ``check_seconds`` the fan-out stage alone, ``speedup`` is
     relative to the jobs=1 ``seconds``.  ``identical`` records whether
     every job count reproduced the jobs=1 ``summary()`` text and
@@ -184,8 +184,6 @@ class ParallelBenchResult:
     num_locations: int
     races: int
     freeze_seconds: float
-    snapshot_bytes: int
-    bytes_per_task: float
     identical: bool
     per_jobs: Dict[int, Dict[str, float]]
 
@@ -272,16 +270,15 @@ def run_parallel_benchmark(
     for n in jobs:
         row = per_jobs[n]
         row["speedup"] = base / row["seconds"] if row["seconds"] else 0.0
-        # Structure-vs-access phase split: build_seconds is the structure
-        # pass (DTRG construction + bucketing), check_seconds the access
-        # (shadow-check) fan-out.
+        # build_seconds is the encoding pass, check_seconds the shard
+        # fan-out (each shard replays the structure, then checks its
+        # accesses).
         row["events_per_second"] = (
             num_events / row["seconds"] if row["seconds"] else 0.0
         )
         row["access_events_per_second"] = (
             num_access / row["check_seconds"] if row["check_seconds"] else 0.0
         )
-    snapshot_bytes = result.snapshot.nbytes
     return ParallelBenchResult(
         name=name,
         scale=scale,
@@ -291,10 +288,6 @@ def run_parallel_benchmark(
         num_locations=result.num_locations,
         races=len(result.races),
         freeze_seconds=per_jobs[jobs[0]]["freeze_seconds"],
-        snapshot_bytes=snapshot_bytes,
-        bytes_per_task=(
-            snapshot_bytes / result.num_tasks if result.num_tasks else 0.0
-        ),
         identical=identical,
         per_jobs=per_jobs,
     )
@@ -302,19 +295,19 @@ def run_parallel_benchmark(
 
 @dataclass
 class ThroughputBenchResult:
-    """One workload's trace checked by three single-thread engines
+    """One workload's trace checked by two single-thread engines
     back-to-back in the same process (box speed varies across runs, so
     only same-process ratios are meaningful):
 
     * ``replay`` — the live object-graph detector re-driven over the
-      recorded events (the PR 1–4 path);
-    * ``snapshot_jobs1`` — the two-phase sharded checker at ``jobs=1``
-      (the PR 5 pure-Python baseline the acceptance ratio is against);
+      recorded events by :func:`~repro.memory.tracer.replay_trace`;
     * ``fast`` — :func:`repro.core.fastcheck.check_trace_fast` over the
-      batched :class:`~repro.core.events.EncodedTrace` and the flat-array
-      live DTRG (the PR 6 hot path).
+      recorded trace: encoding to an
+      :class:`~repro.core.events.EncodedTrace`, then one pass over the
+      flat-array live DTRG (what ``racecheck --fast`` and every
+      ``--jobs`` shard run).
 
-    ``identical`` records the bit-equivalence contract: all three engines
+    ``identical`` records the bit-equivalence contract: both engines
     produced the same ``RaceReport.summary()`` text, the same ordered race
     pair list, and the same invariant perf counters (``precede_queries``,
     ``mutation_epoch``, ``shadow_fast_hits``, ``precede_calls_saved``).
@@ -329,8 +322,6 @@ class ThroughputBenchResult:
     num_locations: int
     races: int
     replay_seconds: float
-    snapshot_check_seconds: float   #: jobs=1 shadow-check stage wall time
-    snapshot_total_seconds: float
     fast_timings: Dict[str, float]  #: encode/structure/access/total seconds
     identical: bool
     mismatches: List[str] = field(default_factory=list)
@@ -339,11 +330,6 @@ class ThroughputBenchResult:
     def replay_events_per_second(self) -> float:
         s = self.replay_seconds
         return self.num_events / s if s else 0.0
-
-    @property
-    def snapshot_access_events_per_second(self) -> float:
-        s = self.snapshot_check_seconds
-        return self.num_access_events / s if s else 0.0
 
     @property
     def fast_events_per_second(self) -> float:
@@ -356,14 +342,9 @@ class ThroughputBenchResult:
         return self.num_access_events / s if s else 0.0
 
     @property
-    def speedup_access_vs_snapshot(self) -> float:
-        """The acceptance ratio: access-check throughput of the fast path
-        over the PR 5 jobs=1 checker, same trace, same process."""
-        s = self.snapshot_access_events_per_second
-        return self.fast_access_events_per_second / s if s else 0.0
-
-    @property
     def speedup_total_vs_replay(self) -> float:
+        """The gated ratio: replay wall time over the fast path's total
+        (encoding included), same trace, same process."""
         s = self.fast_timings.get("total_seconds", 0.0)
         return self.replay_seconds / s if s else 0.0
 
@@ -381,16 +362,16 @@ def run_throughput_benchmark(
     repeats: int = 2,
     verify: bool = True,
 ) -> ThroughputBenchResult:
-    """Record one workload's trace, then race the three single-thread
+    """Record one workload's trace, then race the two single-thread
     checking engines over it (see :class:`ThroughputBenchResult`).
 
-    All engines run back-to-back in this process on the *same* recorded
-    stream; wall times are best-of-``repeats`` per engine.  Equivalence is
-    asserted into ``identical``/``mismatches`` rather than raised so a
-    violation still lands in the artifact (and the CLI exits non-zero)."""
-    from repro.core.events import encode_trace
+    Both engines run back-to-back in this process on the *same* recorded
+    stream; wall times are best-of-``repeats`` per engine (per timing key
+    for the fast path).  Equivalence is asserted into
+    ``identical``/``mismatches`` rather than raised so a violation still
+    lands in the artifact (and the CLI exits non-zero)."""
+    from repro.core.detector import DeterminacyRaceDetector
     from repro.core.fastcheck import check_trace_fast
-    from repro.core.parallel_check import check_trace_parallel
     from repro.memory.tracer import TraceRecorder, replay_trace
 
     bench = BENCHMARKS.get(name) or EXTENDED_BENCHMARKS[name]
@@ -404,11 +385,6 @@ def run_throughput_benchmark(
     if verify:
         bench.verify(params, run.result)
     trace = recorder.trace
-    t_enc = time.perf_counter()
-    encoded = encode_trace(trace)
-    encode_seconds = time.perf_counter() - t_enc
-
-    from repro.core.detector import DeterminacyRaceDetector
 
     replay_best = float("inf")
     detector = None
@@ -418,42 +394,28 @@ def run_throughput_benchmark(
         replay_trace(trace, [detector])
         replay_best = min(replay_best, time.perf_counter() - start)
 
-    snap_check_best = float("inf")
-    snap_total_best = float("inf")
-    snap = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        snap = check_trace_parallel(trace, jobs=1, backend="inline")
-        snap_total_best = min(snap_total_best, time.perf_counter() - start)
-        snap_check_best = min(
-            snap_check_best, snap.timings["check_seconds"]
-        )
-
     fast = None
     fast_timings: Dict[str, float] = {}
     for _ in range(repeats):
-        fast = check_trace_fast(encoded)
+        fast = check_trace_fast(trace)
         for key, value in fast.timings.items():
             fast_timings[key] = min(fast_timings.get(key, value), value)
-    # The encode pass ran once, outside the repeat loop — report it.
-    fast_timings["encode_seconds"] = encode_seconds
 
-    assert detector is not None and snap is not None and fast is not None
+    assert detector is not None and fast is not None
     mismatches: List[str] = []
-    golden_summary = detector.report.summary()
-    golden_pairs = [r.pair_key for r in detector.races]
-    for label, res in (("snapshot_jobs1", snap), ("fast", fast)):
-        if res.summary() != golden_summary:
-            mismatches.append(f"{label}: summary differs from replay")
-        if [r.pair_key for r in res.races] != golden_pairs:
-            mismatches.append(f"{label}: race list differs from replay")
-        stats = res.perf_stats
-        golden_stats = detector.perf_stats
-        for key in _INVARIANT_PERF:
-            if stats[key] != golden_stats[key]:
-                mismatches.append(
-                    f"{label}: {key} {stats[key]} != {golden_stats[key]}"
-                )
+    if fast.summary() != detector.report.summary():
+        mismatches.append("fast: summary differs from replay")
+    if [r.pair_key for r in fast.races] != [
+        r.pair_key for r in detector.races
+    ]:
+        mismatches.append("fast: race list differs from replay")
+    stats = fast.perf_stats
+    golden_stats = detector.perf_stats
+    for key in _INVARIANT_PERF:
+        if stats[key] != golden_stats[key]:
+            mismatches.append(
+                f"fast: {key} {stats[key]} != {golden_stats[key]}"
+            )
 
     return ThroughputBenchResult(
         name=name,
@@ -465,8 +427,6 @@ def run_throughput_benchmark(
         num_locations=fast.num_locations,
         races=len(fast.races),
         replay_seconds=replay_best,
-        snapshot_check_seconds=snap_check_best,
-        snapshot_total_seconds=snap_total_best,
         fast_timings=fast_timings,
         identical=not mismatches,
         mismatches=mismatches,

@@ -31,7 +31,7 @@ from repro.core.events import (
     WriteEvent,
 )
 
-__all__ = ["TraceRecorder", "replay_trace", "replay_trace_parallel"]
+__all__ = ["TraceRecorder", "replay_trace"]
 
 
 class TraceRecorder(ExecutionObserver):
@@ -284,39 +284,3 @@ def replay_trace(
     for ob in observers:
         ob.on_task_end(main)
         ob.on_shutdown(main)
-
-
-def replay_trace_parallel(
-    trace: Trace | Iterable[Event],
-    *,
-    jobs: int = 1,
-    backend: Optional[str] = None,
-    names: Optional[Dict[int, str]] = None,
-    obs=None,
-    progress=None,
-):
-    """Two-phase parallel replay: check a recorded trace with the DTRG
-    detector sharded over ``jobs`` workers.
-
-    Streams ``trace`` once (any iterable, like :func:`replay_trace`):
-    structure events build the DTRG sequentially, accesses are
-    epoch-stamped and hash-sharded by location, shards fan out via
-    ``multiprocessing`` and a deterministic merge reproduces the
-    sequential race list, summary text and structural counters
-    bit-identically at every job count.  Returns a
-    :class:`repro.core.parallel_check.ParallelCheckResult`.
-
-    This is the replay-mode counterpart of attaching a
-    :class:`~repro.core.detector.DeterminacyRaceDetector` to
-    :func:`replay_trace` — same verdicts, same ``summary()``, same
-    ``DetectorPerf`` columns except the ``cache_*`` ones, which read 0
-    (the PRECEDE verdict cache is interleaving-sensitive, so workers run
-    cache-less to keep every column job-count-invariant).  See
-    ``docs/ALGORITHM.md`` §12.
-    """
-    from repro.core.parallel_check import check_trace_parallel
-
-    return check_trace_parallel(
-        trace, jobs=jobs, backend=backend, names=names, obs=obs,
-        progress=progress,
-    )

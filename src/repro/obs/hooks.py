@@ -263,7 +263,7 @@ class Observability:
     def on_parallel_stages(self, timings: dict, shards: list) -> None:
         """Stage timings + per-shard outcomes of one completed parallel
         check.  ``timings`` holds ``build/freeze/check/merge/total``
-        seconds (:class:`~repro.core.parallel_check.ParallelCheckResult`
+        seconds (:class:`~repro.core.fastcheck.CheckResult`
         layout); ``shards`` holds per-shard event/race counts and wall
         times.  Stages land in the ``parallel_stage_ns`` histograms and,
         with a tracer, as back-dated spans on the parallel track (shard

@@ -55,7 +55,7 @@ the first race and has no live DTRG to certify witnesses from, so
 ``--fast`` is the single-thread batched counterpart of ``--jobs``: the
 program runs once with only the trace recorder attached, the stream is
 lowered to an :class:`~repro.core.events.EncodedTrace` and checked by
-``check_trace_fast`` (``docs/ALGORITHM.md`` §13.3) — same race list,
+``check_trace_fast`` (``docs/ALGORITHM.md`` §13.2) — same race list,
 summary and exit code as the sequential ``--detector dtrg`` run, at
 1M+ access-checks/s.  The same restrictions as ``--jobs`` apply (dtrg
 only, no ``--policy raise``, no ``--explain`` family), and — like the
@@ -112,11 +112,12 @@ from repro.baselines import (
 )
 from repro.core.detector import DeterminacyRaceDetector
 from repro.core.exact import ExactDetector
+from repro.core.parallel_check import check_trace_parallel
 from repro.core.parallel_detector import ParallelRaceDetector
 from repro.graph import GraphBuilder, ReachabilityClosure, to_dot
 from repro.harness.metrics import MetricsCollector
 from repro.core.events import ExecutionObserver
-from repro.memory.tracer import TraceRecorder, replay_trace_parallel
+from repro.memory.tracer import TraceRecorder
 from repro.runtime.errors import RaceError, UnsupportedConstructError
 from repro.runtime.asyncio_runtime import AsyncioRuntime
 from repro.runtime.executor import ThreadRuntime
@@ -491,7 +492,7 @@ def main(argv: List[str] | None = None) -> int:
             return 2
 
         if parallel:
-            result = replay_trace_parallel(
+            result = check_trace_parallel(
                 recorder.trace,
                 jobs=args.jobs,
                 backend=args.parallel_backend,

@@ -5,7 +5,6 @@ import pytest
 from repro.core.array_dtrg import ArrayDTRG
 from repro.core.detector import DeterminacyRaceDetector
 from repro.core.reachability import DynamicTaskReachabilityGraph
-from repro.core.snapshot import DTRGSnapshot
 
 
 def _mirror():
@@ -122,27 +121,6 @@ def test_growth_past_initial_buffers():
     assert arr.precede_idx(0, 2000)       # ancestor chain
     assert arr.precede_idx(1000, 2000)
     assert not arr.precede_idx(2000, 0)   # child never precedes parent
-
-
-def test_freeze_fast_path_matches_object_freeze():
-    pair = _mirror()
-    obj, arr = pair
-    _drive(pair, "add_root", 0)
-    _drive(pair, "add_task", 0, 1, is_future=True)
-    _drive(pair, "add_task", 0, 2, is_future=False)
-    _drive(pair, "on_terminate", 1)
-    _drive(pair, "record_join", 2, 1)
-    _drive(pair, "on_terminate", 2)
-    _drive(pair, "record_join", 0, 1)
-    _drive(pair, "merge", 0, 2)
-    _drive(pair, "on_terminate", 0)
-    snap_obj = DTRGSnapshot.freeze(obj)
-    snap_arr = DTRGSnapshot.freeze(arr)
-    assert snap_arr.keys == snap_obj.keys
-    assert list(snap_arr.is_future) == list(snap_obj.is_future)
-    for a in snap_obj.keys:
-        for b in snap_obj.keys:
-            assert snap_arr.precede(a, b) == snap_obj.precede(a, b)
 
 
 def test_detector_engine_gating():

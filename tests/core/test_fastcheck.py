@@ -77,20 +77,28 @@ def test_async_write_write_race():
     assert fast.races[0].kind.value == "write-write"
 
 
-def test_site_attribution_matches_sharded_checker():
-    """With sites in the stream, the fast path attributes them exactly
-    like the sharded workers do (the plain sequential detector only
-    renders sites when a provenance recorder is attached)."""
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_site_attribution_matches_sharded_checker(jobs):
+    """With sites in the stream, the fast path and the sharded checker
+    attribute them alike on every shard (the plain sequential detector
+    only renders sites when a provenance recorder is attached)."""
     from repro.core.parallel_check import check_trace_parallel
 
-    trace = _async_write_race(sites=True)
+    locs = [f"x{i}" for i in range(8)]
+    trace = Trace(events=[
+        TaskCreateEvent(parent=0, child=1, is_future=False, ief=0),
+        *(WriteEvent(task=1, loc=x, site=f"a.py:{x}") for x in locs),
+        *(WriteEvent(task=0, loc=x, site=f"b.py:{x}") for x in locs),
+        TaskEndEvent(task=1),
+    ])
     fast = check_trace_fast(trace)
-    sharded = check_trace_parallel(trace, jobs=1, backend="inline")
+    sharded = check_trace_parallel(trace, jobs=jobs, backend="inline")
+    assert len(sharded.shards) == jobs
     assert fast.summary() == sharded.summary()
-    assert len(fast.races) == 1
-    race = fast.races[0]
-    assert race.prev_site == "a.py:1"
-    assert race.current_site == "a.py:2"
+    assert [r.loc for r in sharded.races] == locs
+    for race in fast.races + sharded.races:
+        assert race.prev_site == f"a.py:{race.loc}"
+        assert race.current_site == f"b.py:{race.loc}"
 
 
 def test_future_join_orders_accesses():

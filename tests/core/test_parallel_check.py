@@ -1,4 +1,4 @@
-"""Two-phase sharded parallel checking (ALGORITHM.md §12).
+"""Sharded parallel checking (ALGORITHM.md §12).
 
 The contract under test: for any recorded trace and any job count,
 ``check_trace_parallel`` reproduces the sequential replay detector's
@@ -13,11 +13,8 @@ import pytest
 
 from repro.core.detector import DeterminacyRaceDetector
 from repro.core.parallel_check import check_trace_parallel
-from repro.memory.tracer import (
-    TraceRecorder,
-    replay_trace,
-    replay_trace_parallel,
-)
+from repro.core.events import ReadEvent, TaskCreateEvent, WriteEvent
+from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.testing.generator import random_program, run_program
 
 #: Counters that must be job-count-invariant (the cache_* columns read 0
@@ -84,6 +81,26 @@ def test_race_free_trace():
     raise AssertionError("no race-free seed in range")  # pragma: no cover
 
 
+def test_structure_only_trace_keeps_structural_counters():
+    """No accesses means no shard owns a location; one shard must still
+    replay the structure, or the structural counters would read 0."""
+    for seed in range(50):
+        trace = [e for e in recorded(seed)
+                 if not isinstance(e, (ReadEvent, WriteEvent))]
+        golden = sequential(trace)
+        if golden.dtrg.num_non_tree_edges and golden.dtrg.num_tree_merges:
+            break
+    else:  # pragma: no cover
+        raise AssertionError("no seed with both join kinds in range")
+    result = check_trace_parallel(trace, jobs=2)
+    assert result.num_access_events == 0 and not result.races
+    assert result.mutation_epoch == golden.dtrg.mutation_epoch
+    assert result.num_tasks == 1 + sum(
+        isinstance(e, TaskCreateEvent) for e in trace)
+    assert result.num_tree_merges == golden.dtrg.num_tree_merges
+    assert result.num_non_tree_edges == golden.dtrg.num_non_tree_edges
+
+
 # ---------------------------------------------------------------------- #
 # Multiprocessing backends (run from a real file, so spawn re-imports    #
 # cleanly — pytest's __main__ is importable)                             #
@@ -134,13 +151,6 @@ def test_replay_trace_accepts_generator():
     det = DeterminacyRaceDetector()
     replay_trace((event for event in trace), [det])
     assert det.report.summary() == golden.report.summary()
-
-
-def test_replay_trace_parallel_entry_point():
-    trace = first_racy_trace()
-    golden = sequential(trace)
-    result = replay_trace_parallel(iter(trace), jobs=3)
-    assert result.summary() == golden.report.summary()
 
 
 # ---------------------------------------------------------------------- #

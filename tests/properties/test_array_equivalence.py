@@ -1,21 +1,18 @@
 """Flat-array engine ≡ object-graph engine, under fuzzing.
 
-Four properties over 200 generated programs (ALGORITHM.md §13):
+Three properties over 200 generated programs (ALGORITHM.md §13):
 
 1. **Query equivalence** — ``ArrayDTRG.precede()`` (driven as the
    detector's ``engine="array"``) is bit-equivalent to the object DTRG
    on *every* task pair of the finished graph.
-2. **Freeze equivalence** — ``DTRGSnapshot.freeze`` of the array graph
-   (the ``snapshot_state`` near-memcpy path) answers every pair exactly
-   like the snapshot frozen from the object graph.
-3. **Fast-path equivalence** — ``check_trace_fast`` over the batched
+2. **Fast-path equivalence** — ``check_trace_fast`` over the batched
    ``EncodedTrace`` reproduces the sequential replay byte-for-byte:
    same ``summary()``, same race list in the same order, same racy
    locations, same invariant ``DetectorPerf`` counters, same
    ``#AvgReaders``.
-4. **Sharded replay on the batched build** — ``check_trace_parallel``
-   at jobs ∈ {1, 2, 4} (exercising the list-batched decoder) stays
-   byte-identical to the sequential replay.
+3. **Sharded equivalence** — ``check_trace_parallel`` at jobs ∈
+   {1, 2, 4} (the same kernel, split by location) stays byte-identical
+   to the sequential replay.
 
 The internal verdict memo in ``ArrayDTRG`` and the inlined shadow loops
 in ``fastcheck`` are exactly the machinery these sweeps exist to keep
@@ -31,7 +28,6 @@ from repro.core.detector import DeterminacyRaceDetector
 from repro.core.events import encode_trace
 from repro.core.fastcheck import check_trace_fast
 from repro.core.parallel_check import check_trace_parallel
-from repro.core.snapshot import DTRGSnapshot
 from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.testing.generator import random_program, run_program
 
@@ -97,23 +93,11 @@ def test_array_engine_equivalence_fuzz(band):
             )
         assert abs(fast.avg_readers - golden.shadow.avg_readers) < 1e-12
 
-        # All-pairs: live array graph vs live object graph, and the two
-        # freeze paths (near-memcpy vs object walk) against each other.
-        snap_obj = DTRGSnapshot.freeze(golden.dtrg)
-        snap_arr = DTRGSnapshot.freeze(arr.dtrg)
-        for a in snap_obj.keys:
-            for b in snap_obj.keys:
-                want = golden.dtrg.precede(a, b)
-                assert arr.dtrg.precede(a, b) == want, (
+        # All-pairs: live array graph vs live object graph.
+        for a in arr.dtrg.keys:
+            for b in arr.dtrg.keys:
+                assert arr.dtrg.precede(a, b) == golden.dtrg.precede(a, b), (
                     f"seed {seed}: ArrayDTRG diverges on ({a}, {b})"
-                )
-                assert snap_arr.precede(a, b) == want, (
-                    f"seed {seed}: array-frozen snapshot diverges "
-                    f"on ({a}, {b})"
-                )
-                assert snap_obj.precede(a, b) == want, (
-                    f"seed {seed}: object-frozen snapshot diverges "
-                    f"on ({a}, {b})"
                 )
 
         for jobs in JOBS:

@@ -2,8 +2,10 @@
 
 Three properties over ≥200 generated programs (ALGORITHM.md §12):
 
-1. **Snapshot fidelity** — ``DTRGSnapshot.freeze`` of the finished DTRG
-   answers ``precede`` exactly like the live graph on *every* task pair.
+1. **Graph fidelity** — the flat-array graph every shard replays
+   (:class:`~repro.core.array_dtrg.ArrayDTRG`, as left by the fast
+   kernel) answers ``precede`` exactly like the object DTRG on *every*
+   task pair of the finished graph.
 2. **Sharded equivalence** — ``check_trace_parallel`` at jobs ∈ {1, 2, 4}
    reproduces the sequential replay detector byte-for-byte: same race
    list in the same order, same ``summary()`` text, same racy locations,
@@ -12,10 +14,11 @@ Three properties over ≥200 generated programs (ALGORITHM.md §12):
    :class:`~repro.core.events.EncodedTrace` reproduces the event-list
    build byte-for-byte at every job count.
 
-Shard assignment is by location hash and workers replay the structure
-log independently, so any soundness slip (e.g. answering from the
-post-merge final state — the masked-race trap) or any ordering slip in
-the merge shows up as a seed-numbered counterexample here.
+Shards split the locations and each replays the whole structure stream
+independently, so any soundness slip (e.g. answering from the post-merge
+final state — the masked-race trap), any location-filter slip or any
+ordering slip in the merge shows up as a seed-numbered counterexample
+here.
 """
 
 import random
@@ -23,8 +26,8 @@ import random
 import pytest
 
 from repro.core.detector import DeterminacyRaceDetector
+from repro.core.fastcheck import check_trace_fast
 from repro.core.parallel_check import check_trace_parallel
-from repro.core.snapshot import DTRGSnapshot
 from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.testing.generator import random_program, run_program
 
@@ -56,11 +59,11 @@ def test_parallel_equivalence_fuzz(band):
         golden_order = [r.pair_key for r in det.races]
         golden_perf = det.perf_stats
 
-        snap = DTRGSnapshot.freeze(det.dtrg)
-        for a in snap.keys:
-            for b in snap.keys:
-                assert snap.precede(a, b) == det.dtrg.precede(a, b), (
-                    f"seed {seed}: snapshot diverges on ({a}, {b})"
+        arr = check_trace_fast(trace).dtrg
+        for a in arr.keys:
+            for b in arr.keys:
+                assert arr.precede(a, b) == det.dtrg.precede(a, b), (
+                    f"seed {seed}: ArrayDTRG diverges on ({a}, {b})"
                 )
         racy_seeds += bool(golden_order)
         for jobs in JOBS:
@@ -89,12 +92,10 @@ def test_parallel_equivalence_fuzz(band):
 @pytest.mark.parametrize("band", range(0, NUM_SEEDS, 40))
 def test_encoded_trace_input_equivalence_fuzz(band):
     """``check_trace_parallel`` consumes :class:`EncodedTrace` blocks
-    directly (no per-event object decode in the build phase) and must
-    stay byte-identical to the event-list path at every job count: same
-    ``summary()`` text, same ordered race list, same racy locations, the
-    *whole* ``perf_stats`` dict, and the same event totals.  The encoded
-    build stores task *keys* in shard buckets — a dense-index slip there
-    shows up as a post-remap divergence here."""
+    as is (no second encoding pass) and must stay byte-identical to the
+    event-list path at every job count: same ``summary()`` text, same
+    ordered race list, same racy locations, the *whole* ``perf_stats``
+    dict, and the same event totals."""
     from repro.core.events import encode_trace
 
     racy_seeds = 0
