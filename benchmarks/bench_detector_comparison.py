@@ -33,7 +33,7 @@ def record_trace(entry):
     recorder = TraceRecorder()
     rt = Runtime(observers=[recorder])
     rt.run(entry)
-    return recorder.trace
+    return list(recorder.trace)  # decoded once: timed replays replay only
 
 
 @pytest.fixture(scope="module")

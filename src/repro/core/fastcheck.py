@@ -166,8 +166,9 @@ def check_trace_fast(
     Parameters
     ----------
     trace:
-        An :class:`EncodedTrace`, or a :class:`~repro.core.events.Trace` /
-        event iterable (encoded on the fly; the encode time is reported
+        An :class:`EncodedTrace`, a :class:`~repro.core.events.Trace`
+        (whose own columns are read as they are), or any other event
+        iterable (lowered on the fly; the encode time is reported
         separately in ``timings``).
     names:
         Optional tid -> display-name map; defaults to the replay

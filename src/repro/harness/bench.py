@@ -50,8 +50,8 @@ speedup, and must not be read as regressions.
 ``--throughput`` races the two single-thread checking engines
 back-to-back over each workload's recorded trace — live object-graph
 replay and the flat-array fast path
-(:func:`repro.core.fastcheck.check_trace_fast`, encoding included) —
-and writes ``BENCH_PR6.json`` by default::
+(:func:`repro.core.fastcheck.check_trace_fast` over the columns the
+recorder wrote; neither leg includes recording) — and writes ``BENCH_PR6.json`` by default::
 
     repro-bench --throughput --scale large --only Jacobi
 
@@ -161,7 +161,7 @@ workload row.
 ``--baseline FILE`` (throughput mode) gates against a checked-in
 baseline (``benchmarks/throughput_baseline.json``): the run fails if any
 workload's fast-path ``access_events_per_second`` drops more than 10%
-below the baseline value, or if its end-to-end speedup over the
+below the baseline value, or if its whole-check speedup over the
 same-process object-graph replay falls below the recorded floor.  Baseline absolute
 numbers are deliberately conservative — shared-CI wall clocks vary
 severalfold — while the speedup floor is box-speed-independent.  With
@@ -464,7 +464,7 @@ def throughput_bench_data(
             f"bench {name}: {result.num_access_events} accesses — "
             f"replay {result.replay_events_per_second / 1e3:.0f}k ev/s, "
             f"fast {result.fast_access_events_per_second / 1e3:.0f}k acc/s "
-            f"(x{result.speedup_total_vs_replay:.2f} end-to-end), "
+            f"(x{result.speedup_total_vs_replay:.2f} whole check), "
             f"identical={result.identical}",
             file=out,
         )
@@ -783,10 +783,10 @@ def check_throughput_baseline(data: dict, baseline: dict, out=None) -> List[str]
     * ``access_events_per_second`` — absolute floor with 10% tolerance.
       Baseline values are recorded conservatively (well below a healthy
       run) because shared-CI wall clocks vary severalfold.
-    * ``min_speedup_vs_replay`` — the fast path's end-to-end ratio
-      (``speedup_total_vs_replay``: encoding included) over the
-      same-process object-graph replay.  Box speed cancels out of the
-      ratio, so this is the sharper gate.
+    * ``min_speedup_vs_replay`` — the fast path's whole-check ratio
+      (``speedup_total_vs_replay``; no encode pass, since recording
+      writes the columns) over the same-process object-graph replay.
+      Box speed cancels out of the ratio, so this is the sharper gate.
     """
     rows = {w.get("name"): w for w in data.get("workloads", [])}
     violations: List[str] = []

@@ -300,12 +300,14 @@ class ThroughputBenchResult:
     only same-process ratios are meaningful):
 
     * ``replay`` — the live object-graph detector re-driven over the
-      recorded events by :func:`~repro.memory.tracer.replay_trace`;
+      recorded events by :func:`~repro.memory.tracer.replay_trace` (the
+      events are decoded from the trace once, before timing);
     * ``fast`` — :func:`repro.core.fastcheck.check_trace_fast` over the
-      recorded trace: encoding to an
-      :class:`~repro.core.events.EncodedTrace`, then one pass over the
-      flat-array live DTRG (what ``racecheck --fast`` and every
-      ``--jobs`` shard run).
+      recorded trace's :class:`~repro.core.events.EncodedTrace` columns:
+      one pass over the flat-array live DTRG (what ``racecheck --fast``
+      and every ``--jobs`` shard run).  The columns are written while the
+      program is recorded, which neither leg times, so this leg has no
+      encode pass.
 
     ``identical`` records the bit-equivalence contract: both engines
     produced the same ``RaceReport.summary()`` text, the same ordered race
@@ -343,8 +345,9 @@ class ThroughputBenchResult:
 
     @property
     def speedup_total_vs_replay(self) -> float:
-        """The gated ratio: replay wall time over the fast path's total
-        (encoding included), same trace, same process."""
+        """The gated ratio: replay wall time over the fast path's total,
+        same trace, same process.  Neither side includes recording, which
+        is where the trace is lowered to columns."""
         s = self.fast_timings.get("total_seconds", 0.0)
         return self.replay_seconds / s if s else 0.0
 
@@ -385,13 +388,14 @@ def run_throughput_benchmark(
     if verify:
         bench.verify(params, run.result)
     trace = recorder.trace
+    events = list(trace)  # decode once, outside the timed replays
 
     replay_best = float("inf")
     detector = None
     for _ in range(repeats):
         detector = DeterminacyRaceDetector()
         start = time.perf_counter()
-        replay_trace(trace, [detector])
+        replay_trace(events, [detector])
         replay_best = min(replay_best, time.perf_counter() - start)
 
     fast = None
@@ -646,7 +650,8 @@ def run_backend_benchmark(
     The workload runs **once** with only a trace recorder attached; every
     engine then re-checks the same recorded stream through the full
     detector (shadow memory included), so the rows differ only in the
-    PRECEDE data structure behind them.  Wall times are
+    PRECEDE data structure behind them.  The events are decoded from the
+    trace once, before any engine is timed.  Wall times are
     best-of-``repeats`` per engine.  Mismatches are recorded, not
     raised, so a violation still lands in the artifact."""
     from repro.core.detector import DeterminacyRaceDetector
@@ -663,7 +668,7 @@ def run_backend_benchmark(
     )
     if verify:
         bench.verify(params, run.result)
-    trace = recorder.trace
+    events = list(recorder.trace)  # decode once, outside the timed replays
     metrics = run.metrics
 
     per_engine: Dict[str, Dict[str, Any]] = {}
@@ -680,7 +685,7 @@ def run_backend_benchmark(
             detector = DeterminacyRaceDetector(engine=engine)
             start = time.perf_counter()
             try:
-                replay_trace(trace, [detector])
+                replay_trace(events, [detector])
             except UnsupportedConstructError as exc:
                 status, detail, detector = "declined", str(exc), None
                 break
@@ -696,7 +701,7 @@ def run_backend_benchmark(
         if detector is not None:
             row["seconds"] = best
             row["events_per_second"] = (
-                round(len(trace) / best, 1) if best else 0.0
+                round(len(events) / best, 1) if best else 0.0
             )
             row["races"] = len(detector.races)
             row["perf"] = detector.perf_stats
@@ -722,7 +727,7 @@ def run_backend_benchmark(
     return BackendBenchResult(
         name=name,
         scale=scale,
-        num_events=len(trace),
+        num_events=len(events),
         num_access_events=metrics.num_shared_accesses,
         num_tasks=metrics.num_tasks,
         num_gets=metrics.num_gets,

@@ -8,6 +8,11 @@ pure detector cost (the quantity Theorem 1 bounds) from workload cost, and
 it is how ``benchmarks/bench_detector_comparison.py`` compares our detector
 against SP-bags/ESP-bags/vector clocks on identical event streams.
 
+Recording lowers each event straight into the trace's flat columns
+(:class:`~repro.core.events.EncodedTrace`), which the offline checkers
+(``check_trace_fast``, ``check_trace_parallel``) read as they are; replay
+iterates the trace, which decodes event objects from those columns.
+
 Replay synthesizes lightweight stand-ins for :class:`Task` and
 :class:`FinishScope` that carry exactly the attributes observers consume
 (``tid``, ``is_future``, ``parent``, ``ief``, ``name``, ``owner``,
@@ -37,78 +42,97 @@ __all__ = ["TraceRecorder", "replay_trace"]
 class TraceRecorder(ExecutionObserver):
     """Observer that records the full event stream into a :class:`Trace`.
 
+    Each hook lowers its event straight into the trace's columns through
+    the trace's :class:`~repro.core.events.ColumnBuilder`: an access
+    appends one ``(is_write, task_idx, loc_id)`` row, a spawn, get or
+    finish boundary one structure tuple.  No event object is built while
+    the program runs; iterating the trace decodes them afterwards.
+
     The implicit bracket (main task init/end, root finish start/end,
     shutdown) is *not* recorded — :func:`replay_trace` re-synthesizes it, so
     a recorded trace contains exactly the program's own events.
 
+    The recorder is serial-only: hooks append without a lock and assume
+    the depth-first event order of :class:`~repro.runtime.runtime.Runtime`.
+    ``racecheck`` rejects ``--trace`` (and ``--fast``/``--jobs``) on
+    ``--runtime threads|asyncio``, and ``repro-fuzz`` records only on the
+    serial runtime.
+
     With a :class:`repro.obs.provenance.RaceProvenance` attached (the same
     object given to the runtime, whose adapter observer runs first), the
     spawn/get/read/write events additionally carry the provenance call-site
-    label in their optional ``site`` field, so a replayed trace can
-    attribute races to source sites without re-running the program.
-    Without one the recorded events are exactly the pre-provenance events.
+    label, so a replayed trace can attribute races to source sites without
+    re-running the program.  The hooks that record sites are defined only
+    then, so the default hooks stay branch-free.
     """
 
     def __init__(self, provenance=None) -> None:
         self.trace = Trace()
-        self._prov = (
+        builder = self.trace.builder
+        read, write = builder.read, builder.write
+        task_create, task_end, get = (
+            builder.task_create, builder.task_end, builder.get)
+        finish_start, finish_end = builder.finish_start, builder.finish_end
+
+        def on_task_create(parent, child) -> None:
+            ief = child.ief
+            task_create(parent.tid, child.tid, child.is_future,
+                        ief.fid if ief is not None else -1)
+
+        def on_task_end(task) -> None:
+            if task.parent is not None:  # main's end is the implicit bracket
+                task_end(task.tid)
+
+        def on_get(consumer, producer) -> None:
+            get(consumer.tid, producer.tid)
+
+        def on_finish_start(scope) -> None:
+            enclosing = scope.enclosing
+            if enclosing is not None:  # None: the implicit root finish
+                finish_start(scope.fid, scope.owner.tid, enclosing.fid)
+
+        def on_finish_end(scope) -> None:
+            if scope.enclosing is not None:
+                finish_end(scope.fid)
+
+        def on_read(task, loc) -> None:
+            read(task.tid, loc)
+
+        def on_write(task, loc) -> None:
+            write(task.tid, loc)
+
+        prov = (
             provenance
             if provenance is not None and getattr(provenance, "enabled", False)
             else None
         )
+        if prov is not None:
+            label = prov.site_label
+            access_site = builder.access_site
+            structure_site = builder.structure_site
+            plain_create = on_task_create
 
-    def _site(self):
-        prov = self._prov
-        if prov is None:
-            return None
-        return prov.site_label(prov.current_site)
+            def on_task_create(parent, child) -> None:  # noqa: F811
+                plain_create(parent, child)
+                structure_site(label(prov.current_site))
 
-    def on_task_create(self, parent, child) -> None:
-        self.trace.append(
-            TaskCreateEvent(
-                parent=parent.tid,
-                child=child.tid,
-                is_future=child.is_future,
-                ief=child.ief.fid if child.ief is not None else -1,
-                site=self._site(),
-            )
-        )
+            def on_get(consumer, producer) -> None:  # noqa: F811
+                get(consumer.tid, producer.tid)
+                structure_site(label(prov.current_site))
 
-    def on_task_end(self, task) -> None:
-        if task.parent is None:
-            return  # main's end belongs to the implicit bracket
-        self.trace.append(TaskEndEvent(task=task.tid))
+            def on_read(task, loc) -> None:  # noqa: F811
+                read(task.tid, loc)
+                access_site(label(prov.current_site))
 
-    def on_get(self, consumer, producer) -> None:
-        self.trace.append(
-            GetEvent(
-                consumer=consumer.tid,
-                producer=producer.tid,
-                site=self._site(),
-            )
-        )
+            def on_write(task, loc) -> None:  # noqa: F811
+                write(task.tid, loc)
+                access_site(label(prov.current_site))
 
-    def on_finish_start(self, scope) -> None:
-        if scope.enclosing is None:
-            return  # implicit root finish
-        self.trace.append(
-            FinishStartEvent(
-                fid=scope.fid,
-                owner=scope.owner.tid,
-                enclosing=scope.enclosing.fid if scope.enclosing else -1,
-            )
-        )
-
-    def on_finish_end(self, scope) -> None:
-        if scope.enclosing is None:
-            return  # implicit root finish
-        self.trace.append(FinishEndEvent(fid=scope.fid))
-
-    def on_read(self, task, loc) -> None:
-        self.trace.append(ReadEvent(task=task.tid, loc=loc, site=self._site()))
-
-    def on_write(self, task, loc) -> None:
-        self.trace.append(WriteEvent(task=task.tid, loc=loc, site=self._site()))
+        self.on_task_create, self.on_task_end = on_task_create, on_task_end
+        self.on_get = on_get
+        self.on_finish_start = on_finish_start
+        self.on_finish_end = on_finish_end
+        self.on_read, self.on_write = on_read, on_write
 
 
 class _ReplayTask:

@@ -43,9 +43,11 @@ against the brute-force transitive closure of the computation graph
 
 ``--jobs N`` (N > 1) switches to the two-phase sharded checker: the
 program runs once with only a :class:`~repro.memory.tracer.TraceRecorder`
-attached (near-zero detection overhead), then the recorded stream is
-checked by ``N`` worker processes over a frozen array-backed DTRG
-snapshot (``docs/ALGORITHM.md`` §12).  The race list, the printed
+attached, whose hooks write the trace straight into the flat columns of
+an :class:`~repro.core.events.EncodedTrace` (no event objects, no
+separate encode pass), then those columns are checked by ``N`` worker
+processes, each running ``check_trace_fast`` over the locations it owns
+(``docs/ALGORITHM.md`` §12).  The race list, the printed
 summary and the exit code are bit-identical to the sequential
 ``--detector dtrg`` run.  Post-hoc checking cannot abort the program at
 the first race and has no live DTRG to certify witnesses from, so
@@ -53,11 +55,10 @@ the first race and has no live DTRG to certify witnesses from, so
 ``--detector`` must be ``dtrg``.
 
 ``--fast`` is the single-thread batched counterpart of ``--jobs``: the
-program runs once with only the trace recorder attached, the stream is
-lowered to an :class:`~repro.core.events.EncodedTrace` and checked by
-``check_trace_fast`` (``docs/ALGORITHM.md`` §13.2) — same race list,
-summary and exit code as the sequential ``--detector dtrg`` run, at
-1M+ access-checks/s.  The same restrictions as ``--jobs`` apply (dtrg
+program runs once with only the trace recorder attached, recording
+straight into those columns, and ``check_trace_fast`` checks them
+(``docs/ALGORITHM.md`` §13.2) — same race list, summary and exit code as
+the sequential ``--detector dtrg`` run.  The same restrictions as ``--jobs`` apply (dtrg
 only, no ``--policy raise``, no ``--explain`` family), and — like the
 ``--jobs`` path since PR 5 — a user-program abort during the recording
 phase still writes every requested ``--dot``/``--trace``/``--metrics``
@@ -191,8 +192,8 @@ def main(argv: List[str] | None = None) -> int:
                              "fork where available, else spawn)")
     parser.add_argument("--fast", action="store_true",
                         help="check via the batched single-thread fast "
-                             "path: record the trace, lower it to an "
-                             "EncodedTrace, run check_trace_fast (dtrg "
+                             "path: record the trace into flat "
+                             "columns, run check_trace_fast (dtrg "
                              "only; identical races/summary/exit code)")
     parser.add_argument("--perfetto", metavar="FILE",
                         help="write a Chrome trace-event JSON "
