@@ -20,10 +20,10 @@ from repro.baselines import (
     OffsetSpanDetector,
     SPBagsDetector,
     SPD3Detector,
-    VectorClockDetector,
 )
 from repro.core.detector import DeterminacyRaceDetector
 from repro.core.exact import ExactDetector
+from repro.core.parallel_detector import ParallelRaceDetector
 from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.runtime.runtime import Runtime
 from repro.workloads import crypt_idea, jacobi, series
@@ -60,7 +60,7 @@ DETECTORS_AF = [
     ("spbags", SPBagsDetector),
     ("spd3", SPD3Detector),
     ("offset-span", OffsetSpanDetector),
-    ("vector-clock", VectorClockDetector),
+    ("vector-clock", ParallelRaceDetector),
 ]
 
 
@@ -79,7 +79,7 @@ def test_crypt_af_trace(benchmark, crypt_af_trace, name, cls):
 DETECTORS_FUT = [
     ("dtrg", DeterminacyRaceDetector),
     ("exact", ExactDetector),
-    ("vector-clock", VectorClockDetector),
+    ("vector-clock", ParallelRaceDetector),
     ("brute-force", BruteForceDetector),
 ]
 

@@ -13,8 +13,8 @@ consequence.
 
 import pytest
 
-from repro.baselines import VectorClockDetector
 from repro.core.detector import DeterminacyRaceDetector
+from repro.core.parallel_detector import ParallelRaceDetector
 from repro.runtime.runtime import Runtime
 
 SIZES = [64, 128, 256]
@@ -31,7 +31,7 @@ def spawn_join_interleaved(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_vector_clock_spawn_join(benchmark, n):
     def run():
-        det = VectorClockDetector()
+        det = ParallelRaceDetector()
         rt = Runtime(observers=[det])
         rt.run(spawn_join_interleaved(n))
         return det

@@ -4,9 +4,11 @@
 * :class:`SPBagsDetector` — Feng & Leiserson [15], fully strict spawn-sync;
 * :class:`ESPBagsDetector` — Raman et al. [23/24], async-finish;
 * :class:`SPD3Detector` — Raman et al. [25], DPST/LCA, async-finish;
-* :class:`OffsetSpanDetector` — Mellor-Crummey [20], nested fork-join;
-* :class:`VectorClockDetector` — [1, 16]-style, fully general but with
-  per-task clocks whose size grows with the task count.
+* :class:`OffsetSpanDetector` — Mellor-Crummey [20], nested fork-join.
+
+The [1, 16]-style precise vector-clock detector, fully general but with
+per-task clocks whose size grows with the task count, is
+:class:`repro.core.parallel_detector.ParallelRaceDetector`.
 """
 
 from repro.baselines.base import BaselineDetector
@@ -15,7 +17,6 @@ from repro.baselines.espbags import ESPBagsDetector
 from repro.baselines.offset_span import OffsetSpanDetector
 from repro.baselines.spbags import SPBagsDetector
 from repro.baselines.spd3 import SPD3Detector
-from repro.baselines.vector_clock import VectorClockDetector
 
 __all__ = [
     "BaselineDetector",
@@ -24,5 +25,4 @@ __all__ = [
     "ESPBagsDetector",
     "SPD3Detector",
     "OffsetSpanDetector",
-    "VectorClockDetector",
 ]

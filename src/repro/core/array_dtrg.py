@@ -253,13 +253,6 @@ class ArrayDTRG:
     def merge(self, ancestor_key: Hashable, descendant_key: Hashable) -> None:
         self.merge_idx(self.index[ancestor_key], self.index[descendant_key])
 
-    def begin_finish(self, owner_key: Hashable) -> None:
-        """No-op protocol hook (no epoch bump) — like the object DTRG,
-        end-finish ordering arrives via :meth:`merge`."""
-
-    def end_finish(self, owner_key: Hashable) -> None:
-        """No-op protocol hook — see :meth:`begin_finish`."""
-
     # ------------------------------------------------------------------ #
     # Union-find with path halving (mirrors DisjointSets.find)           #
     # ------------------------------------------------------------------ #

@@ -3,7 +3,7 @@
 The detector (Algorithms 1–9) never looks inside the reachability
 structure: it forwards structural events and asks one question,
 ``precede(a, b)``.  Everything else — disjoint sets, interval labels,
-non-tree edges, DePa labels, vector clocks — is an implementation
+non-tree edges, vector clocks — is an implementation
 choice.  This module names that seam so alternative engines can be
 raced against the paper's DTRG behind ``DeterminacyRaceDetector
 (engine=...)`` (ROADMAP open item 2).
@@ -17,19 +17,10 @@ Engines
 ``array``
     :class:`repro.core.array_dtrg.ArrayDTRG` — the same algorithms over
     flat ``array('q')`` columns (ALGORITHM.md §13).
-``depa``
-    :class:`repro.core.depa.DePaBackend` — DePa-style dag-path
-    order-maintenance labels (Westrick et al., arXiv:2204.14168) for
-    the **fork-join fragment**.  O(depth) comparisons, no per-pair
-    state.  Declines future ``get`` edges with
-    :class:`~repro.runtime.errors.UnsupportedConstructError` — the
-    documented fallback, never a silent wrong answer (ALGORITHM.md
-    §14.2).
 ``vc``
     :class:`repro.core.vc_backend.VectorClockBackend` — future-aware
-    per-task vector clocks (cf. Kumar et al., arXiv:2112.04352),
-    promoted from ``baselines/vector_clock.py`` to a full online engine
-    that joins producer clocks on ``get`` (ALGORITHM.md §14.3).
+    per-task vector clocks (cf. Kumar et al., arXiv:2112.04352) that
+    join producer clocks on ``get`` (ALGORITHM.md §14.1).
 
 The calling contract
 --------------------
@@ -51,14 +42,11 @@ memory's epoch memo assumes *epoch unchanged ⇒ no mutation happened*):
   Algorithm 2, a spawn.
 - ``on_terminate(key)`` — Algorithm 3, the task's last step retired.
 - ``record_join(consumer_key, producer_key)`` — Algorithm 4, a future
-  ``get``.  May raise ``UnsupportedConstructError`` (DePa does).
+  ``get``.
 - ``merge(ancestor_key, descendant_key)`` — Algorithm 6/7, an
-  end-finish join of one task into its IEF owner's set.
-- ``begin_finish(owner_key)`` / ``end_finish(owner_key)`` — Algorithm
-  5/6 scope boundaries.  The DTRG engines need neither (their join
-  information arrives via ``merge``) and implement them as no-ops that
-  do **not** bump the epoch, preserving their counter contract; label
-  engines like DePa push/pop scope state here.
+  end-finish join of one task into its IEF owner's set.  This is the
+  only finish-scope event an engine sees: entering or leaving a scope
+  orders nothing by itself.
 
 Query + invariant stats:
 
@@ -73,7 +61,7 @@ event stream, every engine must answer every ``precede`` call
 identically, which makes race lists bit-identical.  Counter values
 (``mutation_epoch``, query counts) are per-engine invariants — each
 engine is deterministic, but engines legitimately differ from one
-another (DePa has no merges to count; VC ticks per join).
+another (VC ticks on every join).
 """
 
 from __future__ import annotations
@@ -111,15 +99,11 @@ class PrecedeBackend(Protocol):
         self, ancestor_key: Hashable, descendant_key: Hashable
     ) -> None: ...
 
-    def begin_finish(self, owner_key: Hashable) -> None: ...
-
-    def end_finish(self, owner_key: Hashable) -> None: ...
-
     def precede(self, a_key: Hashable, b_key: Hashable) -> bool: ...
 
 
 #: Engine names accepted by ``DeterminacyRaceDetector(engine=...)``.
-ENGINES = ("object", "array", "depa", "vc")
+ENGINES = ("object", "array", "vc")
 
 #: ``dtrg`` is the user-facing name for the reference object engine
 #: (matches the fuzzer/bench row names).

@@ -70,11 +70,8 @@ class DeterminacyRaceDetector(ExecutionObserver):
     engine:
         The PRECEDE backend (see :mod:`repro.core.backend`):
         ``"object"``/``"dtrg"`` (the paper's DTRG, default),
-        ``"array"`` (flat-array DTRG, §13), ``"depa"`` (order-maintenance
-        labels for the fork-join fragment — declines future ``get``
-        edges with :class:`~repro.runtime.errors.UnsupportedConstructError`),
-        or ``"vc"`` (future-aware vector clocks).  All engines produce
-        bit-identical race lists on the fragments they support.
+        ``"array"`` (flat-array DTRG, §13) or ``"vc"`` (future-aware
+        vector clocks).  All engines produce bit-identical race lists.
     obs:
         Optional :class:`repro.obs.Observability` sink.  When enabled it
         is attached to the DTRG (PRECEDE latency/frontier/cache-outcome
@@ -144,15 +141,14 @@ class DeterminacyRaceDetector(ExecutionObserver):
             self._witness_cls = None
         if engine != "object":
             # Alternative PRECEDE backends (repro.core.backend): the flat
-            # array DTRG, the DePa order-maintenance labels and the
-            # future-aware vector clocks implement only the paper's
-            # default query strategy (the Algorithm 10 ablation switches
-            # are object-graph concepts), and none carry the
-            # observability hooks or the explain_precede witness builder.
-            # cache_precede still gates the shadow memory's epoch memo
-            # below; for engine='array' that keeps shadow_fast_hits /
-            # precede_calls_saved bit-identical to the default detector
-            # (depa/vc have their own epoch schedules — see
+            # array DTRG and the future-aware vector clocks implement
+            # only the paper's default query strategy (the Algorithm 10
+            # ablation switches are object-graph concepts), and neither
+            # carries the observability hooks or the explain_precede
+            # witness builder.  cache_precede still gates the shadow
+            # memory's epoch memo below; for engine='array' that keeps
+            # shadow_fast_hits / precede_calls_saved bit-identical to the
+            # default detector (vc has its own epoch schedule — see
             # docs/ALGORITHM.md §14).
             if not (use_lsa and memoize_visit and use_intervals):
                 raise ValueError(
@@ -169,10 +165,6 @@ class DeterminacyRaceDetector(ExecutionObserver):
                 from repro.core.array_dtrg import ArrayDTRG
 
                 self.dtrg = ArrayDTRG()
-            elif engine == "depa":
-                from repro.core.depa import DePaBackend
-
-                self.dtrg = DePaBackend()
             else:
                 from repro.core.vc_backend import VectorClockBackend
 
@@ -242,20 +234,13 @@ class DeterminacyRaceDetector(ExecutionObserver):
         """Algorithm 4: tree join (merge) or non-tree join (record edge)."""
         self.dtrg.record_join(consumer.tid, producer.tid)
 
-    def on_finish_start(self, scope) -> None:
-        """Algorithm 5: scope bookkeeping lives in the runtime; backends
-        that maintain finish-scoped labels (DePa) observe the boundary.
-        The DTRG engines implement ``begin_finish`` as an epoch-free
-        no-op, so the object/array counter contract is untouched."""
-        self.dtrg.begin_finish(scope.owner.tid)
-
     def on_finish_end(self, scope) -> None:
         """Algorithm 6: merge every task whose IEF is this scope into the
-        owner task's set, then close the scope for label backends."""
+        owner task's set.  (Algorithm 5, finish start, is scope
+        bookkeeping that lives in the runtime.)"""
         owner = scope.owner.tid
         for task in scope.joins:
             self.dtrg.merge(owner, task.tid)
-        self.dtrg.end_finish(owner)
 
     def on_read(self, task, loc: Hashable) -> None:
         """Algorithm 9 via the shadow memory."""

@@ -34,6 +34,13 @@ whose serial-only live-task shortcut is exactly what this module replaces):
 * ``get`` / finish-end join: the consumer merges the *frozen* producer
   clock component-wise and ticks.
 
+This is also the precise per-task vector-clock detector whose cost the
+paper's §1 calls impractical: clock width grows with the number of tasks
+ever joined, and every spawn copies the parent's clock.
+:attr:`ParallelRaceDetector.total_clock_entries_copied` and
+:attr:`ParallelRaceDetector.max_clock_size` measure exactly that
+(``benchmarks/bench_vector_clock_scaling.py``).
+
 Why this stays exact concurrently (ALGORITHM.md §15 gives the proof
 sketch):
 
@@ -155,6 +162,9 @@ class ParallelRaceDetector(ExecutionObserver):
         self._lock = threading.Lock()
         #: Structural mutation counter (core/backend.py epoch contract).
         self.mutation_epoch = 0
+        #: Clock entries copied by spawns plus entries merged by joins —
+        #: the §1 scaling metric (structural hooks only, so serialized).
+        self.total_clock_entries_copied = 0
         self.num_accesses = 0
         #: Per-stripe access tallies, indexed like ThreadRuntime's
         #: striped per-location locks (``hash(loc) % NUM_STRIPES``) —
@@ -176,6 +186,7 @@ class ParallelRaceDetector(ExecutionObserver):
         self._names[child.tid] = child.name
         pclock = self._clocks[parent.tid]
         clock = dict(pclock)
+        self.total_clock_entries_copied += len(pclock)
         clock[child.tid] = 1
         self._clocks[child.tid] = clock
         # Parent's post-spawn steps are unordered with the child: tick.
@@ -206,6 +217,7 @@ class ParallelRaceDetector(ExecutionObserver):
                 "observes the join (RuntimeBase ordering contract)"
             )
         clock = self._clocks[dst]
+        self.total_clock_entries_copied += len(frozen)
         for tid, stamp in frozen.items():
             if clock.get(tid, 0) < stamp:
                 clock[tid] = stamp
@@ -282,6 +294,12 @@ class ParallelRaceDetector(ExecutionObserver):
                 "tasks under a parallel schedule"
             )
         return self._clocks[b_tid].get(a_tid, 0) >= frozen[a_tid]
+
+    @property
+    def max_clock_size(self) -> int:
+        """Widest vector clock materialized — the §1 memory-growth
+        metric.  Iterates the clock table, so read it after ``run``."""
+        return max(map(len, self._clocks.values()), default=0)
 
     @property
     def races(self):

@@ -258,18 +258,6 @@ class DynamicTaskReachabilityGraph:
         self.num_tree_merges += 1
         self.mutation_epoch += 1
 
-    def begin_finish(self, owner_key: Hashable) -> None:
-        """Finish-scope entry (``PrecedeBackend`` protocol hook).
-
-        The DTRG needs no scope state — end-finish ordering arrives as
-        one :meth:`merge` per joined task — so both hooks are no-ops and
-        deliberately do **not** bump ``mutation_epoch`` (the epoch
-        schedule is a pinned cross-engine invariant between the object
-        and array engines; see ``docs/ALGORITHM.md`` §14.1)."""
-
-    def end_finish(self, owner_key: Hashable) -> None:
-        """Finish-scope exit — no-op, see :meth:`begin_finish`."""
-
     # ------------------------------------------------------------------ #
     # Observability (repro.obs)                                          #
     # ------------------------------------------------------------------ #

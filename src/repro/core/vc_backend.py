@@ -1,8 +1,8 @@
 """Future-aware vector clocks as an online PRECEDE engine.
 
-``baselines/vector_clock.py`` is an *offline baseline*: a self-contained
-detector with its own last-writer shadow state, used only as a fuzzer
-parity row.  This module promotes the clock algebra to a full
+:class:`repro.core.parallel_detector.ParallelRaceDetector` checks
+accesses against vector clocks at access-stamp granularity with its own
+shadow cells.  This module instead exposes task-granular clocks as a
 :class:`repro.core.backend.PrecedeBackend`, so the paper's detector
 (Algorithms 8–9 shadow memory, Lemma 4 reader policy, race reporting,
 provenance-free) can run unchanged on top of vector clocks and be raced
@@ -44,7 +44,7 @@ contract in ``repro.core.backend``):
 Cost shape: a spawn copies the parent's clock — O(live components) per
 spawn, O(T²) worst case over a T-task program — and a join is O(clock
 size).  The comparison table from ``repro-bench --backends``
-(``BENCH_PR7.json``, ALGORITHM.md §14.4) measures exactly that
+(``docs/BACKENDS.md``, ALGORITHM.md §14.2) measures exactly that
 trade-off against the DTRG's near-constant-size per-task state.
 """
 
@@ -113,14 +113,6 @@ class VectorClockBackend:
     def on_terminate(self, key: Hashable) -> None:
         self._final[key] = dict(self._clocks[key])
         self._alive[key] = False
-        self.mutation_epoch += 1
-
-    def begin_finish(self, owner_key: Hashable) -> None:
-        # Scope entry carries no ordering by itself; the joins arrive
-        # one merge() per joined task at scope end.
-        self.mutation_epoch += 1
-
-    def end_finish(self, owner_key: Hashable) -> None:
         self.mutation_epoch += 1
 
     def record_join(

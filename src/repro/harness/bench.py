@@ -69,22 +69,21 @@ Schema (``repro.bench.throughput/2``)::
        "identical": ..., "mismatches": [...]}, ...]}
 
 ``--backends`` races every pluggable PRECEDE backend
-(``DeterminacyRaceDetector(engine=…)`` — object-graph dtrg, flat-array,
-DePa order-maintenance labels, future-aware vector clocks; see
-docs/ALGORITHM.md §14) head-to-head over each workload's recorded trace
-and writes ``BENCH_PR7.json`` by default.  ``--scales`` takes a comma
-list so one artifact can cover several scales::
+(``DeterminacyRaceDetector(engine=…)`` — object-graph dtrg, flat-array
+DTRG, future-aware vector clocks; see docs/ALGORITHM.md §14)
+head-to-head over each workload's recorded trace and writes
+``BENCH_PR7.json`` by default.  ``--scales`` takes a comma list so one
+artifact can cover several scales::
 
     repro-bench --backends --scales table2,large --markdown docs/BACKENDS.md
 
 Per workload × scale the document records each engine's replay wall
-time, events/s, race count and perf counters, plus a status: ``ok``,
-``declined`` (DePa refusing a future ``get`` — an honest fragment
-boundary, reported as data, never an error) or ``error``.  Completed
-engines are gated on reproducing the dtrg engine's summary text and
-ordered race pair list bit-for-bit (``identical``); perf counters are
-per-engine invariants and are reported, not gated.  ``--markdown FILE``
-additionally renders the comparison table as markdown.
+time, events/s, race count and perf counters, plus a status: ``ok``
+or ``error``.  Completed engines are gated on reproducing the dtrg
+engine's summary text and ordered race pair list bit-for-bit
+(``identical``); perf counters are per-engine invariants and are
+reported, not gated.  ``--markdown FILE`` additionally renders the
+comparison table as markdown.
 
 Schema (``repro.bench.backends/1``)::
 
@@ -95,7 +94,7 @@ Schema (``repro.bench.backends/1``)::
        "identical": ..., "mismatches": [...], "engines": {
          "dtrg": {"status": "ok", "seconds": ...,
                   "events_per_second": ..., "races": ..., "perf": {...}},
-         "depa": {"status": "declined", "detail": ...}, ...}}, ...]}
+         "vc": {"status": "error", "detail": ...}, ...}}, ...]}
 
 ``--executors`` runs each workload *live* on the serial elision and on
 the work-stealing ThreadRuntime at each ``--workers`` pool size, a fresh
@@ -492,8 +491,8 @@ def backend_bench_data(
 ) -> dict:
     """Run ``names`` at each scale through the PRECEDE backend
     head-to-head and assemble the ``repro.bench.backends/1`` document
-    (see module docstring).  A ``declined`` engine row is data, not a
-    failure; an ``error`` row or a verdict mismatch fails the run."""
+    (see module docstring).  An ``error`` row or a verdict mismatch
+    fails the run."""
     workloads: List[dict] = []
     for scale in scales:
         for name in names:
@@ -708,8 +707,8 @@ def telemetry_bench_data(
 def backends_markdown(data: dict) -> str:
     """Render a ``repro.bench.backends/1`` document as a markdown
     comparison table, one row per workload × scale.  Cells show replay
-    wall milliseconds (``declined``/``error`` for incomplete rows); a
-    trailing column records the verdict-stream bit-identity gate."""
+    wall milliseconds (``error`` for incomplete rows); a trailing
+    column records the verdict-stream bit-identity gate."""
     lines = [
         "| Workload | Scale | #Events | #Gets | "
         + " | ".join(f"{e} (ms)" for e in BACKEND_ENGINES)
@@ -743,9 +742,8 @@ def check_backends_baseline(data: dict, baseline: dict, out=None) -> List[str]:
     The gate covers the **dtrg rows only**: the default engine's replay
     throughput must not drop more than 10% below the (deliberately
     conservative) ``dtrg_events_per_second`` floor at the baseline's
-    scale.  The other engines are compared, not gated — ``depa`` may
-    decline and ``vc``'s cost profile is the experiment, not a
-    regression."""
+    scale.  The other engines are compared, not gated — ``vc``'s cost
+    profile is the experiment, not a regression."""
     want_scale = baseline.get("scale")
     rows = {
         w.get("name"): w for w in data.get("workloads", [])
@@ -862,7 +860,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "each recorded trace")
     parser.add_argument("--backends", action="store_true",
                         help="race every PRECEDE backend (dtrg / array / "
-                             "depa / vc) over each recorded trace")
+                             "vc) over each recorded trace")
     parser.add_argument("--executors", action="store_true",
                         help="run each workload live on the serial elision "
                              "and the work-stealing ThreadRuntime at each "

@@ -599,21 +599,19 @@ def run_telemetry_benchmark(
 
 #: Engine rows of the ``--backends`` head-to-head, in report order.  The
 #: first row is the golden engine the others are gated against.
-BACKEND_ENGINES = ("dtrg", "array", "depa", "vc")
+BACKEND_ENGINES = ("dtrg", "array", "vc")
 
 
 @dataclass
 class BackendBenchResult:
     """One workload's recorded trace replayed through every PRECEDE
     backend (``DeterminacyRaceDetector(engine=…)``) back-to-back in the
-    same process — the head-to-head table of docs/ALGORITHM.md §14.4.
+    same process — the head-to-head table of docs/ALGORITHM.md §14.2.
 
-    ``per_engine`` maps each engine to its row: ``status`` is ``"ok"``,
-    ``"declined"`` (DePa refusing a future ``get`` with
-    ``UnsupportedConstructError`` — an honest fragment boundary, not a
-    failure) or ``"error"``; completed rows carry best-of-``repeats``
-    replay wall seconds, the events/s they imply, the race count and the
-    engine's own perf counters.
+    ``per_engine`` maps each engine to its row: ``status`` is ``"ok"``
+    or ``"error"``; completed rows carry best-of-``repeats`` replay wall
+    seconds, the events/s they imply, the race count and the engine's
+    own perf counters.
 
     The equivalence gate is the *verdict stream* only: every completed
     engine must reproduce the golden (first) engine's
@@ -656,7 +654,6 @@ def run_backend_benchmark(
     raised, so a violation still lands in the artifact."""
     from repro.core.detector import DeterminacyRaceDetector
     from repro.memory.tracer import TraceRecorder, replay_trace
-    from repro.runtime.errors import UnsupportedConstructError
 
     bench = BENCHMARKS.get(name) or EXTENDED_BENCHMARKS[name]
     params = bench.params(scale)
@@ -686,9 +683,6 @@ def run_backend_benchmark(
             start = time.perf_counter()
             try:
                 replay_trace(events, [detector])
-            except UnsupportedConstructError as exc:
-                status, detail, detector = "declined", str(exc), None
-                break
             except Exception as exc:
                 status = "error"
                 detail = f"{type(exc).__name__}: {exc}"

@@ -26,7 +26,11 @@ the runnable-worker count would drop below the configured parallelism
 (bounded by ``max_threads``).  Because the task DAG is acyclic, some
 runnable task always exists while anything is blocked, and a spare's
 randomized-victim scan covers *every* deque before sleeping, so progress
-is guaranteed.
+is guaranteed — up to the cap.  A chain of nested blocking waits deeper
+than ``max_threads`` pins every worker; when the pool is at the cap,
+every worker waits on an unsatisfied ``get``/``finish`` and no task has
+completed for a full wait tick, the waiting workers raise
+:class:`~repro.runtime.errors.RuntimeStateError` instead of hanging.
 
 **Online detection.**  Observers are dispatched during the parallel
 execution under the two-tier locking discipline of ALGORITHM.md §15:
@@ -83,6 +87,10 @@ T = TypeVar("T")
 #: Number of striped per-location access locks.
 _STRIPES = 64
 
+#: Seconds between a blocked waiter's re-checks (lost-wakeup guard and
+#: starvation detection period).
+_WAIT_TICK = 0.1
+
 
 class _TaskCtx:
     """Per-task execution context, owned by the thread running the task."""
@@ -124,7 +132,9 @@ class ThreadRuntime:
         spans, per-task run spans and steal instants on
         ``exec-worker-<n>`` tracks.
     max_threads:
-        Hard cap on pool size including compensation threads.
+        Hard cap on pool size including compensation threads.  A program
+        whose nested blocking waits need more threads than this fails
+        with :class:`~repro.runtime.errors.RuntimeStateError`.
     steal_seed:
         Seed for the per-worker victim-selection RNGs (reproducible
         steal *attempt* sequences; the schedule itself remains
@@ -178,13 +188,16 @@ class ThreadRuntime:
         # --- pool accounting (compensation) ---------------------------
         self._pool_lock = threading.Lock()
         self._live = 0
-        self._blocked = 0
+        #: worker id -> (wait kind, wait predicate) while blocked.
+        self._waiting: Dict[int, tuple] = {}
         # --- detection locking tiers ----------------------------------
         self._struct_lock = threading.Lock()
         self._stripes = [threading.Lock() for _ in range(_STRIPES)]
         # --- join/finish signalling -----------------------------------
         self._join_cv = threading.Condition()
         self._pending: Dict[int, int] = {}
+        #: Tasks completed so far (guarded by _join_cv).
+        self._completions = 0
         # --- pre-bound hot-path hook lists (rebuilt at run()) ---------
         self._read_hooks: List[Callable] = []
         self._write_hooks: List[Callable] = []
@@ -465,26 +478,61 @@ class ThreadRuntime:
         Worker threads register as blocked first, which may start a
         compensation worker so the pool keeps ``workers`` runnable
         threads (see the module docstring).  The timeout re-check is a
-        belt-and-braces guard against lost wakeups, not a spin loop.
+        belt-and-braces guard against lost wakeups, not a spin loop; on
+        a worker it also detects a starved pool (:meth:`_check_starved`).
         """
         wid = getattr(self._tls, "worker_id", None)
         if wid is not None:
-            self._before_block(wid, kind)
+            self._before_block(wid, kind, predicate)
         try:
             with self._join_cv:
                 while not predicate():
-                    self._join_cv.wait(0.1)
+                    completions = self._completions
+                    if (
+                        not self._join_cv.wait(_WAIT_TICK)
+                        and wid is not None
+                        and self._completions == completions
+                    ):
+                        self._check_starved()
         finally:
             if wid is not None:
-                self._after_block()
+                self._after_block(wid)
 
-    def _before_block(self, wid: int, kind: str) -> None:
+    def _check_starved(self) -> None:
+        """Raise if no worker can ever run again (caller holds _join_cv
+        and saw no task complete for a full wait tick).
+
+        Starved means the pool is at ``max_threads`` and every live
+        worker waits on a predicate that is still false.  Evaluating the
+        predicates, not just counting waiters, keeps a waiter that was
+        woken but has not yet run from counting as blocked.  Only a task
+        completion can satisfy a predicate, and every worker that could
+        complete one is waiting, so the state is permanent.
+        """
+        with self._pool_lock:
+            waits = list(self._waiting.values())
+            if self._live < self._max_threads or len(waits) < self._live:
+                return
+        if any(predicate() for _, predicate in waits):
+            return
+        kinds = collections.Counter(kind for kind, _ in waits)
+        raise RuntimeStateError(
+            f"ThreadRuntime starved at max_threads={self._max_threads}: "
+            f"all {len(waits)} workers are blocked ("
+            + ", ".join(f"{n} {kind}" for kind, n in sorted(kinds.items()))
+            + f") and no task completed for {_WAIT_TICK}s; nested "
+            "get/finish waits need more threads than max_threads allows"
+        )
+
+    def _before_block(
+        self, wid: int, kind: str, predicate: Callable[[], bool]
+    ) -> None:
         spawn = False
         with self._pool_lock:
-            self._blocked += 1
+            self._waiting[wid] = (kind, predicate)
             if (
                 not self._shutdown
-                and self._live - self._blocked < self._workers
+                and self._live - len(self._waiting) < self._workers
                 and self._live < self._max_threads
             ):
                 self._live += 1
@@ -495,9 +543,9 @@ class ThreadRuntime:
         if spawn:
             self._start_one_worker()
 
-    def _after_block(self) -> None:
+    def _after_block(self, wid: int) -> None:
         with self._pool_lock:
-            self._blocked -= 1
+            del self._waiting[wid]
 
     # ------------------------------------------------------------------ #
     # The work-stealing pool                                             #
@@ -635,6 +683,7 @@ class ThreadRuntime:
         # here observe a finalized (frozen-clock) producer.
         with self._join_cv:
             task.completed = True
+            self._completions += 1
             self._pending[task.ief.fid] -= 1
             self._join_cv.notify_all()
 
@@ -679,7 +728,7 @@ class ThreadRuntime:
         read without ``_pool_lock``, so a sampler may see a value one
         transition stale — never negative state corruption, since it
         only ever reads)."""
-        return self._blocked
+        return len(self._waiting)
 
     @property
     def stripe_acquisitions(self) -> List[int]:

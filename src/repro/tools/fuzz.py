@@ -21,13 +21,10 @@ which is checked in up to two modes:
   graph with an optimization switched off, which must never change a
   verdict) must report exactly the oracle's racy locations; every
   restricted detector (spd3, espbags, spbags, offset-span) must either
-  refuse with ``UnsupportedConstructError`` or agree; the pluggable
-  PRECEDE backends (``vc`` — general, must always agree; ``depa`` —
-  fork-join order-maintenance labels, must refuse on a future ``get`` or
-  agree; docs/ALGORITHM.md §14) run as parity rows under the same rules,
-  so agreeing with the oracle makes every backend agree with the dtrg and
-  with each other by transitivity; and each completed run must round-trip
-  through
+  refuse with ``UnsupportedConstructError`` or agree; the general
+  PRECEDE backend ``vc`` (docs/ALGORITHM.md §14) runs as a parity row
+  that must always agree, so by transitivity it agrees with the dtrg;
+  and each completed run must round-trip through
   :class:`~repro.memory.tracer.TraceRecorder`/:func:`replay_trace` with an
   identical verdict (record-replay parity).
 * **wild** (out-of-band handle registry, outside the model's guarantee):
@@ -35,9 +32,7 @@ which is checked in up to two modes:
   reference-flow assumption — must still match the oracle.  dtrg,
   vector-clock and ``vc`` verdicts are *not* compared here;
   task-granularity false positives/negatives are documented behavior
-  (DESIGN.md deviation #4).  ``depa`` may refuse (a get executed) but,
-  when it accepts, the program was get-free and mode-independent, so its
-  verdict must still match the oracle.
+  (DESIGN.md deviation #4).
 
 Failures are triaged by deduplicated signature, minimized with the
 hypothesis-free ddmin shrinker (:mod:`repro.testing.shrinker`), printed as
@@ -117,16 +112,11 @@ ABLATIONS = {
 #: Alternative PRECEDE backends behind ``DeterminacyRaceDetector(engine=…)``
 #: (docs/ALGORITHM.md §14).  ``vc`` is general — future-aware vector clocks
 #: must report exactly the oracle's racy set on every scoped program (and
-#: match the dtrg and depa rows by transitivity).  ``depa`` covers the
-#: fork-join fragment only: like the RESTRICTED family it must refuse (via
-#: ``UnsupportedConstructError`` on a future ``get``) or agree with the
-#: oracle.  Both rows also run in wild mode with refusal tolerance.
+#: match the dtrg row by transitivity).  The row also runs in wild mode.
 BACKENDS = {
-    "depa": dict(engine="depa"),
     "vc": dict(engine="vc"),
 }
-#: Detectors exercised in wild mode (refusals allowed for BACKENDS only;
-#: anything else that raises is a crash).
+#: Detectors exercised in wild mode (anything that raises is a crash).
 WILD = (ORACLE,) + GENERAL + tuple(BACKENDS)
 #: Stats row for the two-phase sharded checker (``--jobs N``, N > 1):
 #: per scoped seed it re-checks the recorded trace at jobs ∈ {1, N} and
@@ -553,18 +543,6 @@ def check_seed(
                 det, wild_trace = _run_live(
                     name, program, scoped=False, record=True
                 )
-            except UnsupportedConstructError as exc:
-                stats.tally(name, "runs")
-                if name in BACKENDS:
-                    # depa's fork-join fragment refusal is honest in any
-                    # mode; from every other wild detector it is a crash.
-                    stats.tally(name, "refusals")
-                    continue
-                stats.tally(name, "crashes")
-                fail("wild", "crash", name,
-                     f"wild:crash:{name}:{type(exc).__name__}",
-                     f"{type(exc).__name__}: {exc}")
-                continue
             except Exception as exc:
                 stats.tally(name, "runs")
                 stats.tally(name, "crashes")
@@ -603,21 +581,6 @@ def check_seed(
                 fail("wild", "divergence", "exact",
                      f"wild:divergence:exact:{direction}",
                      f"exact {sorted(verdicts['exact'], key=repr)} vs oracle "
-                     f"{sorted(verdicts[ORACLE], key=repr)}")
-        # DePa accepts a wild program only when no get executed, and a
-        # get-free program never consults the handle registry — so the
-        # fork-join fragment's oracle parity must hold in wild mode too.
-        # vc inherits the vector-clock caveat (task-granularity verdicts
-        # are not compared on wild handle flows; DESIGN.md deviation #4).
-        if ORACLE in verdicts and "depa" in verdicts:
-            if verdicts["depa"] != verdicts[ORACLE]:
-                stats.tally("depa", "divergences")
-                direction = _diff_direction(
-                    verdicts["depa"], verdicts[ORACLE]
-                )
-                fail("wild", "divergence", "depa",
-                     f"wild:divergence:depa:{direction}",
-                     f"depa {sorted(verdicts['depa'], key=repr)} vs oracle "
                      f"{sorted(verdicts[ORACLE], key=repr)}")
 
     return failures

@@ -71,9 +71,10 @@ pool size) and ``--runtime asyncio`` on the cooperative
 must then define ``async def program(rt)``), with detection running
 *online during the parallel execution*.  Both force ``--detector
 parallel`` (:class:`~repro.core.parallel_detector.ParallelRaceDetector`,
-the one engine whose verdicts are exact under any schedule — the DTRG
-family assumes the serial depth-first event order, see README "Choosing
-a runtime") and reject the flags whose machinery assumes that order:
+which ``--detector vector-clock`` also names — the one engine whose
+verdicts are exact under any schedule; the DTRG family assumes the
+serial depth-first event order, see README "Choosing a runtime") and
+reject the flags whose machinery assumes that order:
 ``--jobs``/``--fast`` (post-hoc replay), the ``--explain`` family
 (call-site provenance), and ``--dot``/``--trace``/``--witness``/
 ``--verify-witness`` (computation-graph reconstruction).  The printed
@@ -109,7 +110,6 @@ from repro.baselines import (
     OffsetSpanDetector,
     SPBagsDetector,
     SPD3Detector,
-    VectorClockDetector,
 )
 from repro.core.detector import DeterminacyRaceDetector
 from repro.core.exact import ExactDetector
@@ -134,7 +134,8 @@ DETECTORS = {
     "spbags": SPBagsDetector,
     "spd3": SPD3Detector,
     "offset-span": OffsetSpanDetector,
-    "vector-clock": VectorClockDetector,
+    # The precise vector-clock detector of §1 is the schedule-robust one.
+    "vector-clock": ParallelRaceDetector,
     "brute-force": BruteForceDetector,
     "parallel": ParallelRaceDetector,
 }
@@ -243,7 +244,7 @@ def main(argv: List[str] | None = None) -> int:
     concurrent = args.runtime != "serial"
     if args.detector is None:
         args.detector = "parallel" if concurrent else "dtrg"
-    if concurrent and args.detector != "parallel":
+    if concurrent and DETECTORS[args.detector] is not ParallelRaceDetector:
         print(f"error: --runtime {args.runtime} executes a real parallel "
               f"schedule; --detector {args.detector} assumes the serial "
               "depth-first event order and its answers would be undefined. "

@@ -1,15 +1,20 @@
-"""Unit tests for the vector-clock baseline."""
+"""Unit tests for the precise vector-clock detector of the paper's §1
+(:class:`~repro.core.parallel_detector.ParallelRaceDetector`)."""
 
 import random
 
-from repro import DeterminacyRaceDetector, Runtime, SharedArray
-from repro.baselines import VectorClockDetector
+from repro import (
+    DeterminacyRaceDetector,
+    ParallelRaceDetector,
+    Runtime,
+    SharedArray,
+)
 from repro.testing.generator import random_program, run_program
 from repro.testing.programs import CORPUS, run_corpus_program
 
 
 def run(builder, locs=4):
-    det = VectorClockDetector()
+    det = ParallelRaceDetector()
     rt = Runtime(observers=[det])
     mem = SharedArray(rt, "x", locs)
     rt.run(lambda _rt: builder(rt, mem))
@@ -46,7 +51,7 @@ def test_future_joins_supported():
 
 def test_agreement_with_dtrg_on_corpus():
     for program in CORPUS:
-        vc = VectorClockDetector()
+        vc = ParallelRaceDetector()
         ref = DeterminacyRaceDetector()
         run_corpus_program(program, [vc, ref])
         assert vc.racy_locations == ref.racy_locations == program.racy, (
@@ -57,7 +62,7 @@ def test_agreement_with_dtrg_on_corpus():
 def test_agreement_with_dtrg_on_random_programs():
     for seed in range(40):
         prog = random_program(random.Random(seed + 1000))
-        vc = VectorClockDetector()
+        vc = ParallelRaceDetector()
         ref = DeterminacyRaceDetector()
         run_program(prog, [vc, ref])
         assert vc.racy_locations == ref.racy_locations, seed

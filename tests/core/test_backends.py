@@ -5,7 +5,7 @@ serial DFS contract: mutators arrive in execution order and ``precede(a,
 b)`` is only queried while ``b`` is the currently executing task.  The
 cross-backend *equivalence* sweep lives in
 ``tests/properties/test_backend_equivalence.py``; these tests pin the
-individual label/clock algebra and the protocol plumbing.
+individual clock algebra and the protocol plumbing.
 """
 
 import pytest
@@ -16,10 +16,8 @@ from repro.core.backend import (
     PrecedeBackend,
     resolve_engine,
 )
-from repro.core.depa import DePaBackend
 from repro.core.detector import DeterminacyRaceDetector
 from repro.core.vc_backend import VectorClockBackend
-from repro.runtime.errors import UnsupportedConstructError
 
 
 # ---------------------------------------------------------------------- #
@@ -30,7 +28,7 @@ def test_all_engines_satisfy_the_protocol():
     from repro.core.reachability import DynamicTaskReachabilityGraph
 
     for backend in (DynamicTaskReachabilityGraph(), ArrayDTRG(),
-                    DePaBackend(), VectorClockBackend()):
+                    VectorClockBackend()):
         assert isinstance(backend, PrecedeBackend)
 
 
@@ -55,117 +53,11 @@ def test_detector_accepts_every_engine():
 def test_non_default_engines_reject_attachments():
     from repro.obs import Observability
 
-    for name in ("depa", "vc"):
+    for name in ("array", "vc"):
         with pytest.raises(ValueError, match="default query strategy"):
             DeterminacyRaceDetector(engine=name, use_lsa=False)
         with pytest.raises(ValueError, match="observability"):
             DeterminacyRaceDetector(engine=name, obs=Observability())
-
-
-# ---------------------------------------------------------------------- #
-# DePa label algebra                                                     #
-# ---------------------------------------------------------------------- #
-def test_depa_live_ancestor_chain():
-    b = DePaBackend()
-    b.add_root(0)
-    b.add_task(0, 1)
-    b.add_task(1, 2)
-    # Under serial DFS, live tasks are exactly the spawn-tree ancestors
-    # of the current task — each must precede it.
-    assert b.precede(0, 2) and b.precede(1, 2) and b.precede(2, 2)
-
-
-def test_depa_async_sibling_is_unordered():
-    b = DePaBackend()
-    b.add_root(0)
-    b.add_task(0, 1)
-    b.on_terminate(1)
-    b.add_task(0, 2)
-    # 1 ran to completion before 2 spawned, but without a join nothing
-    # orders them: a parallel schedule could interleave their steps.
-    assert not b.precede(1, 2)
-
-
-def test_depa_parent_steps_before_spawn_precede_child():
-    b = DePaBackend()
-    b.add_root(0)
-    b.add_task(0, 1)
-    b.on_terminate(1)
-    b.add_task(0, 2)
-    b.on_terminate(2)
-    # The parent continuation after terminating both children is ordered
-    # after neither child individually (no join), and each child is
-    # ordered before nothing.
-    assert not b.precede(1, 0) and not b.precede(2, 0)
-
-
-def test_depa_finish_join_orders_enclosed_after_scope():
-    b = DePaBackend()
-    b.add_root(0)
-    b.begin_finish(0)
-    b.add_task(0, 1)
-    b.on_terminate(1)
-    b.merge(0, 1)
-    b.end_finish(0)
-    # After end_finish the owner's continuation is ordered after the
-    # joined child; the pop itself realizes the join.
-    assert b.precede(1, 0)
-
-
-def test_depa_nested_finish_orders_only_its_own_scope():
-    b = DePaBackend()
-    b.add_root(0)
-    b.begin_finish(0)
-    b.add_task(0, 1)        # joins only at the outer end_finish
-    b.begin_finish(0)
-    b.add_task(0, 2)
-    b.on_terminate(2)
-    b.merge(0, 2)
-    b.end_finish(0)         # inner scope closed: 2 joined, 1 not yet
-    assert b.precede(2, 0)
-    assert not b.precede(1, 0)
-    b.on_terminate(1)
-    b.merge(0, 1)
-    b.end_finish(0)
-    assert b.precede(1, 0)
-
-
-def test_depa_declines_future_get_joins():
-    b = DePaBackend()
-    b.add_root(0)
-    b.add_task(0, 1, is_future=True)
-    b.on_terminate(1)
-    with pytest.raises(UnsupportedConstructError, match="fork-join"):
-        b.record_join(0, 1)
-
-
-def test_depa_every_mutator_bumps_the_epoch():
-    b = DePaBackend()
-    epoch = b.mutation_epoch
-    for mutate in (
-        lambda: b.add_root(0),
-        lambda: b.add_task(0, 1),
-        lambda: b.begin_finish(0),
-        lambda: b.on_terminate(1),
-        lambda: b.merge(0, 1),
-        lambda: b.end_finish(0),
-    ):
-        mutate()
-        assert b.mutation_epoch == epoch + 1
-        epoch = b.mutation_epoch
-
-
-def test_depa_spawn_path_is_stable_across_finish_scopes():
-    b = DePaBackend()
-    b.add_root(0)
-    b.add_task(0, 1)
-    inside = b.current_label(1)
-    b.begin_finish(1)
-    b.add_task(1, 2)
-    # 1's label grew a finish pair, but its *spawn path* still prefixes
-    # its descendant's label — the liveness query must keep answering.
-    assert b.precede(1, 2)
-    assert b.current_label(1) != inside
 
 
 # ---------------------------------------------------------------------- #
@@ -218,11 +110,9 @@ def test_vc_get_join_propagates_transitively():
 def test_vc_finish_merge_joins_scope_tasks():
     b = VectorClockBackend()
     b.add_root(0)
-    b.begin_finish(0)
     b.add_task(0, 1)
     b.on_terminate(1)
     b.merge(0, 1)
-    b.end_finish(0)
     assert b.precede(1, 0)
 
 
@@ -240,11 +130,9 @@ def test_vc_every_mutator_bumps_the_epoch():
     for mutate in (
         lambda: b.add_root(0),
         lambda: b.add_task(0, 1, is_future=True),
-        lambda: b.begin_finish(0),
         lambda: b.on_terminate(1),
         lambda: b.record_join(0, 1),
         lambda: b.merge(0, 1),
-        lambda: b.end_finish(0),
     ):
         mutate()
         assert b.mutation_epoch == epoch + 1
@@ -273,13 +161,11 @@ def _race_pairs(engine):
 def test_detector_reports_identical_races_on_every_engine():
     golden = _race_pairs("object")
     assert golden  # the scenario above must actually race
-    for engine in ("array", "depa", "vc"):
+    for engine in ("array", "vc"):
         assert _race_pairs(engine) == golden
 
 
 def test_detector_perf_stats_work_for_label_engines():
-    for engine in ("depa", "vc"):
-        det = DeterminacyRaceDetector(engine=engine)
-        stats = det.perf_stats
-        assert stats["cache_hits"] == 0 and stats["cache_misses"] == 0
-        assert "precede_queries" in stats
+    stats = DeterminacyRaceDetector(engine="vc").perf_stats
+    assert stats["cache_hits"] == 0 and stats["cache_misses"] == 0
+    assert "precede_queries" in stats

@@ -108,6 +108,20 @@ def test_baseline_detector_on_clean_af_program(tmp_path, capsys):
     assert main([str(path), "--detector", "spd3"]) == 0
 
 
+@pytest.mark.parametrize("fixture", ["racy_program", "clean_program"])
+def test_vector_clock_detector_matches_parallel(fixture, request, capsys):
+    program = request.getfixturevalue(fixture)
+    runs = []
+    for name in ("vector-clock", "parallel"):
+        code = main([program, "--detector", name])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (1 if fixture == "racy_program" else 0)
+    # Same class, so it is accepted where only schedule-robust ones are.
+    assert main([program, "--runtime", "threads",
+                 "--detector", "vector-clock"]) == runs[0][0]
+
+
 def test_missing_entry_point(tmp_path, capsys):
     path = tmp_path / "empty.py"
     path.write_text("x = 1\n")

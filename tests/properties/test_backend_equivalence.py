@@ -1,29 +1,26 @@
 """Cross-backend PRECEDE equivalence under fuzzing (ALGORITHM.md §14).
 
 The serial checker only ever asks ``precede(a, b)`` while ``b`` is the
-currently executing task — that calling contract is what lets the DePa
-labels and the vector clocks answer with no graph at hand.  A post-mortem
+currently executing task — that calling contract is what lets the
+vector clocks answer with no graph at hand.  A post-mortem
 all-pairs sweep would be degenerate (after the final joins the DTRG
 answers ``True`` almost universally, and a frozen clock cannot witness a
 task that was live when the query mattered), so the sweep here replays
-the contract: an observer forwards every structural event to all four
+the contract: an observer forwards every structural event to all three
 backends exactly the way the detector does, and at every boundary diffs
 ``precede(a, current)`` for every task seen so far.
 
-Three properties over 200 generated programs:
+Two properties over 200 generated programs:
 
 1. **Fork-join equivalence** — on the fork-join projection of each
-   program (futures demoted to asyncs, gets dropped) all four engines
-   (object, array, depa, vc) agree on every in-contract query.
+   program (futures demoted to asyncs, gets dropped) the three engines
+   (object, array, vc) agree on every in-contract query.
 2. **General equivalence** — on the original program (futures and gets
-   included) the three general engines (object, array, vc) agree.
-3. **DePa's decline boundary** — ``engine="depa"`` raises
-   ``UnsupportedConstructError`` on a program *iff* it executes at least
-   one ``get``; the fragment boundary is exact, never silent.
+   included) they agree as well.
 
 Verdict-level equivalence (race lists through the full detector) is the
-fuzzer's job (``repro-fuzz`` rows ``depa``/``vc``); this sweep pins the
-query layer underneath it.
+fuzzer's job (``repro-fuzz`` row ``vc``); this sweep pins the query
+layer underneath it.
 """
 
 import random
@@ -31,12 +28,9 @@ import random
 import pytest
 
 from repro.core.array_dtrg import ArrayDTRG
-from repro.core.depa import DePaBackend
-from repro.core.detector import DeterminacyRaceDetector
 from repro.core.events import ExecutionObserver
 from repro.core.reachability import DynamicTaskReachabilityGraph
 from repro.core.vc_backend import VectorClockBackend
-from repro.runtime.errors import UnsupportedConstructError
 from repro.testing.generator import (
     Async,
     Finish,
@@ -54,7 +48,7 @@ BAND = 40
 def _forkjoinify(body):
     """Project a program onto the fork-join fragment: futures become
     plain asyncs and gets are dropped (their only semantic content is
-    the join edge DePa declines to witness)."""
+    the non-tree join edge)."""
     out = []
     for node in body:
         if isinstance(node, Get):
@@ -126,14 +120,12 @@ class _Harness(ExecutionObserver):
         self._diff("get")
 
     def on_finish_start(self, scope):
-        self._each(lambda b: b.begin_finish(scope.owner.tid))
         self._diff("finish-start")
 
     def on_finish_end(self, scope):
         owner = scope.owner.tid
         for task in scope.joins:
             self._each(lambda b: b.merge(owner, task.tid))
-        self._each(lambda b: b.end_finish(owner))
         self._diff("finish-end")
 
 
@@ -142,14 +134,11 @@ def _sweep(seed, *, forkjoin):
     if forkjoin:
         prog = Program(num_locs=prog.num_locs,
                        body=_forkjoinify(prog.body))
-    rows = [
+    harness = _Harness([
         ("object", DynamicTaskReachabilityGraph()),
         ("array", ArrayDTRG()),
         ("vc", VectorClockBackend()),
-    ]
-    if forkjoin:
-        rows.insert(2, ("depa", DePaBackend()))
-    harness = _Harness(rows)
+    ])
     run_program(prog, [harness])
     return harness
 
@@ -176,35 +165,3 @@ def test_general_backends_agree_in_contract(band):
         )
         queries += harness.queries
     assert queries > 0
-
-
-class _GetCounter(ExecutionObserver):
-    def __init__(self):
-        self.gets = 0
-
-    def on_get(self, consumer, producer):
-        self.gets += 1
-
-
-@pytest.mark.parametrize("band", range(0, NUM_SEEDS, BAND))
-def test_depa_declines_exactly_on_executed_gets(band):
-    declined = 0
-    for seed in range(band, band + BAND):
-        prog = random_program(random.Random(seed))
-        # The counter runs *before* the detector so the triggering get is
-        # already counted when DePa raises.
-        counter = _GetCounter()
-        det = DeterminacyRaceDetector(engine="depa")
-        try:
-            run_program(prog, [counter, det])
-            refused = False
-        except UnsupportedConstructError:
-            refused = True
-        assert refused == (counter.gets > 0), (
-            f"seed {seed}: depa {'refused' if refused else 'accepted'} "
-            f"a program with {counter.gets} executed get(s)"
-        )
-        declined += refused
-    # Generated programs are future-heavy; every band must exercise the
-    # refusal path (acceptance is exercised by the fork-join sweep).
-    assert declined > 0

@@ -25,8 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import DeterminacyRaceDetector
-from repro.baselines import BruteForceDetector, VectorClockDetector
+from repro import DeterminacyRaceDetector, ParallelRaceDetector
+from repro.baselines import BruteForceDetector
 from repro.testing.generator import program_strategy, random_program, run_program
 
 COMMON = dict(
@@ -69,7 +69,7 @@ def test_ablations_preserve_verdicts(options, program):
 def test_vector_clock_agrees_with_dtrg(program):
     """The two fully-general detectors must agree everywhere."""
     det = DeterminacyRaceDetector()
-    vc = VectorClockDetector()
+    vc = ParallelRaceDetector()
     run_program(program, [det, vc])
     assert det.racy_locations == vc.racy_locations, str(program)
 

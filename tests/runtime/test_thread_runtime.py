@@ -1,5 +1,9 @@
 """Unit tests for ThreadRuntime — the work-stealing threaded executor."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 
 import pytest
@@ -228,3 +232,54 @@ def test_serial_parity_on_deterministic_pipeline():
     thread_mem = SharedArray(thread_rt, "m", 6)
     got = thread_rt.run(make_program(thread_mem))
     assert got == want == [1, 2, 3, 4, 5, 6]
+
+
+def _get_chain(rt, depth):
+    if depth == 0:
+        return 0
+    return rt.future(lambda: _get_chain(rt, depth - 1)).get() + 1
+
+
+def test_nested_get_chain_runs_at_default_max_threads():
+    rt = ThreadRuntime(workers=1)
+    assert rt.run(lambda rt: _get_chain(rt, 3)) == 3
+
+
+def test_starved_pool_raises_instead_of_hanging():
+    """A nested get chain deeper than ``max_threads`` pins every worker.
+    Runs in a subprocess so a hang fails this test instead of the job."""
+    script = textwrap.dedent("""
+        from repro import RuntimeStateError, ThreadRuntime
+
+        def run(body):
+            rt = ThreadRuntime(workers=1, max_threads=2)
+            try:
+                rt.run(body)
+            except RuntimeStateError as exc:
+                print(exc)
+
+        def get_chain(rt, d):
+            if d:
+                rt.future(lambda: get_chain(rt, d - 1)).get()
+
+        def finish_chain(rt, d):
+            if d:
+                with rt.finish():
+                    rt.async_(lambda: finish_chain(rt, d - 1))
+
+        run(lambda rt: get_chain(rt, 3))
+        run(lambda rt: finish_chain(rt, 4))
+    """)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    for line, kind in zip(lines, ("get", "finish")):
+        assert "max_threads=2" in line
+        assert f"all 2 workers are blocked (2 {kind})" in line
