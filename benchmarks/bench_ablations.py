@@ -6,11 +6,12 @@ workload), isolating the cost/benefit of:
 
 * the LSA shortcut vs walking every spawn-tree ancestor;
 * query memoization vs path-guarded re-exploration;
-* O(1) interval containment vs parent-pointer chasing;
-* the epoch-versioned PRECEDE cache vs recomputing every backward search.
+* O(1) interval containment vs parent-pointer chasing.
 
-All variants must report identical verdicts (the property suite proves
-this on random programs; the assertion re-checks it here).
+``full`` is the default detector (the kernel); every ablated variant runs
+the reference engine, the only one with the switches.  All variants must
+report identical verdicts (the property suite proves this on random
+programs; the assertion re-checks it here).
 """
 
 import pytest
@@ -25,9 +26,8 @@ VARIANTS = [
     ("no-lsa", {"use_lsa": False}),
     ("no-memoization", {"memoize_visit": False}),
     ("no-intervals", {"use_intervals": False}),
-    ("no-precede-cache", {"cache_precede": False}),
-    ("naive", {"use_lsa": False, "memoize_visit": False, "use_intervals": False,
-               "cache_precede": False}),
+    ("naive", {"use_lsa": False, "memoize_visit": False,
+               "use_intervals": False}),
 ]
 
 

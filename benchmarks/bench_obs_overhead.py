@@ -17,7 +17,9 @@ Four configurations, same workload, min-of-N wall time:
 2. **null**     — ``obs=NULL_OBSERVABILITY`` threaded through runtime and
    detector (must be within ``--max-overhead`` of baseline, default 5%);
 3. **enabled**  — full metrics + ring tracer (reported for context, not
-   asserted: tracing is allowed to cost what it costs);
+   asserted: tracing is allowed to cost what it costs).  An attached
+   ``obs`` selects the reference engine, whose hooks fire per access;
+   the other three configurations run the kernel;
 4. **live**     — the PR 9 telemetry plane at its worst: a 250 ms
    :class:`~repro.obs.live.RuntimeSampler` with the detector attached as
    a source, the HTTP exporter bound to an ephemeral port, and an
@@ -71,7 +73,7 @@ def _structure(run, detector=None) -> tuple:
         m.num_shared_accesses,
         det.dtrg.num_precede_queries,
         det.dtrg.num_visits,
-        round(det.shadow.avg_readers, 12),
+        round(det.avg_readers, 12),
         len(det.races),
     )
 

@@ -11,7 +11,6 @@ from repro.core.exact import ExactDetector, ExactTaskReachability
 from repro.core.labels import IntervalLabel, LabelAllocator
 from repro.core.fastcheck import CheckResult
 from repro.core.parallel_check import check_trace_parallel
-from repro.core.precede_cache import PrecedeCache
 from repro.core.races import AccessKind, Race, RaceReport, ReportPolicy
 from repro.core.reachability import DynamicTaskReachabilityGraph
 from repro.core.shadow import ShadowCell, ShadowMemory
@@ -32,7 +31,6 @@ __all__ = [
     "DynamicTaskReachabilityGraph",
     "CheckResult",
     "check_trace_parallel",
-    "PrecedeCache",
     "ShadowCell",
     "ShadowMemory",
 ]

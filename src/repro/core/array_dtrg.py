@@ -4,9 +4,9 @@
 :class:`~repro.core.reachability.DynamicTaskReachabilityGraph` (Algorithms
 1-7 and 10) over growable ``array('q')`` columns instead of per-task
 ``TaskNode``/``SetData`` objects.  It is the only array form of Algorithm
-10: the detector's ``engine="array"``, the fast kernel
-(:mod:`repro.core.fastcheck`) and every shard of the sharded checker
-(:mod:`repro.core.parallel_check`) run it.  One slot per task, allocated
+10: the one checking kernel (:mod:`repro.core.fastcheck`) runs it, live
+in the default detector, over a recorded trace for ``--fast``, and in
+every shard of the sharded checker (:mod:`repro.core.parallel_check`).  One slot per task, allocated
 in spawn order:
 
 =============  ==========================================================
@@ -40,13 +40,15 @@ physical root of every set is its root-most member.  The set label is therefore 
 exactly when the object graph would.
 
 Equivalence contract (pinned by ``tests/properties/test_array_equivalence``
-and the ``dtrg[array]`` fuzz ablation): verdicts, ``num_precede_queries``,
+and the ``dtrg[object]`` fuzz row): verdicts, ``num_precede_queries``,
 ``num_visits``, ``mutation_epoch``, ``num_tree_merges`` and
-``num_non_tree_edges`` are bit-identical to the object graph's cache-less
-run on the same event sequence.  The PRECEDE verdict cache is *physical
-root identity*-sensitive (naive union and union-by-rank pick different
-representatives), so this graph always runs cache-less; ``cache`` is
-``None`` and a detector using this engine reports ``cache_* = 0``.
+``num_non_tree_edges`` are bit-identical to the object graph's on the
+same event sequence.  ``num_visits`` holds because both graphs keep the
+same verdict memo for searched queries: keyed by the pair of set
+representatives and dropped at every mutation.  The two graphs may pick
+different members as a set's representative, but within one epoch each
+set has exactly one, so a query hits the memo in one graph iff it hits
+in the other.
 
 Growth policy: columns grow by plain ``append`` — CPython's ``array`` and
 ``list`` over-allocate geometrically (~12.5% and ~12.5-25% headroom), so
@@ -80,19 +82,17 @@ class ArrayDTRG:
     """
 
     __slots__ = (
-        "index", "keys", "names",
+        "index", "keys",
         "pre", "post", "final", "parent", "is_future",
         "uf", "max_pre", "lsa", "nt",
         "mutation_epoch", "num_precede_queries", "num_visits",
         "num_non_tree_edges", "num_tree_merges",
-        "cache",
         "_dfid", "_tmpid", "_stamp", "_qid", "_memo", "_memo_epoch",
     )
 
     def __init__(self) -> None:
         self.index: Dict[Hashable, int] = {}
         self.keys: List[Hashable] = []
-        self.names: List[str] = []
         self.pre = array("q")
         self.post = array("q")
         self.final = bytearray()
@@ -107,20 +107,14 @@ class ArrayDTRG:
         self.num_visits = 0
         self.num_non_tree_edges = 0
         self.num_tree_merges = 0
-        #: Always ``None``: the array engine runs cache-less (see module
-        #: docstring); kept as an attribute for detector API parity.
-        self.cache = None
         self._dfid = 0
         self._tmpid = MAXID
         self._stamp: List[int] = []
         self._qid = 0
-        #: Internal epoch-keyed verdict memo for queries that survive the
-        #: level-0 checks — the same soundness argument as the object
-        #: graph's PrecedeCache (roots only change under mutations, every
-        #: mutation bumps the epoch, and the memo is dropped on any epoch
-        #: change), but private: hit/miss counts depend on which member is
-        #: the physical set representative, so they are not comparable
-        #: across engines and the public ``cache_*`` columns stay 0.
+        #: Epoch-keyed verdict memo for queries that survive the level-0
+        #: checks, the same one the object graph keeps: roots only change
+        #: under mutations, every mutation bumps the epoch, and the memo
+        #: is dropped on any epoch change (docs/ALGORITHM.md §7).
         self._memo: Dict = {}
         self._memo_epoch = 0
 
@@ -137,7 +131,7 @@ class ArrayDTRG:
     # ------------------------------------------------------------------ #
     # Mutation — index layer                                             #
     # ------------------------------------------------------------------ #
-    def _new_slot(self, parent_idx: int, is_future: bool, key, name) -> int:
+    def _new_slot(self, parent_idx: int, is_future: bool, key) -> int:
         i = len(self.uf)
         self.pre.append(self._dfid)
         self.post.append(self._tmpid)
@@ -161,20 +155,19 @@ class ArrayDTRG:
             key = i
         self.index[key] = i
         self.keys.append(key)
-        self.names.append(str(key) if name is None else name)
         return i
 
-    def add_root_idx(self, key=None, name: str = "main") -> int:
+    def add_root_idx(self, key=None) -> int:
         """Register the main task (Algorithm 1).  Returns slot 0."""
         if self.uf:
             raise ValueError("root already added")
-        return self._new_slot(-1, False, key, name)
+        return self._new_slot(-1, False, key)
 
     def add_task_idx(self, parent_idx: int, is_future: bool,
-                     key=None, name: Optional[str] = None) -> int:
+                     key=None) -> int:
         """Register a spawn (Algorithm 2) by parent slot index; the child
         gets the next dense index (== ``key`` when ``key`` is omitted)."""
-        i = self._new_slot(parent_idx, is_future, key, name)
+        i = self._new_slot(parent_idx, is_future, key)
         self.mutation_epoch += 1
         return i
 
@@ -230,17 +223,15 @@ class ArrayDTRG:
         self.mutation_epoch += 1
 
     # ------------------------------------------------------------------ #
-    # Mutation — key layer (detector-compatible)                         #
+    # Mutation — key layer (the PrecedeBackend protocol; names unused)  #
     # ------------------------------------------------------------------ #
     def add_root(self, key: Hashable, name: str = "main") -> int:
-        return self.add_root_idx(key, name)
+        return self.add_root_idx(key)
 
     def add_task(self, parent_key: Hashable, child_key: Hashable, *,
                  is_future: bool, name: Optional[str] = None) -> int:
-        return self.add_task_idx(
-            self.index[parent_key], is_future, child_key,
-            name or str(child_key),
-        )
+        return self.add_task_idx(self.index[parent_key], is_future,
+                                 child_key)
 
     def on_terminate(self, key: Hashable) -> None:
         self.on_terminate_idx(self.index[key])

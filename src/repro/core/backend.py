@@ -10,13 +10,15 @@ raced against the paper's DTRG behind ``DeterminacyRaceDetector
 
 Engines
 -------
+``array`` (the default)
+    :class:`repro.core.array_dtrg.ArrayDTRG` — the same algorithms over
+    flat ``array('q')`` columns (ALGORITHM.md §13), driven by the one
+    Algorithm 8/9 kernel (:mod:`repro.core.fastcheck`) rather than
+    through this protocol's per-access ``precede`` calls.
 ``object``  (alias ``dtrg``)
     :class:`repro.core.reachability.DynamicTaskReachabilityGraph` — the
     paper's Algorithms 1–10.  The reference implementation; the only
     engine with ablation switches, observability and witnesses.
-``array``
-    :class:`repro.core.array_dtrg.ArrayDTRG` — the same algorithms over
-    flat ``array('q')`` columns (ALGORITHM.md §13).
 ``vc``
     :class:`repro.core.vc_backend.VectorClockBackend` — future-aware
     per-task vector clocks (cf. Kumar et al., arXiv:2112.04352) that
@@ -53,8 +55,6 @@ Query + invariant stats:
 - ``precede(a_key, b_key) -> bool`` — must count in
   ``num_precede_queries``.
 - ``mutation_epoch`` / ``num_precede_queries`` — ints, monotone.
-- ``cache`` — a :class:`repro.core.precede_cache.PrecedeCache` or
-  ``None`` (engines without the shared cache report ``cache_* = 0``).
 
 Only the *verdict stream* is comparable across engines: given the same
 event stream, every engine must answer every ``precede`` call

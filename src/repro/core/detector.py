@@ -4,11 +4,23 @@
 :class:`~repro.core.events.ExecutionObserver` that plugs into the serial
 depth-first :class:`~repro.runtime.runtime.Runtime` (or into a replayed
 :class:`~repro.core.events.Trace`) and implements the paper's Section 4.3
-machinery:
+machinery.  It runs one of two engines over the same algorithms:
 
-======================  ==========================================
-Paper                    Here
-======================  ==========================================
+* **the kernel** (``engine="array"``, the default): the hooks lower each
+  event into integer columns (:class:`~repro.core.events.ColumnBuilder`,
+  as :class:`~repro.memory.tracer.TraceRecorder` does), and a structure
+  event that closes an access block resumes the one Algorithm 8/9
+  kernel, :func:`repro.core.fastcheck._kernel`, over the flat-array
+  DTRG.  Each access block is checked when the spawn, get, end or finish
+  that closes it arrives — still one on-the-fly pass in serial-elision
+  order — and the consumed rows are dropped, so the columns hold
+  O(tasks + locations).
+* **the reference engine** (``engine="object"``): the paper's structures
+  one to one, per access.
+
+======================  ===========================================
+Paper                    Reference engine
+======================  ===========================================
 Algorithm 1 (init)       :meth:`on_init`
 Algorithm 2 (spawn)      :meth:`on_task_create`
 Algorithm 3 (end)        :meth:`on_task_end`
@@ -19,7 +31,7 @@ Algorithm 7 (merge)      :meth:`DynamicTaskReachabilityGraph.merge`
 Algorithm 8 (write)      :meth:`on_write` → :meth:`ShadowMemory.write`
 Algorithm 9 (read)       :meth:`on_read` → :meth:`ShadowMemory.read`
 Algorithm 10 (precede)   :meth:`precede` → DTRG
-======================  ==========================================
+======================  ===========================================
 
 Theorem 2: run against a serial depth-first execution, the detector reports a
 race on a location iff some pair of logically-parallel conflicting accesses
@@ -29,10 +41,14 @@ the brute-force graph oracle in ``tests/properties/``.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Hashable
 
+from repro.core.array_dtrg import ArrayDTRG
 from repro.core.backend import resolve_engine
-from repro.core.events import ExecutionObserver
+from repro.core.events import (
+    ColumnBuilder, EncodedTrace, ExecutionObserver, observer_hooks,
+)
+from repro.core.fastcheck import CheckResult, _kernel
 from repro.core.races import AccessKind, Race, RaceReport, ReportPolicy
 from repro.core.reachability import DynamicTaskReachabilityGraph
 from repro.core.shadow import ShadowMemory
@@ -55,26 +71,30 @@ class DeterminacyRaceDetector(ExecutionObserver):
     policy:
         :attr:`ReportPolicy.COLLECT` (default) records every race and lets
         the program finish; :attr:`ReportPolicy.RAISE` raises
-        :class:`~repro.runtime.errors.RaceError` at the first one.
+        :class:`~repro.runtime.errors.RaceError` at the first one.  The
+        reference engine raises at the racing access; the kernel when the
+        access's block closes, i.e. at the next spawn, get, task end or
+        finish boundary, or at main's end.  Either way the error carries
+        the same :class:`~repro.core.races.Race`, and the kernel checks
+        nothing after it.
     dedupe:
         Collapse repeated reports of the same (location, pair, kind).
     use_lsa / memoize_visit / use_intervals:
         Ablation switches forwarded to the DTRG (see
-        :mod:`repro.core.reachability`).
-    cache_precede:
-        Enable the epoch-versioned PRECEDE cache
-        (:mod:`repro.core.precede_cache`) and the shadow memory's
-        epoch-memoized same-task read fast path.  Default on; switch off
-        to measure the paper's plain algorithms (``bench_ablations.py``,
-        ``bench_precede_cache.py``).
+        :mod:`repro.core.reachability`); switching one off selects the
+        reference engine.
     engine:
-        The PRECEDE backend (see :mod:`repro.core.backend`):
-        ``"object"``/``"dtrg"`` (the paper's DTRG, default),
-        ``"array"`` (flat-array DTRG, §13) or ``"vc"`` (future-aware
-        vector clocks).  All engines produce bit-identical race lists.
+        ``"array"`` (default): the kernel over the flat-array DTRG.
+        ``"object"``/``"dtrg"``: the reference engine, the object DTRG
+        plus :class:`~repro.core.shadow.ShadowMemory`; it is selected
+        automatically when ``obs``, ``provenance`` or an ablation switch
+        is given, because only it carries per-access hooks and witnesses.
+        ``"vc"``: future-aware vector clocks behind ``ShadowMemory``
+        (:mod:`repro.core.backend`).  All engines produce bit-identical
+        race lists.
     obs:
         Optional :class:`repro.obs.Observability` sink.  When enabled it
-        is attached to the DTRG (PRECEDE latency/frontier/cache-outcome
+        is attached to the DTRG (PRECEDE latency/frontier/outcome
         instrumentation, mutation instants) and the shadow memory
         (per-access reader-population instrumentation), and races are
         emitted as trace instants.  ``None`` (default) or a disabled
@@ -89,18 +109,23 @@ class DeterminacyRaceDetector(ExecutionObserver):
         (non-ordering certificate built by
         :meth:`DynamicTaskReachabilityGraph.explain_precede`) is appended
         to :attr:`witnesses`.  ``None`` (default) changes nothing: the
-        certificate builder bumps no DTRG counters and touches no cache,
+        certificate builder bumps no DTRG counters and touches no memo,
         so structural counters stay bit-identical.
 
     Attributes
     ----------
     report:
         The accumulated :class:`~repro.core.races.RaceReport`.
+    engine:
+        The engine actually running (``"array"``, ``"object"`` or
+        ``"vc"``).
     dtrg:
         The underlying reachability structure (exposed for tests,
-        Table 1-style dumps and the metrics harness).
+        Table 1-style dumps and the metrics harness).  On the kernel it
+        is current as of the last checked block.
     shadow:
-        The :class:`~repro.core.shadow.ShadowMemory`.
+        The :class:`~repro.core.shadow.ShadowMemory` (not on the kernel,
+        whose shadow state is columns inside the kernel).
     witnesses:
         :class:`~repro.obs.provenance.RaceWitness` list, parallel to the
         deduplicated races (empty unless ``provenance`` is attached).
@@ -114,8 +139,7 @@ class DeterminacyRaceDetector(ExecutionObserver):
         use_lsa: bool = True,
         memoize_visit: bool = True,
         use_intervals: bool = True,
-        cache_precede: bool = True,
-        engine: str = "object",
+        engine: str = "array",
         obs=None,
         provenance=None,
     ) -> None:
@@ -123,8 +147,6 @@ class DeterminacyRaceDetector(ExecutionObserver):
             policy = ReportPolicy(policy)
         self.policy = policy
         engine = resolve_engine(engine)
-        self.engine = engine
-        self.report = RaceReport(dedupe=dedupe)
         self.obs = (
             obs if obs is not None and getattr(obs, "enabled", False) else None
         )
@@ -139,42 +161,33 @@ class DeterminacyRaceDetector(ExecutionObserver):
         else:
             self.provenance = None
             self._witness_cls = None
-        if engine != "object":
-            # Alternative PRECEDE backends (repro.core.backend): the flat
-            # array DTRG and the future-aware vector clocks implement
-            # only the paper's default query strategy (the Algorithm 10
-            # ablation switches are object-graph concepts), and neither
-            # carries the observability hooks or the explain_precede
-            # witness builder.  cache_precede still gates the shadow
-            # memory's epoch memo below; for engine='array' that keeps
-            # shadow_fast_hits / precede_calls_saved bit-identical to the
-            # default detector (vc has its own epoch schedule — see
-            # docs/ALGORITHM.md §14).
-            if not (use_lsa and memoize_visit and use_intervals):
+        plain = (use_lsa and memoize_visit and use_intervals
+                 and self.obs is None and self.provenance is None)
+        if engine == "array" and not plain:
+            engine = "object"
+        self.engine = engine
+        if engine == "array":
+            self._init_kernel(dedupe)
+            return
+        self.report = RaceReport(dedupe=dedupe)
+        if engine == "vc":
+            # Future-aware vector clocks implement only the paper's
+            # default query strategy and carry neither the observability
+            # hooks nor the explain_precede witness builder.
+            if not plain:
                 raise ValueError(
-                    f"engine={engine!r} implements the default query "
-                    "strategy only; ablation switches require "
-                    "engine='object'"
+                    "engine='vc' implements the default query strategy "
+                    "only and supports no observability or provenance "
+                    "attachment; use engine='object'"
                 )
-            if self.obs is not None or self.provenance is not None:
-                raise ValueError(
-                    f"engine={engine!r} does not support observability or "
-                    "provenance attachments; use engine='object'"
-                )
-            if engine == "array":
-                from repro.core.array_dtrg import ArrayDTRG
+            from repro.core.vc_backend import VectorClockBackend
 
-                self.dtrg = ArrayDTRG()
-            else:
-                from repro.core.vc_backend import VectorClockBackend
-
-                self.dtrg = VectorClockBackend()
+            self.dtrg = VectorClockBackend()
         else:
             self.dtrg = DynamicTaskReachabilityGraph(
                 use_lsa=use_lsa,
                 memoize_visit=memoize_visit,
                 use_intervals=use_intervals,
-                cache_precede=cache_precede,
             )
         dtrg = self.dtrg
         # Attach before binding dtrg.precede below, so the shadow memory
@@ -185,10 +198,7 @@ class DeterminacyRaceDetector(ExecutionObserver):
             precede=dtrg.precede,
             is_future=self._is_future_covered,
             report=self._report_race,
-            # cache_precede gates the whole caching layer: with it off the
-            # shadow memory runs the paper's plain Algorithms 8-9 (modulo
-            # the unconditional structural identities).
-            epoch=(lambda: dtrg.mutation_epoch) if cache_precede else None,
+            epoch=lambda: dtrg.mutation_epoch,
         )
         if self.obs is not None:
             self.shadow.attach_observability(self.obs)
@@ -196,6 +206,7 @@ class DeterminacyRaceDetector(ExecutionObserver):
             # After attach_observability so the provenance wrapper composes
             # around the traced twins when both layers are on.
             self.shadow.attach_provenance(self.provenance)
+        self._counts = self.shadow
         self._names: dict[int, str] = {}
         #: tid -> "future-covered": the task is a future or has a future
         #: among its spawn-tree ancestors.  The shadow memory's reader-set
@@ -206,8 +217,85 @@ class DeterminacyRaceDetector(ExecutionObserver):
         #: (see ``ShadowMemory`` and DESIGN.md).
         self._future_covered: dict[int, bool] = {}
 
+    def _init_kernel(self, dedupe: bool) -> None:
+        """Wire the kernel engine: hooks that lower into private columns,
+        and structure hooks that then advance the kernel when they close
+        an access block.  The access hooks are the builder's own lowering
+        closures, bound as instance attributes (the runtime snapshots
+        them before ``on_init``)."""
+        result = CheckResult(dedupe)
+        self.report = result.report
+        self.dtrg = result.dtrg = ArrayDTRG()
+        self._counts = result
+        enc = EncodedTrace()
+        builder = ColumnBuilder(enc)
+        #: Display name per dense task index, fed by the live tasks.
+        names: list = []
+        on_race = None
+        if self.policy is ReportPolicy.RAISE:
+            def on_race(race: Race) -> None:
+                raise RaceError(race)
+
+        hooks = observer_hooks(builder)
+        runs = enc.runs
+
+        def stepped(lower):
+            def hook(*args) -> None:
+                lower(*args)
+                # Resume only when this event closed an access block: it
+                # opened a new structure run behind an unconsumed one.
+                # Structure-only stretches are applied with the next block.
+                if len(runs) > 2 and runs[-1] == 1:
+                    try:
+                        self._step()
+                    except BaseException:
+                        # RaceError under RAISE ends the kernel: turn
+                        # inert, lowering and dropping events unchecked.
+                        self._step = builder.drop
+                        raise
+            return hook
+
+        def on_init(main) -> None:
+            names.append(main.name)
+            self._kernel = _kernel(enc, self.dtrg, names, result,
+                                   on_race=on_race, drop=builder.drop)
+            next(self._kernel)
+            self._step = self._kernel.__next__
+
+        create = stepped(hooks["on_task_create"])
+        end = stepped(hooks["on_task_end"])
+
+        def on_task_create(parent, child) -> None:
+            names.append(child.name)
+            create(parent, child)
+
+        def on_task_end(task) -> None:
+            if task.parent is not None:
+                end(task)
+                return
+            # Main's end closes the root bracket; nothing is checked after.
+            builder.flush()
+            self._step = builder.drop
+            try:
+                self._kernel.send(True)
+            except StopIteration:
+                pass
+            finally:
+                builder.drop()
+
+        self._columns = enc
+        self.on_init = on_init
+        self.on_task_create = on_task_create
+        self.on_task_end = on_task_end
+        self.on_get = stepped(hooks["on_get"])
+        self.on_finish_start = stepped(hooks["on_finish_start"])
+        self.on_finish_end = stepped(hooks["on_finish_end"])
+        self.on_read = hooks["on_read"]
+        self.on_write = hooks["on_write"]
+
     # ------------------------------------------------------------------ #
-    # Observer hooks                                                     #
+    # Observer hooks of the reference engines (the kernel binds its own  #
+    # as instance attributes in _init_kernel)                            #
     # ------------------------------------------------------------------ #
     def on_init(self, main) -> None:
         """Algorithm 1: register the main task with label [0, MAXINT]."""
@@ -269,24 +357,45 @@ class DeterminacyRaceDetector(ExecutionObserver):
 
     @property
     def perf_stats(self) -> dict:
-        """Caching/fast-path counters for the harness report and benchmarks.
+        """Fast-path counters for the harness report and benchmarks.
 
         Keys are stable (the harness renders them next to ``#AvgReaders``):
         ``precede_queries``, ``mutation_epoch``, ``cache_hits``,
         ``cache_misses``, ``cache_invalidations``, ``cache_hit_rate``,
-        ``shadow_fast_hits``, ``precede_calls_saved``.
+        ``shadow_fast_hits``, ``precede_calls_saved``.  The ``cache_*``
+        columns are 0: no engine keeps a public PRECEDE cache.  On the
+        kernel they are written when main ends (and stay 0 after a
+        ``RaceError``).
         """
-        cache = self.dtrg.cache
+        if self.engine == "array":
+            return self._counts.perf_stats
         return {
             "precede_queries": self.dtrg.num_precede_queries,
             "mutation_epoch": self.dtrg.mutation_epoch,
-            "cache_hits": cache.hits if cache else 0,
-            "cache_misses": cache.misses if cache else 0,
-            "cache_invalidations": cache.invalidations if cache else 0,
-            "cache_hit_rate": cache.hit_rate if cache else 0.0,
+            "cache_hits": 0,
+            "cache_misses": 0,
+            "cache_invalidations": 0,
+            "cache_hit_rate": 0.0,
             "shadow_fast_hits": self.shadow.num_fast_path_hits,
             "precede_calls_saved": self.shadow.num_precede_calls_saved,
         }
+
+    @property
+    def avg_readers(self) -> float:
+        """Paper's ``#AvgReaders`` (Table 2); on the kernel, once main
+        ends."""
+        return self._counts.avg_readers
+
+    @property
+    def num_accesses(self) -> int:
+        """Accesses checked so far (on the kernel: up to the last closed
+        block; the live sampler reads it)."""
+        return self._counts.num_accesses
+
+    @property
+    def num_locations(self) -> int:
+        """Distinct shared locations seen so far."""
+        return self._counts.num_locations
 
     # ------------------------------------------------------------------ #
     # Internals                                                          #
@@ -317,7 +426,7 @@ class DeterminacyRaceDetector(ExecutionObserver):
         added = self.report.add(race)
         if added and prov is not None:
             # Build the non-ordering certificate for PRECEDE(prev, cur) =
-            # false.  explain_precede is read-only (no counters, no cache),
+            # false.  explain_precede is read-only (no counters, no memo),
             # so witness construction never perturbs detection state.
             self.witnesses.append(self._witness_cls(
                 witness_id=witness_id,

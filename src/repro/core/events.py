@@ -36,8 +36,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple,
-    Union,
+    TYPE_CHECKING, Callable, Dict, Hashable, Iterable, Iterator, List,
+    Optional, Tuple, Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,6 +57,7 @@ __all__ = [
     "Trace",
     "EncodedTrace",
     "ColumnBuilder",
+    "observer_hooks",
     "encode_trace",
 ]
 
@@ -295,6 +296,10 @@ class ColumnBuilder:
     Access rows leave the current run-length segment open; the next
     structure event, or ``flush()``, closes it.  ``flush()`` also pads the
     site columns to full length, so the columns read whole after it.
+    ``drop()`` deletes what the run segments cover (access rows,
+    structure tuples, runs, sites) once a reader has consumed them; the
+    rows of a still open access run and the task and location tables
+    stay, so a live checker's columns hold O(tasks + locations).
 
     A task id seen before its creation (possible only in hand-built
     streams) raises ``KeyError``, as replay does, and appends nothing.
@@ -303,6 +308,7 @@ class ColumnBuilder:
     __slots__ = (
         "read", "write", "task_create", "task_end", "get", "finish_start",
         "finish_end", "access_site", "structure_site", "add", "flush",
+        "drop",
     )
 
     def __init__(self, enc: EncodedTrace) -> None:
@@ -405,6 +411,17 @@ class ColumnBuilder:
             if enc.structure_sites is not None:
                 _pad(enc.structure_sites, len(structure))
 
+        def drop() -> None:
+            nonlocal covered
+            del acc[:3 * covered]  # rows of a still open run stay
+            del structure[:]
+            del runs[:]
+            if enc.access_sites is not None:
+                del enc.access_sites[:covered]
+            if enc.structure_sites is not None:
+                del enc.structure_sites[:]
+            covered = 0
+
         # Event objects pickled before ``site`` existed lack the field.
         def add_read(e: ReadEvent) -> None:
             read(e.task, e.loc)
@@ -443,7 +460,54 @@ class ColumnBuilder:
         self.task_create, self.task_end, self.get = task_create, task_end, get
         self.finish_start, self.finish_end = finish_start, finish_end
         self.access_site, self.structure_site = access_site, structure_site
-        self.add, self.flush = add, flush
+        self.add, self.flush, self.drop = add, flush, drop
+
+
+def observer_hooks(builder: ColumnBuilder) -> Dict[str, Callable]:
+    """The :class:`ExecutionObserver` hooks that lower a running program's
+    events through ``builder``, keyed by hook name (``on_read`` ...
+    ``on_finish_end``).  An access appends one row, a spawn, get or
+    finish boundary one structure tuple; no event object is built.  The
+    implicit bracket (main's end, the root finish) is not lowered:
+    replay and the checkers re-synthesize it."""
+    read, write = builder.read, builder.write
+    task_create, task_end, get = (
+        builder.task_create, builder.task_end, builder.get)
+    finish_start, finish_end = builder.finish_start, builder.finish_end
+
+    def on_task_create(parent, child) -> None:
+        ief = child.ief
+        task_create(parent.tid, child.tid, child.is_future,
+                    ief.fid if ief is not None else -1)
+
+    def on_task_end(task) -> None:
+        if task.parent is not None:  # main's end is the implicit bracket
+            task_end(task.tid)
+
+    def on_get(consumer, producer) -> None:
+        get(consumer.tid, producer.tid)
+
+    def on_finish_start(scope) -> None:
+        enclosing = scope.enclosing
+        if enclosing is not None:  # None: the implicit root finish
+            finish_start(scope.fid, scope.owner.tid, enclosing.fid)
+
+    def on_finish_end(scope) -> None:
+        if scope.enclosing is not None:
+            finish_end(scope.fid)
+
+    def on_read(task, loc) -> None:
+        read(task.tid, loc)
+
+    def on_write(task, loc) -> None:
+        write(task.tid, loc)
+
+    return {
+        "on_task_create": on_task_create, "on_task_end": on_task_end,
+        "on_get": on_get, "on_finish_start": on_finish_start,
+        "on_finish_end": on_finish_end, "on_read": on_read,
+        "on_write": on_write,
+    }
 
 
 def _decode(enc: EncodedTrace) -> Iterator[Event]:

@@ -162,6 +162,9 @@ class ExactDetector(ExecutionObserver):
             precede=self._precede_keys,
             is_future=lambda key: True,
             report=self._report_race,
+            # Every access has its own (tid, tick) key, so the same-task
+            # read memo never matches and its epoch is immaterial.
+            epoch=lambda: 0,
         )
         self._names: Dict[int, str] = {}
 

@@ -1,13 +1,22 @@
-"""Single-pass fast race checking over an encoded trace.
+"""The one Algorithm 8/9 checking kernel, over encoded trace columns.
 
-``check_trace_fast`` is the offline checking kernel: one streaming pass
-over an :class:`~repro.core.events.EncodedTrace` in which *structure*
-events mutate a live :class:`~repro.core.array_dtrg.ArrayDTRG` in place
-and *access* events run Algorithms 8-9 over compact integer-indexed
-shadow state — no per-event Python objects, no replay stand-ins, no epoch
-journal (the graph itself is always at the current epoch).  The sharded
-checker (:mod:`repro.core.parallel_check`) runs this same kernel once per
-shard, restricted to the locations that shard owns.
+``_kernel`` is one streaming pass over an
+:class:`~repro.core.events.EncodedTrace` in which *structure* events
+mutate a live :class:`~repro.core.array_dtrg.ArrayDTRG` in place and
+*access* events run Algorithms 8-9 over compact integer-indexed shadow
+state — no per-event Python objects, no replay stand-ins, no epoch
+journal (the graph itself is always at the current epoch).  It is a
+generator, so it can run offline or online:
+
+* :func:`check_trace_fast` drives it over a whole recorded trace in one
+  resume (``racecheck --fast``);
+* the sharded checker (:mod:`repro.core.parallel_check`) runs
+  ``check_trace_fast`` once per shard, restricted to the locations that
+  shard owns;
+* the default :class:`~repro.core.detector.DeterminacyRaceDetector`
+  lowers a live run into columns and resumes the kernel at every
+  structure event, so each access block is checked as the event that
+  closes it arrives, with the graph at the online epoch.
 
 The shadow state is the structure-of-arrays form of
 :class:`~repro.core.shadow.ShadowMemory`'s cells, indexed by interned
@@ -24,25 +33,25 @@ Equivalence contract (pinned by
 ``tests/properties/test_array_equivalence.py`` and the golden tests):
 race list, detection order, ``RaceReport.summary()``, ``#AvgReaders`` and
 the invariant ``DetectorPerf`` counters (``precede_queries``,
-``mutation_epoch``, ``shadow_fast_hits``, ``precede_calls_saved``) are
-bit-identical to the sequential replay detector; ``cache_*`` report 0
-because the array engine runs cache-less (verdict-cache hit counts are
-physical-root-identity-sensitive, see :mod:`repro.core.array_dtrg`).
+``mutation_epoch``, ``shadow_fast_hits``, ``precede_calls_saved``) and
+the graph's ``num_visits`` are bit-identical to the reference engine
+(``DeterminacyRaceDetector(engine="object")``: the object DTRG plus
+``ShadowMemory``); ``cache_*`` report 0, as every engine does.
 
-The run-length segments produced by ``encode_trace`` do double duty:
-dispatch is amortized over whole blocks (the access inner loop never
-tests event *types*), and the per-phase wall-clock split the bench
-surfaces (``structure_seconds`` vs ``access_seconds``) falls out of
-timestamping block boundaries instead of single events.
+The run-length segments of the columns do double duty: dispatch is
+amortized over whole blocks (the access inner loop never tests event
+*types*), and the per-phase wall-clock split the bench surfaces
+(``structure_seconds`` vs ``access_seconds``) falls out of timestamping
+block boundaries instead of single events.
 
 Provenance sites recorded in the trace ride along: races carry the two
-accesses' site labels (witness *certificates* are sequential-replay-only).
+accesses' site labels (witness *certificates* are reference-engine-only).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.array_dtrg import ArrayDTRG
 from repro.core.events import (
@@ -72,7 +81,8 @@ class CheckResult:
     (:func:`repro.core.parallel_check.check_trace_parallel`), duck-typed
     like the sequential detector where the harness/CLI consume it
     (``report``, ``races``, ``racy_locations``, ``perf_stats``,
-    ``avg_readers``, ``summary()``, ``witnesses``).
+    ``avg_readers``, ``summary()``, ``witnesses``).  The live detector
+    keeps one too.
 
     ``dtrg`` is the live :class:`ArrayDTRG` of a fast check (``None`` for a
     sharded one, whose graphs stay in the workers); ``race_rows[i]`` is the
@@ -80,15 +90,15 @@ class CheckResult:
     sharded path fills ``jobs``, ``backend`` and ``shards``.
     """
 
-    def __init__(self) -> None:
-        self.report = RaceReport(dedupe=True)
+    def __init__(self, dedupe: bool = True) -> None:
+        self.report = RaceReport(dedupe=dedupe)
         self.race_rows: List[int] = []
         self.dtrg: Optional[ArrayDTRG] = None
         self.jobs = 1
         self.backend = "inline"
         #: Per-shard ``{"shard", "events", "races", "seconds"}`` rows.
         self.shards: List[dict] = []
-        #: Always empty: witness certificates are sequential-replay-only.
+        #: Always empty: witness certificates are reference-engine-only.
         self.witnesses: List = []
         self.num_tasks = 0
         self.num_events = 0
@@ -138,7 +148,7 @@ class CheckResult:
     @property
     def perf_stats(self) -> dict:
         """Same keys as ``DeterminacyRaceDetector.perf_stats``; the
-        ``cache_*`` columns are 0 by construction (cache-less engine)."""
+        ``cache_*`` columns are 0 (no engine keeps a public cache)."""
         return {
             "precede_queries": self.num_precede_queries,
             "mutation_epoch": self.mutation_epoch,
@@ -154,60 +164,39 @@ class CheckResult:
         return self.report.summary()
 
 
-def check_trace_fast(
-    trace: "EncodedTrace | Iterable[Event]",
+def _kernel(
+    enc: EncodedTrace,
+    dtrg: ArrayDTRG,
+    names_list: List[str],
+    result: CheckResult,
     *,
-    names: Optional[Dict[int, str]] = None,
+    on_race: Optional[Callable[[Race], None]] = None,
+    drop: Optional[Callable[[], None]] = None,
     progress=None,
-    _owned: Optional[bytearray] = None,
-) -> CheckResult:
-    """Check a recorded trace in one pass (see module docstring).
+    owned: Optional[bytearray] = None,
+):
+    """Algorithms 8-9 over ``enc``'s runs, as a resumable generator.
 
-    Parameters
-    ----------
-    trace:
-        An :class:`EncodedTrace`, a :class:`~repro.core.events.Trace`
-        (whose own columns are read as they are), or any other event
-        iterable (lowered on the fly; the encode time is reported
-        separately in ``timings``).
-    names:
-        Optional tid -> display-name map; defaults to the replay
-        convention ``task#<tid>`` / ``future#<tid>``.
-    progress:
-        Optional :class:`repro.obs.live.ProgressCounter`.  Bumped once
-        per run-length *block* (never per event) so live telemetry costs
-        nothing measurable on the hot path; ``None`` (default) keeps the
-        function byte-identical to the untelemetered build.
-    _owned:
-        Internal location filter of the sharded checker: when given, only
-        accesses to locations ``lid`` with ``_owned[lid]`` set are checked
-        (structure events are always applied, so the graph stays at the
-        online epoch).  Counters then cover the owned locations only,
-        except the structural ones and ``num_accesses``.
+    Each resume consumes every run of the columns not consumed yet, then
+    yields.  ``send(True)`` consumes what is left, closes the implicit
+    bracket (root finish end, then main's end, as ``replay_trace`` does)
+    and returns.  The hot loop's locals live in the generator frame, so
+    they survive between resumes.  Each resume brings ``result``'s
+    ``num_accesses`` and ``num_locations`` up to date (the live sampler
+    reads them); the other counters are written when the kernel returns.
+
+    ``names_list[i]`` is the display name of task index ``i``; it must be
+    filled before the run that creates the task is consumed.  ``on_race``
+    is called with each race the report accepts; if it raises, the kernel
+    ends.  ``drop``, when given, is called after each resume's runs are
+    consumed and must delete exactly what the run segments cover
+    (:meth:`~repro.core.events.ColumnBuilder.drop`); race row ordinals
+    keep counting across drops.  ``progress`` is bumped once per block.
+    ``owned`` is the sharded checker's location filter (see
+    :func:`check_trace_fast`).
     """
-    t0 = perf_counter()
-    if isinstance(trace, EncodedTrace):
-        enc = trace
-        t_enc = t0
-    else:
-        enc = encode_trace(trace)
-        t_enc = perf_counter()
-
     task_keys = enc.task_keys
-    n_tasks = len(task_keys)
-    # Display names, replay convention; Race construction reads these.
-    names_list: List[str] = []
-    for i in range(n_tasks):
-        key = task_keys[i]
-        name = names.get(key) if names else None
-        if name is None:
-            name = (
-                f"future#{key}" if enc.is_future[i] else f"task#{key}"
-            )
-        names_list.append(name)
-
-    dtrg = ArrayDTRG()
-    dtrg.add_root_idx(task_keys[0], names_list[0])
+    dtrg.add_root_idx(task_keys[0])
     add_task_idx = dtrg.add_task_idx
     on_terminate_idx = dtrg.on_terminate_idx
     record_join_idx = dtrg.record_join_idx
@@ -217,34 +206,28 @@ def check_trace_fast(
     #: Future-covered flag per task index (future or spawn-descendant of
     #: one) — the strengthened ``IsFuture`` the reader policy needs.
     covered = bytearray(1)
-    #: fid -> [owner_idx, join_idx_list] (root finish 0 owned by main).
+    #: Open finish scopes: fid -> [owner_idx, join_idx_list] (root
+    #: finish 0 owned by main).
     scopes: Dict[int, list] = {0: [0, []]}
 
-    n_locs = enc.num_locations
-    writers = [-1] * n_locs
-    readers: List[Optional[list]] = [None] * n_locs
-    fast_reader = [-1] * n_locs
-    fast_epoch = [-1] * n_locs
-
-    report = CheckResult()
-    report.dtrg = dtrg
-    add_race = report.report.add
-    race_rows = report.race_rows
+    add_race = result.report.add
+    race_rows = result.race_rows
     locs = enc.locs
     sites = enc.access_sites
     retain = sites is not None
     read_sites: Dict[int, Dict[int, Optional[str]]] = {}
     write_sites: Dict[int, tuple] = {}
+    base = 0  # access rows dropped before the current columns
 
     def _report(kind: str, prev: int, cur: int, lid: int, row: int) -> None:
-        # Rare path: build the Race exactly as the sequential detector
+        # Rare path: build the Race exactly as the reference engine
         # would, plus the two accesses' recorded sites.
         if kind == "read-write":
             prev_site = read_sites.get(lid, {}).get(prev)
         else:
             ws = write_sites.get(lid)
             prev_site = ws[1] if ws is not None and ws[0] == prev else None
-        if add_race(Race(
+        race = Race(
             loc=locs[lid],
             kind=_KIND[kind],
             prev_task=task_keys[prev],
@@ -253,10 +236,11 @@ def check_trace_fast(
             current_name=names_list[cur],
             prev_site=prev_site,
             current_site=sites[row] if retain else None,
-        )):
-            race_rows.append(row)
-        if progress is not None:
-            progress.add_races(1)
+        )
+        if add_race(race):
+            race_rows.append(base + row)
+            if on_race is not None:
+                on_race(race)
 
     # Hot locals.
     acc = enc.access
@@ -270,12 +254,58 @@ def check_trace_fast(
     structure_seconds = 0.0
     access_seconds = 0.0
 
-    if progress is not None:
-        progress.set_total(len(enc))
-
+    n_locs = len(locs)
+    writers: List[int] = [-1] * n_locs
+    readers: List[Optional[list]] = [None] * n_locs
+    fast_reader: List[int] = [-1] * n_locs
+    fast_epoch: List[int] = [-1] * n_locs
     j = 0   # next access row offset (in ints, rows are 3 wide)
     si = 0  # next structure tuple index
-    for ri in range(0, len(runs), 2):
+    ri = 0  # next run pair offset
+    n_structure = 0  # structure tuples consumed before the current columns
+    final = False
+    while True:
+        if ri == len(runs):
+            if final:
+                # Implicit closing bracket: root finish end, then main
+                # terminates (mirrors replay_trace).
+                t_blk = perf_counter()
+                owner, joins = scopes[0]
+                for tid in joins:
+                    merge_idx(owner, tid)
+                on_terminate_idx(0)
+                structure_seconds += perf_counter() - t_blk
+            result.num_accesses = base + j // 3
+            result.num_locations = len(locs)
+            if final:
+                rows = result.num_access_events = result.num_accesses
+                result.num_tasks = len(task_keys)
+                result.num_structure_events = n_structure + si
+                result.num_events = rows + n_structure + si
+                result.num_visits = dtrg.num_visits
+                result.num_non_tree_edges = dtrg.num_non_tree_edges
+                result.num_tree_merges = dtrg.num_tree_merges
+                result.mutation_epoch = dtrg.mutation_epoch
+                result.num_precede_queries = dtrg.num_precede_queries
+                result.shadow_fast_hits = fast_read + fast_write
+                result.precede_calls_saved = saved
+                result.total_readers_seen = total_readers
+                result.timings["structure_seconds"] = structure_seconds
+                result.timings["access_seconds"] = access_seconds
+                return
+            if drop is not None:
+                drop()
+                base += j // 3
+                n_structure += si
+                j = si = ri = 0
+            final = yield
+            grow = len(locs) - len(writers)
+            if grow:
+                writers += [-1] * grow
+                readers += [None] * grow
+                fast_reader += [-1] * grow
+                fast_epoch += [-1] * grow
+            continue
         n_run = runs[ri + 1]
         if progress is not None:
             progress.add(n_run)
@@ -287,7 +317,7 @@ def check_trace_fast(
                 task = acc[j + 1]
                 lid = acc[j + 2]
                 j += 3
-                if _owned is not None and not _owned[lid]:
+                if owned is not None and not owned[lid]:
                     continue
                 rl = readers[lid]
                 w = writers[lid]
@@ -435,50 +465,87 @@ def check_trace_fast(
                     parent = t[1]
                     child = len(dtrg.uf)
                     covered.append(1 if t[2] else covered[parent])
-                    add_task_idx(parent, bool(t[2]),
-                                 task_keys[child], names_list[child])
+                    add_task_idx(parent, bool(t[2]), task_keys[child])
                     if t[3] >= 0:
                         scopes[t[3]][1].append(child)
                 elif op == OP_TASK_END:
                     on_terminate_idx(t[1])
                 elif op == OP_FINISH_START:
                     scopes[t[1]] = [t[2], []]
-                else:  # OP_FINISH_END
-                    owner, joins = scopes[t[1]]
+                else:  # OP_FINISH_END: the scope closes for good
+                    owner, joins = scopes.pop(t[1])
                     for tid in joins:
                         merge_idx(owner, tid)
             si += n_run
             cur_epoch = dtrg.mutation_epoch
             structure_seconds += perf_counter() - t_blk
+        ri += 2
 
-    # Implicit closing bracket: root finish end, then main terminates
-    # (mirrors replay_trace).
-    t_blk = perf_counter()
-    owner, joins = scopes[0]
-    for tid in joins:
-        merge_idx(owner, tid)
-    on_terminate_idx(0)
-    structure_seconds += perf_counter() - t_blk
 
-    t_done = perf_counter()
-    report.num_tasks = n_tasks
-    report.num_access_events = enc.num_access_events
-    report.num_structure_events = enc.num_structure_events
-    report.num_events = len(enc)
-    report.num_locations = n_locs
-    report.num_visits = dtrg.num_visits
-    report.num_non_tree_edges = dtrg.num_non_tree_edges
-    report.num_tree_merges = dtrg.num_tree_merges
-    report.mutation_epoch = dtrg.mutation_epoch
-    report.num_precede_queries = dtrg.num_precede_queries
-    report.shadow_fast_hits = fast_read + fast_write
-    report.precede_calls_saved = saved
-    report.num_accesses = enc.num_access_events
-    report.total_readers_seen = total_readers
-    report.timings = {
-        "encode_seconds": t_enc - t0,
-        "structure_seconds": structure_seconds,
-        "access_seconds": access_seconds,
-        "total_seconds": t_done - t0,
-    }
-    return report
+def check_trace_fast(
+    trace: "EncodedTrace | Iterable[Event]",
+    *,
+    names: Optional[Dict[int, str]] = None,
+    progress=None,
+    _owned: Optional[bytearray] = None,
+) -> CheckResult:
+    """Check a recorded trace in one pass (see module docstring).
+
+    Parameters
+    ----------
+    trace:
+        An :class:`EncodedTrace`, a :class:`~repro.core.events.Trace`
+        (whose own columns are read as they are), or any other event
+        iterable (lowered on the fly; the encode time is reported
+        separately in ``timings``).
+    names:
+        Optional tid -> display-name map; defaults to the replay
+        convention ``task#<tid>`` / ``future#<tid>``.
+    progress:
+        Optional :class:`repro.obs.live.ProgressCounter`.  Bumped once
+        per run-length *block* (never per event), and once per race the
+        deduplicating report keeps, so live telemetry costs nothing
+        measurable on the hot path; ``None`` (default) keeps the function
+        byte-identical to the untelemetered build.
+    _owned:
+        Internal location filter of the sharded checker: when given, only
+        accesses to locations ``lid`` with ``_owned[lid]`` set are checked
+        (structure events are always applied, so the graph stays at the
+        online epoch).  Counters then cover the owned locations only,
+        except the structural ones and ``num_accesses``.
+    """
+    t0 = perf_counter()
+    if isinstance(trace, EncodedTrace):
+        enc = trace
+        t_enc = t0
+    else:
+        enc = encode_trace(trace)
+        t_enc = perf_counter()
+
+    # Display names, replay convention; Race construction reads these.
+    names_list: List[str] = []
+    for i, key in enumerate(enc.task_keys):
+        name = names.get(key) if names else None
+        if name is None:
+            name = f"future#{key}" if enc.is_future[i] else f"task#{key}"
+        names_list.append(name)
+
+    result = CheckResult()
+    result.dtrg = ArrayDTRG()
+    result.timings["encode_seconds"] = t_enc - t0
+    on_race = None
+    if progress is not None:
+        progress.set_total(len(enc))
+
+        def on_race(race: Race) -> None:
+            progress.add_races(1)
+
+    kernel = _kernel(enc, result.dtrg, names_list, result, on_race=on_race,
+                     progress=progress, owned=_owned)
+    next(kernel)
+    try:
+        kernel.send(True)
+    except StopIteration:
+        pass
+    result.timings["total_seconds"] = perf_counter() - t0
+    return result

@@ -34,16 +34,15 @@ Ablation switches (used by ``benchmarks/bench_ablations.py``):
   through the significant-ancestor chain;
 * ``memoize_visit=False`` — drop the per-query visited set;
 * ``use_intervals=False`` — answer ancestor queries by chasing parent
-  pointers instead of O(1) interval containment;
-* ``cache_precede=False`` — disable the epoch-versioned
-  :class:`repro.core.precede_cache.PrecedeCache` that memoizes verdicts
-  across queries (positive entries permanent by monotonicity, negative
-  entries valid for one mutation epoch).
+  pointers instead of O(1) interval containment.
 
 The graph also maintains :attr:`mutation_epoch`, a counter bumped on every
 structural mutation (``add_task``, ``record_join``, ``merge``,
-``on_terminate``); the shadow memory uses it for its same-task fast path
-and the cache for negative-entry validity.
+``on_terminate``).  The shadow memory keys its same-task fast path on it,
+and so does the verdict memo of :meth:`DynamicTaskReachabilityGraph.precede`:
+verdicts that needed a backward search are kept for the current epoch
+only, exactly as :class:`repro.core.array_dtrg.ArrayDTRG` keeps them, so
+the two graphs count the same ``num_visits`` (docs/ALGORITHM.md §7).
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from typing import Dict, Hashable, List, Optional
 
 from repro.core.disjoint_set import DisjointSets
 from repro.core.labels import IntervalLabel, LabelAllocator
-from repro.core.precede_cache import PrecedeCache
 
 __all__ = ["TaskNode", "SetData", "DynamicTaskReachabilityGraph"]
 
@@ -136,7 +134,6 @@ class DynamicTaskReachabilityGraph:
         use_lsa: bool = True,
         memoize_visit: bool = True,
         use_intervals: bool = True,
-        cache_precede: bool = True,
     ) -> None:
         self._sets: DisjointSets[TaskNode] = DisjointSets()
         self._labels = LabelAllocator()
@@ -144,16 +141,22 @@ class DynamicTaskReachabilityGraph:
         self.use_lsa = use_lsa
         self.memoize_visit = memoize_visit
         self.use_intervals = use_intervals
-        self.cache = PrecedeCache() if cache_precede else None
         #: Counter bumped on every structural mutation; see module docstring.
         self.mutation_epoch = 0
+        #: Verdicts of searched queries, keyed by the pair of set
+        #: representatives, valid for ``_memo_epoch`` only (see precede).
+        self._memo: Dict[tuple, bool] = {}
+        self._memo_epoch = 0
+        #: Queries answered from ``_memo`` (the traced twin's ``memo``
+        #: outcome).
+        self._memo_hits = 0
         # Statistics for complexity tests / benchmarks.
         self.num_precede_queries = 0
         #: VISIT *expansions*: sets added to a query's visited set whose
         #: non-tree frontier is then scanned (including the significant-
         #: ancestor expansions of ``_explore``).  Queries resolved at
         #: level 0 — same set, interval containment, preorder prune, empty
-        #: frontier — or from the cache contribute zero, so the counter
+        #: frontier — or from the memo contribute zero, so the counter
         #: measures exactly the backward-search work Theorem 1 bounds.
         #: Without ``memoize_visit`` a set re-expanded after backtracking
         #: counts once per expansion (the cost that ablation measures).
@@ -212,8 +215,8 @@ class DynamicTaskReachabilityGraph:
 
         Bumps the mutation epoch: finalizing a postorder changes interval
         representations (never the ancestor relation they encode), and the
-        terminate also hands execution back to the parent task, so cached
-        negative verdicts about "the currently executing task" expire."""
+        terminate also hands execution back to the parent task, so
+        memoized verdicts about "the currently executing task" expire."""
         self._labels.on_terminate(self._nodes[key].label)
         self.mutation_epoch += 1
 
@@ -272,8 +275,9 @@ class DynamicTaskReachabilityGraph:
         When enabled, the query and the four mutators are shadowed by
         instance-attribute bindings of their ``_traced_*`` twins, which
         delegate to the plain implementations and report to ``obs``:
-        PRECEDE queries with wall time, VISIT-expansion count and cache
-        outcome; mutations as instant events carrying the new epoch.
+        PRECEDE queries with wall time, VISIT-expansion count and outcome
+        (``level0``, ``memo`` or ``search``); mutations as instant events
+        carrying the new epoch.
 
         Instance-attribute rebinding is construction-time wiring only: a
         concurrent runtime (``ThreadRuntime``) could observe the five
@@ -304,20 +308,16 @@ class DynamicTaskReachabilityGraph:
     def _traced_precede(self, a_key: Hashable, b_key: Hashable) -> bool:
         from time import perf_counter_ns
 
-        cache = self.cache
-        hits0 = cache.hits if cache is not None else 0
-        misses0 = cache.misses if cache is not None else 0
+        hits0 = self._memo_hits
         visits0 = self.num_visits
         start = perf_counter_ns()
         verdict = DynamicTaskReachabilityGraph.precede(self, a_key, b_key)
         dur = perf_counter_ns() - start
         expansions = self.num_visits - visits0
-        if cache is not None and cache.hits > hits0:
-            outcome = "hit"
-        elif cache is not None and cache.misses > misses0:
-            outcome = "miss"
+        if self._memo_hits > hits0:
+            outcome = "memo"
         elif expansions:
-            outcome = "search"  # cache disabled but the query searched
+            outcome = "search"
         else:
             outcome = "level0"
         self._obs.on_precede(
@@ -365,9 +365,11 @@ class DynamicTaskReachabilityGraph:
         observed task.  A task trivially precedes itself (program order).
 
         Verdicts that survive the level-0 checks (the ones that would pay a
-        backward search) are memoized in :attr:`cache`, keyed by the pair
-        of current set representatives; the level-0 checks themselves are
-        already cheaper than a table probe and stay uncached.
+        backward search) are memoized for the current mutation epoch,
+        keyed by the pair of current set representatives.  Within one
+        epoch the graph is frozen, so the verdict is a pure function of
+        the key; any mutation drops the memo.  The level-0 checks are
+        already cheaper than a table probe and stay unmemoized.
         """
         self.num_precede_queries += 1
         if a_key == b_key:
@@ -395,16 +397,19 @@ class DynamicTaskReachabilityGraph:
             return False  # preorder prune (see _visit)
         if not data_b.nt and data_b.lsa is None and self.use_lsa:
             return False  # nothing to search backwards through
-        cache = self.cache
-        if cache is not None:
-            cached = cache.lookup(root_a, root_b, self.mutation_epoch)
-            if cached is not None:
-                return cached
+        memo = self._memo
+        if self._memo_epoch != self.mutation_epoch:
+            memo.clear()
+            self._memo_epoch = self.mutation_epoch
+        else:
+            verdict = memo.get((root_a, root_b))
+            if verdict is not None:
+                self._memo_hits += 1
+                return verdict
         self.num_visits += 1  # B's set is expanded by the _explore below
         visited = {root_b}
         verdict = self._explore(root_a, data_a, b, root_b, data_b, visited)
-        if cache is not None:
-            cache.store(root_a, root_b, verdict, self.mutation_epoch)
+        memo[(root_a, root_b)] = verdict
         return verdict
 
     def _visit(
@@ -530,9 +535,9 @@ class DynamicTaskReachabilityGraph:
         JSON-able certificate of the verdict (the race-witness payload).
 
         Unlike :meth:`precede` this touches **nothing**: no counters, no
-        cache lookups or stores — so building witnesses perturbs neither
+        memo lookups or stores — so building witnesses perturbs neither
         the structural columns (``num_precede_queries``/``num_visits``)
-        nor cached verdicts.  The recorded walk is the default strategy
+        nor memoized verdicts.  The recorded walk is the default strategy
         (interval level-0 checks, memoized VISIT, LSA-chain ancestors);
         the verdict is the same reachability answer every ablation
         computes, asserted against :meth:`precede` by the witness

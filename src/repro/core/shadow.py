@@ -54,8 +54,8 @@ evolution *bit-identical* to the plain algorithms:
   loop would retire nobody new, the writer check would pass again, and the
   only list mutation — retiring and re-appending ``t`` itself — is order
   preserving because a clean read always leaves ``t`` last (or absent)
-  in the reader list.  Requires an ``epoch`` supplier (the DTRG's
-  mutation counter); without one the memo is disabled.
+  in the reader list.  Keyed on the ``epoch`` supplier (the DTRG's
+  mutation counter).
 
 The reader *list* keeps the paper's ordering semantics; a parallel
 ``reader_ids`` set makes the ``task not in r`` membership test O(1) for
@@ -115,10 +115,9 @@ class ShadowMemory:
         ``report(kind, prev_tid, cur_tid, loc)`` — race sink, called for each
         conflicting pair found.
     epoch:
-        optional ``() -> int`` returning the DTRG mutation epoch
-        (:attr:`DynamicTaskReachabilityGraph.mutation_epoch`).  Enables the
-        same-task read memo; ``None`` disables it (structural fast paths
-        stay active — they are unconditional identities).
+        ``() -> int`` returning the DTRG mutation epoch
+        (:attr:`DynamicTaskReachabilityGraph.mutation_epoch`), the key of
+        the same-task read memo.
     """
 
     def __init__(
@@ -126,7 +125,7 @@ class ShadowMemory:
         precede: Callable[[int, int], bool],
         is_future: Callable[[int], bool],
         report: Callable[[str, int, int, Hashable], None],
-        epoch: Optional[Callable[[], int]] = None,
+        epoch: Callable[[], int],
     ) -> None:
         self._cells: Dict[Hashable, ShadowCell] = {}
         self._precede = precede
@@ -362,10 +361,9 @@ class ShadowMemory:
                 self.num_fast_read_hits += 1
                 self.num_precede_calls_saved += 1
                 return
-        epoch_fn = self._epoch
         epoch = -1
-        if epoch_fn is not None and cell.fast_reader == task:
-            epoch = epoch_fn()
+        if cell.fast_reader == task:
+            epoch = self._epoch()
             if cell.fast_epoch == epoch:
                 # Pure replay of the last clean check by this task: same
                 # cell state, frozen DTRG — every precede answer and the
@@ -400,12 +398,11 @@ class ShadowMemory:
         if update and task not in cell.reader_ids:
             cell.readers.append(task)
             cell.reader_ids.add(task)
-        if epoch_fn is not None:
-            if raced:
-                cell.fast_reader = None
-            else:
-                cell.fast_reader = task
-                cell.fast_epoch = epoch if epoch >= 0 else epoch_fn()
+        if raced:
+            cell.fast_reader = None
+        else:
+            cell.fast_reader = task
+            cell.fast_epoch = epoch if epoch >= 0 else self._epoch()
 
     # ------------------------------------------------------------------ #
     # Metrics / introspection                                            #

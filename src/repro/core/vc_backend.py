@@ -58,8 +58,8 @@ __all__ = ["VectorClockBackend"]
 class VectorClockBackend:
     """Online vector-clock PRECEDE engine (protocol: ``PrecedeBackend``).
 
-    ``cache`` is ``None``; ``mutation_epoch`` bumps on every structural
-    mutator so the shadow memory's epoch memo stays sound.
+    ``mutation_epoch`` bumps on every structural mutator so the shadow
+    memory's epoch memo stays sound.
     """
 
     __slots__ = (
@@ -69,7 +69,6 @@ class VectorClockBackend:
         "_alive",
         "mutation_epoch",
         "num_precede_queries",
-        "cache",
     )
 
     def __init__(self) -> None:
@@ -82,7 +81,6 @@ class VectorClockBackend:
         self._alive: Dict[Hashable, bool] = {}
         self.mutation_epoch = 0
         self.num_precede_queries = 0
-        self.cache = None
 
     # ------------------------------------------------------------------ #
     # Structural mutators                                                #

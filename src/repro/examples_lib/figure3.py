@@ -95,8 +95,10 @@ def _snapshot(det: DeterminacyRaceDetector, tids: Dict[str, int]) -> DtrgSnapsho
 
 
 def run_figure3(extra_observers: Sequence = ()) -> Figure3Result:
-    """Execute the reconstructed Figure 3 program, snapshotting the DTRG."""
-    det = DeterminacyRaceDetector()
+    """Execute the reconstructed Figure 3 program, snapshotting the DTRG
+    (the reference engine's object graph, whose sets and labels Table 1
+    lists)."""
+    det = DeterminacyRaceDetector(engine="object")
     rt = Runtime(observers=[det, *extra_observers])
     tids: Dict[str, int] = {}
     snapshots: Dict[str, DtrgSnapshot] = {}

@@ -12,8 +12,8 @@ the rendered table::
 Per workload the document records the three wall times (Seq /
 Instrumented / Racedet, min-of-``--repeats``), both slowdown ratios, the
 structural counters the paper reports (#Tasks, #NTJoins, #SharedMem,
-#AvgReaders) and the detector's cache/fast-path counters (PRECEDE
-queries, cache hit rate, calls saved by the shadow fast paths).
+#AvgReaders) and the detector's fast-path counters (PRECEDE queries,
+calls saved by the shadow fast paths).
 
 Schema (``repro.bench/1``)::
 
@@ -289,7 +289,7 @@ def bench_data(
             f"(x{result.slowdown_vs_seq:.2f} vs seq), "
             f"{result.metrics.num_tasks} tasks, "
             f"{result.metrics.num_nt_joins} nt-joins, "
-            f"cache hit rate {result.perf.cache_hit_rate:.2f}",
+            f"{result.perf.precede_queries} PRECEDE queries",
             file=out,
         )
     data = {

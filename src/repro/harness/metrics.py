@@ -9,8 +9,8 @@ Table 2 reports, per benchmark:
   B to A is a tree join iff A is a spawn-tree ancestor of B;
 * ``#SharedMem``  — total instrumented shared-memory accesses;
 * ``#AvgReaders`` — mean shadow reader-set size at access time (this one
-  lives in :class:`~repro.core.shadow.ShadowMemory` because only the
-  detector has shadow state; the harness merges it in).
+  comes from the detector, because only it has shadow state; the harness
+  merges it in).
 
 :class:`MetricsCollector` is a passive observer — attaching it to a run
 without a detector measures the workload's structure at (near) zero cost.
@@ -66,19 +66,20 @@ class Metrics:
 
 @dataclass
 class DetectorPerf:
-    """Snapshot of the detector's caching/fast-path counters.
+    """Snapshot of the detector's fast-path counters.
 
-    These are *performance* observability (PRECEDE cache hit rate, DTRG
-    mutation epochs, shadow fast-path savings), kept separate from the
-    structural :class:`Metrics` so the Table 2 columns stay comparable to
-    the paper while the report can print cache behaviour alongside
-    ``#AvgReaders``.
+    These are *performance* observability (PRECEDE queries, DTRG mutation
+    epochs, shadow fast-path savings), kept separate from the structural
+    :class:`Metrics` so the Table 2 columns stay comparable to the paper
+    while the report can print them alongside ``#AvgReaders``.  The
+    ``cache_*`` fields mirror ``perf_stats`` and are 0: no engine keeps a
+    public PRECEDE cache.
     """
 
-    precede_queries: int = 0    #: PRECEDE calls issued by the shadow memory
+    precede_queries: int = 0    #: PRECEDE calls issued by the shadow checks
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_invalidations: int = 0  #: stale negative entries dropped
+    cache_invalidations: int = 0
     cache_hit_rate: float = 0.0
     epoch_bumps: int = 0        #: DTRG mutations observed (epoch counter)
     shadow_fast_hits: int = 0   #: accesses short-circuited before PRECEDE
@@ -89,10 +90,10 @@ class DetectorPerf:
         """Build from a :class:`~repro.core.detector.DeterminacyRaceDetector`
         (``None`` yields all-zero counters).
 
-        Missing stats default to zero: ablated detectors (``--no-cache``,
-        subclasses, duck-typed stand-ins in the fuzz harness) may omit
-        cache counters from ``perf_stats``; indexing them directly raised
-        ``KeyError`` and took the whole Table-2 report down with it.
+        Missing stats default to zero: subclasses and duck-typed
+        stand-ins in the fuzz harness may omit counters from
+        ``perf_stats``; indexing them directly raised ``KeyError`` and
+        took the whole Table-2 report down with it.
         """
         if detector is None:
             return cls()
@@ -112,7 +113,6 @@ class DetectorPerf:
         """Columns the Table-2 report appends next to ``#AvgReaders``."""
         return {
             "#PrecedeQ": self.precede_queries,
-            "CacheHit%": round(100.0 * self.cache_hit_rate, 1),
             "#QSaved": self.precede_calls_saved,
         }
 

@@ -79,8 +79,7 @@ def render_metrics(metrics: Mapping[str, Any]) -> str:
 
     Counters become a key/value block; each histogram becomes one summary
     row (count / mean / interpolated q50/q95/q99 / bucket-bound p50/p99 /
-    max); epoch-window hit-rate timelines print their first and last
-    windows.  The ``q*`` columns are linear-interpolation estimates
+    max).  The ``q*`` columns are linear-interpolation estimates
     (:func:`repro.obs.metrics.quantile_from_dump`) computed from the
     bucket counts, so dumps written before the quantile columns existed
     render fine.
@@ -110,16 +109,4 @@ def render_metrics(metrics: Mapping[str, Any]) -> str:
                 }
             )
         blocks.append(render_table(rows))
-    windows = metrics.get("epoch_windows") or {}
-    for name in sorted(windows):
-        series = windows[name].get("windows") or []
-        if not series:
-            continue
-        first, last = series[0], series[-1]
-        blocks.append(
-            f"{name}: window={windows[name].get('window')} "
-            f"first[@{first['epoch_start']}]={first['rate']:.2f} "
-            f"last[@{last['epoch_start']}]={last['rate']:.2f} "
-            f"({len(series)} windows)"
-        )
     return "\n\n".join(blocks) if blocks else "(no metrics)"

@@ -148,7 +148,7 @@ class BenchmarkResult:
             "#SharedMem": self.metrics.num_shared_accesses,
             "#AvgReaders": round(self.avg_readers, 2),
         }
-        # Cache/fast-path observability sits next to #AvgReaders: both
+        # Fast-path observability sits next to #AvgReaders: both
         # describe the per-access work the detector actually did.
         row.update(self.perf.as_row())
         row.update({
@@ -299,9 +299,10 @@ class ThroughputBenchResult:
     back-to-back in the same process (box speed varies across runs, so
     only same-process ratios are meaningful):
 
-    * ``replay`` — the live object-graph detector re-driven over the
-      recorded events by :func:`~repro.memory.tracer.replay_trace` (the
-      events are decoded from the trace once, before timing);
+    * ``replay`` — the reference engine (``engine="object"``: object
+      graph plus shadow memory, per access) re-driven over the recorded
+      events by :func:`~repro.memory.tracer.replay_trace` (the events are
+      decoded from the trace once, before timing);
     * ``fast`` — :func:`repro.core.fastcheck.check_trace_fast` over the
       recorded trace's :class:`~repro.core.events.EncodedTrace` columns:
       one pass over the flat-array live DTRG (what ``racecheck --fast``
@@ -393,7 +394,7 @@ def run_throughput_benchmark(
     replay_best = float("inf")
     detector = None
     for _ in range(repeats):
-        detector = DeterminacyRaceDetector()
+        detector = DeterminacyRaceDetector(engine="object")
         start = time.perf_counter()
         replay_trace(events, [detector])
         replay_best = min(replay_best, time.perf_counter() - start)

@@ -34,6 +34,7 @@ from repro.core.events import (
     TaskEndEvent,
     Trace,
     WriteEvent,
+    observer_hooks,
 )
 
 __all__ = ["TraceRecorder", "replay_trace"]
@@ -69,38 +70,7 @@ class TraceRecorder(ExecutionObserver):
     def __init__(self, provenance=None) -> None:
         self.trace = Trace()
         builder = self.trace.builder
-        read, write = builder.read, builder.write
-        task_create, task_end, get = (
-            builder.task_create, builder.task_end, builder.get)
-        finish_start, finish_end = builder.finish_start, builder.finish_end
-
-        def on_task_create(parent, child) -> None:
-            ief = child.ief
-            task_create(parent.tid, child.tid, child.is_future,
-                        ief.fid if ief is not None else -1)
-
-        def on_task_end(task) -> None:
-            if task.parent is not None:  # main's end is the implicit bracket
-                task_end(task.tid)
-
-        def on_get(consumer, producer) -> None:
-            get(consumer.tid, producer.tid)
-
-        def on_finish_start(scope) -> None:
-            enclosing = scope.enclosing
-            if enclosing is not None:  # None: the implicit root finish
-                finish_start(scope.fid, scope.owner.tid, enclosing.fid)
-
-        def on_finish_end(scope) -> None:
-            if scope.enclosing is not None:
-                finish_end(scope.fid)
-
-        def on_read(task, loc) -> None:
-            read(task.tid, loc)
-
-        def on_write(task, loc) -> None:
-            write(task.tid, loc)
-
+        hooks = observer_hooks(builder)
         prov = (
             provenance
             if provenance is not None and getattr(provenance, "enabled", False)
@@ -110,29 +80,20 @@ class TraceRecorder(ExecutionObserver):
             label = prov.site_label
             access_site = builder.access_site
             structure_site = builder.structure_site
-            plain_create = on_task_create
 
-            def on_task_create(parent, child) -> None:  # noqa: F811
-                plain_create(parent, child)
-                structure_site(label(prov.current_site))
+            def with_site(lower, add_site):
+                def hook(a, b) -> None:
+                    lower(a, b)
+                    add_site(label(prov.current_site))
+                return hook
 
-            def on_get(consumer, producer) -> None:  # noqa: F811
-                get(consumer.tid, producer.tid)
-                structure_site(label(prov.current_site))
-
-            def on_read(task, loc) -> None:  # noqa: F811
-                read(task.tid, loc)
-                access_site(label(prov.current_site))
-
-            def on_write(task, loc) -> None:  # noqa: F811
-                write(task.tid, loc)
-                access_site(label(prov.current_site))
-
-        self.on_task_create, self.on_task_end = on_task_create, on_task_end
-        self.on_get = on_get
-        self.on_finish_start = on_finish_start
-        self.on_finish_end = on_finish_end
-        self.on_read, self.on_write = on_read, on_write
+            for name, add_site in (
+                ("on_task_create", structure_site), ("on_get", structure_site),
+                ("on_read", access_site), ("on_write", access_site),
+            ):
+                hooks[name] = with_site(hooks[name], add_site)
+        for name, hook in hooks.items():
+            setattr(self, name, hook)
 
 
 class _ReplayTask:

@@ -1,7 +1,7 @@
 """Runtime observability: structured tracing + performance metrics.
 
 The paper's evaluation is built on structural counters (Table 2); the perf
-layer (PRECEDE cache, shadow fast paths) needs *distributional* visibility
+layer (PRECEDE memo, shadow fast paths) needs *distributional* visibility
 — where time goes inside a run, which queries pay the backward ``_explore``
 search, how reader-set populations evolve per location.  This package
 provides that, following the per-operation cost-breakdown methodology of
@@ -15,7 +15,7 @@ al. (*DePa*):
   loadable in Perfetto / ``chrome://tracing``;
 * :mod:`repro.obs.metrics` — a registry of counters and fixed-bucket
   histograms (PRECEDE latency, ``_explore`` frontier size, per-cell reader
-  population, cache hit rate per mutation-epoch window) dumpable as JSON
+  population) dumpable as JSON
   and renderable by :func:`repro.harness.report.render_metrics`;
 * :mod:`repro.obs.hooks` — :class:`Observability`, the bundle the hook
   points in ``core/reachability.py``, ``core/shadow.py``,
@@ -65,7 +65,6 @@ from repro.obs.live import (
 )
 from repro.obs.metrics import (
     Counter,
-    EpochWindowRatio,
     Histogram,
     MetricsRegistry,
     quantile_from_dump,
@@ -90,7 +89,6 @@ __all__ = [
     "NULL_OBSERVABILITY",
     "Counter",
     "Histogram",
-    "EpochWindowRatio",
     "MetricsRegistry",
     "RaceProvenance",
     "RaceWitness",

@@ -27,9 +27,8 @@ disabled path costs nothing measurable on the Jacobi event stream.
 Histograms recorded (see :mod:`repro.obs.metrics` for the bucket ladders):
 
 * ``precede_latency_ns`` — wall time per PRECEDE query;
-* ``explore_frontier`` — VISIT expansions per query (0 = level-0/cached);
-* ``cell_readers`` — stored reader population at each shadow access;
-* ``cache_hit_by_epoch_window`` — cache hit rate per mutation-epoch window.
+* ``explore_frontier`` — VISIT expansions per query (0 = level-0/memo);
+* ``cell_readers`` — stored reader population at each shadow access.
 """
 
 from __future__ import annotations
@@ -58,8 +57,6 @@ class Observability:
         Optional :class:`RingTracer`; ``None`` records metrics only.
     registry:
         Metrics sink; a fresh :class:`MetricsRegistry` by default.
-    epoch_window:
-        Mutation-epoch bucket width of the cache-hit-rate timeline.
     """
 
     enabled = True
@@ -68,8 +65,6 @@ class Observability:
         self,
         tracer: Optional[RingTracer] = None,
         registry: Optional[MetricsRegistry] = None,
-        *,
-        epoch_window: int = 1024,
     ) -> None:
         self.tracer = tracer
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -80,12 +75,9 @@ class Observability:
         )
         self._h_frontier = reg.histogram("explore_frontier", FRONTIER_BUCKETS)
         self._h_readers = reg.histogram("cell_readers", READER_BUCKETS)
-        self._cache_timeline = reg.epoch_ratio(
-            "cache_hit_by_epoch_window", epoch_window
-        )
         self._c_precede = {
             outcome: reg.counter(f"precede_{outcome}")
-            for outcome in ("level0", "hit", "miss", "search")
+            for outcome in ("level0", "memo", "search")
         }
         self._c_reads = reg.counter("shadow_reads")
         self._c_writes = reg.counter("shadow_writes")
@@ -173,15 +165,13 @@ class Observability:
         """One completed PRECEDE query.
 
         ``expansions`` is the query's VISIT-expansion count (the
-        ``num_visits`` delta — 0 for level-0 or cached answers);
-        ``outcome`` is ``level0``, ``hit``, ``miss`` or (cache disabled
-        but searched) ``search``.
+        ``num_visits`` delta — 0 for level-0 or memoized answers);
+        ``outcome`` is ``level0``, ``memo`` (answered by the graph's
+        epoch memo) or ``search``.
         """
         self._h_precede_ns.observe(dur_ns)
         self._h_frontier.observe(expansions)
         self._c_precede[outcome].inc()
-        if outcome == "hit" or outcome == "miss":
-            self._cache_timeline.observe(epoch, outcome == "hit")
         tracer = self.tracer
         if tracer is not None:
             tracer.instant(

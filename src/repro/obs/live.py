@@ -19,8 +19,8 @@ contract — a run without telemetry executes byte-identically):
     counters are plain attribute reads of values that only ever grow, so
     a torn read costs accuracy (a gauge may lag by one increment), never
     correctness.  That is why every gauge here is documented as
-    *approximate*.  The sampler also maintains EWMAs (events/s, PRECEDE
-    cache hit rate) from deltas between consecutive samples.
+    *approximate*.  The sampler also maintains an events/s EWMA from
+    deltas between consecutive samples.
 
 :class:`TelemetryServer` / :class:`LiveTelemetry`
     ``LiveTelemetry`` is the facade the CLI tools construct for
@@ -137,13 +137,10 @@ class RuntimeSampler:
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self.samples_total = 0
-        # EWMA state: previous (t, events, cache_hits, cache_misses).
+        # EWMA state: previous (t, events).
         self._prev_t: Optional[float] = None
         self._prev_events = 0
-        self._prev_hits = 0
-        self._prev_misses = 0
         self._rate_ewma: Optional[float] = None
-        self._hit_rate_ewma: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     def add_source(self, fn: Callable[[], Mapping[str, Any]]) -> None:
@@ -177,8 +174,6 @@ class RuntimeSampler:
         events = merged.get("progress_events")
         if not events:
             events = merged.get("detector_accesses", 0) or 0
-        hits = merged.get("precede_cache_hits", 0) or 0
-        misses = merged.get("precede_cache_misses", 0) or 0
         if self._prev_t is not None:
             dt = now - self._prev_t
             if dt > 0:
@@ -188,24 +183,10 @@ class RuntimeSampler:
                     if self._rate_ewma is None
                     else self.ALPHA * rate + (1 - self.ALPHA) * self._rate_ewma
                 )
-            d_hits = max(hits - self._prev_hits, 0)
-            d_total = d_hits + max(misses - self._prev_misses, 0)
-            if d_total > 0:
-                window_rate = d_hits / d_total
-                self._hit_rate_ewma = (
-                    window_rate
-                    if self._hit_rate_ewma is None
-                    else self.ALPHA * window_rate
-                    + (1 - self.ALPHA) * self._hit_rate_ewma
-                )
         self._prev_t = now
         self._prev_events = events
-        self._prev_hits = hits
-        self._prev_misses = misses
         if self._rate_ewma is not None:
             merged["events_per_second_ewma"] = self._rate_ewma
-        if self._hit_rate_ewma is not None:
-            merged["precede_cache_hit_rate_ewma"] = self._hit_rate_ewma
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
@@ -313,8 +294,9 @@ class TelemetryServer:
 # --------------------------------------------------------------------- #
 def detector_source(detector) -> Callable[[], Dict[str, Any]]:
     """Gauges from any detector shape we ship: the serial
-    :class:`~repro.core.detector.DeterminacyRaceDetector` (shadow +
-    DTRG + PRECEDE cache), the schedule-robust
+    :class:`~repro.core.detector.DeterminacyRaceDetector` (location and
+    access counts, current as of the last checked block on the kernel,
+    plus DTRG sizes), the schedule-robust
     :class:`~repro.core.parallel_detector.ParallelRaceDetector` (clock
     table + stripe counters), and the checker result objects (races +
     perf counters).  Missing attributes are simply skipped, so one
@@ -322,12 +304,13 @@ def detector_source(detector) -> Callable[[], Dict[str, Any]]:
 
     def sample() -> Dict[str, Any]:
         g: Dict[str, Any] = {}
-        shadow = getattr(detector, "shadow", None)
-        if shadow is not None:
-            cells = shadow.num_locations
+        counts = (detector if hasattr(detector, "num_locations")
+                  else getattr(detector, "shadow", None))
+        if counts is not None:
+            cells = counts.num_locations
             g["shadow_cells"] = cells
             g["shadow_approx_bytes"] = cells * APPROX_SHADOW_CELL_BYTES
-            g["detector_accesses"] = shadow.num_accesses
+            g["detector_accesses"] = counts.num_accesses
         dtrg = getattr(detector, "dtrg", None)
         if dtrg is not None:
             num_tasks = getattr(dtrg, "num_tasks", None)
@@ -343,11 +326,6 @@ def detector_source(detector) -> Callable[[], Dict[str, Any]]:
                 value = getattr(dtrg, attr, None)
                 if value is not None:
                     g[name] = value
-            cache = getattr(dtrg, "cache", None)
-            if cache is not None:
-                g["precede_cache_hits"] = cache.hits
-                g["precede_cache_misses"] = cache.misses
-                g["precede_cache_hit_rate"] = cache.hit_rate
         stats = getattr(detector, "perf_stats", None)
         if isinstance(stats, Mapping):  # ParallelRaceDetector property
             for key in ("num_accesses", "num_locations", "num_tasks",

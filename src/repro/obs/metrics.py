@@ -6,8 +6,7 @@ Design constraints (in order):
    adds; ``Counter.inc`` is one add.  No locks (the runtime is serial), no
    allocation after construction.
 2. **Fixed memory.**  Buckets are declared up front; observing a value
-   never grows state (the epoch-window ratio is the one exception — it
-   grows by one small entry per *window*, not per observation).
+   never grows state.
 3. **Dumpable.**  Every primitive renders to plain JSON-able dicts so
    ``racecheck --metrics-json`` / ``repro-fuzz --metrics-json`` can write
    them and :func:`repro.harness.report.render_metrics` can print them.
@@ -28,7 +27,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "Counter",
     "Histogram",
-    "EpochWindowRatio",
     "MetricsRegistry",
     "quantile_from_dump",
     "PRECEDE_LATENCY_BUCKETS_NS",
@@ -46,7 +44,7 @@ PRECEDE_LATENCY_BUCKETS_NS: Tuple[float, ...] = (
 )
 
 #: ``_explore`` frontier size (VISIT expansions per query): 0 means the
-#: query resolved at level 0 or from the cache.
+#: query resolved at level 0 or from the memo.
 FRONTIER_BUCKETS: Tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: Stored reader population of a shadow cell at access time.
@@ -256,47 +254,8 @@ def quantile_from_dump(dump: Dict[str, Any], q: float) -> float:
     return vmax if vmax is not None else 0.0
 
 
-class EpochWindowRatio:
-    """Hit rate bucketed by DTRG mutation-epoch window.
-
-    The PRECEDE cache's aggregate hit rate hides *when* the cache pays off:
-    epochs with heavy graph mutation invalidate negative entries, epochs of
-    pure access replay hit constantly.  Observations are keyed by
-    ``epoch // window`` so the dump shows the hit rate's evolution over the
-    run's mutation timeline.
-    """
-
-    __slots__ = ("window", "_hits", "_totals")
-
-    def __init__(self, window: int = 1024) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self._hits: Dict[int, int] = {}
-        self._totals: Dict[int, int] = {}
-
-    def observe(self, epoch: int, hit: bool) -> None:
-        key = epoch // self.window
-        self._totals[key] = self._totals.get(key, 0) + 1
-        if hit:
-            self._hits[key] = self._hits.get(key, 0) + 1
-
-    def as_dict(self) -> Dict[str, Any]:
-        windows = []
-        for key in sorted(self._totals):
-            total = self._totals[key]
-            hits = self._hits.get(key, 0)
-            windows.append({
-                "epoch_start": key * self.window,
-                "hits": hits,
-                "total": total,
-                "rate": hits / total,
-            })
-        return {"window": self.window, "windows": windows}
-
-
 class MetricsRegistry:
-    """Named counters, histograms and epoch-window ratios.
+    """Named counters and histograms.
 
     Lookups create on first use so hook points never need registration
     boilerplate; repeated lookups return the same object (hot paths should
@@ -307,7 +266,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._ratios: Dict[str, EpochWindowRatio] = {}
 
     # ------------------------------------------------------------------ #
     def counter(self, name: str) -> Counter:
@@ -326,12 +284,6 @@ class MetricsRegistry:
             )
         return h
 
-    def epoch_ratio(self, name: str, window: int = 1024) -> EpochWindowRatio:
-        r = self._ratios.get(name)
-        if r is None:
-            r = self._ratios[name] = EpochWindowRatio(window)
-        return r
-
     # ------------------------------------------------------------------ #
     def as_dict(self) -> Dict[str, Any]:
         """Plain JSON-able dump of everything recorded so far."""
@@ -342,9 +294,6 @@ class MetricsRegistry:
             "histograms": {
                 name: h.as_dict()
                 for name, h in sorted(self._histograms.items())
-            },
-            "epoch_windows": {
-                name: r.as_dict() for name, r in sorted(self._ratios.items())
             },
         }
 

@@ -104,10 +104,10 @@ ABLATIONS = {
     "dtrg[no-lsa]": dict(use_lsa=False),
     "dtrg[no-memo]": dict(memoize_visit=False),
     "dtrg[no-intervals]": dict(use_intervals=False),
-    # Not an optimization *off* but an alternate engine: the flat-array
-    # live DTRG (core/array_dtrg.py) must agree with the oracle and, by
-    # transitivity, bit-match the object-graph default.
-    "dtrg[array]": dict(engine="array"),
+    # Not an optimization *off* but the reference engine: the object DTRG
+    # plus ShadowMemory must agree with the oracle and, by transitivity,
+    # with the kernel behind the plain dtrg row.
+    "dtrg[object]": dict(engine="object"),
 }
 #: Alternative PRECEDE backends behind ``DeterminacyRaceDetector(engine=…)``
 #: (docs/ALGORITHM.md §14).  ``vc`` is general — future-aware vector clocks

@@ -22,12 +22,12 @@ with the instrumented runtime:
 ``--perfetto`` records the run through :mod:`repro.obs` and writes a
 Chrome trace-event JSON loadable in Perfetto / ``chrome://tracing``:
 task lifetimes and finish scopes as duration spans, ``get()`` joins,
-DTRG mutations, PRECEDE queries (with cache outcome and visited-set
+DTRG mutations, PRECEDE queries (with their outcome and visited-set
 size) and shadow checks as instant events.  ``--metrics-json`` dumps the
 companion counter/histogram registry (PRECEDE latency, ``_explore``
-frontier sizes, per-cell reader populations, cache hit rate per
-mutation-epoch window).  Either flag enables the instrumentation; the
-detailed DTRG/shadow hooks require ``--detector dtrg``.
+frontier sizes, per-cell reader populations).  Either flag enables the
+instrumentation; the detailed DTRG/shadow hooks require ``--detector
+dtrg``, whose detector then runs its reference engine.
 
 ``--explain`` turns on race provenance (``--detector dtrg`` only): every
 spawn/get/read/write is attributed to its source call site by a bounded

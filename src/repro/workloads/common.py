@@ -44,7 +44,7 @@ class WorkloadRun:
     def avg_readers(self) -> float:
         if self.detector is None:
             return float("nan")
-        return self.detector.shadow.avg_readers
+        return self.detector.avg_readers
 
     @property
     def races(self) -> list:
@@ -52,7 +52,7 @@ class WorkloadRun:
 
     @property
     def perf_stats(self) -> Dict[str, Any]:
-        """The detector's caching/fast-path counters ({} without one)."""
+        """The detector's fast-path counters ({} without one)."""
         return {} if self.detector is None else self.detector.perf_stats
 
 
@@ -69,7 +69,7 @@ def run_instrumented(
     ``detect=False`` measures instrumentation-only cost (runtime dispatch +
     metrics counters); ``detect=True`` adds the full detector — the paper's
     ``Racedet`` configuration.  ``detector_options`` are forwarded to
-    :class:`DeterminacyRaceDetector` (ablation switches, ``cache_precede``).
+    :class:`DeterminacyRaceDetector` (engine, ablation switches).
     ``obs`` is an optional :class:`repro.obs.Observability` sink threaded
     into both the runtime (task/finish spans) and the detector (PRECEDE /
     shadow instrumentation); ``None`` costs nothing.

@@ -9,7 +9,7 @@ from repro.core.reachability import DynamicTaskReachabilityGraph
 
 def _mirror():
     """A fresh (object graph, array graph) pair driven in lockstep."""
-    obj = DynamicTaskReachabilityGraph(cache_precede=False)
+    obj = DynamicTaskReachabilityGraph()
     arr = ArrayDTRG()
     return obj, arr
 
@@ -126,12 +126,14 @@ def test_growth_past_initial_buffers():
 def test_detector_engine_gating():
     with pytest.raises(ValueError):
         DeterminacyRaceDetector(engine="bogus")
+    # Ablation switches exist on the reference engine only, so asking
+    # for one selects it.
+    for switch in ("use_lsa", "memoize_visit", "use_intervals"):
+        det = DeterminacyRaceDetector(engine="array", **{switch: False})
+        assert det.engine == "object"
     with pytest.raises(ValueError):
-        DeterminacyRaceDetector(engine="array", use_lsa=False)
-    with pytest.raises(ValueError):
-        DeterminacyRaceDetector(engine="array", memoize_visit=False)
-    with pytest.raises(ValueError):
-        DeterminacyRaceDetector(engine="array", use_intervals=False)
+        DeterminacyRaceDetector(engine="vc", use_lsa=False)
     det = DeterminacyRaceDetector(engine="array")
+    assert det.engine == "array"
     assert det.perf_stats["cache_hits"] == 0
     assert det.perf_stats["cache_misses"] == 0

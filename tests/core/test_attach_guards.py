@@ -27,7 +27,7 @@ def _run_one_access(det):
 
 
 def test_shadow_attach_observability_after_access_raises():
-    det = DeterminacyRaceDetector()
+    det = DeterminacyRaceDetector(engine="object")
     _run_one_access(det)
     obs = Observability()
     with pytest.raises(RuntimeStateError, match="attach"):
@@ -35,7 +35,7 @@ def test_shadow_attach_observability_after_access_raises():
 
 
 def test_shadow_attach_provenance_after_access_raises():
-    det = DeterminacyRaceDetector()
+    det = DeterminacyRaceDetector(engine="object")
     _run_one_access(det)
 
     class _Prov:
@@ -49,7 +49,7 @@ def test_shadow_attach_provenance_after_access_raises():
 
 
 def test_dtrg_attach_observability_after_registration_raises():
-    det = DeterminacyRaceDetector()
+    det = DeterminacyRaceDetector(engine="object")
     _run_one_access(det)
     obs = Observability()
     with pytest.raises(RuntimeStateError, match="attach"):
@@ -57,7 +57,7 @@ def test_dtrg_attach_observability_after_registration_raises():
 
 
 def test_attach_before_execution_still_works():
-    det = DeterminacyRaceDetector()
+    det = DeterminacyRaceDetector(engine="object")
     obs = Observability()
     det.shadow.attach_observability(obs)
     det.dtrg.attach_observability(obs)
@@ -70,6 +70,7 @@ def test_fresh_shadow_attach_ok_and_disabled_obs_is_noop():
         precede=lambda a, b: True,
         is_future=lambda t: False,
         report=lambda kind, a, b, loc: None,
+        epoch=lambda: 0,
     )
     from repro.obs.hooks import NULL_OBSERVABILITY
 

@@ -59,7 +59,7 @@ def _finish_scoped():
 
 
 def _against_replay(trace):
-    det = DeterminacyRaceDetector()
+    det = DeterminacyRaceDetector(engine="object")
     replay_trace(trace, [det])
     fast = check_trace_fast(trace)
     assert fast.summary() == det.report.summary()

@@ -32,7 +32,7 @@ def recorded(seed: int):
 
 
 def sequential(trace) -> DeterminacyRaceDetector:
-    det = DeterminacyRaceDetector()
+    det = DeterminacyRaceDetector(engine="object")
     replay_trace(trace, [det])
     return det
 

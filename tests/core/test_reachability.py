@@ -188,3 +188,115 @@ def test_ablation_variants_agree_on_small_graph(options):
     for x in tasks:
         for y in tasks:
             assert reference.precede(x, y) == variant.precede(x, y), (x, y)
+
+
+# ---------------------------------------------------------------------- #
+# The epoch-scoped verdict memo (docs/ALGORITHM.md §7)                   #
+# ---------------------------------------------------------------------- #
+def sibling_join_graph():
+    """main spawns futures A, C (terminated), then B; B joins C.
+
+    ``precede(A, B)`` is an expensive *negative* (A was created before B,
+    so the preorder prune cannot answer, and B's set has a non-tree edge
+    to explore); ``precede(C, B)`` is an expensive *positive*.
+    """
+    g = DynamicTaskReachabilityGraph()
+    g.add_root("main")
+    g.add_task("main", "A", is_future=True, name="A")
+    g.on_terminate("A")
+    g.add_task("main", "C", is_future=True, name="C")
+    g.on_terminate("C")
+    g.add_task("main", "B", is_future=True, name="B")
+    g.record_join("B", "C")
+    return g
+
+
+def test_expensive_positive_is_memoized():
+    g = sibling_join_graph()
+    assert g.precede("C", "B")
+    visits = g.num_visits
+    assert visits > 0
+    assert g.precede("C", "B")
+    assert g.num_visits == visits  # answered from the memo
+
+
+def test_expensive_negative_is_memoized_within_epoch():
+    g = sibling_join_graph()
+    assert not g.precede("A", "B")
+    visits = g.num_visits
+    assert not g.precede("A", "B")
+    assert g.num_visits == visits
+
+
+def test_memoized_negative_flips_after_join_adds_the_path():
+    """The reason the memo is epoch-scoped: the missing path can appear
+    one mutation later."""
+    g = sibling_join_graph()
+    assert not g.precede("A", "B")  # memoized negative
+    g.record_join("B", "A")         # adds exactly the A -> B edge
+    assert g.precede("A", "B")      # the stale negative must not answer
+
+
+def test_positive_survives_merge():
+    """Tree-join merges change set representatives but never retract a
+    positive verdict (monotonicity)."""
+    g = sibling_join_graph()
+    assert g.precede("C", "B")
+    g.on_terminate("B")
+    g.record_join("main", "B")  # parent get: merges B into main's set
+    assert g.precede("C", "B")  # same verdict through the merged set
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(
+            lambda g: g.add_task("main", "D", is_future=True, name="D"),
+            id="add_task",
+        ),
+        pytest.param(lambda g: g.record_join("B", "A"), id="record_join-nt"),
+        pytest.param(lambda g: g.on_terminate("B"), id="on_terminate"),
+        pytest.param(
+            lambda g: (g.on_terminate("B"), g.record_join("main", "B")),
+            id="merge-via-tree-join",
+        ),
+    ],
+)
+def test_every_mutation_kind_bumps_the_epoch(mutate):
+    g = sibling_join_graph()
+    before = g.mutation_epoch
+    mutate(g)
+    assert g.mutation_epoch > before
+
+
+def test_same_set_join_does_not_bump_epoch():
+    """A redundant join is a graph no-op and must not invalidate."""
+    g = sibling_join_graph()
+    g.on_terminate("B")
+    g.record_join("main", "B")  # merge
+    before = g.mutation_epoch
+    g.record_join("main", "B")  # same set now: no-op
+    assert g.mutation_epoch == before
+
+
+def test_memo_dropped_by_unrelated_mutation_then_recomputed():
+    g = sibling_join_graph()
+    assert not g.precede("A", "B")
+    g.add_task("main", "D", is_future=True, name="D")  # unrelated bump
+    visits = g.num_visits
+    assert not g.precede("A", "B")  # searched again, same verdict
+    assert g.num_visits > visits
+
+
+def test_partition_groups_by_set_in_creation_order():
+    g = sibling_join_graph()
+    assert g.partition() == [["main"], ["A"], ["C"], ["B"]]
+    g.on_terminate("B")
+    g.record_join("main", "B")  # merge B into main's set
+    # Groups keyed by first-created member; members in creation order.
+    assert g.partition() == [["main", "B"], ["A"], ["C"]]
+
+
+def test_partition_is_deterministic_across_repeats():
+    g = sibling_join_graph()
+    assert g.partition() == g.partition()

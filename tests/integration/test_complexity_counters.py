@@ -65,8 +65,15 @@ def test_avg_readers_matches_paper_accounting():
     det, metrics = detector_of(
         lambda rt: crypt_idea.run_future(rt, params)
     )
-    shadow = det.shadow
+    assert det.num_accesses == metrics.num_shared_accesses
+    # The kernel's figure equals the reference engine's, recomputed from
+    # its shadow memory.
+    reference = run_instrumented(
+        lambda rt: crypt_idea.run_future(rt, params), detect=True,
+        detector_options={"engine": "object"},
+    ).detector
+    shadow = reference.shadow
     assert shadow.num_accesses == metrics.num_shared_accesses
-    assert shadow.avg_readers == (
+    assert det.avg_readers == reference.avg_readers == (
         shadow.total_readers_seen / shadow.num_accesses
     )

@@ -34,8 +34,11 @@ FUTURE_COVERED_REPRO = Program(
 
 
 def plant_future_covered_bug(monkeypatch):
-    """Revert the detector to its pre-fix semantics: only the future task
-    itself counts as future-covered, not its spawn-tree descendants."""
+    """Revert the reference engine to its pre-fix semantics: only the
+    future task itself counts as future-covered, not its spawn-tree
+    descendants.  (The kernel behind the plain ``dtrg`` row binds its own
+    hooks and stays correct, so the ``dtrg[object]`` row and the
+    ablations, which run the reference engine, are the ones to go red.)"""
 
     def broken_on_task_create(self, parent, child):
         self._names[child.tid] = child.name
@@ -90,12 +93,13 @@ def test_planted_soundness_bug_is_flagged_and_minimized(monkeypatch, tmp_path):
     plant_future_covered_bug(monkeypatch)
     failures = fuzz.check_seed(0, FUTURE_COVERED_REPRO, modes=("scoped",))
     sigs = [f.signature for f in failures]
-    assert "scoped:divergence:dtrg:missing" in sigs
-    # The ablated configs share the detector frontend, so the planted
-    # frontend bug is flagged for each of them as well.
+    assert "scoped:divergence:dtrg[object]:missing" in sigs
+    assert "scoped:divergence:dtrg:missing" not in sigs
+    # The ablated configs share the reference engine's frontend, so the
+    # planted frontend bug is flagged for each of them as well.
     assert "scoped:divergence:dtrg[no-lsa]:missing" in sigs
 
-    failure = next(f for f in failures if f.detector == "dtrg")
+    failure = next(f for f in failures if f.detector == "dtrg[object]")
     fuzz._shrink_failure(failure, budget=600)
     assert failure.minimized is not None
     assert count_stmts(failure.minimized.body) <= count_stmts(
@@ -188,10 +192,12 @@ def test_make_detector_applies_ablation_options():
     assert fuzz._make_detector("dtrg[no-memo]").dtrg.memoize_visit is False
     assert (fuzz._make_detector("dtrg[no-intervals]").dtrg.use_intervals
             is False)
-    # Full-featured config untouched by the ablation table.
-    full = fuzz._make_detector("dtrg")
+    # The reference row runs the full-featured object graph; the plain
+    # dtrg row runs the kernel.
+    full = fuzz._make_detector("dtrg[object]")
     assert full.dtrg.use_lsa and full.dtrg.memoize_visit \
         and full.dtrg.use_intervals
+    assert fuzz._make_detector("dtrg").engine == "array"
 
 
 def test_planted_lsa_ablation_bug_is_flagged(monkeypatch):

@@ -101,7 +101,7 @@ def test_race_verdicts_and_instants():
     precedes = [e for e in obs.tracer.events() if e["name"] == "precede"]
     assert precedes, "expected PRECEDE instants in the trace"
     assert all(
-        e["args"]["outcome"] in ("level0", "hit", "miss", "search")
+        e["args"]["outcome"] in ("level0", "memo", "search")
         for e in precedes
     )
 
@@ -162,12 +162,11 @@ def test_metrics_json_dump_shape(tmp_path):
     path = tmp_path / "metrics.json"
     obs.write_metrics(path)
     data = json.loads(path.read_text())
-    assert set(data) == {"counters", "histograms", "epoch_windows"}
+    assert set(data) == {"counters", "histograms"}
     assert data["counters"]["tasks_spawned"] > 0
     assert data["histograms"]["precede_latency_ns"]["count"] \
         == (data["counters"]["precede_level0"]
-            + data["counters"]["precede_hit"]
-            + data["counters"]["precede_miss"]
+            + data["counters"]["precede_memo"]
             + data["counters"]["precede_search"])
     assert data["histograms"]["cell_readers"]["count"] \
         == data["counters"]["shadow_reads"] + data["counters"]["shadow_writes"]

@@ -201,12 +201,12 @@ def test_perfetto_and_metrics_json_outputs(racy_program, tmp_path, capsys):
     precedes = [e for e in events
                 if e["ph"] == "i" and e["name"] == "precede"]
     assert precedes
-    assert all(e["args"]["outcome"] in ("level0", "hit", "miss", "search")
+    assert all(e["args"]["outcome"] in ("level0", "memo", "search")
                for e in precedes)
     assert any(e["ph"] == "i" and e.get("cat") == "race" for e in events)
 
     stats = json.loads(metrics.read_text())
-    assert set(stats) == {"counters", "histograms", "epoch_windows"}
+    assert set(stats) == {"counters", "histograms"}
     assert stats["counters"]["races_reported"] == 1
     assert stats["counters"]["tasks_spawned"] >= 1
 

@@ -105,4 +105,4 @@ def test_many_readers_single_location():
     rt.run(prog)
     assert not det.report.has_races
     # the reader set actually populated (multi-reader regime)
-    assert det.shadow.avg_readers > 10
+    assert det.avg_readers > 10

@@ -25,6 +25,9 @@ class TestNullObjectProtocol:
     def test_detector_normalizes_disabled_obs_to_none(self):
         det = DeterminacyRaceDetector(obs=NULL_OBSERVABILITY)
         assert det.obs is None
+        assert det.engine == "array"  # no attachment: the kernel runs
+        det = DeterminacyRaceDetector(obs=NULL_OBSERVABILITY,
+                                      engine="object")
         assert "precede" not in vars(det.dtrg)
 
     def test_attach_enabled_rebinds_query_and_mutators(self):
@@ -75,22 +78,19 @@ class TestRuntimeSpans:
 class TestDtrgHooks:
     def test_on_precede_records_metrics_and_instant(self):
         obs = enabled_obs()
-        obs.on_precede("A", "B", True, 1500, 2, "miss", epoch=7)
-        obs.on_precede("A", "B", True, 300, 0, "hit", epoch=8)
+        obs.on_precede("A", "B", True, 1500, 2, "search", epoch=7)
+        obs.on_precede("A", "B", True, 300, 0, "memo", epoch=7)
         obs.on_precede("A", "C", False, 100, 0, "level0", epoch=8)
         reg = obs.registry
-        assert reg.counter("precede_miss").value == 1
-        assert reg.counter("precede_hit").value == 1
+        assert reg.counter("precede_search").value == 1
+        assert reg.counter("precede_memo").value == 1
         assert reg.counter("precede_level0").value == 1
         assert reg.histogram("precede_latency_ns").count == 3
         assert reg.histogram("explore_frontier").count == 3
-        timeline = reg.epoch_ratio("cache_hit_by_epoch_window").as_dict()
-        # level0 outcomes stay out of the cache timeline.
-        assert timeline["windows"][0]["total"] == 2
         instants = [
             e for e in obs.tracer.events() if e["name"] == "precede"
         ]
-        assert instants[0]["args"]["outcome"] == "miss"
+        assert instants[0]["args"]["outcome"] == "search"
         assert instants[0]["args"]["visited"] == 2
 
     def test_on_mutation_counts_by_kind(self):

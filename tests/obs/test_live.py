@@ -134,22 +134,6 @@ class TestRuntimeSampler:
         g = s.sample_once()
         assert g["events_per_second_ewma"] == pytest.approx(130.0)
 
-    def test_cache_hit_rate_ewma(self):
-        clock = FakeClock()
-        s = RuntimeSampler(clock=clock)
-        state = {"hits": 0, "misses": 0}
-        s.add_source(
-            lambda: {
-                "precede_cache_hits": state["hits"],
-                "precede_cache_misses": state["misses"],
-            }
-        )
-        s.sample_once()
-        state.update(hits=75, misses=25)
-        clock.advance(1.0)
-        g = s.sample_once()
-        assert g["precede_cache_hit_rate_ewma"] == pytest.approx(0.75)
-
     def test_start_stop_thread(self):
         s = RuntimeSampler(interval=0.01)
         s.add_source(lambda: {"x": 1})
@@ -169,12 +153,9 @@ class TestSamplerSources:
         assert g == {}
 
     def test_detector_source_shadow_and_races(self):
-        class Shadow:
+        class Det:
             num_locations = 10
             num_accesses = 123
-
-        class Det:
-            shadow = Shadow()
             races = [1, 2]
 
         g = detector_source(Det())()

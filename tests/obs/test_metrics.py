@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.metrics import (
     Counter,
-    EpochWindowRatio,
     Histogram,
     MetricsRegistry,
 )
@@ -140,39 +139,20 @@ class TestInterpolatedQuantiles:
             h.quantile(1.5)
 
 
-class TestEpochWindowRatio:
-    def test_windows_key_by_epoch_div_window(self):
-        r = EpochWindowRatio(window=10)
-        r.observe(0, True)
-        r.observe(9, False)
-        r.observe(10, True)
-        d = r.as_dict()
-        assert d["window"] == 10
-        assert [w["epoch_start"] for w in d["windows"]] == [0, 10]
-        assert d["windows"][0]["rate"] == pytest.approx(0.5)
-        assert d["windows"][1]["rate"] == pytest.approx(1.0)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            EpochWindowRatio(window=0)
-
-
 class TestMetricsRegistry:
     def test_create_on_first_use_and_identity(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
         assert reg.histogram("h", (1, 2)) is reg.histogram("h")
-        assert reg.epoch_ratio("r") is reg.epoch_ratio("r")
 
     def test_as_dict_sections(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
         reg.histogram("h", (1,)).observe(1)
-        reg.epoch_ratio("r").observe(0, True)
         d = reg.as_dict()
+        assert set(d) == {"counters", "histograms"}
         assert d["counters"] == {"c": 1}
         assert d["histograms"]["h"]["count"] == 1
-        assert d["epoch_windows"]["r"]["windows"][0]["total"] == 1
 
     def test_write_json_round_trip(self, tmp_path):
         reg = MetricsRegistry()

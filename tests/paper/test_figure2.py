@@ -15,7 +15,8 @@ from repro.graph import EdgeKind, GraphBuilder, ReachabilityClosure, to_dot
 @pytest.fixture(scope="module")
 def figure2():
     gb = GraphBuilder()
-    det = DeterminacyRaceDetector()
+    # The reference engine: the test reads its object graph's P sets.
+    det = DeterminacyRaceDetector(engine="object")
     result = run_figure2([gb, det])
     return result, gb.graph, ReachabilityClosure(gb.graph), det
 

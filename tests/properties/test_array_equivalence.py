@@ -1,23 +1,28 @@
-"""Flat-array engine ≡ object-graph engine, under fuzzing.
+"""The one kernel ≡ the reference engine, under fuzzing.
 
-Three properties over 200 generated programs (ALGORITHM.md §13):
+Properties over 200 generated programs (ALGORITHM.md §12, §13), each
+against the reference engine (``engine="object"``: the object DTRG plus
+``ShadowMemory``) replaying the recorded trace:
 
-1. **Query equivalence** — ``ArrayDTRG.precede()`` (driven as the
-   detector's ``engine="array"``) is bit-equivalent to the object DTRG
-   on *every* task pair of the finished graph.
-2. **Fast-path equivalence** — ``check_trace_fast`` over the batched
-   ``EncodedTrace`` reproduces the sequential replay byte-for-byte:
-   same ``summary()``, same race list in the same order, same racy
-   locations, same invariant ``DetectorPerf`` counters, same
-   ``#AvgReaders``.
-3. **Sharded equivalence** — ``check_trace_parallel`` at jobs ∈
+1. **Live equivalence** — the default detector, attached to the running
+   ``Runtime``, reports what the reference engine attached to the same
+   run reports: the same ``summary()`` with live task names, the same
+   race list in the same order, the same invariant ``DetectorPerf``
+   counters and ``num_visits``, the same ``#AvgReaders``.
+2. **Replay equivalence** — the default detector under ``replay_trace``
+   matches the reference replay the same way, with ``dedupe`` on and
+   off.
+3. **Query equivalence** — the kernel's ``ArrayDTRG`` is bit-equivalent
+   to the object DTRG on *every* task pair of the finished graph.
+4. **Fast-path equivalence** — ``check_trace_fast`` over the recorded
+   columns reproduces the reference replay byte-for-byte.
+5. **Sharded equivalence** — ``check_trace_parallel`` at jobs ∈
    {1, 2, 4} (the same kernel, split by location) stays byte-identical
-   to the sequential replay.
+   to the reference replay.
 
-The internal verdict memo in ``ArrayDTRG`` and the inlined shadow loops
-in ``fastcheck`` are exactly the machinery these sweeps exist to keep
-honest: any verdict or counter drift shows up as a seed-numbered
-counterexample.
+The verdict memo both graphs keep and the inlined shadow loops of the
+kernel are exactly the machinery these sweeps exist to keep honest: any
+verdict or counter drift shows up as a seed-numbered counterexample.
 """
 
 import random
@@ -36,7 +41,7 @@ BAND = 40
 JOBS = (1, 2, 4)
 INVARIANT_PERF = (
     "precede_queries", "mutation_epoch", "shadow_fast_hits",
-    "precede_calls_saved",
+    "precede_calls_saved", "num_visits",
 )
 
 
@@ -46,74 +51,84 @@ def _replay(trace, **options):
     return det
 
 
+def _perf(checked) -> dict:
+    return dict(checked.perf_stats, num_visits=checked.num_visits)
+
+
+def _assert_same(got, golden, what, seed, keys=INVARIANT_PERF):
+    assert got.summary() == golden.summary(), (
+        f"seed {seed}: {what} summary diverges")
+    assert [r.pair_key for r in got.races] == [
+        r.pair_key for r in golden.races], (
+        f"seed {seed}: {what} race order diverges")
+    assert got.racy_locations == golden.racy_locations
+    got_perf, golden_perf = _perf(got), _perf(golden)
+    for key in keys:
+        assert got_perf[key] == golden_perf[key], (
+            f"seed {seed}: {what} counter {key} diverges "
+            f"({got_perf[key]} vs {golden_perf[key]})")
+    assert abs(got.avg_readers - golden.avg_readers) < 1e-12, (
+        f"seed {seed}: {what} #AvgReaders diverges")
+
+
+class _Report:
+    """A detector seen through a check result's comparison surface, its
+    counters captured at construction."""
+
+    def __init__(self, det):
+        self.det = det
+        self.races = det.races
+        self.racy_locations = det.racy_locations
+        self.perf_stats = det.perf_stats
+        self.num_visits = det.dtrg.num_visits
+        self.avg_readers = det.avg_readers
+
+    def summary(self):
+        return self.det.report.summary()
+
+
 @pytest.mark.parametrize("band", range(0, NUM_SEEDS, BAND))
 def test_array_engine_equivalence_fuzz(band):
     racy_seeds = 0
     for seed in range(band, band + BAND):
+        program = random_program(random.Random(seed))
         rec = TraceRecorder()
-        run_program(random_program(random.Random(seed)), [rec])
+        live = DeterminacyRaceDetector()
+        live_ref = DeterminacyRaceDetector(engine="object")
+        run_program(program, [rec, live, live_ref])
+        assert live.engine == "array"
         trace = rec.trace
+        _assert_same(_Report(live), _Report(live_ref), "live kernel", seed)
 
-        golden = _replay(trace)
-        # Capture before the all-pairs sweeps below: every live-graph
-        # precede() bumps the query counters.
-        golden_summary = golden.report.summary()
-        golden_order = [r.pair_key for r in golden.races]
-        golden_perf = golden.perf_stats
-        racy_seeds += bool(golden_order)
+        golden = _Report(_replay(trace, engine="object"))
+        # Captured above, before the all-pairs sweep below: every
+        # live-graph precede() bumps the query counters.
+        racy_seeds += bool(golden.races)
 
-        arr = _replay(trace, engine="array")
-        assert arr.report.summary() == golden_summary, (
-            f"seed {seed}: array-engine summary diverges"
-        )
-        assert [r.pair_key for r in arr.races] == golden_order, (
-            f"seed {seed}: array-engine race order diverges"
-        )
-        assert arr.racy_locations == golden.racy_locations
-        arr_perf = arr.perf_stats
-        for key in INVARIANT_PERF:
-            assert arr_perf[key] == golden_perf[key], (
-                f"seed {seed}: array-engine counter {key} diverges "
-                f"({arr_perf[key]} vs {golden_perf[key]})"
-            )
+        arr = _replay(trace)
+        _assert_same(_Report(arr), golden, "replayed kernel", seed)
+        undeduped = _replay(trace, dedupe=False)
+        undeduped_ref = _replay(trace, engine="object", dedupe=False)
+        assert [r.pair_key for r in undeduped.races] == [
+            r.pair_key for r in undeduped_ref.races], (
+            f"seed {seed}: dedupe=False race list diverges")
+        assert len(undeduped.races) >= len(golden.races)
 
         fast = check_trace_fast(encode_trace(trace))
-        assert fast.summary() == golden_summary, (
-            f"seed {seed}: fastcheck summary diverges"
-        )
-        assert [r.pair_key for r in fast.races] == golden_order, (
-            f"seed {seed}: fastcheck race order diverges"
-        )
-        assert fast.racy_locations == golden.racy_locations
-        fast_perf = fast.perf_stats
-        for key in INVARIANT_PERF:
-            assert fast_perf[key] == golden_perf[key], (
-                f"seed {seed}: fastcheck counter {key} diverges "
-                f"({fast_perf[key]} vs {golden_perf[key]})"
-            )
-        assert abs(fast.avg_readers - golden.shadow.avg_readers) < 1e-12
+        _assert_same(fast, golden, "fastcheck", seed)
 
-        # All-pairs: live array graph vs live object graph.
+        # All-pairs: the kernel's array graph vs the live object graph.
         for a in arr.dtrg.keys:
             for b in arr.dtrg.keys:
-                assert arr.dtrg.precede(a, b) == golden.dtrg.precede(a, b), (
-                    f"seed {seed}: ArrayDTRG diverges on ({a}, {b})"
-                )
+                assert arr.dtrg.precede(a, b) == golden.det.dtrg.precede(
+                    a, b), f"seed {seed}: ArrayDTRG diverges on ({a}, {b})"
 
         for jobs in JOBS:
             result = check_trace_parallel(trace, jobs=jobs,
                                           backend="inline")
-            assert result.summary() == golden_summary, (
-                f"seed {seed} jobs={jobs}: summary diverges"
-            )
-            assert [r.pair_key for r in result.races] == golden_order, (
-                f"seed {seed} jobs={jobs}: race order diverges"
-            )
-            perf = result.perf_stats
-            for key in INVARIANT_PERF:
-                assert perf[key] == golden_perf[key], (
-                    f"seed {seed} jobs={jobs}: counter {key} diverges"
-                )
+            # num_visits is summed over shards, each with its own memo.
+            keys = INVARIANT_PERF if jobs == 1 else INVARIANT_PERF[:-1]
+            _assert_same(result, golden, f"jobs={jobs}", seed, keys)
     # A sweep where nothing races would vacuously pass the report
     # comparisons; every band is expected to surface racy programs.
     assert racy_seeds > 0

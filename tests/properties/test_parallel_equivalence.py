@@ -40,7 +40,7 @@ INVARIANT_PERF = (
 
 
 def _sequential(trace):
-    det = DeterminacyRaceDetector()
+    det = DeterminacyRaceDetector(engine="object")
     replay_trace(trace, [det])
     return det
 

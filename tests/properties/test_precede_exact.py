@@ -21,10 +21,12 @@ from repro.testing.generator import program_strategy, run_program
 
 class LoggingDetector(DeterminacyRaceDetector):
     """Detector that logs (queried_task, current_task, current_step, answer)
-    for every shadow-memory PRECEDE call."""
+    for every shadow-memory PRECEDE call.  It runs the reference engine,
+    which queries at each access; the kernel answers the same queries a
+    block later, and the equivalence sweeps hold it to these verdicts."""
 
     def __init__(self, graph_builder: GraphBuilder):
-        super().__init__()
+        super().__init__(engine="object")
         self._gb = graph_builder
         self.queries = []
         inner = self.dtrg.precede

@@ -112,7 +112,8 @@ def test_union_find_matches_naive_partition(n, ops):
 def test_dtrg_invariants_after_execution(program):
     from repro import DeterminacyRaceDetector
 
-    det = DeterminacyRaceDetector()
+    # The reference engine: the invariants are stated on the object graph.
+    det = DeterminacyRaceDetector(engine="object")
     gb = GraphBuilder()
     run_program(program, [gb, det])
     graph = gb.graph

@@ -52,9 +52,9 @@ def test_detector_matches_oracle_per_location(program):
         {"use_lsa": False},
         {"memoize_visit": False},
         {"use_intervals": False},
-        {"cache_precede": False},
-        {"cache_precede": True},
-        {"cache_precede": True, "use_lsa": False, "memoize_visit": False},
+        {"engine": "object"},
+        {"engine": "array"},
+        {"use_lsa": False, "memoize_visit": False},
     ],
 )
 def test_ablations_preserve_verdicts(options, program):

@@ -45,7 +45,7 @@ VARIANTS = [
 def _record(program, *, scoped, prov, extra=()):
     provenance = RaceProvenance() if prov else None
     recorder = TraceRecorder(provenance=provenance)
-    live = DeterminacyRaceDetector()
+    live = DeterminacyRaceDetector(engine="object")
     run_program(program, [recorder, live, *extra], scoped_handles=scoped,
                 provenance=provenance)
     return recorder.trace, live

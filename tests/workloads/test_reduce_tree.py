@@ -36,7 +36,7 @@ def test_purely_functional_no_shared_accesses():
     assert run.metrics.num_shared_accesses == 0
     assert run.metrics.num_tasks > 0
     assert run.metrics.num_nt_joins == 0  # every get by the spawning task
-    assert run.detector.shadow.num_locations == 0
+    assert run.detector.num_locations == 0
 
 
 def test_task_count_matches_tree_shape():
