@@ -5,7 +5,8 @@ Scenario: a tiled prefix-sum-style wavefront where the programmer forgot
 the *vertical* dependence — tiles wait for their left neighbor but not the
 one above.  The workflow shown:
 
-1. run once under the detector *with race provenance* → races reported
+1. run once under the detector, recording the trace *with race
+   provenance*, then explain the races from the trace → races reported
    with task names and source call sites, plus a non-ordering witness
    per race explaining why PRECEDE answered false;
 2. write the self-contained HTML report (the artifact you would attach
@@ -23,7 +24,10 @@ import tempfile
 
 from repro import DeterminacyRaceDetector, Runtime, SharedMatrix, SharedNDArray
 from repro.graph import GraphBuilder, ReachabilityClosure
-from repro.obs import RaceProvenance, render_html_report, render_witness_text
+from repro.memory.tracer import TraceRecorder
+from repro.obs import (
+    RaceProvenance, explain_races, render_html_report, render_witness_text,
+)
 from repro.runtime.parallel import demonstrate_nondeterminism
 
 import numpy as np
@@ -57,25 +61,30 @@ def wavefront(rt, grid, handles, *, wait_above: bool):
 
 
 def run(wait_above: bool, provenance=None):
-    det = DeterminacyRaceDetector(provenance=provenance)
+    det = DeterminacyRaceDetector()
     gb = GraphBuilder()
-    rt = Runtime(observers=[det, gb], provenance=provenance)
+    recorder = TraceRecorder(provenance)
+    rt = Runtime(observers=[recorder, det, gb], provenance=provenance)
     grid = SharedNDArray(rt, "grid",
                          np.arange(N * N, dtype=np.int64).reshape(N, N))
     handles = SharedMatrix(rt, "handles", N_TILES, N_TILES)
     rt.run(lambda _rt: wavefront(rt, grid, handles, wait_above=wait_above))
-    return det, gb.graph, grid
+    return det, recorder.trace, gb.graph, grid
 
 
 def main() -> None:
     print("=== step 1: run the buggy version with race provenance ===")
     prov = RaceProvenance()
-    det, graph, _ = run(wait_above=False, provenance=prov)
+    det, trace, graph, _ = run(wait_above=False, provenance=prov)
+    # One pass over the recorded trace, stopping at each race's access
+    # row, gives every race its call sites and its witness.
+    races, witnesses = explain_races(trace, det.races, det.race_rows)
+    det.report.races[:] = races
     print(det.report.summary())  # each race now carries its call sites
     assert det.report.has_races
     assert all(r.prev_site and r.current_site for r in det.report)
     print("\nwhy the first pair is unordered (non-ordering certificate):")
-    print(render_witness_text(det.witnesses[0]))
+    print(render_witness_text(witnesses[0]))
 
     print("\n=== step 2: write the shareable HTML report ===")
     with tempfile.NamedTemporaryFile(
@@ -84,7 +93,7 @@ def main() -> None:
         fh.write(render_html_report(
             program="examples/race_debugging.py (buggy wavefront)",
             report=det.report,
-            witnesses=det.witnesses,
+            witnesses=witnesses,
             provenance=prov,
         ))
         print(f"HTML race report written to {fh.name}")
@@ -102,7 +111,7 @@ def main() -> None:
         print("  -", diff)
 
     print("\n=== step 4: add the missing vertical get() and re-run ===")
-    det, graph, grid = run(wait_above=True)
+    det, _, graph, grid = run(wait_above=True)
     print(det.report.summary())
     assert not det.report.has_races
     print("fixed wavefront result (race-free => deterministic):")

@@ -18,7 +18,8 @@ Engines
 ``object``  (alias ``dtrg``)
     :class:`repro.core.reachability.DynamicTaskReachabilityGraph` — the
     paper's Algorithms 1–10.  The reference implementation; the only
-    engine with ablation switches, observability and witnesses.
+    engine with ablation switches and observability, and the graph
+    :func:`repro.obs.provenance.explain_races` certifies witnesses on.
 ``vc``
     :class:`repro.core.vc_backend.VectorClockBackend` — future-aware
     per-task vector clocks (cf. Kumar et al., arXiv:2112.04352) that

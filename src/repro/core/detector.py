@@ -87,8 +87,8 @@ class DeterminacyRaceDetector(ExecutionObserver):
         ``"array"`` (default): the kernel over the flat-array DTRG.
         ``"object"``/``"dtrg"``: the reference engine, the object DTRG
         plus :class:`~repro.core.shadow.ShadowMemory`; it is selected
-        automatically when ``obs``, ``provenance`` or an ablation switch
-        is given, because only it carries per-access hooks and witnesses.
+        automatically when ``obs`` or an ablation switch is given,
+        because only it carries per-access hooks.
         ``"vc"``: future-aware vector clocks behind ``ShadowMemory``
         (:mod:`repro.core.backend`).  All engines produce bit-identical
         race lists.
@@ -101,16 +101,6 @@ class DeterminacyRaceDetector(ExecutionObserver):
         object leaves every hot path on the uninstrumented code —
         structural counters and verdicts are bit-identical either way
         (pinned by ``tests/integration/test_obs_integration.py``).
-    provenance:
-        Optional :class:`repro.obs.provenance.RaceProvenance` (the same
-        object attached to the runtime / replay).  When enabled, each
-        reported race carries the two accesses' call-site labels and a
-        machine-checkable :class:`~repro.obs.provenance.RaceWitness`
-        (non-ordering certificate built by
-        :meth:`DynamicTaskReachabilityGraph.explain_precede`) is appended
-        to :attr:`witnesses`.  ``None`` (default) changes nothing: the
-        certificate builder bumps no DTRG counters and touches no memo,
-        so structural counters stay bit-identical.
 
     Attributes
     ----------
@@ -126,9 +116,12 @@ class DeterminacyRaceDetector(ExecutionObserver):
     shadow:
         The :class:`~repro.core.shadow.ShadowMemory` (not on the kernel,
         whose shadow state is columns inside the kernel).
-    witnesses:
-        :class:`~repro.obs.provenance.RaceWitness` list, parallel to the
-        deduplicated races (empty unless ``provenance`` is attached).
+    race_rows:
+        ``race_rows[i]`` is the access-row ordinal (the count of reads and
+        writes before it) of the access that reported ``races[i]``; with a
+        recorded trace of the run,
+        :func:`repro.obs.provenance.explain_races` turns the races into
+        sited races and witnesses.
     """
 
     def __init__(
@@ -141,7 +134,6 @@ class DeterminacyRaceDetector(ExecutionObserver):
         use_intervals: bool = True,
         engine: str = "array",
         obs=None,
-        provenance=None,
     ) -> None:
         if isinstance(policy, str):
             policy = ReportPolicy(policy)
@@ -150,19 +142,8 @@ class DeterminacyRaceDetector(ExecutionObserver):
         self.obs = (
             obs if obs is not None and getattr(obs, "enabled", False) else None
         )
-        self.witnesses: list = []
-        if provenance is not None and getattr(provenance, "enabled", False):
-            # Local import: the provenance module is outside the detector's
-            # hot-path dependency set and only needed when attached.
-            from repro.obs.provenance import RaceWitness
-
-            self.provenance = provenance
-            self._witness_cls = RaceWitness
-        else:
-            self.provenance = None
-            self._witness_cls = None
         plain = (use_lsa and memoize_visit and use_intervals
-                 and self.obs is None and self.provenance is None)
+                 and self.obs is None)
         if engine == "array" and not plain:
             engine = "object"
         self.engine = engine
@@ -170,15 +151,15 @@ class DeterminacyRaceDetector(ExecutionObserver):
             self._init_kernel(dedupe)
             return
         self.report = RaceReport(dedupe=dedupe)
+        self.race_rows: list = []
         if engine == "vc":
             # Future-aware vector clocks implement only the paper's
-            # default query strategy and carry neither the observability
-            # hooks nor the explain_precede witness builder.
+            # default query strategy and carry no observability hooks.
             if not plain:
                 raise ValueError(
                     "engine='vc' implements the default query strategy "
-                    "only and supports no observability or provenance "
-                    "attachment; use engine='object'"
+                    "only and supports no observability attachment; use "
+                    "engine='object'"
                 )
             from repro.core.vc_backend import VectorClockBackend
 
@@ -202,10 +183,6 @@ class DeterminacyRaceDetector(ExecutionObserver):
         )
         if self.obs is not None:
             self.shadow.attach_observability(self.obs)
-        if self.provenance is not None:
-            # After attach_observability so the provenance wrapper composes
-            # around the traced twins when both layers are on.
-            self.shadow.attach_provenance(self.provenance)
         self._counts = self.shadow
         self._names: dict[int, str] = {}
         #: tid -> "future-covered": the task is a future or has a future
@@ -225,6 +202,7 @@ class DeterminacyRaceDetector(ExecutionObserver):
         them before ``on_init``)."""
         result = CheckResult(dedupe)
         self.report = result.report
+        self.race_rows = result.race_rows
         self.dtrg = result.dtrg = ArrayDTRG()
         self._counts = result
         enc = EncodedTrace()
@@ -406,12 +384,6 @@ class DeterminacyRaceDetector(ExecutionObserver):
     def _report_race(
         self, kind: str, prev: int, cur: int, loc: Hashable
     ) -> None:
-        prov = self.provenance
-        prev_site = current_site = witness_id = None
-        if prov is not None:
-            prev_site = prov.site_label(self.shadow.stored_site(kind, prev, loc))
-            current_site = prov.site_label(prov.current_site)
-            witness_id = f"w{len(self.witnesses)}"
         race = Race(
             loc=loc,
             kind=_KIND[kind],
@@ -419,28 +391,12 @@ class DeterminacyRaceDetector(ExecutionObserver):
             current_task=cur,
             prev_name=self._names.get(prev, ""),
             current_name=self._names.get(cur, ""),
-            prev_site=prev_site,
-            current_site=current_site,
-            witness_id=witness_id,
         )
-        added = self.report.add(race)
-        if added and prov is not None:
-            # Build the non-ordering certificate for PRECEDE(prev, cur) =
-            # false.  explain_precede is read-only (no counters, no memo),
-            # so witness construction never perturbs detection state.
-            self.witnesses.append(self._witness_cls(
-                witness_id=witness_id,
-                loc=loc,
-                kind=kind,
-                prev_task=prev,
-                current_task=cur,
-                prev_name=self._names.get(prev, ""),
-                current_name=self._names.get(cur, ""),
-                prev_site=prev_site,
-                current_site=current_site,
-                certificate=self.dtrg.explain_precede(prev, cur),
-            ))
-        if added and self.obs is not None:
+        if not self.report.add(race):
+            return
+        # The racing access is the one the shadow memory just counted.
+        self.race_rows.append(self.shadow.num_accesses - 1)
+        if self.obs is not None:
             self.obs.on_race(kind, prev, cur, loc)
-        if added and self.policy is ReportPolicy.RAISE:
+        if self.policy is ReportPolicy.RAISE:
             raise RaceError(race)

@@ -23,7 +23,7 @@ The shadow state is the structure-of-arrays form of
 location id:
 
 * ``writers[loc]`` — last writing task index (``-1`` none),
-* ``readers[loc]`` — retained parallel-reader index list (``None`` until
+* ``readers[loc]`` — stored parallel-reader index list (``None`` until
   first read; at most one plain-async member plus every future-covered
   member, exactly the Lemma 4 policy),
 * ``fast_reader[loc]`` / ``fast_epoch[loc]`` — the epoch-memoized
@@ -44,8 +44,9 @@ amortized over whole blocks (the access inner loop never tests event
 (``structure_seconds`` vs ``access_seconds``) falls out of timestamping
 block boundaries instead of single events.
 
-Provenance sites recorded in the trace ride along: races carry the two
-accesses' site labels (witness *certificates* are reference-engine-only).
+Races leave the kernel without call sites: ``race_rows`` records each
+race's access-row ordinal, and :func:`repro.obs.provenance.explain_races`
+attaches sites and witnesses afterwards, by one pass over the columns.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class CheckResult:
     (:func:`repro.core.parallel_check.check_trace_parallel`), duck-typed
     like the sequential detector where the harness/CLI consume it
     (``report``, ``races``, ``racy_locations``, ``perf_stats``,
-    ``avg_readers``, ``summary()``, ``witnesses``).  The live detector
+    ``avg_readers``, ``summary()``).  The live detector
     keeps one too.
 
     ``dtrg`` is the live :class:`ArrayDTRG` of a fast check (``None`` for a
@@ -98,8 +99,6 @@ class CheckResult:
         self.backend = "inline"
         #: Per-shard ``{"shard", "events", "races", "seconds"}`` rows.
         self.shards: List[dict] = []
-        #: Always empty: witness certificates are reference-engine-only.
-        self.witnesses: List = []
         self.num_tasks = 0
         self.num_events = 0
         self.num_access_events = 0
@@ -213,20 +212,10 @@ def _kernel(
     add_race = result.report.add
     race_rows = result.race_rows
     locs = enc.locs
-    sites = enc.access_sites
-    retain = sites is not None
-    read_sites: Dict[int, Dict[int, Optional[str]]] = {}
-    write_sites: Dict[int, tuple] = {}
     base = 0  # access rows dropped before the current columns
 
     def _report(kind: str, prev: int, cur: int, lid: int, row: int) -> None:
-        # Rare path: build the Race exactly as the reference engine
-        # would, plus the two accesses' recorded sites.
-        if kind == "read-write":
-            prev_site = read_sites.get(lid, {}).get(prev)
-        else:
-            ws = write_sites.get(lid)
-            prev_site = ws[1] if ws is not None and ws[0] == prev else None
+        # Rare path: build the Race exactly as the reference engine would.
         race = Race(
             loc=locs[lid],
             kind=_KIND[kind],
@@ -234,8 +223,6 @@ def _kernel(
             current_task=task_keys[cur],
             prev_name=names_list[prev],
             current_name=names_list[cur],
-            prev_site=prev_site,
-            current_site=sites[row] if retain else None,
         )
         if add_race(race):
             race_rows.append(base + row)
@@ -366,8 +353,6 @@ def _kernel(
                             _report("write-write", w, task, lid,
                                     (j - 3) // 3)
                         writers[lid] = task
-                    if retain:
-                        write_sites[lid] = (task, sites[(j - 3) // 3])
                     continue
                 # --------------------- Algorithm 9: read -------------- #
                 if rl:
@@ -378,22 +363,12 @@ def _kernel(
                         # reflexive retire-and-reappend.
                         fast_read += 1
                         saved += 1
-                        if retain:
-                            rs = read_sites.get(lid)
-                            if rs is None:
-                                read_sites[lid] = rs = {}
-                            rs[task] = sites[(j - 3) // 3]
                         continue
                     if fast_reader[lid] == task and fast_epoch[lid] == cur_epoch:
                         # Epoch memo: pure replay of this task's last
                         # clean check against an unmutated DTRG.
                         fast_read += 1
                         saved += nr + (0 if w < 0 or w == task else 1)
-                        if retain:
-                            rs = read_sites.get(lid)
-                            if rs is None:
-                                read_sites[lid] = rs = {}
-                            rs[task] = sites[(j - 3) // 3]
                         continue
                     update = False
                     tif = covered[task]
@@ -419,21 +394,11 @@ def _kernel(
                         readers[lid] = [task]
                     else:
                         rl.append(task)
-                    if retain:
-                        rs = read_sites.get(lid)
-                        if rs is None:
-                            read_sites[lid] = rs = {}
-                        rs[task] = sites[(j - 3) // 3]
                     continue
                 else:
                     if fast_reader[lid] == task and fast_epoch[lid] == cur_epoch:
                         fast_read += 1
                         saved += 1  # the skipped writer check
-                        if retain:
-                            rs = read_sites.get(lid)
-                            if rs is None:
-                                read_sites[lid] = rs = {}
-                            rs[task] = sites[(j - 3) // 3]
                         continue
                     update = True  # deviation: record the first reader
                 raced = False
@@ -450,11 +415,6 @@ def _kernel(
                 else:
                     fast_reader[lid] = task
                     fast_epoch[lid] = cur_epoch
-                if retain:
-                    rs = read_sites.get(lid)
-                    if rs is None:
-                        read_sites[lid] = rs = {}
-                    rs[task] = sites[(j - 3) // 3]
             access_seconds += perf_counter() - t_blk
         else:
             for t in structure[si:si + n_run]:

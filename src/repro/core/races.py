@@ -49,13 +49,13 @@ class Race:
     ``prev_task``/``current_task`` are task ids; ``prev_name`` and
     ``current_name`` carry the human-readable task names for messages.
 
-    The provenance fields are inert by default (``None``): when the run
-    carries a :class:`repro.obs.provenance.RaceProvenance`, the detector
-    fills ``prev_site``/``current_site`` with the two accesses' call-site
-    labels and ``witness_id`` with the id of the matching
-    :class:`~repro.obs.provenance.RaceWitness` in ``detector.witnesses``.
-    They are excluded from equality and from :attr:`pair_key`, so race
-    identity and deduplication are unchanged either way.
+    The provenance fields are inert (``None``) as checkers report races:
+    :func:`repro.obs.provenance.explain_races` returns copies with
+    ``prev_site``/``current_site`` set to the two accesses' call-site
+    labels and ``witness_id`` to the id of the matching
+    :class:`~repro.obs.provenance.RaceWitness`.  They are excluded from
+    equality and from :attr:`pair_key`, so race identity and
+    deduplication are unchanged either way.
     """
 
     loc: Hashable

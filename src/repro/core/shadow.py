@@ -73,7 +73,7 @@ class ShadowCell:
     """Shadow state of one shared memory location."""
 
     __slots__ = ("writer", "readers", "reader_ids", "fast_reader",
-                 "fast_epoch", "write_site", "read_sites")
+                 "fast_epoch")
 
     def __init__(self) -> None:
         self.writer: Optional[int] = None
@@ -84,11 +84,6 @@ class ShadowCell:
         self.fast_reader: Optional[int] = None
         #: DTRG mutation epoch at which ``fast_reader`` was recorded.
         self.fast_epoch: int = -1
-        #: Provenance retention (populated only via attach_provenance):
-        #: ``(writer_tid, site_id)`` of the stored write and
-        #: ``{reader_tid: site_id}`` of each task's latest read.
-        self.write_site: Optional[tuple] = None
-        self.read_sites: Optional[Dict[int, int]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShadowCell(w={self.writer}, r={self.readers})"
@@ -169,79 +164,19 @@ class ShadowMemory:
         """
         if obs is None or not getattr(obs, "enabled", False):
             return
-        self._guard_attach("attach_observability")
-        self._obs = obs
-        self.read = self._traced_read
-        self.write = self._traced_write
-
-    def attach_provenance(self, prov) -> None:
-        """Retain the call site of each stored access (race provenance).
-
-        Null-object protocol like :meth:`attach_observability`: ``None``
-        or a disabled provenance object leaves the access checks alone.
-        When enabled, :meth:`read`/:meth:`write` are wrapped (composing
-        with any already-installed traced twins) so that after the plain
-        check runs, the cell remembers which site produced the stored
-        writer / each stored reader — the detector reads these back when
-        it attributes ``Race.prev_site``.  The wrapper runs *after* the
-        check, so races reported during the check see the sites of the
-        *previous* accesses, exactly the retained step pair.
-
-        Like :meth:`attach_observability`, attaching after any access has
-        been checked raises :class:`~repro.runtime.errors.RuntimeStateError`
-        (instance-attribute rebinding is not safe mid-flight, and earlier
-        retentions would lack sites).
-        """
-        if prov is None or not getattr(prov, "enabled", False):
-            return
-        self._guard_attach("attach_provenance")
-        inner_read, inner_write = self.read, self.write
-        cells = self._cells
-
-        def prov_read(task: int, loc: Hashable) -> None:
-            inner_read(task, loc)
-            cell = cells[loc]
-            if cell.read_sites is None:
-                cell.read_sites = {}
-            cell.read_sites[task] = prov.current_site
-
-        def prov_write(task: int, loc: Hashable) -> None:
-            inner_write(task, loc)
-            cells[loc].write_site = (task, prov.current_site)
-
-        self.read = prov_read
-        self.write = prov_write
-
-    def _guard_attach(self, what: str) -> None:
         if self._cells or self.num_accesses:
             from repro.runtime.errors import RuntimeStateError
 
             raise RuntimeStateError(
-                f"{what} after accesses were checked: attach hooks at "
-                "construction time, before the shadow memory observes any "
-                "access (rebinding the access checks mid-flight is unsafe "
-                "under a concurrent runtime and would leave earlier "
-                "accesses uninstrumented)"
+                "attach_observability after accesses were checked: attach "
+                "hooks at construction time, before the shadow memory "
+                "observes any access (rebinding the access checks "
+                "mid-flight is unsafe under a concurrent runtime and would "
+                "leave earlier accesses uninstrumented)"
             )
-
-    def stored_site(self, kind: str, prev: int, loc: Hashable) -> int:
-        """Site id retained for the *previous* access of a race.
-
-        ``kind`` is the race kind string: for ``read-write`` the previous
-        access is ``prev``'s stored read, otherwise ``prev``'s stored
-        write.  Returns 0 (unknown) when provenance never attached or the
-        retention predates attachment.
-        """
-        cell = self._cells.get(loc)
-        if cell is None:
-            return 0
-        if kind == "read-write":
-            sites = cell.read_sites
-            return sites.get(prev, 0) if sites else 0
-        ws = cell.write_site
-        if ws is not None and ws[0] == prev:
-            return ws[1]
-        return 0
+        self._obs = obs
+        self.read = self._traced_read
+        self.write = self._traced_write
 
     def _traced_read(self, task: int, loc: Hashable) -> None:
         from time import perf_counter_ns

@@ -62,9 +62,10 @@ class TraceRecorder(ExecutionObserver):
     With a :class:`repro.obs.provenance.RaceProvenance` attached (the same
     object given to the runtime, whose adapter observer runs first), the
     spawn/get/read/write events additionally carry the provenance call-site
-    label, so a replayed trace can attribute races to source sites without
-    re-running the program.  The hooks that record sites are defined only
-    then, so the default hooks stay branch-free.
+    label, so :func:`repro.obs.provenance.explain_races` can attribute
+    races to source sites without re-running the program.  The hooks that
+    record sites are defined only then, so the default hooks stay
+    branch-free.
     """
 
     def __init__(self, provenance=None) -> None:
@@ -124,8 +125,6 @@ class _ReplayScope:
 def replay_trace(
     trace: Trace | Iterable[Event],
     observers: Sequence[ExecutionObserver],
-    *,
-    provenance=None,
 ) -> None:
     """Feed a recorded event stream to ``observers``.
 
@@ -138,14 +137,9 @@ def replay_trace(
     The replay re-synthesizes the implicit bracket that
     :meth:`Runtime.run` emits: the main task and the root finish at the
     start; root finish end, main's task end, and shutdown at the end.
-
-    ``provenance`` (a :class:`repro.obs.provenance.RaceProvenance`)
-    re-adopts the ``site`` labels recorded in the events before each
-    dispatch, so a detector replaying a provenance-recorded trace
-    attributes races exactly as the live run would.  Events recorded
-    without provenance (or pickled before the field existed) replay with
-    unknown sites; the default ``None`` keeps the dispatch closures
-    branch-free (this loop is the detector benchmarks' inner loop).
+    Recorded call sites are not replayed: a detector reports races and
+    their ``race_rows``, and :func:`repro.obs.provenance.explain_races`
+    reads the sites from the trace's columns.
     """
     main = _ReplayTask(0, is_future=False, parent=None, ief=None)
     root = _ReplayScope(0, owner=main, enclosing=None)
@@ -201,47 +195,6 @@ def replay_trace(
         scope = scopes[event.fid]
         for ob in observers:
             ob.on_finish_end(scope)
-
-    prov = (
-        provenance
-        if provenance is not None and getattr(provenance, "enabled", False)
-        else None
-    )
-    if prov is not None:
-        # Provenance-aware shadows: adopt the recorded site, register the
-        # spawn site, then dispatch.  Defined only when requested so the
-        # default replay closures stay branch-free.
-        note = prov.note_replay_site
-
-        def replay_read(event: ReadEvent) -> None:  # noqa: F811
-            note(getattr(event, "site", None))
-            task = tasks[event.task]
-            for ob in observers:
-                ob.on_read(task, event.loc)
-
-        def replay_write(event: WriteEvent) -> None:  # noqa: F811
-            note(getattr(event, "site", None))
-            task = tasks[event.task]
-            for ob in observers:
-                ob.on_write(task, event.loc)
-
-        def replay_task_create(event: TaskCreateEvent) -> None:  # noqa: F811
-            note(getattr(event, "site", None))
-            prov.spawn_sites[event.child] = prov.current_site
-            parent = tasks[event.parent]
-            ief = scopes[event.ief] if event.ief >= 0 else None
-            child = _ReplayTask(event.child, event.is_future, parent, ief)
-            tasks[event.child] = child
-            if ief is not None:
-                ief.joins.append(child)
-            for ob in observers:
-                ob.on_task_create(parent, child)
-
-        def replay_get(event: GetEvent) -> None:  # noqa: F811
-            note(getattr(event, "site", None))
-            consumer, producer = tasks[event.consumer], tasks[event.producer]
-            for ob in observers:
-                ob.on_get(consumer, producer)
 
     handlers = {
         ReadEvent: replay_read,

@@ -31,9 +31,10 @@ al. (*DePa*):
 * :mod:`repro.obs.provenance` — race provenance: a bounded access-site
   flight recorder (:class:`RaceProvenance`) attributing every spawn /
   ``get`` / read / write to its source call site, and machine-checkable
-  :class:`RaceWitness` certificates reconstructed from the DTRG that
-  explain *why* two accesses are unordered (interval labels, set
-  representatives, the LSA chain and the exhausted VISIT frontier);
+  :class:`RaceWitness` certificates, rebuilt after the check by one pass
+  over the recorded columns (:func:`explain_races`), that explain *why*
+  two accesses are unordered (interval labels, set representatives, the
+  LSA chain and the exhausted VISIT frontier);
 * :mod:`repro.obs.report_html` — self-contained HTML race reports
   (``repro-racecheck --html``) combining races, witnesses, the flight
   recorder tail and a witness-overlaid DOT graph;
@@ -73,6 +74,7 @@ from repro.obs.provenance import (
     RaceProvenance,
     RaceWitness,
     confirm_witness,
+    explain_races,
     render_witness_text,
     witness_report_data,
 )
@@ -94,6 +96,7 @@ __all__ = [
     "RaceWitness",
     "RingTracer",
     "confirm_witness",
+    "explain_races",
     "render_witness_text",
     "render_html_report",
     "witness_report_data",

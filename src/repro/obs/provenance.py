@@ -7,8 +7,7 @@ no steps and the runtime keeps no source positions, so the user cannot see
 This module adds both, strictly opt-in:
 
 * :class:`RaceProvenance` — a bounded **access-site flight recorder**.
-  Attached to a :class:`~repro.runtime.runtime.Runtime` (or a trace
-  replay) it tags every spawn / ``get()`` / read / write with a lightweight
+  Attached to a :class:`~repro.runtime.runtime.Runtime` it tags every spawn / ``get()`` / read / write with a lightweight
   call-site label (``file:line (function)``), interned into a bounded
   :class:`SiteTable`, and keeps a fixed-size ring of the most recent
   accesses.  Nothing here touches a hot path when the object is absent:
@@ -18,13 +17,20 @@ This module adds both, strictly opt-in:
   :mod:`repro.obs.hooks`, gated by ``bench_obs_overhead.py``).
 
 * :class:`RaceWitness` — a machine-checkable **non-ordering certificate**
-  for one race, built by the detector from
+  for one race, from
   :meth:`~repro.core.reachability.DynamicTaskReachabilityGraph.explain_precede`:
   both tasks' ``(pre, post)`` interval labels, their set representatives
   and members, the level-0 checks that failed, the LSA chain walked, and
   the VISIT frontier that was exhausted without reaching the predecessor.
   :func:`confirm_witness` cross-validates a witness against the
   brute-force computation graph (``racecheck --verify-witness``).
+
+* :func:`explain_races` — the one witness builder.  No checker keeps
+  sites or builds certificates while it runs; every path (the live
+  kernel, the reference engine, ``check_trace_fast``, each ``--jobs``
+  shard) reports its races with their access-row ordinals
+  (``race_rows``), and one pass over the recorded columns afterwards
+  attaches both accesses' call sites and the certificates.
 
 * Renderers — :func:`render_witness_text` for terminals and
   :func:`witness_report_data` for the schema-validated JSON document
@@ -38,10 +44,22 @@ from __future__ import annotations
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.events import ExecutionObserver
+from repro.core.events import (
+    OP_FINISH_START,
+    OP_GET,
+    OP_TASK_CREATE,
+    OP_TASK_END,
+    RUN_ACCESS,
+    EncodedTrace,
+    ExecutionObserver,
+    Trace,
+    encode_trace,
+)
+from repro.core.races import AccessKind, Race
+from repro.core.reachability import DynamicTaskReachabilityGraph
 
 __all__ = [
     "SiteTable",
@@ -50,6 +68,7 @@ __all__ = [
     "WITNESS_SCHEMA",
     "WITNESS_REPORT_SCHEMA",
     "confirm_witness",
+    "explain_races",
     "render_witness_text",
     "witness_report_data",
 ]
@@ -92,21 +111,6 @@ class SiteTable:
         sid = len(self._labels)
         self._ids[key] = sid
         self._labels.append(f"{_shorten(filename)}:{lineno} ({function})")
-        return sid
-
-    def intern_label(self, label: Optional[str]) -> int:
-        """Intern a pre-formatted label (trace-replay path)."""
-        if not label:
-            return SITE_UNKNOWN
-        sid = self._ids.get(label)
-        if sid is not None:
-            return sid
-        if len(self._labels) > self.capacity:
-            self.num_dropped += 1
-            return SITE_UNKNOWN
-        sid = len(self._labels)
-        self._ids[label] = sid
-        self._labels.append(label)
         return sid
 
     def label(self, sid: int) -> str:
@@ -170,9 +174,10 @@ class _ProvenanceObserver(ExecutionObserver):
 class RaceProvenance:
     """Opt-in, bounded access-site flight recorder.
 
-    Attach with ``Runtime(observers=[...], provenance=prov)`` and
-    ``DeterminacyRaceDetector(provenance=prov)``; replays attach via
-    ``replay_trace(trace, observers, provenance=prov)``.
+    Attach with ``Runtime(observers=[...], provenance=prov)`` and record
+    the run with ``TraceRecorder(provenance=prov)``: the recorder stores
+    each access's site label in the columns, where :func:`explain_races`
+    reads it back.
 
     Parameters
     ----------
@@ -223,10 +228,6 @@ class RaceProvenance:
         self.current_site = sid
         self.num_events += 1
         self.ring.append(("get", consumer_tid, producer_tid, sid))
-
-    def note_replay_site(self, label: Optional[str]) -> None:
-        """Trace-replay path: adopt the site label recorded in the event."""
-        self.current_site = self.sites.intern_label(label)
 
     # -- lookups -------------------------------------------------------- #
     def site_label(self, sid: int) -> Optional[str]:
@@ -363,6 +364,122 @@ def confirm_witness(witness: RaceWitness, graph, closure=None) -> bool:
             if closure.parallel(a.step, b.step):
                 return True
     return False
+
+
+def explain_races(
+    columns: "EncodedTrace | Trace",
+    races: Sequence[Race],
+    race_rows: Sequence[int],
+) -> Tuple[List[Race], List[RaceWitness]]:
+    """Attach call sites and non-ordering certificates to reported races.
+
+    ``races`` is any checker's race list and ``race_rows[i]`` the
+    access-row ordinal of the access that reported ``races[i]`` in
+    ``columns``, the recorded trace of the same run.  One pass over the
+    columns applies each structure run to an object
+    :class:`~repro.core.reachability.DynamicTaskReachabilityGraph`, as
+    the kernel applies it to its ``ArrayDTRG``, and stops at each race's
+    row to ask :meth:`explain_precede(prev, cur)`: the graph is then in
+    the state the checker queried.
+
+    The current site is the row's own recorded site.  The previous site
+    is that of the latest earlier row by ``prev`` on the location with
+    the witnessed kind (a read for ``read-write``, a write otherwise):
+    the access the shadow cell retained when the race was reported.
+    Sites are ``None`` when the run was recorded without provenance.
+
+    Returns ``(races_with_sites, witnesses)``, both in the order of
+    ``races``; race ``i`` and its witness carry ``witness_id`` ``w<i>``.
+    Raises ``ValueError`` if a row lies beyond the recorded accesses.
+    """
+    enc = columns if isinstance(columns, EncodedTrace) else encode_trace(columns)
+    keys, acc, sites = enc.task_keys, enc.access, enc.access_sites
+    index = {key: idx for idx, key in enumerate(keys)}
+    # (is_write, task index, loc id) of each race's previous access.
+    prev_rows = [
+        (race.kind is not AccessKind.READ_WRITE, index[race.prev_task],
+         enc.loc_index[race.loc])
+        for race in races
+    ]
+    watched = {lid for _w, _t, lid in prev_rows}
+    latest: Dict[tuple, int] = {}  # (is_write, task, loc) -> latest row
+    tracked = 0  # rows below this one are in ``latest``
+
+    def prev_site(i: int) -> Optional[str]:
+        nonlocal tracked
+        for p in range(tracked, race_rows[i]):
+            j = 3 * p
+            if acc[j + 2] in watched:
+                latest[(acc[j] == 1, acc[j + 1], acc[j + 2])] = p
+        tracked = max(tracked, race_rows[i])
+        p = latest.get(prev_rows[i])
+        return None if p is None else sites[p]
+
+    graph = DynamicTaskReachabilityGraph()
+    graph.add_root(keys[0])
+    scopes: Dict[int, list] = {0: [keys[0], []]}
+    order = sorted(range(len(races)), key=race_rows.__getitem__)
+    certificates: List[Optional[dict]] = [None] * len(races)
+    prev_sites: List[Optional[str]] = [None] * len(races)
+    runs = enc.runs
+    k = row = si = 0
+    child = 1
+    for ri in range(0, len(runs), 2):
+        count = runs[ri + 1]
+        if runs[ri] == RUN_ACCESS:
+            row += count
+            # The graph is as the checker saw it at every row of the run.
+            while k < len(order) and race_rows[order[k]] < row:
+                i = order[k]
+                if sites is not None:
+                    prev_sites[i] = prev_site(i)
+                certificates[i] = graph.explain_precede(
+                    races[i].prev_task, races[i].current_task)
+                k += 1
+            continue
+        for t in enc.structure[si:si + count]:
+            op = t[0]
+            if op == OP_GET:
+                graph.record_join(keys[t[1]], keys[t[2]])
+            elif op == OP_TASK_CREATE:
+                graph.add_task(keys[t[1]], keys[child], is_future=bool(t[2]))
+                if t[3] >= 0:
+                    scopes[t[3]][1].append(keys[child])
+                child += 1
+            elif op == OP_TASK_END:
+                graph.on_terminate(keys[t[1]])
+            elif op == OP_FINISH_START:
+                scopes[t[1]] = [keys[t[2]], []]
+            else:  # OP_FINISH_END
+                owner, joins = scopes.pop(t[1])
+                for tid in joins:
+                    graph.merge(owner, tid)
+        si += count
+    if k < len(order):
+        raise ValueError(
+            f"race row {race_rows[order[k]]} lies beyond the "
+            f"{len(acc) // 3} recorded access rows")
+
+    sited: List[Race] = []
+    witnesses: List[RaceWitness] = []
+    for i, race in enumerate(races):
+        wid = f"w{i}"
+        site = sites[race_rows[i]] if sites is not None else None
+        sited.append(replace(race, prev_site=prev_sites[i],
+                             current_site=site, witness_id=wid))
+        witnesses.append(RaceWitness(
+            witness_id=wid,
+            loc=race.loc,
+            kind=race.kind.value,
+            prev_task=race.prev_task,
+            current_task=race.current_task,
+            prev_name=race.prev_name,
+            current_name=race.current_name,
+            prev_site=prev_sites[i],
+            current_site=site,
+            certificate=certificates[i],
+        ))
+    return sited, witnesses
 
 
 def render_witness_text(witness: RaceWitness) -> str:

@@ -40,7 +40,7 @@ pretty programs, and optionally written as regression-corpus JSON entries
 (:mod:`repro.testing.codec`) for ``tests/corpus/``.  When a minimized
 scoped repro is racy under the DTRG detector, triage reruns it with race
 provenance enabled and prints a compact witness line per race (the
-non-ordering certificate from ``explain_precede``); with ``--corpus-dir``
+non-ordering certificate from ``explain_races``); with ``--corpus-dir``
 the full ``repro.race-witness-report/1`` JSON is written next to the
 corpus entry as ``<name>.witness.json``.
 
@@ -253,24 +253,26 @@ def _run_runtime(name: str, program: Program, seed: int = 0):
     return _verdict(det), mem
 
 
-def _triage_witnesses(program: Program):
-    """Rerun ``program`` (scoped) under a provenance-enabled DTRG detector.
+def _triage_witnesses(program: Program) -> list:
+    """Rerun ``program`` (scoped) with race provenance and a trace
+    recorder, and explain the DTRG detector's races from the trace.
 
-    Returns ``(witnesses, provenance)`` — empty/None when the repro is not
-    racy under dtrg or does not complete (divergence repros may crash; the
-    triage layer must never turn a reported failure into a new one).
+    Returns the witnesses — empty when the repro is not racy under dtrg
+    or does not complete (divergence repros may crash; the triage layer
+    must never turn a reported failure into a new one).
     """
     from repro.core.detector import DeterminacyRaceDetector
-    from repro.obs import RaceProvenance
+    from repro.obs import RaceProvenance, explain_races
 
     provenance = RaceProvenance()
-    det = DeterminacyRaceDetector(provenance=provenance)
+    recorder = TraceRecorder(provenance)
+    det = DeterminacyRaceDetector()
     try:
-        run_program(program, [det], scoped_handles=True,
+        run_program(program, [recorder, det], scoped_handles=True,
                     provenance=provenance)
     except Exception:
-        return [], None
-    return det.witnesses, provenance
+        return []
+    return explain_races(recorder.trace, det.races, det.race_rows)[1]
 
 
 def _witness_line(witness) -> str:
@@ -681,10 +683,15 @@ def fuzz_range(
 # Regression-corpus replay                                               #
 # ---------------------------------------------------------------------- #
 def load_corpus(corpus_dir: Path) -> List[CorpusEntry]:
+    """The corpus entries under ``corpus_dir``.  JSON documents that carry
+    a ``schema`` tag (witness reports, the witness golden hashes) share
+    the directory and are skipped."""
     entries = []
     for path in sorted(corpus_dir.glob("*.json")):
         with open(path) as fh:
-            entries.append(entry_from_data(json.load(fh)))
+            data = json.load(fh)
+        if "schema" not in data:
+            entries.append(entry_from_data(data))
     return entries
 
 
@@ -750,7 +757,7 @@ def write_corpus_entries(
             json.dump(entry_to_data(entry), fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"corpus entry written to {path}", file=out)
-        witnesses, _ = _triage_witnesses(program)
+        witnesses = _triage_witnesses(program)
         if witnesses:
             from repro.obs import witness_report_data
 
@@ -910,8 +917,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"    {failure.detail}")
             print(program)
             if failure.mode == "scoped":
-                witnesses, _ = _triage_witnesses(program)
-                for witness in witnesses:
+                for witness in _triage_witnesses(program):
                     print(f"    witness {_witness_line(witness)}")
         if args.corpus_dir:
             write_corpus_entries(failures, Path(args.corpus_dir))

@@ -29,17 +29,22 @@ frontier sizes, per-cell reader populations).  Either flag enables the
 instrumentation; the detailed DTRG/shadow hooks require ``--detector
 dtrg``, whose detector then runs its reference engine.
 
-``--explain`` turns on race provenance (``--detector dtrg`` only): every
+``--explain`` turns on race provenance (``--detector dtrg`` only, on
+the serial path, ``--fast`` and ``--jobs`` alike): every
 spawn/get/read/write is attributed to its source call site by a bounded
-flight recorder, and each deduplicated race gets a machine-checkable
-witness — a non-ordering certificate reconstructed from the DTRG showing
-the interval labels, set representatives, LSA chain and exhausted VISIT
-frontier that prove ``PRECEDE`` is false both ways.  ``--witness-json``
-writes the certificates as ``repro.race-witness-report/1`` JSON (validated
-by ``python -m repro.obs.validate``), ``--html`` writes a self-contained
-HTML report, and ``--verify-witness`` independently confirms every witness
-against the brute-force transitive closure of the computation graph
-(exit 2 if any check fails).  Any of these flags implies ``--explain``.
+flight recorder and recorded with the trace, and after the check each
+deduplicated race gets a machine-checkable witness — a non-ordering
+certificate rebuilt by one pass over the recorded trace
+(:func:`repro.obs.provenance.explain_races`) showing the interval labels,
+set representatives, LSA chain and exhausted VISIT frontier that prove
+``PRECEDE`` is false both ways.  Every path gives the same witnesses,
+also on a ``--policy raise`` abort.  ``--witness-json`` writes the
+certificates as ``repro.race-witness-report/1`` JSON (validated by
+``python -m repro.obs.validate``), ``--html`` writes a self-contained
+HTML report, and ``--verify-witness`` independently confirms every
+witness against the brute-force transitive closure of the computation
+graph (exit 2 if any check fails).  Any of these flags implies
+``--explain``.
 
 ``--jobs N`` (N > 1) switches to the two-phase sharded checker: the
 program runs once with only a :class:`~repro.memory.tracer.TraceRecorder`
@@ -50,16 +55,15 @@ processes, each running ``check_trace_fast`` over the locations it owns
 (``docs/ALGORITHM.md`` §12).  The race list, the printed
 summary and the exit code are bit-identical to the sequential
 ``--detector dtrg`` run.  Post-hoc checking cannot abort the program at
-the first race and has no live DTRG to certify witnesses from, so
-``--jobs`` rejects ``--policy raise`` and the ``--explain`` family;
+the first race, so ``--jobs`` rejects ``--policy raise``;
 ``--detector`` must be ``dtrg``.
 
 ``--fast`` is the single-thread batched counterpart of ``--jobs``: the
 program runs once with only the trace recorder attached, recording
 straight into those columns, and ``check_trace_fast`` checks them
 (``docs/ALGORITHM.md`` §13.2) — same race list, summary and exit code as
-the sequential ``--detector dtrg`` run.  The same restrictions as ``--jobs`` apply (dtrg
-only, no ``--policy raise``, no ``--explain`` family), and — like the
+the sequential ``--detector dtrg`` run.  The same restrictions as
+``--jobs`` apply (dtrg only, no ``--policy raise``), and — like the
 ``--jobs`` path since PR 5 — a user-program abort during the recording
 phase still writes every requested ``--dot``/``--trace``/``--metrics``
 artifact and exits 2.
@@ -76,8 +80,9 @@ verdicts are exact under any schedule; the DTRG family assumes the
 serial depth-first event order, see README "Choosing a runtime") and
 reject the flags whose machinery assumes that order:
 ``--jobs``/``--fast`` (post-hoc replay), the ``--explain`` family
-(call-site provenance), and ``--dot``/``--trace``/``--witness``/
-``--verify-witness`` (computation-graph reconstruction).  The printed
+(witnesses are rebuilt from serial-order columns), and
+``--dot``/``--trace``/``--witness``/``--verify-witness``
+(computation-graph reconstruction).  The printed
 ``racy location`` set matches the serial run; which unordered access of
 a pair lands second — and hence pair order in the report — may differ
 across schedules.
@@ -204,7 +209,8 @@ def main(argv: List[str] | None = None) -> int:
                              "registry as JSON")
     parser.add_argument("--explain", action="store_true",
                         help="attribute accesses to source sites and print "
-                             "a non-ordering witness per race (dtrg only)")
+                             "a non-ordering witness per race (dtrg "
+                             "only; also with --fast and --jobs)")
     parser.add_argument("--witness-json", metavar="FILE", dest="witness_json",
                         help="write the race witnesses as JSON "
                              "(implies --explain)")
@@ -305,11 +311,6 @@ def main(argv: List[str] | None = None) -> int:
             print(f"error: {flag} checks post-hoc and cannot abort at the "
                   "first race; use --policy collect", file=sys.stderr)
             return 2
-        if explain:
-            print(f"error: {flag} cannot certify witnesses (no live DTRG); "
-                  "drop --explain/--witness-json/--html/--verify-witness",
-                  file=sys.stderr)
-            return 2
 
     try:
         namespace = runpy.run_path(args.program)
@@ -358,10 +359,8 @@ def main(argv: List[str] | None = None) -> int:
         observers: List = []
         name_capture = _NameCapture()
         observers.append(name_capture)
-    elif args.detector == "dtrg" and (obs is not None or provenance is not None):
-        detector = DETECTORS[args.detector](
-            policy=args.policy, obs=obs, provenance=provenance
-        )
+    elif args.detector == "dtrg" and obs is not None:
+        detector = DETECTORS[args.detector](policy=args.policy, obs=obs)
         observers = [detector]
     else:
         detector = DETECTORS[args.detector](policy=args.policy)
@@ -375,13 +374,27 @@ def main(argv: List[str] | None = None) -> int:
         metrics = MetricsCollector()
         observers.append(metrics)
     recorder = None
-    if args.trace or parallel or args.fast:
-        recorder = TraceRecorder()
-        observers.append(recorder)
+    if args.trace or parallel or args.fast or explain:
+        # First, so it has recorded the racing access when a detector
+        # raises RaceError inside the access hook.
+        recorder = TraceRecorder(provenance)
+        observers.insert(0, recorder)
+    witnesses: List = []
+
+    def explain_report() -> None:
+        """Give the checked races their sites and witnesses (--explain):
+        one pass over the recorded columns, at each race's access row."""
+        if not explain or detector is None:
+            return
+        from repro.obs import explain_races
+
+        sited, found = explain_races(
+            recorder.trace, detector.races, detector.race_rows)
+        detector.report.races[:] = sited
+        witnesses[:] = found
 
     def write_artifacts() -> None:
         """Flush whatever the observers recorded — also on aborted runs."""
-        witnesses = getattr(detector, "witnesses", None) or []
         if metrics is not None:
             snap = metrics.snapshot()
             print(f"\ntasks: {snap.num_tasks} "
@@ -480,16 +493,19 @@ def main(argv: List[str] | None = None) -> int:
                 rt.run(entry)
         except RaceError as exc:
             print(f"RACE (aborted at first): {exc}")
+            explain_report()
             write_artifacts()
             return 1
         except UnsupportedConstructError as exc:
             print(f"unsupported construct for --detector {args.detector}: {exc}",
                   file=sys.stderr)
+            explain_report()
             write_artifacts()
             return 2
         except Exception as exc:
             print(f"error: {args.program} raised "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            explain_report()
             write_artifacts()
             return 2
 
@@ -502,7 +518,7 @@ def main(argv: List[str] | None = None) -> int:
                 obs=obs,
                 progress=progress,
             )
-            detector = result  # duck-typed: .report / .races / .witnesses
+            detector = result  # duck-typed: .report / .races / .race_rows
             if args.metrics:
                 timings = result.timings
                 print(f"parallel check: jobs={result.jobs} "
@@ -517,19 +533,19 @@ def main(argv: List[str] | None = None) -> int:
                 recorder.trace, names=name_capture.names,
                 progress=progress,
             )
-            detector = result  # duck-typed: .report / .races / .witnesses
+            detector = result  # duck-typed: .report / .races / .race_rows
             if args.metrics:
                 timings = result.timings
                 print(f"fast check: "
-                      f"encode={timings['encode_seconds'] * 1e3:.1f}ms "
                       f"structure={timings['structure_seconds'] * 1e3:.1f}ms "
                       f"access={timings['access_seconds'] * 1e3:.1f}ms "
-                      f"({result.events_per_second:,.0f} access-checks/s)")
+                      f"({result.access_events_per_second:,.0f} "
+                      "access-checks/s)")
 
+        explain_report()
         print(detector.report.summary())
 
-        witnesses = getattr(detector, "witnesses", None) or []
-        if explain and witnesses:
+        if witnesses:
             from repro.obs import render_witness_text
 
             print("\nrace witnesses (non-ordering certificates):")

@@ -1,4 +1,4 @@
-"""Observability/provenance attachment must happen before execution.
+"""Observability attachment must happen before execution.
 
 ShadowMemory and DynamicTaskReachabilityGraph cache their obs sinks in
 bound method attributes and per-call fast paths; rebinding them after
@@ -32,20 +32,6 @@ def test_shadow_attach_observability_after_access_raises():
     obs = Observability()
     with pytest.raises(RuntimeStateError, match="attach"):
         det.shadow.attach_observability(obs)
-
-
-def test_shadow_attach_provenance_after_access_raises():
-    det = DeterminacyRaceDetector(engine="object")
-    _run_one_access(det)
-
-    class _Prov:
-        enabled = True
-
-        def stored_site(self, loc, task, kind):
-            return None
-
-    with pytest.raises(RuntimeStateError, match="attach"):
-        det.shadow.attach_provenance(_Prov())
 
 
 def test_dtrg_attach_observability_after_registration_raises():

@@ -80,9 +80,10 @@ def test_async_write_write_race():
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_site_attribution_matches_sharded_checker(jobs):
     """With sites in the stream, the fast path and the sharded checker
-    attribute them alike on every shard (the plain sequential detector
-    only renders sites when a provenance recorder is attached)."""
+    report races at the same rows on every shard, so ``explain_races``
+    attributes them alike (the checkers themselves report no sites)."""
     from repro.core.parallel_check import check_trace_parallel
+    from repro.obs.provenance import explain_races
 
     locs = [f"x{i}" for i in range(8)]
     trace = Trace(events=[
@@ -96,9 +97,13 @@ def test_site_attribution_matches_sharded_checker(jobs):
     assert len(sharded.shards) == jobs
     assert fast.summary() == sharded.summary()
     assert [r.loc for r in sharded.races] == locs
-    for race in fast.races + sharded.races:
-        assert race.prev_site == f"a.py:{race.loc}"
-        assert race.current_site == f"b.py:{race.loc}"
+    assert sharded.race_rows == fast.race_rows == list(range(8, 16))
+    assert all(r.prev_site is None for r in fast.races + sharded.races)
+    for checked in (fast, sharded):
+        races, _ = explain_races(trace, checked.races, checked.race_rows)
+        for race in races:
+            assert race.prev_site == f"a.py:{race.loc}"
+            assert race.current_site == f"b.py:{race.loc}"
 
 
 def test_future_join_orders_accesses():

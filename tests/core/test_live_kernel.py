@@ -23,7 +23,6 @@ from repro.core.events import (
 from repro.core.fastcheck import check_trace_fast
 from repro.memory.tracer import replay_trace
 from repro.obs.live import ProgressCounter
-from repro.obs.provenance import RaceProvenance
 from repro.testing.generator import random_program, run_program
 
 
@@ -32,8 +31,6 @@ def test_engine_selection():
     assert DeterminacyRaceDetector(engine="dtrg").engine == "object"
     assert DeterminacyRaceDetector(
         obs=Observability()).engine == "object"
-    assert DeterminacyRaceDetector(
-        provenance=RaceProvenance()).engine == "object"
     assert DeterminacyRaceDetector(
         memoize_visit=False).engine == "object"
     assert DeterminacyRaceDetector(engine="vc").engine == "vc"

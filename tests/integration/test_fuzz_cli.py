@@ -7,6 +7,7 @@ import pytest
 
 import repro.core.detector as detector_mod
 import repro.tools.fuzz as fuzz
+from repro.obs.validate import validate_witness_report
 from repro.testing.codec import entry_from_data
 from repro.testing.generator import (
     Async,
@@ -107,11 +108,16 @@ def test_planted_soundness_bug_is_flagged_and_minimized(monkeypatch, tmp_path):
     )
 
     fuzz.write_corpus_entries([failure], tmp_path)
-    paths = list(tmp_path.glob("*.json"))
-    assert len(paths) == 1
+    paths = sorted(tmp_path.glob("*.json"))
+    # The entry, and the witness report of the race the planted engine
+    # misses: triage explains the default detector's races.
+    assert [p.name.endswith(".witness.json") for p in paths] == [
+        False, True]
     with open(paths[0]) as fh:
         entry = entry_from_data(json.load(fh))
     assert entry.racy_locs == (0,)  # the oracle's (correct) verdict
+    with open(paths[1]) as fh:
+        assert validate_witness_report(json.load(fh)) == []
 
     # The regression gate now fails while the bug is planted...
     assert fuzz.main(["--replay-corpus", str(tmp_path)]) == 1

@@ -351,11 +351,12 @@ def test_jobs_rejects_raise_policy(racy_program, capsys):
     assert "cannot abort" in capsys.readouterr().err
 
 
-def test_jobs_rejects_explain_family(racy_program, tmp_path, capsys):
-    assert main([racy_program, "--jobs", "2", "--explain"]) == 2
-    assert "witness" in capsys.readouterr().err
+def test_jobs_accepts_explain_family(racy_program, tmp_path, capsys):
+    assert main([racy_program, "--jobs", "2", "--explain"]) == 1
+    assert "witness w0: write-read race" in capsys.readouterr().out
     assert main([racy_program, "--jobs", "2",
-                 "--html", str(tmp_path / "r.html")]) == 2
+                 "--html", str(tmp_path / "r.html")]) == 1
+    assert "witness <code>w0</code>" in (tmp_path / "r.html").read_text()
 
 
 def test_jobs_rejects_non_dtrg_detector(racy_program, capsys):
@@ -404,15 +405,98 @@ def test_fast_metrics_prints_fast_stats(racy_program, capsys):
     assert "access-checks/s" in out
 
 
+def test_fast_metrics_rate_is_the_access_check_rate(
+        racy_program, monkeypatch, capsys):
+    """The "access-checks/s" figure is the access-phase rate, not the rate
+    of every event over the whole check; the always-zero encode time is
+    not printed."""
+    from repro.core.fastcheck import CheckResult
+
+    monkeypatch.setattr(CheckResult, "access_events_per_second",
+                        property(lambda self: 12345.0))
+    monkeypatch.setattr(CheckResult, "events_per_second",
+                        property(lambda self: 999.0))
+    assert main([racy_program, "--fast", "--metrics"]) == 1
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("fast check:"))
+    assert line.endswith("(12,345 access-checks/s)")
+    assert "encode=" not in line
+
+
 def test_fast_rejects_jobs(racy_program, capsys):
     assert main([racy_program, "--fast", "--jobs", "2"]) == 2
     assert "either --fast or --jobs" in capsys.readouterr().err
 
 
-def test_fast_rejects_raise_policy_and_explain(racy_program, capsys):
+def test_fast_rejects_raise_policy_accepts_explain(racy_program, capsys):
     assert main([racy_program, "--fast", "--policy", "raise"]) == 2
     assert "cannot abort" in capsys.readouterr().err
-    assert main([racy_program, "--fast", "--explain"]) == 2
+    assert main([racy_program, "--fast", "--explain"]) == 1
+    assert "witness w0: write-read race" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--fast", "--explain"],
+    ["--jobs", "2", "--explain", "--verify-witness"],
+])
+def test_batched_explain_matches_serial(flags, racy_program, tmp_path,
+                                        monkeypatch, capsys):
+    """``--fast``/``--jobs`` explain races from the recorded trace, with
+    the serial run's stdout and a byte-identical witness JSON."""
+    runs = {}
+    for name, extra in (("serial", ["--explain", "--verify-witness"]),
+                        ("batched", flags)):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main([racy_program, *extra,
+                     "--witness-json", "w.json"]) == 1
+        runs[name] = (capsys.readouterr().out,
+                      (work / "w.json").read_bytes())
+    serial_out, serial_json = runs["serial"]
+    out, data = runs["batched"]
+    assert data == serial_json
+    assert "prev access at" in out and "PRECEDE(1, 0) = False" in out
+    if "--verify-witness" in flags:
+        assert out == serial_out
+    else:
+        assert out == serial_out.replace(
+            "witness w0: confirmed against brute-force closure\n", "")
+
+
+@pytest.mark.parametrize("obs", [False, True], ids=["kernel", "reference"])
+def test_raise_explain_writes_the_one_witness(obs, tmp_path, capsys):
+    """``--policy raise`` stops at the first of two races; the abort path
+    still explains it.  With ``--perfetto`` the reference engine runs and
+    raises inside the access hook, which the recorder has already seen."""
+    import json
+
+    path = tmp_path / "two_races.py"
+    path.write_text(textwrap.dedent("""
+        from repro import SharedArray
+
+        def setup(rt):
+            return SharedArray(rt, "data", 2)
+
+        def program(rt, data):
+            f = rt.future(lambda: (data.write(0, 1), data.write(1, 1)))
+            data.read(0)
+            data.read(1)
+            f.get()
+    """))
+    assert main([str(path)]) == 1
+    assert "2 determinacy race(s)" in capsys.readouterr().out
+    wjson = tmp_path / "w.json"
+    extra = ["--perfetto", str(tmp_path / "t.json")] if obs else []
+    assert main([str(path), "--policy", "raise", "--explain",
+                 "--witness-json", str(wjson), *extra]) == 1
+    out = capsys.readouterr().out
+    assert "aborted at first" in out
+    assert "1 witness(es) written" in out
+    (witness,) = json.loads(wjson.read_text())["witnesses"]
+    assert witness["race"]["loc"] == ["data", 0]
+    assert witness["race"]["current_site"].endswith("(program)")
+    assert witness["race"]["prev_site"].endswith("(<lambda>)")
 
 
 def test_fast_rejects_non_dtrg_detector(racy_program, capsys):

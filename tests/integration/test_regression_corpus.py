@@ -73,5 +73,7 @@ def test_entries_round_trip_through_raw_json():
     for path in sorted(CORPUS_DIR.glob("*.json")):
         with open(path) as fh:
             data = json.load(fh)
+        if "schema" in data:  # witness golden hashes, not an entry
+            continue
         entry = entry_from_data(data)
         assert entry.name == path.stem

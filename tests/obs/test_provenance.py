@@ -2,16 +2,26 @@
 
 import json
 
+import pytest
+
 from repro.core.detector import DeterminacyRaceDetector
 from repro.graph import GraphBuilder, ReachabilityClosure
 from repro.memory.shared import SharedArray
 from repro.memory.tracer import TraceRecorder, replay_trace
+from repro.core.events import (
+    ReadEvent,
+    TaskCreateEvent,
+    TaskEndEvent,
+    Trace,
+    WriteEvent,
+)
 from repro.obs.provenance import (
     SITE_UNKNOWN,
     RaceProvenance,
     RaceWitness,
     SiteTable,
     confirm_witness,
+    explain_races,
     render_witness_text,
     witness_report_data,
 )
@@ -42,14 +52,6 @@ class TestSiteTable:
         # existing sites still intern to their ids after overflow
         assert table.intern("p.py", 1, "f") == a
 
-    def test_intern_label_replay_path(self):
-        table = SiteTable(capacity=4)
-        sid = table.intern_label("prog.py:9 (main)")
-        assert table.label(sid) == "prog.py:9 (main)"
-        assert table.intern_label("prog.py:9 (main)") == sid
-        assert table.intern_label(None) == SITE_UNKNOWN
-        assert table.intern_label("") == SITE_UNKNOWN
-
     def test_out_of_range_sid_is_unknown(self):
         table = SiteTable()
         assert table.label(999) == "<unknown>"
@@ -58,9 +60,12 @@ class TestSiteTable:
 
 def run_racy(provenance=None, extra_observers=()):
     """One future-read race, accesses performed directly in this file so
-    the captured sites point here (past the runtime/shared skip list)."""
-    det = DeterminacyRaceDetector(provenance=provenance)
-    rt = Runtime(observers=[det, *extra_observers], provenance=provenance)
+    the captured sites point here (past the runtime/shared skip list).
+    Returns the detector and the recorded trace."""
+    recorder = TraceRecorder(provenance=provenance)
+    det = DeterminacyRaceDetector()
+    rt = Runtime(observers=[recorder, det, *extra_observers],
+                 provenance=provenance)
 
     def program(rt):
         data = SharedArray(rt, "data", 2)
@@ -69,14 +74,19 @@ def run_racy(provenance=None, extra_observers=()):
         f.get()
 
     rt.run(program)
-    return det
+    return det, recorder.trace
+
+
+def explain_racy(provenance=None, extra_observers=()):
+    """``run_racy``, then its races explained from the trace."""
+    det, trace = run_racy(provenance, extra_observers)
+    return explain_races(trace, det.races, det.race_rows)
 
 
 class TestFlightRecorder:
     def test_sites_point_at_user_code(self):
         prov = RaceProvenance()
-        det = run_racy(prov)
-        (race,) = list(det.report)
+        (race,), _ = explain_racy(prov)
         assert race.prev_site and "test_provenance.py" in race.prev_site
         assert "(<lambda>)" in race.prev_site
         assert race.current_site and "(program)" in race.current_site
@@ -108,16 +118,16 @@ class TestFlightRecorder:
         det = DeterminacyRaceDetector()
         rt = Runtime(observers=[det])
         assert len(rt._observers) == 1  # no provenance adapter injected
-        assert det.provenance is None
-        assert det.witnesses == []
+        _, trace = run_racy()
+        assert trace._whole_columns().access_sites is None
 
 
 class TestWitnesses:
     def test_witness_built_per_deduplicated_race(self):
         prov = RaceProvenance()
-        det = run_racy(prov)
-        assert len(det.witnesses) == len(list(det.report)) == 1
-        (w,) = det.witnesses
+        races, witnesses = explain_racy(prov)
+        assert len(witnesses) == len(races) == 1
+        (w,) = witnesses
         assert w.kind == "write-read"
         assert w.loc == ("data", 0)
         assert w.certificate["verdict"] is False
@@ -125,20 +135,20 @@ class TestWitnesses:
     def test_witness_confirmed_and_schema_valid(self):
         prov = RaceProvenance()
         gb = GraphBuilder()
-        det = run_racy(prov, extra_observers=[gb])
-        (w,) = det.witnesses
+        _, witnesses = explain_racy(prov, extra_observers=[gb])
+        (w,) = witnesses
         assert confirm_witness(w, gb.graph,
                                closure=ReachabilityClosure(gb.graph))
         assert validate_witness(w.to_data()) == []
-        report = witness_report_data(det.witnesses, program="prog.py",
+        report = witness_report_data(witnesses, program="prog.py",
                                      verified=True)
         assert validate_witness_report(report) == []
         json.dumps(report)  # JSON-serializable end to end
 
     def test_render_witness_text(self):
         prov = RaceProvenance()
-        det = run_racy(prov)
-        text = render_witness_text(det.witnesses[0])
+        _, witnesses = explain_racy(prov)
+        text = render_witness_text(witnesses[0])
         assert "witness w0" in text
         assert "PRECEDE(1, 0) = False" in text
         assert "producer" in text
@@ -152,23 +162,83 @@ class TestWitnesses:
 
 class TestReplayProvenance:
     def test_sites_survive_record_replay(self):
+        """A trace recorded with provenance explains the races of a
+        detector that replayed it without any."""
         recording_prov = RaceProvenance()
-        recorder = TraceRecorder(provenance=recording_prov)
-        run_racy(recording_prov, extra_observers=[recorder])
+        _, trace = run_racy(recording_prov)
 
-        replay_prov = RaceProvenance()
-        det = DeterminacyRaceDetector(provenance=replay_prov)
-        replay_trace(recorder.trace, [det], provenance=replay_prov)
+        det = DeterminacyRaceDetector(engine="object")
+        replay_trace(trace, [det])
         (race,) = list(det.report)
+        assert race.prev_site is None  # checkers report no sites
+        (race,), (w,) = explain_races(trace, det.races, det.race_rows)
         assert race.prev_site and "test_provenance.py" in race.prev_site
         assert race.current_site and "(program)" in race.current_site
-        assert det.witnesses and det.witnesses[0].certificate["verdict"] is False
+        assert w.certificate["verdict"] is False
 
     def test_replay_without_provenance_still_detects(self):
-        recorder = TraceRecorder()
-        run_racy(extra_observers=[recorder])
+        _, trace = run_racy()
         det = DeterminacyRaceDetector()
-        replay_trace(recorder.trace, [det])
+        replay_trace(trace, [det])
         assert det.report.racy_locations == {("data", 0)}
         (race,) = list(det.report)
         assert race.prev_site is None and race.witness_id is None
+        # Without recorded sites the witness still certifies the pair.
+        (race,), (w,) = explain_races(trace, det.races, det.race_rows)
+        assert race.prev_site is None and race.current_site is None
+        assert race.witness_id == w.witness_id == "w0"
+        assert w.certificate["verdict"] is False
+
+
+def _sited_trace():
+    """Unjoined async 1 reads ``x`` twice, writes ``y`` twice; main then
+    reads ``x``, writes ``x`` and ``y``: one read-write and one
+    write-write race, each with more than one candidate earlier access."""
+    return Trace(events=[
+        TaskCreateEvent(parent=0, child=1, is_future=False, ief=0),
+        ReadEvent(task=1, loc="x", site="a.py:1"),
+        WriteEvent(task=1, loc="y", site="a.py:2"),
+        ReadEvent(task=1, loc="x", site="a.py:3"),
+        WriteEvent(task=1, loc="y", site="a.py:4"),
+        TaskEndEvent(task=1),
+        ReadEvent(task=0, loc="x", site="b.py:5"),
+        WriteEvent(task=0, loc="x", site="b.py:6"),
+        WriteEvent(task=0, loc="y", site="b.py:7"),
+    ])
+
+
+class TestExplainRaces:
+    def test_previous_site_is_latest_access_of_prev_with_the_kind(self):
+        trace = _sited_trace()
+        det = DeterminacyRaceDetector()
+        replay_trace(trace, [det])
+        assert det.race_rows == [5, 6]
+        races, witnesses = explain_races(trace, det.races, det.race_rows)
+        rw, ww = races
+        assert (rw.kind.value, rw.prev_task) == ("read-write", 1)
+        # Task 1's later read, not its first one nor main's own read.
+        assert (rw.prev_site, rw.current_site) == ("a.py:3", "b.py:6")
+        assert (ww.kind.value, ww.prev_site, ww.current_site) == (
+            "write-write", "a.py:4", "b.py:7")
+        assert [w.witness_id for w in witnesses] == ["w0", "w1"]
+        assert [(w.prev_site, w.current_site) for w in witnesses] == [
+            ("a.py:3", "b.py:6"), ("a.py:4", "b.py:7")]
+
+    def test_output_follows_the_race_order_given(self):
+        trace = _sited_trace()
+        det = DeterminacyRaceDetector()
+        replay_trace(trace, [det])
+        forward, _ = explain_races(trace, det.races, det.race_rows)
+        backward, witnesses = explain_races(
+            trace, det.races[::-1], det.race_rows[::-1])
+        assert [r.loc for r in backward] == ["y", "x"]
+        assert [r.prev_site for r in backward] == [
+            r.prev_site for r in forward[::-1]]
+        assert witnesses[0].witness_id == "w0" and witnesses[0].loc == "y"
+
+    def test_row_beyond_the_columns_raises(self):
+        trace = _sited_trace()
+        det = DeterminacyRaceDetector()
+        replay_trace(trace, [det])
+        with pytest.raises(ValueError, match="beyond"):
+            explain_races(trace, det.races[:1], [99])

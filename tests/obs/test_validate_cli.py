@@ -73,14 +73,18 @@ def test_nested_complete_spans_are_ts_exempt(tmp_path, capsys):
 
 
 def test_valid_witness_report_exits_zero(tmp_path, capsys):
-    from repro.obs.provenance import RaceProvenance, witness_report_data
+    from repro.obs.provenance import (
+        RaceProvenance, explain_races, witness_report_data,
+    )
     from repro.core.detector import DeterminacyRaceDetector
     from repro.memory.shared import SharedArray
+    from repro.memory.tracer import TraceRecorder
     from repro.runtime.runtime import Runtime
 
     prov = RaceProvenance()
-    det = DeterminacyRaceDetector(provenance=prov)
-    rt = Runtime(observers=[det], provenance=prov)
+    recorder = TraceRecorder(prov)
+    det = DeterminacyRaceDetector()
+    rt = Runtime(observers=[recorder, det], provenance=prov)
 
     def program(rt):
         data = SharedArray(rt, "d", 1)
@@ -89,8 +93,10 @@ def test_valid_witness_report_exits_zero(tmp_path, capsys):
         f.get()
 
     rt.run(program)
+    _, witnesses = explain_races(recorder.trace, det.races, det.race_rows)
+    assert len(witnesses) == 1
     path = tmp_path / "witness.json"
-    path.write_text(json.dumps(witness_report_data(det.witnesses)))
+    path.write_text(json.dumps(witness_report_data(witnesses)))
     assert validate_main([str(path)]) == 0
     assert "valid witness report" in capsys.readouterr().out
 

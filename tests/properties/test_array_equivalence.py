@@ -7,8 +7,10 @@ against the reference engine (``engine="object"``: the object DTRG plus
 1. **Live equivalence** — the default detector, attached to the running
    ``Runtime``, reports what the reference engine attached to the same
    run reports: the same ``summary()`` with live task names, the same
-   race list in the same order, the same invariant ``DetectorPerf``
-   counters and ``num_visits``, the same ``#AvgReaders``.
+   race list in the same order, the same ``race_rows`` (the access-row
+   ordinal of each race, where ``explain_races`` stops), the same
+   invariant ``DetectorPerf`` counters and ``num_visits``, the same
+   ``#AvgReaders``.
 2. **Replay equivalence** — the default detector under ``replay_trace``
    matches the reference replay the same way, with ``dedupe`` on and
    off.
@@ -61,6 +63,8 @@ def _assert_same(got, golden, what, seed, keys=INVARIANT_PERF):
     assert [r.pair_key for r in got.races] == [
         r.pair_key for r in golden.races], (
         f"seed {seed}: {what} race order diverges")
+    assert list(got.race_rows) == list(golden.race_rows), (
+        f"seed {seed}: {what} race_rows diverge")
     assert got.racy_locations == golden.racy_locations
     got_perf, golden_perf = _perf(got), _perf(golden)
     for key in keys:
@@ -78,6 +82,7 @@ class _Report:
     def __init__(self, det):
         self.det = det
         self.races = det.races
+        self.race_rows = det.race_rows
         self.racy_locations = det.racy_locations
         self.perf_stats = det.perf_stats
         self.num_visits = det.dtrg.num_visits
@@ -112,6 +117,8 @@ def test_array_engine_equivalence_fuzz(band):
         assert [r.pair_key for r in undeduped.races] == [
             r.pair_key for r in undeduped_ref.races], (
             f"seed {seed}: dedupe=False race list diverges")
+        assert undeduped.race_rows == undeduped_ref.race_rows, (
+            f"seed {seed}: dedupe=False race_rows diverge")
         assert len(undeduped.races) >= len(golden.races)
 
         fast = check_trace_fast(encode_trace(trace))

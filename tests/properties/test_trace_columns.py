@@ -12,10 +12,12 @@ with scoped and unscoped handles, with and without a
 (c) replaying the trace prints the live detector's ``summary()`` byte
     for byte, task display names aside (the live run names a task
     ``async#3``, replay ``task#3``; both carry the tid), and reports the
-    same races with the same sites in the same order;
-(d) a program that raises inside an open finish leaves a trace that
-    decodes, encodes and checks (``racecheck`` writes exactly this
-    partial trace when a run aborts).
+    same races in the same order, at the same access rows;
+(d) ``explain_races`` over the columns gives the live kernel's races and
+    a replaying reference engine's races the same sites and witnesses;
+(e) a program that raises inside an open finish leaves a trace that
+    decodes, encodes, checks and explains (``racecheck`` writes exactly
+    this partial trace when a run aborts).
 """
 
 import random
@@ -27,7 +29,7 @@ from repro.core.detector import DeterminacyRaceDetector
 from repro.core.events import ExecutionObserver, Trace, encode_trace
 from repro.core.fastcheck import check_trace_fast
 from repro.memory.tracer import TraceRecorder, replay_trace
-from repro.obs.provenance import RaceProvenance
+from repro.obs.provenance import RaceProvenance, explain_races
 from repro.testing.generator import random_program, run_program
 
 NUM_SEEDS = 200
@@ -56,9 +58,9 @@ def _by_tid(summary):
     return re.sub(r"task [a-z]+#(\d+)", r"task \1", summary)
 
 
-def _races(detector):
+def _races(races):
     return [(r.loc, r.kind, r.prev_task, r.current_task, r.prev_site,
-             r.current_site) for r in detector.races]
+             r.current_site, r.witness_id) for r in races]
 
 
 def _assert_same_columns(got, want, seed):
@@ -92,31 +94,36 @@ def test_columns_round_trip(scoped, prov, tmp_path):
         replay_trace(trace, [replayed])
         assert _by_tid(replayed.report.summary()) == _by_tid(
             live.report.summary()), f"seed {seed}: replay summary differs"
-        assert _races(replayed) == _races(live), (
+        assert _races(replayed.races) == _races(live.races), (
             f"seed {seed}: replay races differ from the live run")
+        assert replayed.race_rows == live.race_rows, seed
     # Provenance must actually reach the columns, or (a) is vacuous there.
     assert (with_sites > 0) == prov
 
 
 def test_provenance_replay_matches_live_sites():
-    """Sites decoded from the columns attribute races as the live run
-    did."""
+    """Sites read from the columns attribute the races of a replay as
+    they attribute the live run's."""
     racy = 0
     for seed in range(NUM_SEEDS):
         program = random_program(random.Random(seed))
         provenance = RaceProvenance()
         recorder = TraceRecorder(provenance=provenance)
-        live = DeterminacyRaceDetector(provenance=provenance)
+        live = DeterminacyRaceDetector()
         run_program(program, [recorder, live], provenance=provenance)
+        trace = recorder.trace
 
-        replay_prov = RaceProvenance()
-        replayed = DeterminacyRaceDetector(provenance=replay_prov)
-        replay_trace(recorder.trace, [replayed], provenance=replay_prov)
-        assert _by_tid(replayed.report.summary()) == _by_tid(
-            live.report.summary()), f"seed {seed}: sited summary differs"
-        assert _races(replayed) == _races(live), (
+        replayed = DeterminacyRaceDetector(engine="object")
+        replay_trace(trace, [replayed])
+        live_races, live_witnesses = explain_races(
+            trace, live.races, live.race_rows)
+        races, witnesses = explain_races(
+            trace, replayed.races, replayed.race_rows)
+        assert _races(races) == _races(live_races), (
             f"seed {seed}: sited replay races differ from the live run")
-        assert all(r.current_site for r in replayed.races), seed
+        assert [w.certificate for w in witnesses] == [
+            w.certificate for w in live_witnesses], seed
+        assert all(r.current_site and r.prev_site for r in races), seed
         racy += bool(live.races)
     assert racy > 0
 
@@ -158,12 +165,14 @@ def test_aborted_run_leaves_a_checkable_trace(scoped, prov):
         events = list(trace)
         assert len(events) == len(trace)
         _assert_same_columns(encode_trace(events), encode_trace(trace), seed)
-        # The fast path renders recorded sites; so does a replay given a
-        # provenance to re-adopt them into.
-        replay_prov = RaceProvenance() if prov else None
-        replayed = DeterminacyRaceDetector(provenance=replay_prov)
-        replay_trace(trace, [replayed], provenance=replay_prov)
+        # The fast path and a replay report the same races at the same
+        # rows, so the columns explain them alike.
+        replayed = DeterminacyRaceDetector()
+        replay_trace(trace, [replayed])
         fast = check_trace_fast(trace)
         assert fast.summary() == replayed.report.summary(), (
             f"seed {seed}: partial trace checks differently")
+        assert fast.race_rows == replayed.race_rows, seed
+        sited, _ = explain_races(trace, fast.races, fast.race_rows)
+        assert all(bool(r.current_site) == prov for r in sited), seed
     assert aborted > 0

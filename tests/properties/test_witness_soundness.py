@@ -1,9 +1,11 @@
 """Witness soundness: every emitted certificate describes a real race.
 
 Theorem 2 makes the DTRG detector's *verdicts* exact; this suite pins the
-same property for the new provenance layer's *explanations*:
+same property for the provenance layer's *explanations*:
 
-* every :class:`~repro.obs.provenance.RaceWitness` the detector emits is
+* every :class:`~repro.obs.provenance.RaceWitness` that
+  :func:`~repro.obs.provenance.explain_races` builds from the recorded
+  trace is
   independently confirmed by the brute-force transitive closure of the
   computation graph (``confirm_witness``) — a pair of accesses with the
   witnessed roles really is logically parallel;
@@ -25,7 +27,10 @@ from pathlib import Path
 from repro.core.detector import DeterminacyRaceDetector
 from repro.core.exact import ExactDetector
 from repro.graph import GraphBuilder, ReachabilityClosure
-from repro.obs.provenance import RaceProvenance, confirm_witness
+from repro.memory.tracer import TraceRecorder
+from repro.obs.provenance import (
+    RaceProvenance, confirm_witness, explain_races,
+)
 from repro.obs.validate import validate_witness
 from repro.testing.codec import entry_from_data
 from repro.testing.generator import random_program, run_program
@@ -33,31 +38,35 @@ from repro.testing.generator import random_program, run_program
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 #: Seed budget for the sweep; each seed is one full program execution with
-#: dtrg + graph builder + exact detector attached.
+#: recorder + dtrg + graph builder + exact detector attached.
 NUM_SEEDS = 200
 
 
 def detect_with_witnesses(program):
-    """Run once with provenance-enabled dtrg + graph builder + exact."""
+    """Run once with a provenance recorder + dtrg (the reference engine,
+    whose object DTRG the sweep queries afterwards) + graph builder +
+    exact, then explain the races from the trace."""
     prov = RaceProvenance()
-    det = DeterminacyRaceDetector(provenance=prov)
+    recorder = TraceRecorder(prov)
+    det = DeterminacyRaceDetector(engine="object")
     gb = GraphBuilder()
     exact = ExactDetector()
-    run_program(program, [det, gb, exact], scoped_handles=True,
+    run_program(program, [recorder, det, gb, exact], scoped_handles=True,
                 provenance=prov)
-    return det, gb, exact
+    _, witnesses = explain_races(recorder.trace, det.races, det.race_rows)
+    return det, witnesses, gb, exact
 
 
 def test_generated_program_witnesses_are_sound():
     confirmed = 0
     for seed in range(NUM_SEEDS):
         program = random_program(random.Random(seed))
-        det, gb, exact = detect_with_witnesses(program)
-        assert len(det.witnesses) == len(list(det.report))
-        if not det.witnesses:
+        det, witnesses, gb, exact = detect_with_witnesses(program)
+        assert len(witnesses) == len(list(det.report))
+        if not witnesses:
             continue
         closure = ReachabilityClosure(gb.graph)
-        for w in det.witnesses:
+        for w in witnesses:
             # (1) brute-force graph confirms the pair is unordered
             assert confirm_witness(w, gb.graph, closure=closure), (
                 f"seed {seed}: witness {w.witness_id} for {w.loc!r} "
@@ -97,9 +106,9 @@ def test_corpus_lsa_chain_witness_anatomy():
     entry = entry_from_data(json.loads(
         (CORPUS / "future_nt_join_lsa_witness.json").read_text()
     ))
-    det, gb, exact = detect_with_witnesses(entry.program)
+    det, witnesses, gb, exact = detect_with_witnesses(entry.program)
     assert set(det.racy_locations) == {("x", 0)}
-    (w,) = det.witnesses
+    (w,) = witnesses
     assert w.kind == "write-read"
     search = w.certificate["search"]
     assert search is not None, "race must not be level-0/prune resolvable"
