@@ -88,7 +88,8 @@ class CheckResult:
     ``dtrg`` is the live :class:`ArrayDTRG` of a fast check (``None`` for a
     sharded one, whose graphs stay in the workers); ``race_rows[i]`` is the
     access-row ordinal of the access that reported ``races[i]``.  The
-    sharded path fills ``jobs``, ``backend`` and ``shards``.
+    sharded path fills ``jobs``, ``backend``, ``shards`` and
+    ``movable_rows``.
     """
 
     def __init__(self, dedupe: bool = True) -> None:
@@ -99,6 +100,8 @@ class CheckResult:
         self.backend = "inline"
         #: Per-shard ``{"shard", "events", "races", "seconds"}`` rows.
         self.shards: List[dict] = []
+        #: Access rows a split takes off the heaviest shard.
+        self.movable_rows = 0
         self.num_tasks = 0
         self.num_events = 0
         self.num_access_events = 0

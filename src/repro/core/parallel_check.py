@@ -14,14 +14,29 @@ the *locations* of a recorded trace between them:
    replays the *whole* structure stream into the shard's own
    :class:`~repro.core.array_dtrg.ArrayDTRG`, so that graph is at the
    online epoch at every access it checks and every verdict is the serial
-   run's.  Shards run in-process (``inline``) or in a
-   :mod:`multiprocessing` pool (``fork``: workers inherit the payload
-   through a module global; ``spawn``: it is pickled once per worker).
+   run's.
 4. **Merge** (deterministic): each race carries the global access-row
    ordinal of the access that reported it; a stable sort on that ordinal
    is exactly serial detection order (all races of one access share its
    location, hence its shard).  Shard-local dedupe is already global,
    because the dedupe key includes the location.
+
+Dispatch.  ``inline`` checks every shard in-process, one after another.
+``fork`` and ``spawn`` start one :mod:`multiprocessing` process per shard
+but the heaviest, each with a one-way pipe for its result; the parent
+checks the heaviest shard itself meanwhile, then receives the others.
+Under ``fork`` a child reaches the encoded trace through its ``Process``
+arguments without pickling; under ``spawn`` they are pickled once per
+child.  A child that dies before sending surfaces as a
+:class:`RuntimeError` naming its shard and exit code, never as a hang.
+
+The auto backend forks only when a split can win.  A split takes at most
+the *movable rows* — ``sum(loads) - max(loads)``, the access rows off the
+heaviest shard — off the critical path, while making each process costs
+a fixed few milliseconds.  Below :data:`MIN_SPLIT_ROWS` movable rows the
+auto backend checks the trace as one unfiltered in-process shard (the
+``--fast`` kernel plus an O(races) merge) and reports ``backend ==
+"inline"``.  Explicit backends always dispatch as named.
 
 Counter invariants (pinned by the golden/property tests):
 
@@ -41,17 +56,26 @@ Witness certificates (``--explain``) are not produced here; site
 
 from __future__ import annotations
 
-import heapq
-import pickle
+import multiprocessing
 import time
 from collections import Counter
+from heapq import heapreplace
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.events import EncodedTrace, Event, encode_trace
 from repro.core.fastcheck import CheckResult, check_trace_fast
 
-__all__ = ["check_trace_parallel"]
+__all__ = ["MIN_SPLIT_ROWS", "check_trace_parallel"]
+
+#: Break-even of the auto backend, in movable access rows
+#: (``sum(loads) - max(loads)`` over the shard plan).  With fewer, the
+#: auto backend checks the trace as one in-process shard, because making
+#: the processes costs more than the split saves.  Measured by
+#: ``benchmarks/bench_split_breakeven.py``; table in ALGORITHM.md §12.2.
+MIN_SPLIT_ROWS = 20_000
+
+_BACKENDS = (None, "auto", "inline", "fork", "spawn")
 
 #: Per-access counters summed over shards.
 _SUMMED = (
@@ -68,20 +92,25 @@ _SHARED = (
 
 def _plan_shards(
     enc: EncodedTrace, jobs: int
-) -> Tuple[List[bytearray], List[int]]:
+) -> Tuple[List[Optional[bytearray]], List[int]]:
     """Greedy largest-first bin-packing of location ids into ``jobs``
-    shards by access count; deterministic (ties broken by location id,
-    then shard id).  Returns one ownership mask per shard (``mask[lid]``
-    set when the shard owns ``lid``) and the per-shard access counts."""
+    shards by access count; deterministic (ties broken by first access,
+    which is location-id order in recorded columns, then by shard id).
+    Returns one ownership mask per shard (``mask[lid]`` set when the
+    shard owns ``lid``; ``None`` for a lone shard, which owns everything)
+    and the per-shard access counts."""
+    if jobs == 1:
+        return [None], [enc.num_access_events]
     counts = Counter(enc.access[2::3])
     masks = [bytearray(enc.num_locations) for _ in range(jobs)]
-    loads = [0] * jobs
     heap = [(0, k) for k in range(jobs)]
-    for lid, n in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
-        load, k = heapq.heappop(heap)
+    for lid in sorted(counts, key=counts.__getitem__, reverse=True):
+        load, k = heap[0]
         masks[k][lid] = 1
-        loads[k] = load + n
-        heapq.heappush(heap, (load + n, k))
+        heapreplace(heap, (load + counts[lid], k))
+    loads = [0] * jobs
+    for load, k in heap:
+        loads[k] = load
     return masks, loads
 
 
@@ -91,35 +120,63 @@ def _check_shard(enc: EncodedTrace, names, owned) -> CheckResult:
     return part
 
 
-# Module-global payload ``(enc, names, masks)`` for pooled workers.  With
-# the fork start method the parent sets it before creating the pool and
-# children inherit it; with spawn the pool initializer unpickles it once
-# per worker.
-_PAYLOAD: Optional[tuple] = None
+def _send_shard(conn, enc: EncodedTrace, names, owned) -> None:
+    """Child process: check one shard and send its result to the parent."""
+    try:
+        conn.send(_check_shard(enc, names, owned))
+    finally:
+        conn.close()
 
 
-def _pool_init(blob: Optional[bytes]) -> None:
-    global _PAYLOAD
-    if blob is not None:
-        _PAYLOAD = pickle.loads(blob)
-
-
-def _run_pooled(k: int) -> CheckResult:
-    enc, names, masks = _PAYLOAD
-    return _check_shard(enc, names, masks[k])
-
-
-def _resolve_backend(backend: Optional[str], jobs: int) -> str:
-    if backend is not None:
-        if backend not in ("inline", "fork", "spawn"):
-            raise ValueError(f"unknown backend {backend!r}")
-        return backend
-    if jobs <= 1:
-        return "inline"
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
+def _check_in_processes(
+    method: str, enc: EncodedTrace, names, masks, loads, active, progress
+) -> List[CheckResult]:
+    """Check each shard in ``active`` but the heaviest in a child process
+    and the heaviest in this one; return the results in ``active`` order.
+    """
+    ctx = multiprocessing.get_context(method)
+    heaviest = max(active, key=loads.__getitem__)
+    children = []
+    try:
+        for k in active:
+            if k == heaviest:
+                continue
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_send_shard, args=(send_end, enc, names, masks[k]),
+                daemon=True,
+            )
+            try:
+                proc.start()
+            finally:
+                # Only the child may hold the write end, so its death
+                # reads as EOF here instead of a recv() that never returns.
+                send_end.close()
+            children.append((k, proc, recv_end))
+        parts = {heaviest: _check_shard(enc, names, masks[heaviest])}
+        if progress is not None:
+            progress.add(loads[heaviest])
+        for k, proc, recv_end in children:
+            try:
+                parts[k] = recv_end.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"shard {k} worker exited with code {proc.exitcode} "
+                    "before sending its result"
+                ) from None
+            if progress is not None:
+                progress.add(loads[k])
+    except BaseException:
+        for _k, proc, _recv_end in children:
+            if proc.is_alive():
+                proc.terminate()
+        raise
+    finally:
+        for _k, proc, recv_end in children:
+            recv_end.close()
+            proc.join()
+    return [parts[k] for k in active]
 
 
 def check_trace_parallel(
@@ -144,9 +201,11 @@ def check_trace_parallel(
         Number of shards/workers.  Results are bit-identical at every
         value.
     backend:
-        ``None`` (auto: ``fork`` where available, else ``spawn``),
-        ``"inline"`` (all shards in-process, no multiprocessing — what the
-        property sweeps use), ``"fork"`` or ``"spawn"``.
+        ``None`` or ``"auto"`` (one in-process shard below
+        :data:`MIN_SPLIT_ROWS` movable rows, else ``fork`` where
+        available, else ``spawn``), ``"inline"`` (all shards in-process,
+        no multiprocessing — what the property sweeps use), ``"fork"`` or
+        ``"spawn"``.
     names:
         Optional tid -> display-name map (e.g. captured from a live run);
         defaults to the replay convention ``task#<tid>`` / ``future#<tid>``.
@@ -155,19 +214,20 @@ def check_trace_parallel(
         stage timings and per-shard spans.  Disabled/None costs nothing.
     progress:
         Optional :class:`repro.obs.live.ProgressCounter`, counting checked
-        access events.  It is bumped per shard — for the ``inline``
-        backend after each shard completes; for pooled backends the
-        workers run in other processes, so it jumps once when
-        ``pool.map`` returns.
+        access events.  It is bumped per shard, as each shard's result
+        is in hand.
 
     ``timings`` holds ``build_seconds`` (encoding; 0 for an
     ``EncodedTrace``), ``freeze_seconds`` (the shard plan),
     ``check_seconds`` (all shards), ``merge_seconds``, ``total_seconds``
     and ``max_shard_seconds`` (the slowest shard's kernel time).
+    ``movable_rows`` is the plan's ``sum(loads) - max(loads)``, also when
+    the auto backend declined to split.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    backend = _resolve_backend(backend, jobs)
+    if backend not in _BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     obs = obs if obs is not None and getattr(obs, "enabled", False) else None
     t0 = time.perf_counter()
 
@@ -180,9 +240,17 @@ def check_trace_parallel(
         progress.set_phase("freeze")
 
     masks, loads = _plan_shards(enc, jobs)
+    movable = sum(loads) - max(loads)
+    if backend in (None, "auto"):
+        if movable < MIN_SPLIT_ROWS:
+            backend, loads = "inline", [sum(loads)]
+        elif "fork" in multiprocessing.get_all_start_methods():
+            backend = "fork"
+        else:
+            backend = "spawn"
     # A trace without accesses still needs one shard to replay its
     # structure: the structural counters come from the shards.
-    active = [k for k in range(jobs) if loads[k]] or [0]
+    active = [k for k, load in enumerate(loads) if load] or [0]
     t_freeze = time.perf_counter()
     if obs is not None:
         obs.on_parallel_plan(jobs, backend, loads)
@@ -198,26 +266,9 @@ def check_trace_parallel(
             if progress is not None:
                 progress.add(loads[k])
     else:
-        import multiprocessing
-
-        global _PAYLOAD
-        payload = (enc, names, masks)
-        if backend == "fork":
-            _PAYLOAD = payload
-            initargs = (None,)
-        else:
-            initargs = (pickle.dumps(payload, pickle.HIGHEST_PROTOCOL),)
-        try:
-            with multiprocessing.get_context(backend).Pool(
-                processes=len(active),
-                initializer=_pool_init,
-                initargs=initargs,
-            ) as pool:
-                parts = pool.map(_run_pooled, active)
-        finally:
-            _PAYLOAD = None
-        if progress is not None:
-            progress.add(enc.num_access_events)
+        parts = _check_in_processes(
+            backend, enc, names, masks, loads, active, progress
+        )
     t_check = time.perf_counter()
     if progress is not None:
         progress.set_phase("merge")
@@ -225,6 +276,7 @@ def check_trace_parallel(
     result = CheckResult()
     result.jobs = jobs
     result.backend = backend
+    result.movable_rows = movable
     for name in _SHARED:
         setattr(result, name, getattr(parts[0], name))
     for name in _SUMMED:

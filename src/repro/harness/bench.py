@@ -40,7 +40,13 @@ Schema (``repro.bench.parallel/2``)::
        "num_events": ..., "num_access_events": ..., "num_tasks": ...,
        "races": ..., "freeze_seconds": ..., "identical_across_jobs": ...,
        "jobs": [{"jobs": 1, "seconds": ..., "check_seconds": ...,
-                 "freeze_seconds": ..., "speedup": ...}, ...]}, ...]}
+                 "freeze_seconds": ..., "speedup": ...,
+                 "backend": ..., "shards": ...}, ...]}, ...]}
+
+``backend`` and ``shards`` record how each job count was dispatched: the
+auto backend checks a trace below the split break-even
+(``parallel_check.MIN_SPLIT_ROWS``) as one ``inline`` shard, and such a
+row times no split at all.
 
 On a single-core box (``os.cpu_count() == 1``) the parallel document is
 additionally tagged ``"speedup_valid": false`` and a loud warning is
@@ -353,6 +359,8 @@ def parallel_bench_data(
                     "freeze_seconds": result.per_jobs[n]["freeze_seconds"],
                     "build_seconds": result.per_jobs[n]["build_seconds"],
                     "speedup": round(result.per_jobs[n]["speedup"], 4),
+                    "backend": result.per_jobs[n]["backend"],
+                    "shards": result.per_jobs[n]["shards"],
                     "events_per_second": round(
                         result.per_jobs[n]["events_per_second"], 1
                     ),

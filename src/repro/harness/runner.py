@@ -170,8 +170,10 @@ class ParallelBenchResult:
     ``per_jobs`` maps each job count to its best-of-``repeats`` wall
     times: ``seconds`` is the full check (encode + shard plan + fan-out +
     merge), ``check_seconds`` the fan-out stage alone, ``speedup`` is
-    relative to the jobs=1 ``seconds``.  ``identical`` records whether
-    every job count reproduced the jobs=1 ``summary()`` text and
+    relative to the jobs=1 ``seconds``; ``backend`` and ``shards`` say how
+    the check was dispatched (the auto backend checks a trace below the
+    split break-even as one ``inline`` shard).  ``identical`` records
+    whether every job count reproduced the jobs=1 ``summary()`` text and
     ``perf_stats`` byte-for-byte — the determinism contract, asserted by
     the caller, not here, so a violation still lands in the artifact.
     """
@@ -185,7 +187,7 @@ class ParallelBenchResult:
     races: int
     freeze_seconds: float
     identical: bool
-    per_jobs: Dict[int, Dict[str, float]]
+    per_jobs: Dict[int, Dict[str, Any]]
 
     def speedup(self, jobs: int) -> float:
         base = self.per_jobs.get(1, {}).get("seconds", 0.0)
@@ -229,7 +231,7 @@ def run_parallel_benchmark(
     golden_summary: Optional[str] = None
     golden_perf: Optional[Dict[str, Any]] = None
     identical = True
-    per_jobs: Dict[int, Dict[str, float]] = {}
+    per_jobs: Dict[int, Dict[str, Any]] = {}
     result = None
     for n in jobs:
         best_total = float("inf")
@@ -262,6 +264,8 @@ def run_parallel_benchmark(
             "check_seconds": best_check,
             "freeze_seconds": best_freeze,
             "build_seconds": best_build,
+            "backend": result.backend,
+            "shards": len(result.shards),
         }
     assert result is not None
     base = per_jobs.get(jobs[0], {}).get("seconds", 0.0)

@@ -340,7 +340,7 @@ def _parallel_predicate(jobs: int) -> Callable[[Program], bool]:
             )
             sequential = DETECTORS["dtrg"]()
             replay_trace(trace, [sequential])
-            result = check_trace_parallel(trace, jobs=jobs)
+            result = check_trace_parallel(trace, jobs=jobs, backend="inline")
         except Exception:
             return False
         return (set(result.racy_locations) != _verdict(live)
@@ -398,9 +398,9 @@ def check_seed(
 
     ``jobs`` > 1 adds a parallel-parity leg per scoped seed: the recorded
     trace is re-checked by the two-phase sharded checker
-    (:func:`repro.core.parallel_check.check_trace_parallel`) at jobs ∈
-    {1, ``jobs``}, and any deviation from the live dtrg racy set or from
-    the sequential replay's ``summary()`` text is a
+    (:func:`repro.core.parallel_check.check_trace_parallel`, in-process
+    shards) at jobs ∈ {1, ``jobs``}, and any deviation from the live dtrg
+    racy set or from the sequential replay's ``summary()`` text is a
     ``parallel-divergence`` failure.
 
     ``runtimes`` adds the :data:`RUNTIME_ROWS` parity legs per scoped
@@ -487,7 +487,11 @@ def check_seed(
                 for n in (1, jobs):
                     stats.tally(PARALLEL_NAME, "runs")
                     try:
-                        result = check_trace_parallel(trace, jobs=n)
+                        # Pinned inline: the auto backend would check
+                        # these small traces as one unsplit shard.
+                        result = check_trace_parallel(
+                            trace, jobs=n, backend="inline"
+                        )
                     except Exception as exc:
                         stats.tally(PARALLEL_NAME, "crashes")
                         fail("scoped", "crash", PARALLEL_NAME,

@@ -195,7 +195,9 @@ def main(argv: List[str] | None = None) -> int:
                         default=None,
                         choices=("auto", "fork", "spawn", "inline"),
                         help="worker dispatch for --jobs (default auto: "
-                             "fork where available, else spawn)")
+                             "one in-process shard below the split "
+                             "break-even, else fork where available, "
+                             "else spawn)")
     parser.add_argument("--fast", action="store_true",
                         help="check via the batched single-thread fast "
                              "path: record the trace into flat "
@@ -523,6 +525,7 @@ def main(argv: List[str] | None = None) -> int:
                 timings = result.timings
                 print(f"parallel check: jobs={result.jobs} "
                       f"backend={result.backend} shards={len(result.shards)} "
+                      f"movable_rows={result.movable_rows} "
                       f"freeze={timings['freeze_seconds'] * 1e3:.1f}ms "
                       f"check={timings['check_seconds'] * 1e3:.1f}ms "
                       f"merge={timings['merge_seconds'] * 1e3:.1f}ms")

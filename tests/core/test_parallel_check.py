@@ -7,10 +7,14 @@ structural ``DetectorPerf`` counters — and it streams its input, so a
 one-shot generator with no ``__len__`` is a valid trace.
 """
 
+import multiprocessing
+import os
 import random
+import time
 
 import pytest
 
+from repro.core import parallel_check as parallel_mod
 from repro.core.detector import DeterminacyRaceDetector
 from repro.core.parallel_check import check_trace_parallel
 from repro.core.events import ReadEvent, TaskCreateEvent, WriteEvent
@@ -52,7 +56,7 @@ def first_racy_trace():
 def test_summary_byte_identical_across_jobs(jobs):
     trace = first_racy_trace()
     golden = sequential(trace)
-    result = check_trace_parallel(trace, jobs=jobs)
+    result = check_trace_parallel(trace, jobs=jobs, backend="inline")
     assert result.summary() == golden.report.summary()
     assert [r.pair_key for r in result.races] == \
         [r.pair_key for r in golden.races]
@@ -63,7 +67,7 @@ def test_summary_byte_identical_across_jobs(jobs):
 def test_perf_counters_invariant(jobs):
     trace = first_racy_trace()
     golden = sequential(trace).perf_stats
-    got = check_trace_parallel(trace, jobs=jobs).perf_stats
+    got = check_trace_parallel(trace, jobs=jobs, backend="inline").perf_stats
     for key in INVARIANT_PERF:
         assert got[key] == golden[key], key
     assert got["cache_hits"] == got["cache_misses"] == 0
@@ -74,7 +78,7 @@ def test_race_free_trace():
         trace = recorded(seed)
         golden = sequential(trace)
         if not golden.report.has_races:
-            result = check_trace_parallel(trace, jobs=2)
+            result = check_trace_parallel(trace, jobs=2, backend="inline")
             assert not result.report.has_races
             assert result.summary() == golden.report.summary()
             return
@@ -92,7 +96,7 @@ def test_structure_only_trace_keeps_structural_counters():
             break
     else:  # pragma: no cover
         raise AssertionError("no seed with both join kinds in range")
-    result = check_trace_parallel(trace, jobs=2)
+    result = check_trace_parallel(trace, jobs=2, backend="inline")
     assert result.num_access_events == 0 and not result.races
     assert result.mutation_epoch == golden.dtrg.mutation_epoch
     assert result.num_tasks == 1 + sum(
@@ -113,6 +117,90 @@ def test_process_backends_match_inline(backend):
     assert result.summary() == golden.summary()
     assert result.perf_stats == golden.perf_stats
     assert result.backend == backend
+
+
+# ---------------------------------------------------------------------- #
+# Auto dispatch: split only above the break-even                        #
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", [None, "auto"])
+def test_auto_below_break_even_checks_one_inline_shard(backend):
+    from repro.core.fastcheck import check_trace_fast
+
+    trace = first_racy_trace()
+    fast = check_trace_fast(trace)
+    result = check_trace_parallel(trace, jobs=2, backend=backend)
+    assert 0 < result.movable_rows < parallel_mod.MIN_SPLIT_ROWS
+    assert result.backend == "inline"
+    assert len(result.shards) == 1
+    assert result.shards[0]["events"] == result.num_access_events
+    assert result.summary() == fast.summary()
+    assert result.perf_stats == fast.perf_stats
+    assert result.race_rows == fast.race_rows
+
+
+class _CountingContext:
+    """A multiprocessing context that counts the processes it makes."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.processes = 0
+
+    def Pipe(self, duplex=True):
+        return self._ctx.Pipe(duplex=duplex)
+
+    def Process(self, **kwargs):
+        self.processes += 1
+        return self._ctx.Process(**kwargs)
+
+
+def test_auto_above_break_even_forks_all_but_one_shard(monkeypatch):
+    contexts = []
+    real_get_context = multiprocessing.get_context
+
+    def counting_context(method):
+        contexts.append(_CountingContext(real_get_context(method)))
+        return contexts[-1]
+
+    monkeypatch.setattr(parallel_mod, "MIN_SPLIT_ROWS", 1)
+    monkeypatch.setattr(multiprocessing, "get_context", counting_context)
+    trace = first_racy_trace()
+    golden = check_trace_parallel(trace, jobs=3, backend="inline")
+    result = check_trace_parallel(trace, jobs=3)
+    assert result.backend in ("fork", "spawn")
+    assert len(result.shards) == len(golden.shards) > 1
+    # The parent checks the heaviest shard itself.
+    assert [c.processes for c in contexts] == [len(result.shards) - 1]
+    assert result.summary() == golden.summary()
+    assert result.perf_stats == golden.perf_stats
+    assert result.race_rows == golden.race_rows
+    assert not multiprocessing.active_children()
+
+
+def _die_in_child(parent_pid, how):
+    real = parallel_mod._check_shard
+
+    def check(enc, names, owned):
+        if os.getpid() != parent_pid:
+            if how == "exit":
+                os._exit(3)
+            raise MemoryError("shard worker blew up")
+        return real(enc, names, owned)
+
+    return check
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs fork")
+@pytest.mark.parametrize("how, code", [("exit", 3), ("raise", 1)])
+def test_dead_child_raises_instead_of_hanging(monkeypatch, how, code):
+    monkeypatch.setattr(parallel_mod, "_check_shard",
+                        _die_in_child(os.getpid(), how))
+    trace = first_racy_trace()
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=rf"shard \d+ .*code {code}\b"):
+        check_trace_parallel(trace, jobs=2, backend="fork")
+    assert time.monotonic() - start < 10
+    assert not multiprocessing.active_children()
 
 
 def test_unknown_backend_rejected():
@@ -138,7 +226,7 @@ def test_generator_input_streams():
 
     gen = one_shot()
     assert not hasattr(gen, "__len__")
-    result = check_trace_parallel(gen, jobs=2)
+    result = check_trace_parallel(gen, jobs=2, backend="inline")
     assert result.summary() == golden.report.summary()
     # The generator is exhausted: a second pass would see nothing, so a
     # passing check proves single-pass streaming.
@@ -172,7 +260,7 @@ def test_names_override():
 
 def test_shard_and_timing_surface():
     trace = first_racy_trace()
-    result = check_trace_parallel(trace, jobs=2)
+    result = check_trace_parallel(trace, jobs=2, backend="inline")
     assert sum(s["events"] for s in result.shards) \
         == result.num_access_events
     for key in ("build_seconds", "freeze_seconds", "check_seconds",
@@ -188,7 +276,7 @@ def test_obs_hooks_fire():
 
     obs = Observability(tracer=RingTracer())
     trace = first_racy_trace()
-    check_trace_parallel(trace, jobs=2, obs=obs)
+    check_trace_parallel(trace, jobs=2, obs=obs, backend="inline")
     dump = obs.registry.as_dict()
     assert dump["counters"]["parallel_checks"] == 1
     assert dump["histograms"]["parallel_shard_events"]["count"] >= 1

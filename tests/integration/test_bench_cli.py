@@ -55,7 +55,7 @@ def test_parallel_bench_writes_pr5_schema(tmp_path, capsys):
     out = tmp_path / "BENCH_PR5.json"
     code = main(["--parallel", "--scale", "tiny", "--jobs", "1,2",
                  "--only", "Jacobi", "--output", str(out),
-                 "--tag", "unit-test"])
+                 "--tag", "unit-test", "--parallel-backend", "auto"])
     assert code == 0
     data = json.loads(out.read_text())
     assert data["schema"] == PARALLEL_BENCH_SCHEMA
@@ -70,6 +70,9 @@ def test_parallel_bench_writes_pr5_schema(tmp_path, capsys):
     assert set(rows) == {1, 2}
     assert rows[1]["speedup"] == 1.0
     assert rows[2]["seconds"] > 0 and rows[2]["speedup"] > 0
+    # Tiny Jacobi is below the split break-even: the row says it timed
+    # one in-process shard, not a two-way split.
+    assert rows[2]["backend"] == "inline" and rows[2]["shards"] == 1
 
 
 def test_parallel_bench_jobs_parsing(tmp_path):

@@ -339,11 +339,19 @@ def test_jobs_clean_program_exit_zero(clean_program, capsys):
     assert "no determinacy races" in capsys.readouterr().out
 
 
+def test_jobs_auto_backend_clean_program_exit_zero(clean_program, capsys):
+    assert main([clean_program, "--jobs", "2",
+                 "--parallel-backend", "auto"]) == 0
+    assert "no determinacy races" in capsys.readouterr().out
+
+
 def test_jobs_metrics_prints_parallel_stats(racy_program, capsys):
     assert main([racy_program, "--jobs", "2", "--metrics"]) == 1
     out = capsys.readouterr().out
     assert "parallel check: jobs=2" in out
     assert "freeze=" in out
+    # A program this small is below the split break-even.
+    assert "backend=inline shards=1 movable_rows=" in out
 
 
 def test_jobs_rejects_raise_policy(racy_program, capsys):
