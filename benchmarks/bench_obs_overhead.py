@@ -18,8 +18,9 @@ Four configurations, same workload, min-of-N wall time:
    detector (must be within ``--max-overhead`` of baseline, default 5%);
 3. **enabled**  — full metrics + ring tracer (reported for context, not
    asserted: tracing is allowed to cost what it costs).  An attached
-   ``obs`` selects the reference engine, whose hooks fire per access;
-   the other three configurations run the kernel;
+   ``obs`` observes the same kernel the other three configurations run,
+   over the traced flat-array graph, with the kernel's access hook
+   reporting each access when its block is checked;
 4. **live**     — the PR 9 telemetry plane at its worst: a 250 ms
    :class:`~repro.obs.live.RuntimeSampler` with the detector attached as
    a source, the HTTP exporter bound to an ephemeral port, and an
@@ -28,9 +29,10 @@ Four configurations, same workload, min-of-N wall time:
    baseline — the sampler reads counters the hot path already maintains,
    so serving metrics must not slow the run it observes).
 
-The run also asserts the Table-2 structural columns are bit-identical
-across all four configurations — instrumentation must observe, never
-perturb.  Exit status 1 on any violation.
+The run also asserts the Table-2 structural columns, PRECEDE query and
+VISIT counts included, are bit-identical across all four configurations
+— instrumentation must observe, never perturb.  Exit status 1 on any
+violation.
 """
 
 from __future__ import annotations

@@ -58,11 +58,12 @@ appends are amortized O(1) and no manual doubling is needed.
 from __future__ import annotations
 
 from array import array
+from time import perf_counter_ns
 from typing import Dict, Hashable, List, Optional
 
 from repro.core.labels import MAXID
 
-__all__ = ["ArrayDTRG"]
+__all__ = ["ArrayDTRG", "TracedArrayDTRG"]
 
 
 class ArrayDTRG:
@@ -348,3 +349,73 @@ class ArrayDTRG:
                             return True
             anc = lsa[r]
         return False
+
+
+class TracedArrayDTRG(ArrayDTRG):
+    """:class:`ArrayDTRG` reporting to a :class:`repro.obs.Observability`.
+
+    Each index-layer PRECEDE query reports its wall time, VISIT-expansion
+    count and outcome: ``search`` when it expanded a set, ``memo`` when
+    ``(find(a), find(b))`` is in the current epoch's verdict memo (only
+    queries that failed level 0 are stored there, so a memo answer is
+    recognized after the fact and the plain query is left untouched),
+    else ``level0``.  Each mutation reports an instant carrying the new
+    epoch.  The counters and verdicts are the plain graph's.
+
+    A subclass rather than rebound methods, because the graph uses
+    ``__slots__``; the kernel binds the ``*_idx`` methods when it starts,
+    so every event of the run is traced.  ``names[i]`` is the display
+    name of task index ``i`` (the ``add_task`` instants carry it).
+    """
+
+    __slots__ = ("_obs", "_names")
+
+    def __init__(self, obs, names: List[str]) -> None:
+        super().__init__()
+        self._obs = obs
+        self._names = names
+
+    def precede_idx(self, ia: int, ib: int) -> bool:
+        visits0 = self.num_visits
+        start = perf_counter_ns()
+        verdict = super().precede_idx(ia, ib)
+        dur = perf_counter_ns() - start
+        expansions = self.num_visits - visits0
+        if expansions:
+            outcome = "search"
+        elif (self._memo_epoch == self.mutation_epoch
+              and (self.find(ia), self.find(ib)) in self._memo):
+            outcome = "memo"
+        else:
+            outcome = "level0"
+        self._obs.on_precede(
+            self.keys[ia], self.keys[ib], verdict, dur, expansions, outcome,
+            self.mutation_epoch,
+        )
+        return verdict
+
+    def add_task_idx(self, parent_idx: int, is_future: bool,
+                     key=None) -> int:
+        i = super().add_task_idx(parent_idx, is_future, key)
+        self._obs.on_mutation("add_task", self.mutation_epoch,
+                              self._names[i])
+        return i
+
+    def on_terminate_idx(self, i: int) -> None:
+        super().on_terminate_idx(i)
+        self._obs.on_mutation("terminate", self.mutation_epoch,
+                              str(self.keys[i]))
+
+    def record_join_idx(self, consumer_idx: int, producer_idx: int) -> None:
+        super().record_join_idx(consumer_idx, producer_idx)
+        self._obs.on_mutation(
+            "record_join", self.mutation_epoch,
+            f"{self.keys[consumer_idx]}<-{self.keys[producer_idx]}",
+        )
+
+    def merge_idx(self, ancestor_idx: int, descendant_idx: int) -> None:
+        super().merge_idx(ancestor_idx, descendant_idx)
+        self._obs.on_mutation(
+            "merge", self.mutation_epoch,
+            f"{self.keys[ancestor_idx]}+{self.keys[descendant_idx]}",
+        )

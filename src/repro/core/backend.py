@@ -17,8 +17,9 @@ Engines
     through this protocol's per-access ``precede`` calls.
 ``object``  (alias ``dtrg``)
     :class:`repro.core.reachability.DynamicTaskReachabilityGraph` — the
-    paper's Algorithms 1–10.  The reference implementation; the only
-    engine with ablation switches and observability, and the graph
+    paper's Algorithms 1–10 behind the plain Algorithms 8–9.  The
+    reference implementation the kernel is tested against, the only
+    engine with ablation switches, and the graph
     :func:`repro.obs.provenance.explain_races` certifies witnesses on.
 ``vc``
     :class:`repro.core.vc_backend.VectorClockBackend` — future-aware
@@ -37,8 +38,9 @@ query at event boundaries with ``b`` = the current task.
 
 Protocol surface
 ----------------
-Structural mutators (each must bump ``mutation_epoch``; the shadow
-memory's epoch memo assumes *epoch unchanged ⇒ no mutation happened*):
+Structural mutators (each must bump ``mutation_epoch``, so that *epoch
+unchanged ⇒ no mutation happened*; the graphs' verdict memos rest on
+it):
 
 - ``add_root(key, *, name="")`` — Algorithm 1, the main task.
 - ``add_task(parent_key, child_key, *, is_future=False, name="")`` —

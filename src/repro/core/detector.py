@@ -14,9 +14,11 @@ machinery.  It runs one of two engines over the same algorithms:
   DTRG.  Each access block is checked when the spawn, get, end or finish
   that closes it arrives — still one on-the-fly pass in serial-elision
   order — and the consumed rows are dropped, so the columns hold
-  O(tasks + locations).
+  O(tasks + locations).  The Algorithm 8/9 fast paths live only here,
+  and an attached ``obs`` observes this engine.
 * **the reference engine** (``engine="object"``): the paper's structures
-  one to one, per access.
+  one to one, per access, with the plain Algorithms 8/9 the tests
+  compare the kernel against.
 
 ======================  ===========================================
 Paper                    Reference engine
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.core.array_dtrg import ArrayDTRG
+from repro.core.array_dtrg import ArrayDTRG, TracedArrayDTRG
 from repro.core.backend import resolve_engine
 from repro.core.events import (
     ColumnBuilder, EncodedTrace, ExecutionObserver, observer_hooks,
@@ -86,21 +88,23 @@ class DeterminacyRaceDetector(ExecutionObserver):
     engine:
         ``"array"`` (default): the kernel over the flat-array DTRG.
         ``"object"``/``"dtrg"``: the reference engine, the object DTRG
-        plus :class:`~repro.core.shadow.ShadowMemory`; it is selected
-        automatically when ``obs`` or an ablation switch is given,
-        because only it carries per-access hooks.
+        plus the plain :class:`~repro.core.shadow.ShadowMemory`; it is
+        selected automatically when an ablation switch is off.
         ``"vc"``: future-aware vector clocks behind ``ShadowMemory``
         (:mod:`repro.core.backend`).  All engines produce bit-identical
         race lists.
     obs:
-        Optional :class:`repro.obs.Observability` sink.  When enabled it
-        is attached to the DTRG (PRECEDE latency/frontier/outcome
-        instrumentation, mutation instants) and the shadow memory
-        (per-access reader-population instrumentation), and races are
-        emitted as trace instants.  ``None`` (default) or a disabled
-        object leaves every hot path on the uninstrumented code —
-        structural counters and verdicts are bit-identical either way
-        (pinned by ``tests/integration/test_obs_integration.py``).
+        Optional :class:`repro.obs.Observability` sink, observed on the
+        kernel: the DTRG is a
+        :class:`~repro.core.array_dtrg.TracedArrayDTRG` (PRECEDE
+        latency/frontier/outcome, mutation instants), the kernel reports
+        each access's stored reader population when its block closes,
+        and races are emitted as trace instants.  ``None`` (default) or
+        a disabled object runs the uninstrumented graph; structural
+        counters and verdicts are bit-identical either way (pinned by
+        ``tests/integration/test_obs_integration.py``).  An enabled
+        ``obs`` with a reference engine raises ``ValueError``: those
+        carry no hooks.
 
     Attributes
     ----------
@@ -142,10 +146,15 @@ class DeterminacyRaceDetector(ExecutionObserver):
         self.obs = (
             obs if obs is not None and getattr(obs, "enabled", False) else None
         )
-        plain = (use_lsa and memoize_visit and use_intervals
-                 and self.obs is None)
+        plain = use_lsa and memoize_visit and use_intervals
         if engine == "array" and not plain:
             engine = "object"
+        if self.obs is not None and engine != "array":
+            raise ValueError(
+                f"engine={engine!r} (or an ablation switch off) supports "
+                "no observability attachment: obs observes the kernel, "
+                "engine='array' with every ablation switch on"
+            )
         self.engine = engine
         if engine == "array":
             self._init_kernel(dedupe)
@@ -153,13 +162,10 @@ class DeterminacyRaceDetector(ExecutionObserver):
         self.report = RaceReport(dedupe=dedupe)
         self.race_rows: list = []
         if engine == "vc":
-            # Future-aware vector clocks implement only the paper's
-            # default query strategy and carry no observability hooks.
             if not plain:
                 raise ValueError(
                     "engine='vc' implements the default query strategy "
-                    "only and supports no observability attachment; use "
-                    "engine='object'"
+                    "only; use engine='object' for the ablations"
                 )
             from repro.core.vc_backend import VectorClockBackend
 
@@ -170,19 +176,11 @@ class DeterminacyRaceDetector(ExecutionObserver):
                 memoize_visit=memoize_visit,
                 use_intervals=use_intervals,
             )
-        dtrg = self.dtrg
-        # Attach before binding dtrg.precede below, so the shadow memory
-        # queries through the traced entry point when tracing is on.
-        if self.obs is not None:
-            dtrg.attach_observability(self.obs)
         self.shadow = ShadowMemory(
-            precede=dtrg.precede,
+            precede=self.dtrg.precede,
             is_future=self._is_future_covered,
             report=self._report_race,
-            epoch=lambda: dtrg.mutation_epoch,
         )
-        if self.obs is not None:
-            self.shadow.attach_observability(self.obs)
         self._counts = self.shadow
         self._names: dict[int, str] = {}
         #: tid -> "future-covered": the task is a future or has a future
@@ -203,19 +201,45 @@ class DeterminacyRaceDetector(ExecutionObserver):
         result = CheckResult(dedupe)
         self.report = result.report
         self.race_rows = result.race_rows
-        self.dtrg = result.dtrg = ArrayDTRG()
         self._counts = result
         enc = EncodedTrace()
         builder = ColumnBuilder(enc)
         #: Display name per dense task index, fed by the live tasks.
         names: list = []
-        on_race = None
-        if self.policy is ReportPolicy.RAISE:
+        obs = self.obs
+        raises = self.policy is ReportPolicy.RAISE
+        on_race = on_access = None
+        if obs is not None:
+            self.dtrg = TracedArrayDTRG(obs, names)
+            task_keys, locs = enc.task_keys, enc.locs
+
+            def on_access(is_write, task, lid, readers) -> None:
+                obs.on_shadow_access("write" if is_write else "read",
+                                     task_keys[task], locs[lid], readers)
+
             def on_race(race: Race) -> None:
-                raise RaceError(race)
+                obs.on_race(race.kind.value, race.prev_task,
+                            race.current_task, race.loc)
+                if raises:
+                    raise RaceError(race)
+        else:
+            self.dtrg = ArrayDTRG()
+            if raises:
+                def on_race(race: Race) -> None:
+                    raise RaceError(race)
+        result.dtrg = self.dtrg
 
         hooks = observer_hooks(builder)
         runs = enc.runs
+
+        def step() -> None:
+            try:
+                self._step()
+            except BaseException:
+                # RaceError under RAISE ends the kernel: turn inert,
+                # lowering and dropping events unchecked.
+                self._step = builder.drop
+                raise
 
         def stepped(lower):
             def hook(*args) -> None:
@@ -224,19 +248,19 @@ class DeterminacyRaceDetector(ExecutionObserver):
                 # opened a new structure run behind an unconsumed one.
                 # Structure-only stretches are applied with the next block.
                 if len(runs) > 2 and runs[-1] == 1:
-                    try:
-                        self._step()
-                    except BaseException:
-                        # RaceError under RAISE ends the kernel: turn
-                        # inert, lowering and dropping events unchecked.
-                        self._step = builder.drop
-                        raise
+                    step()
             return hook
+
+        def flush() -> None:
+            builder.flush()
+            if runs:
+                step()
 
         def on_init(main) -> None:
             names.append(main.name)
             self._kernel = _kernel(enc, self.dtrg, names, result,
-                                   on_race=on_race, drop=builder.drop)
+                                   on_race=on_race, on_access=on_access,
+                                   drop=builder.drop)
             next(self._kernel)
             self._step = self._kernel.__next__
 
@@ -262,6 +286,7 @@ class DeterminacyRaceDetector(ExecutionObserver):
                 builder.drop()
 
         self._columns = enc
+        self.flush = flush
         self.on_init = on_init
         self.on_task_create = on_task_create
         self.on_task_end = on_task_end
@@ -316,6 +341,16 @@ class DeterminacyRaceDetector(ExecutionObserver):
         """Algorithm 8 via the shadow memory."""
         self.shadow.write(task.tid, loc)
 
+    def flush(self) -> None:
+        """Check every access seen so far.
+
+        The kernel checks an access block when the structure event that
+        closes it arrives, so a run that aborts (the program raised)
+        leaves its last block unchecked; ``flush`` checks it, with the
+        graph at the current epoch.  A no-op on the reference engines,
+        which check each access as it arrives, and once main has ended.
+        """
+
     # ------------------------------------------------------------------ #
     # Queries                                                            #
     # ------------------------------------------------------------------ #
@@ -341,9 +376,10 @@ class DeterminacyRaceDetector(ExecutionObserver):
         ``precede_queries``, ``mutation_epoch``, ``cache_hits``,
         ``cache_misses``, ``cache_invalidations``, ``cache_hit_rate``,
         ``shadow_fast_hits``, ``precede_calls_saved``.  The ``cache_*``
-        columns are 0: no engine keeps a public PRECEDE cache.  On the
-        kernel they are written when main ends (and stay 0 after a
-        ``RaceError``).
+        columns are 0: no engine keeps a public PRECEDE cache, and the
+        two fast-path columns are 0 on the reference engines, which have
+        no fast paths.  On the kernel they are written when main ends
+        (and stay 0 after a ``RaceError``).
         """
         if self.engine == "array":
             return self._counts.perf_stats
@@ -354,8 +390,8 @@ class DeterminacyRaceDetector(ExecutionObserver):
             "cache_misses": 0,
             "cache_invalidations": 0,
             "cache_hit_rate": 0.0,
-            "shadow_fast_hits": self.shadow.num_fast_path_hits,
-            "precede_calls_saved": self.shadow.num_precede_calls_saved,
+            "shadow_fast_hits": 0,
+            "precede_calls_saved": 0,
         }
 
     @property
@@ -396,7 +432,5 @@ class DeterminacyRaceDetector(ExecutionObserver):
             return
         # The racing access is the one the shadow memory just counted.
         self.race_rows.append(self.shadow.num_accesses - 1)
-        if self.obs is not None:
-            self.obs.on_race(kind, prev, cur, loc)
         if self.policy is ReportPolicy.RAISE:
             raise RaceError(race)

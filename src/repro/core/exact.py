@@ -38,9 +38,11 @@ The cost is real: no union-find collapsing, no O(1) containment fast path —
 ``bench_detector_comparison.py`` measures the gap, which is this module's
 second purpose: quantifying what the paper's discipline assumption buys.
 
-:class:`ExactDetector` reuses the unmodified shadow-memory policies
-(Algorithms 8-9) with ``(task, access_time)`` composite keys, so the two
-detectors differ *only* in the reachability primitive.
+:class:`ExactDetector` reuses the reference engine's plain shadow memory
+(Algorithms 8-9, :class:`~repro.core.shadow.ShadowMemory`) with
+``(task, access_time)`` composite keys, so the two detectors differ
+*only* in the reachability primitive.  Every key is distinct, and
+``precede`` is reflexive on a key, as the shadow memory requires.
 """
 
 from __future__ import annotations
@@ -162,9 +164,6 @@ class ExactDetector(ExecutionObserver):
             precede=self._precede_keys,
             is_future=lambda key: True,
             report=self._report_race,
-            # Every access has its own (tid, tick) key, so the same-task
-            # read memo never matches and its epoch is immaterial.
-            epoch=lambda: 0,
         )
         self._names: Dict[int, str] = {}
 

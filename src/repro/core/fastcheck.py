@@ -29,14 +29,23 @@ location id:
 * ``fast_reader[loc]`` / ``fast_epoch[loc]`` — the epoch-memoized
   same-task read fast path.
 
+The Algorithm 8/9 fast paths exist only here (docs/ALGORITHM.md §3):
+structural no-ops, the epoch-memoized same-task read and the batched
+writer verdict skip ``PRECEDE`` calls whose answers are forced, counted
+in ``shadow_fast_hits`` and ``precede_calls_saved``.
+
 Equivalence contract (pinned by
 ``tests/properties/test_array_equivalence.py`` and the golden tests):
-race list, detection order, ``RaceReport.summary()``, ``#AvgReaders`` and
-the invariant ``DetectorPerf`` counters (``precede_queries``,
-``mutation_epoch``, ``shadow_fast_hits``, ``precede_calls_saved``) and
-the graph's ``num_visits`` are bit-identical to the reference engine
-(``DeterminacyRaceDetector(engine="object")``: the object DTRG plus
-``ShadowMemory``); ``cache_*`` report 0, as every engine does.
+race list, detection order, ``RaceReport.summary()``, ``race_rows``,
+``#AvgReaders``, ``mutation_epoch`` and the graph's ``num_visits`` are
+bit-identical to the reference engine
+(``DeterminacyRaceDetector(engine="object")``: the object DTRG plus the
+plain ``ShadowMemory``), and its ``precede_queries`` equals this
+kernel's ``precede_queries + precede_calls_saved``: every skipped call
+repeats a query made earlier in the same mutation epoch, which is
+answered at level 0 or from the verdict memo and costs no VISIT.  The
+reference engine reports 0 for both fast-path counters; ``cache_*``
+report 0 on every engine.
 
 The run-length segments of the columns do double duty: dispatch is
 amortized over whole blocks (the access inner loop never tests event
@@ -173,6 +182,7 @@ def _kernel(
     result: CheckResult,
     *,
     on_race: Optional[Callable[[Race], None]] = None,
+    on_access: Optional[Callable[[int, int, int, int], None]] = None,
     drop: Optional[Callable[[], None]] = None,
     progress=None,
     owned: Optional[bytearray] = None,
@@ -190,7 +200,10 @@ def _kernel(
     ``names_list[i]`` is the display name of task index ``i``; it must be
     filled before the run that creates the task is consumed.  ``on_race``
     is called with each race the report accepts; if it raises, the kernel
-    ends.  ``drop``, when given, is called after each resume's runs are
+    ends.  ``on_access(is_write, task, lid, readers)``, when given, is
+    called for each checked access row before its check, with the stored
+    reader population the check sees (the observability hook).
+    ``drop``, when given, is called after each resume's runs are
     consumed and must delete exactly what the run segments cover
     (:meth:`~repro.core.events.ColumnBuilder.drop`); race row ordinals
     keep counting across drops.  ``progress`` is bumped once per block.
@@ -311,6 +324,8 @@ def _kernel(
                     continue
                 rl = readers[lid]
                 w = writers[lid]
+                if on_access is not None:
+                    on_access(is_write, task, lid, len(rl) if rl else 0)
                 if is_write:
                     # ----------------- Algorithm 8: write ------------- #
                     if rl:

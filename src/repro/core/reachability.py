@@ -38,11 +38,11 @@ Ablation switches (used by ``benchmarks/bench_ablations.py``):
 
 The graph also maintains :attr:`mutation_epoch`, a counter bumped on every
 structural mutation (``add_task``, ``record_join``, ``merge``,
-``on_terminate``).  The shadow memory keys its same-task fast path on it,
-and so does the verdict memo of :meth:`DynamicTaskReachabilityGraph.precede`:
-verdicts that needed a backward search are kept for the current epoch
-only, exactly as :class:`repro.core.array_dtrg.ArrayDTRG` keeps them, so
-the two graphs count the same ``num_visits`` (docs/ALGORITHM.md §7).
+``on_terminate``).  The verdict memo of
+:meth:`DynamicTaskReachabilityGraph.precede` is keyed on it: verdicts
+that needed a backward search are kept for the current epoch only,
+exactly as :class:`repro.core.array_dtrg.ArrayDTRG` keeps them, so the
+two graphs count the same ``num_visits`` (docs/ALGORITHM.md §7).
 """
 
 from __future__ import annotations
@@ -147,9 +147,6 @@ class DynamicTaskReachabilityGraph:
         #: representatives, valid for ``_memo_epoch`` only (see precede).
         self._memo: Dict[tuple, bool] = {}
         self._memo_epoch = 0
-        #: Queries answered from ``_memo`` (the traced twin's ``memo``
-        #: outcome).
-        self._memo_hits = 0
         # Statistics for complexity tests / benchmarks.
         self.num_precede_queries = 0
         #: VISIT *expansions*: sets added to a query's visited set whose
@@ -163,9 +160,6 @@ class DynamicTaskReachabilityGraph:
         self.num_visits = 0
         self.num_non_tree_edges = 0
         self.num_tree_merges = 0
-        # Observability hook (installed by attach_observability; the
-        # default path carries no instrumentation at all).
-        self._obs = None
 
     # ------------------------------------------------------------------ #
     # Construction (Algorithms 1-7)                                      #
@@ -262,98 +256,6 @@ class DynamicTaskReachabilityGraph:
         self.mutation_epoch += 1
 
     # ------------------------------------------------------------------ #
-    # Observability (repro.obs)                                          #
-    # ------------------------------------------------------------------ #
-    def attach_observability(self, obs) -> None:
-        """Install tracing/metrics instrumentation for ``obs``.
-
-        Null-object protocol: ``None`` or a disabled observability object
-        (``obs.enabled`` false) leaves the graph completely untouched —
-        the default methods carry no instrumentation, so the disabled
-        path costs nothing (asserted by ``bench_obs_overhead.py``).
-
-        When enabled, the query and the four mutators are shadowed by
-        instance-attribute bindings of their ``_traced_*`` twins, which
-        delegate to the plain implementations and report to ``obs``:
-        PRECEDE queries with wall time, VISIT-expansion count and outcome
-        (``level0``, ``memo`` or ``search``); mutations as instant events
-        carrying the new epoch.
-
-        Instance-attribute rebinding is construction-time wiring only: a
-        concurrent runtime (``ThreadRuntime``) could observe the five
-        methods half-swapped, and even serially the pre-attachment events
-        would be missing from the trace.  Attaching once the graph holds
-        any node raises
-        :class:`~repro.runtime.errors.RuntimeStateError`.
-        """
-        if obs is None or not getattr(obs, "enabled", False):
-            return
-        if self._nodes:
-            from repro.runtime.errors import RuntimeStateError
-
-            raise RuntimeStateError(
-                "attach_observability after tasks were registered: attach "
-                "hooks at construction time, before the DTRG records any "
-                "node (rebinding precede/mutators mid-flight is unsafe "
-                "under a concurrent runtime and would leave earlier "
-                "events untraced)"
-            )
-        self._obs = obs
-        self.precede = self._traced_precede
-        self.add_task = self._traced_add_task
-        self.record_join = self._traced_record_join
-        self.merge = self._traced_merge
-        self.on_terminate = self._traced_on_terminate
-
-    def _traced_precede(self, a_key: Hashable, b_key: Hashable) -> bool:
-        from time import perf_counter_ns
-
-        hits0 = self._memo_hits
-        visits0 = self.num_visits
-        start = perf_counter_ns()
-        verdict = DynamicTaskReachabilityGraph.precede(self, a_key, b_key)
-        dur = perf_counter_ns() - start
-        expansions = self.num_visits - visits0
-        if self._memo_hits > hits0:
-            outcome = "memo"
-        elif expansions:
-            outcome = "search"
-        else:
-            outcome = "level0"
-        self._obs.on_precede(
-            a_key, b_key, verdict, dur, expansions, outcome,
-            self.mutation_epoch,
-        )
-        return verdict
-
-    def _traced_add_task(self, parent_key, child_key, *, is_future, name=None):
-        node = DynamicTaskReachabilityGraph.add_task(
-            self, parent_key, child_key, is_future=is_future, name=name
-        )
-        self._obs.on_mutation("add_task", self.mutation_epoch, node.name)
-        return node
-
-    def _traced_record_join(self, consumer_key, producer_key):
-        DynamicTaskReachabilityGraph.record_join(
-            self, consumer_key, producer_key
-        )
-        self._obs.on_mutation(
-            "record_join", self.mutation_epoch,
-            f"{consumer_key}<-{producer_key}",
-        )
-
-    def _traced_merge(self, ancestor_key, descendant_key):
-        DynamicTaskReachabilityGraph.merge(self, ancestor_key, descendant_key)
-        self._obs.on_mutation(
-            "merge", self.mutation_epoch,
-            f"{ancestor_key}+{descendant_key}",
-        )
-
-    def _traced_on_terminate(self, key):
-        DynamicTaskReachabilityGraph.on_terminate(self, key)
-        self._obs.on_mutation("terminate", self.mutation_epoch, str(key))
-
-    # ------------------------------------------------------------------ #
     # Queries (Algorithm 10)                                             #
     # ------------------------------------------------------------------ #
     def precede(self, a_key: Hashable, b_key: Hashable) -> bool:
@@ -404,7 +306,6 @@ class DynamicTaskReachabilityGraph:
         else:
             verdict = memo.get((root_a, root_b))
             if verdict is not None:
-                self._memo_hits += 1
                 return verdict
         self.num_visits += 1  # B's set is expanded by the _explore below
         visited = {root_b}

@@ -58,8 +58,8 @@ __all__ = ["VectorClockBackend"]
 class VectorClockBackend:
     """Online vector-clock PRECEDE engine (protocol: ``PrecedeBackend``).
 
-    ``mutation_epoch`` bumps on every structural mutator so the shadow
-    memory's epoch memo stays sound.
+    ``mutation_epoch`` bumps on every structural mutator, as the
+    protocol asks; it is reported in ``perf_stats`` only.
     """
 
     __slots__ = (

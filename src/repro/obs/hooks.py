@@ -12,8 +12,8 @@ Hook point                   Callback
 ``Runtime`` (``get()``)      :meth:`on_get`
 DTRG ``precede``             :meth:`on_precede`
 DTRG mutators                :meth:`on_mutation`
-``ShadowMemory`` accesses    :meth:`on_shadow_access`
-Detector race sink           :meth:`on_race`
+Kernel access checks         :meth:`on_shadow_access`
+Kernel race sink             :meth:`on_race`
 ``WorkStealingSimulator``    :meth:`ws_step` / :meth:`ws_steal`
 ===========================  ===========================================
 
@@ -21,7 +21,11 @@ Detector race sink           :meth:`on_race`
 test and only ever *installs* instrumentation for an observability object
 whose :attr:`enabled` is true: components default to the exact
 pre-observability code path, and attaching :data:`NULL_OBSERVABILITY` (or
-``None``) is a no-op.  ``benchmarks/bench_obs_overhead.py`` asserts the
+``None``) is a no-op.  The DTRG and access hooks are those of the one
+checking kernel the detector runs
+(:class:`~repro.core.array_dtrg.TracedArrayDTRG` and the kernel's
+``on_access``/``on_race``), so an observed run checks exactly what an
+unobserved one does.  ``benchmarks/bench_obs_overhead.py`` asserts the
 disabled path costs nothing measurable on the Jacobi event stream.
 
 Histograms recorded (see :mod:`repro.obs.metrics` for the bucket ladders):
@@ -198,22 +202,19 @@ class Observability:
     # Shadow-memory hook points                                          #
     # ------------------------------------------------------------------ #
     def on_shadow_access(
-        self,
-        kind: str,
-        task: int,
-        loc: Hashable,
-        readers: int,
-        dur_ns: int,
+        self, kind: str, task: int, loc: Hashable, readers: int
     ) -> None:
         """One shadow-memory check; ``readers`` is the stored reader
-        population the check saw."""
+        population the check saw.  The kernel reports the accesses of a
+        block when the block closes, so the instants carry no per-access
+        wall time."""
         (self._c_reads if kind == "read" else self._c_writes).inc()
         self._h_readers.observe(readers)
         tracer = self.tracer
         if tracer is not None:
             tracer.instant(
                 f"shadow.{kind}", "shadow", task,
-                args={"loc": str(loc), "readers": readers, "ns": dur_ns},
+                args={"loc": str(loc), "readers": readers},
             )
 
     def on_race(

@@ -148,7 +148,7 @@ def _make_detector(name: str, obs=None):
         from repro.core.detector import DeterminacyRaceDetector
 
         return DeterminacyRaceDetector(obs=obs, **options)
-    if name == "dtrg" and obs is not None:
+    if name == "dtrg":
         return DETECTORS[name](obs=obs)
     return DETECTORS[name]()
 
@@ -224,8 +224,9 @@ def _run_live(
     """One fresh execution with one detector; returns (detector, trace).
 
     ``name`` may be a registry detector or an :data:`ABLATIONS` key; an
-    enabled ``obs`` instruments both the detector (dtrg variants only)
-    and the runtime's task/finish spans.
+    enabled ``obs`` instruments both the detector (the kernel behind the
+    ``dtrg`` row; the reference rows refuse it) and the runtime's
+    task/finish spans.
     """
     det = _make_detector(name, obs=obs)
     observers: List = [det]

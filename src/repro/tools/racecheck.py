@@ -27,7 +27,8 @@ size) and shadow checks as instant events.  ``--metrics-json`` dumps the
 companion counter/histogram registry (PRECEDE latency, ``_explore``
 frontier sizes, per-cell reader populations).  Either flag enables the
 instrumentation; the detailed DTRG/shadow hooks require ``--detector
-dtrg``, whose detector then runs its reference engine.
+dtrg`` and observe the same checking kernel an unobserved run uses, so
+the report is byte-identical with and without them.
 
 ``--explain`` turns on race provenance (``--detector dtrg`` only, on
 the serial path, ``--fast`` and ``--jobs`` alike): every
@@ -361,11 +362,9 @@ def main(argv: List[str] | None = None) -> int:
         observers: List = []
         name_capture = _NameCapture()
         observers.append(name_capture)
-    elif args.detector == "dtrg" and obs is not None:
-        detector = DETECTORS[args.detector](policy=args.policy, obs=obs)
-        observers = [detector]
     else:
-        detector = DETECTORS[args.detector](policy=args.policy)
+        options = {"obs": obs} if args.detector == "dtrg" else {}
+        detector = DETECTORS[args.detector](policy=args.policy, **options)
         observers = [detector]
     graph_builder = None
     if args.dot or args.witness or args.verify_witness:
@@ -394,6 +393,16 @@ def main(argv: List[str] | None = None) -> int:
             recorder.trace, detector.races, detector.race_rows)
         detector.report.races[:] = sited
         witnesses[:] = found
+
+    def check_aborted_tail() -> None:
+        """An aborted run leaves the kernel's last access block open:
+        check it, so the explanation and the artifacts cover every
+        access the program made."""
+        if isinstance(detector, DeterminacyRaceDetector):
+            try:
+                detector.flush()
+            except RaceError:
+                pass  # --policy raise: the race is in the report
 
     def write_artifacts() -> None:
         """Flush whatever the observers recorded — also on aborted runs."""
@@ -441,12 +450,16 @@ def main(argv: List[str] | None = None) -> int:
             recorder.trace.save(args.trace)
             print(f"trace ({len(recorder.trace)} events) "
                   f"written to {args.trace}")
+        # Observing a run must not change its report: these notices go
+        # to stderr, so stdout is byte-identical without the flags.
         if args.perfetto and obs is not None:
             obs.write_trace(args.perfetto)
-            print(f"perfetto trace written to {args.perfetto}")
+            print(f"perfetto trace written to {args.perfetto}",
+                  file=sys.stderr)
         if args.metrics_json and obs is not None:
             obs.write_metrics(args.metrics_json)
-            print(f"metrics written to {args.metrics_json}")
+            print(f"metrics written to {args.metrics_json}",
+                  file=sys.stderr)
 
     if args.runtime == "threads":
         rt = ThreadRuntime(observers=observers, obs=obs, workers=args.workers)
@@ -501,12 +514,14 @@ def main(argv: List[str] | None = None) -> int:
         except UnsupportedConstructError as exc:
             print(f"unsupported construct for --detector {args.detector}: {exc}",
                   file=sys.stderr)
+            check_aborted_tail()
             explain_report()
             write_artifacts()
             return 2
         except Exception as exc:
             print(f"error: {args.program} raised "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            check_aborted_tail()
             explain_report()
             write_artifacts()
             return 2

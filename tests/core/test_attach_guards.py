@@ -1,10 +1,11 @@
 """Observability attachment must happen before execution.
 
-ShadowMemory and DynamicTaskReachabilityGraph cache their obs sinks in
-bound method attributes and per-call fast paths; rebinding them after
-events have been processed is unsafe once hooks can run concurrently
-(PR 8's ThreadRuntime), so late attachment now raises RuntimeStateError
-instead of silently racing.
+An ``obs`` is wired when the detector is built: it selects the traced
+flat-array graph (:class:`~repro.core.array_dtrg.TracedArrayDTRG`) and
+the kernel's access hook, so every event of the run is observed.  There
+is no way to attach later: the graph has no attach method, and its
+``__slots__`` refuse rebinding a method on an instance, which a
+concurrent runtime (PR 8's ThreadRuntime) could observe half-applied.
 """
 
 import pytest
@@ -16,57 +17,36 @@ from repro import (
     RuntimeStateError,
     SharedVar,
 )
-from repro.core.reachability import DynamicTaskReachabilityGraph
-from repro.core.shadow import ShadowMemory
+from repro.core.array_dtrg import ArrayDTRG, TracedArrayDTRG
 
 
-def _run_one_access(det):
-    rt = Runtime(observers=[det])
+def _run_one_access(det, obs=None):
+    rt = Runtime(observers=[det], obs=obs)
     v = SharedVar(rt, "v")
     rt.run(lambda r: v.write(1))
 
 
-def test_shadow_attach_observability_after_access_raises():
-    det = DeterminacyRaceDetector(engine="object")
-    _run_one_access(det)
-    obs = Observability()
-    with pytest.raises(RuntimeStateError, match="attach"):
-        det.shadow.attach_observability(obs)
-
-
 def test_dtrg_attach_observability_after_registration_raises():
-    det = DeterminacyRaceDetector(engine="object")
+    det = DeterminacyRaceDetector()
     _run_one_access(det)
-    obs = Observability()
-    with pytest.raises(RuntimeStateError, match="attach"):
-        det.dtrg.attach_observability(obs)
+    assert not hasattr(det.dtrg, "attach_observability")
+    with pytest.raises(AttributeError):
+        det.dtrg.precede_idx = lambda a, b: True
 
 
 def test_attach_before_execution_still_works():
-    det = DeterminacyRaceDetector(engine="object")
     obs = Observability()
-    det.shadow.attach_observability(obs)
-    det.dtrg.attach_observability(obs)
-    _run_one_access(det)
-    assert det.shadow.num_accesses == 1
-
-
-def test_fresh_shadow_attach_ok_and_disabled_obs_is_noop():
-    shadow = ShadowMemory(
-        precede=lambda a, b: True,
-        is_future=lambda t: False,
-        report=lambda kind, a, b, loc: None,
-        epoch=lambda: 0,
-    )
-    from repro.obs.hooks import NULL_OBSERVABILITY
-
-    shadow.attach_observability(NULL_OBSERVABILITY)  # disabled: no-op
-    shadow.attach_observability(Observability())
+    det = DeterminacyRaceDetector(obs=obs)
+    _run_one_access(det, obs)
+    assert det.num_accesses == 1
+    assert obs.registry.counter("shadow_writes").value == 1
+    assert obs.registry.counter("dtrg_terminate").value == 1
 
 
 def test_fresh_dtrg_attach_ok():
-    g = DynamicTaskReachabilityGraph()
-    g.attach_observability(Observability())
+    g = TracedArrayDTRG(Observability(), ["main"])
+    assert isinstance(g, ArrayDTRG)
+    assert g.add_root_idx() == 0
 
 
 # ---------------------------------------------------------------------- #

@@ -57,11 +57,14 @@ def test_non_default_engines_reject_attachments():
         DeterminacyRaceDetector(engine="vc", use_lsa=False)
     with pytest.raises(ValueError, match="observability"):
         DeterminacyRaceDetector(engine="vc", obs=Observability())
-    # The kernel hands attachments to the reference engine instead.
+    # The kernel hands the ablations to the reference engine, and obs
+    # observes the kernel, which the reference engine refuses.
     assert DeterminacyRaceDetector(engine="array",
                                    use_lsa=False).engine == "object"
     assert DeterminacyRaceDetector(engine="array",
-                                   obs=Observability()).engine == "object"
+                                   obs=Observability()).engine == "array"
+    with pytest.raises(ValueError, match="observability"):
+        DeterminacyRaceDetector(engine="object", obs=Observability())
 
 
 # ---------------------------------------------------------------------- #

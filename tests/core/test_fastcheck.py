@@ -17,10 +17,6 @@ from repro.core.events import (
 from repro.core.fastcheck import check_trace_fast
 from repro.memory.tracer import replay_trace
 
-INVARIANT_PERF = (
-    "precede_queries", "mutation_epoch", "shadow_fast_hits",
-    "precede_calls_saved",
-)
 
 
 def _async_write_race(sites: bool = False):
@@ -66,8 +62,12 @@ def _against_replay(trace):
     assert [r.pair_key for r in fast.races] == [
         r.pair_key for r in det.races
     ]
-    for key in INVARIANT_PERF:
-        assert fast.perf_stats[key] == det.perf_stats[key], key
+    # The reference engine runs the plain Algorithms 8/9: it issues every
+    # call the kernel's fast paths skip, and nothing else differs.
+    got, want = fast.perf_stats, det.perf_stats
+    assert got["mutation_epoch"] == want["mutation_epoch"]
+    assert want["precede_queries"] == (got["precede_queries"]
+                                       + got["precede_calls_saved"])
     return det, fast
 
 

@@ -2,8 +2,8 @@
 
 Covers what the equivalence sweeps do not: engine selection, the
 ``RAISE`` timing and inertness, the dropped columns, the counters the
-live sampler reads, and the race count ``check_trace_fast`` reports to
-a progress counter.
+live sampler reads, ``flush`` after an aborted run, and the race count
+``check_trace_fast`` reports to a progress counter.
 """
 
 import random
@@ -30,7 +30,7 @@ def test_engine_selection():
     assert DeterminacyRaceDetector().engine == "array"
     assert DeterminacyRaceDetector(engine="dtrg").engine == "object"
     assert DeterminacyRaceDetector(
-        obs=Observability()).engine == "object"
+        obs=Observability()).engine == "array"
     assert DeterminacyRaceDetector(
         memoize_visit=False).engine == "object"
     assert DeterminacyRaceDetector(engine="vc").engine == "vc"
@@ -133,6 +133,28 @@ def test_live_counters_lag_by_at_most_one_block():
 
     rt.run(program)
     assert counts == [0, 2]
+
+
+def test_flush_checks_the_block_an_aborted_run_left_open():
+    racy = []
+    for engine in ("array", "object"):
+        det = DeterminacyRaceDetector(engine=engine)
+        rt = Runtime(observers=[det])
+        x = SharedVar(rt, "x")
+
+        def program(r):
+            r.future(lambda: x.write(1))
+            x.read()  # races with the unjoined future's write
+            raise RuntimeError("abort before any event closes the block")
+
+        with pytest.raises(RuntimeError):
+            rt.run(program)
+        det.flush()
+        det.flush()  # nothing left: a second flush checks nothing
+        racy.append(([r.pair_key for r in det.races], det.race_rows,
+                     det.num_accesses))
+    assert racy[0] == racy[1]
+    assert len(racy[0][0]) == 1 and racy[0][2] == 2
 
 
 def _duplicate_race_trace():

@@ -16,13 +16,15 @@ import pytest
 
 from repro.core import parallel_check as parallel_mod
 from repro.core.detector import DeterminacyRaceDetector
+from repro.core.fastcheck import check_trace_fast
 from repro.core.parallel_check import check_trace_parallel
 from repro.core.events import ReadEvent, TaskCreateEvent, WriteEvent
 from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.testing.generator import random_program, run_program
 
 #: Counters that must be job-count-invariant (the cache_* columns read 0
-#: in parallel mode by design — workers run cache-less).
+#: in parallel mode by design — workers run cache-less), compared against
+#: ``check_trace_fast``, the same kernel unsharded.
 INVARIANT_PERF = (
     "precede_queries", "mutation_epoch", "shadow_fast_hits",
     "precede_calls_saved",
@@ -66,11 +68,17 @@ def test_summary_byte_identical_across_jobs(jobs):
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_perf_counters_invariant(jobs):
     trace = first_racy_trace()
-    golden = sequential(trace).perf_stats
+    golden = check_trace_fast(trace).perf_stats
     got = check_trace_parallel(trace, jobs=jobs, backend="inline").perf_stats
     for key in INVARIANT_PERF:
         assert got[key] == golden[key], key
     assert got["cache_hits"] == got["cache_misses"] == 0
+    # Against the reference engine (plain Algorithms 8/9, no fast paths)
+    # the query counts differ by exactly the calls the kernel skipped.
+    ref = sequential(trace).perf_stats
+    assert ref["mutation_epoch"] == got["mutation_epoch"]
+    assert ref["precede_queries"] == (got["precede_queries"]
+                                      + got["precede_calls_saved"])
 
 
 def test_race_free_trace():

@@ -22,8 +22,6 @@ class Harness:
             report=lambda kind, prev, cur, loc: self.races.append(
                 (kind, prev, cur, loc)
             ),
-            # The table only grows, so its size is a mutation epoch.
-            epoch=lambda: len(self.order),
         )
 
     def let(self, a, b):

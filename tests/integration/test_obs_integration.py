@@ -7,6 +7,8 @@ The load-bearing guarantee of :mod:`repro.obs` is two-sided:
 * **on** — every structural number the harness reports (the Table 2
   columns, detector counters, race verdicts) is bit-identical to the
   uninstrumented run, while the trace/metrics sinks fill up on the side.
+  Both runs are the same engine: ``obs`` observes the kernel rather than
+  selecting another detector.
 """
 
 import json
@@ -40,6 +42,7 @@ def structural_columns(run):
         "cache_hits": d.perf_stats["cache_hits"],
         "cache_misses": d.perf_stats["cache_misses"],
         "shadow_fast_hits": d.perf_stats["shadow_fast_hits"],
+        "precede_calls_saved": d.perf_stats["precede_calls_saved"],
         "races": sorted(d.racy_locations, key=repr),
     }
 
@@ -55,10 +58,14 @@ def test_table2_columns_bit_identical_with_tracing_on():
         traced = run_instrumented(
             lambda rt: entry(rt, params), detect=True, obs=obs
         )
+        assert plain.detector.engine == traced.detector.engine == "array"
         assert structural_columns(plain) == structural_columns(traced)
         # ... and the trace actually recorded the run.
         events = obs.tracer.events()
         assert any(e["ph"] == "X" and e["cat"] == "task" for e in events)
+        shadow = [e for e in events if e["cat"] == "shadow"]
+        assert len(shadow) == plain.metrics.num_shared_accesses
+        assert all("ns" not in e["args"] for e in shadow)
         assert validate_chrome_trace(obs.tracer.to_chrome()) == []
 
 
@@ -92,7 +99,9 @@ def test_race_verdicts_and_instants():
     plain = racy_run()
     obs = Observability(tracer=RingTracer())
     traced = racy_run(obs)
+    assert traced.engine == "array"
     assert plain.racy_locations == traced.racy_locations == {("d", 0)}
+    assert plain.race_rows == traced.race_rows
     races = [e for e in obs.tracer.events() if e["cat"] == "race"]
     assert len(races) == 1
     assert races[0]["args"]["kind"] == "write-read"
@@ -104,6 +113,31 @@ def test_race_verdicts_and_instants():
         e["args"]["outcome"] in ("level0", "memo", "search")
         for e in precedes
     )
+    shadow = [e for e in obs.tracer.events() if e["cat"] == "shadow"]
+    assert [e["name"] for e in shadow] == ["shadow.write", "shadow.read"]
+    assert shadow[1]["args"] == {"loc": "('d', 0)", "readers": 0}
+
+
+def test_race_instants_under_raise_policy():
+    """The kernel's RAISE hook runs after the obs race instant."""
+    import pytest
+
+    from repro.runtime.errors import RaceError
+
+    obs = Observability(tracer=RingTracer())
+    det = DeterminacyRaceDetector("raise", obs=obs)
+    rt = Runtime(observers=[det], obs=obs)
+    mem = SharedArray(rt, "d", 1)
+
+    def program(rt_):
+        rt_.future(lambda: mem.write(0, 1))
+        mem.read(0)
+        rt_.async_(lambda: None)  # closes the block: the kernel checks it
+
+    with pytest.raises(RaceError):
+        rt.run(program)
+    assert obs.registry.counter("races_reported").value == 1
+    assert len(det.races) == 1
 
 
 def test_finish_and_get_events_in_trace():

@@ -1,7 +1,9 @@
 """Tests for the Observability hook bundle and the null-object protocol."""
 
+import pytest
+
+from repro.core.array_dtrg import ArrayDTRG, TracedArrayDTRG
 from repro.core.detector import DeterminacyRaceDetector
-from repro.core.reachability import DynamicTaskReachabilityGraph
 from repro.obs import NULL_OBSERVABILITY, Observability, RingTracer
 
 
@@ -15,28 +17,91 @@ class TestNullObjectProtocol:
         assert NULL_OBSERVABILITY.tracer is None
 
     def test_attach_null_is_a_true_no_op(self):
-        g = DynamicTaskReachabilityGraph()
-        g.attach_observability(None)
-        g.attach_observability(NULL_OBSERVABILITY)
-        # No instance-attribute shadowing: the class methods stay bound.
-        assert "precede" not in vars(g)
-        assert "add_task" not in vars(g)
+        # A null obs attaches nothing: the kernel runs the plain graph.
+        for obs in (None, NULL_OBSERVABILITY):
+            det = DeterminacyRaceDetector(obs=obs)
+            assert type(det.dtrg) is ArrayDTRG
 
     def test_detector_normalizes_disabled_obs_to_none(self):
         det = DeterminacyRaceDetector(obs=NULL_OBSERVABILITY)
         assert det.obs is None
-        assert det.engine == "array"  # no attachment: the kernel runs
+        assert det.engine == "array"
+        # Disabled is no attachment, so the reference engine accepts it.
         det = DeterminacyRaceDetector(obs=NULL_OBSERVABILITY,
                                       engine="object")
-        assert "precede" not in vars(det.dtrg)
+        assert det.obs is None and det.engine == "object"
 
     def test_attach_enabled_rebinds_query_and_mutators(self):
-        g = DynamicTaskReachabilityGraph()
-        g.attach_observability(enabled_obs())
+        det = DeterminacyRaceDetector(obs=enabled_obs())
+        assert det.engine == "array"
+        assert isinstance(det.dtrg, TracedArrayDTRG)
+        # The kernel binds these; the subclass overrides every one.
         for name in (
-            "precede", "add_task", "record_join", "merge", "on_terminate",
+            "precede_idx", "add_task_idx", "record_join_idx", "merge_idx",
+            "on_terminate_idx",
         ):
-            assert name in vars(g)
+            assert name in vars(TracedArrayDTRG)
+
+    @pytest.mark.parametrize("options", [
+        dict(engine="object"), dict(engine="dtrg"), dict(engine="vc"),
+        dict(use_lsa=False), dict(memoize_visit=False),
+        dict(use_intervals=False),
+    ])
+    def test_reference_engines_refuse_enabled_obs(self, options):
+        with pytest.raises(ValueError, match="observability"):
+            DeterminacyRaceDetector(obs=enabled_obs(), **options)
+
+
+class TestTracedArrayDTRG:
+    def _graph(self, obs):
+        """main spawns future a (ended), then future b, which gets a: a
+        non-tree edge, so PRECEDE(a, b) needs a backward search."""
+        g = TracedArrayDTRG(obs, ["main", "a", "b"])
+        g.add_root_idx()
+        a = g.add_task_idx(0, True)
+        g.on_terminate_idx(a)
+        b = g.add_task_idx(0, True)
+        g.record_join_idx(b, a)
+        return g, a, b
+
+    def test_outcomes_search_memo_level0(self):
+        obs = enabled_obs()
+        g, a, b = self._graph(obs)
+        assert g.precede_idx(a, b)  # searched, stored in the memo
+        assert g.precede_idx(a, b)  # same epoch: answered by the memo
+        assert g.precede_idx(0, b)  # main's interval contains b's
+        outcomes = [e["args"]["outcome"] for e in obs.tracer.events()
+                    if e["name"] == "precede"]
+        assert outcomes == ["search", "memo", "level0"]
+        assert obs.registry.histogram("explore_frontier").count == 3
+        g.merge_idx(0, b)  # a mutation drops the memo
+        g.precede_idx(a, b)
+        assert obs.registry.counter("precede_memo").value == 1
+
+    def test_counters_match_the_plain_graph(self):
+        g, a, b = self._graph(enabled_obs())
+        plain = ArrayDTRG()
+        plain.add_root_idx()
+        plain.add_task_idx(0, True)
+        plain.on_terminate_idx(a)
+        plain.add_task_idx(0, True)
+        plain.record_join_idx(b, a)
+        for graph in (g, plain):
+            graph.precede_idx(a, b)
+            graph.precede_idx(a, b)
+        for attr in ("num_precede_queries", "num_visits", "mutation_epoch",
+                     "num_non_tree_edges"):
+            assert getattr(g, attr) == getattr(plain, attr), attr
+
+    def test_mutation_instants(self):
+        obs = enabled_obs()
+        self._graph(obs)
+        events = [(e["name"], e["args"].get("detail"))
+                  for e in obs.tracer.events()]
+        assert events == [
+            ("dtrg.add_task", "a"), ("dtrg.terminate", "1"),
+            ("dtrg.add_task", "b"), ("dtrg.record_join", "2<-1"),
+        ]
 
 
 class TestRuntimeSpans:
@@ -107,7 +172,7 @@ class TestDtrgHooks:
         obs.task_begin(1, "t", False)
         obs.task_end(1)
         obs.on_precede("A", "B", True, 10, 0, "level0", epoch=0)
-        obs.on_shadow_access("read", 1, ("x", 0), 2, 50)
+        obs.on_shadow_access("read", 1, ("x", 0), 2)
         obs.on_race("read-write", 0, 1, ("x", 0))
         obs.ws_step(0, 3, 0, 2)
         obs.ws_steal(1, 0, 4, hit=False, victim_depth=0)
@@ -117,11 +182,13 @@ class TestDtrgHooks:
 class TestShadowAndRaceHooks:
     def test_shadow_access_populations(self):
         obs = enabled_obs()
-        obs.on_shadow_access("read", 2, ("x", 0), 3, 100)
-        obs.on_shadow_access("write", 2, ("x", 0), 1, 100)
+        obs.on_shadow_access("read", 2, ("x", 0), 3)
+        obs.on_shadow_access("write", 2, ("x", 0), 1)
         assert obs.registry.counter("shadow_reads").value == 1
         assert obs.registry.counter("shadow_writes").value == 1
         assert obs.registry.histogram("cell_readers").count == 2
+        args = obs.tracer.events()[0]["args"]
+        assert args == {"loc": "('x', 0)", "readers": 3}
 
     def test_race_instant(self):
         obs = enabled_obs()
@@ -146,8 +213,6 @@ class TestWorkStealingHooks:
 
 
 def test_write_trace_requires_tracer(tmp_path):
-    import pytest
-
     obs = Observability(tracer=None)
     with pytest.raises(ValueError):
         obs.write_trace(tmp_path / "t.json")

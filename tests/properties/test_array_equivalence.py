@@ -9,8 +9,8 @@ against the reference engine (``engine="object"``: the object DTRG plus
    run reports: the same ``summary()`` with live task names, the same
    race list in the same order, the same ``race_rows`` (the access-row
    ordinal of each race, where ``explain_races`` stops), the same
-   invariant ``DetectorPerf`` counters and ``num_visits``, the same
-   ``#AvgReaders``.
+   ``mutation_epoch`` and ``num_visits``, the same ``#AvgReaders``, and
+   query counts tied by the closed-form identity below.
 2. **Replay equivalence** — the default detector under ``replay_trace``
    matches the reference replay the same way, with ``dedupe`` on and
    off.
@@ -20,7 +20,14 @@ against the reference engine (``engine="object"``: the object DTRG plus
    columns reproduces the reference replay byte-for-byte.
 5. **Sharded equivalence** — ``check_trace_parallel`` at jobs ∈
    {1, 2, 4} (the same kernel, split by location) stays byte-identical
-   to the reference replay.
+   to ``check_trace_fast``, every counter included.
+
+The reference engine runs the plain Algorithms 8/9; the fast paths exist
+only in the kernel.  Every ``PRECEDE`` call they skip repeats a query
+made earlier in the same mutation epoch, so it is answered at level 0 or
+from the verdict memo and costs no VISIT: the reference engine's
+``precede_queries`` equals the kernel's ``precede_queries +
+precede_calls_saved``, and everything else matches exactly.
 
 The verdict memo both graphs keep and the inlined shadow loops of the
 kernel are exactly the machinery these sweeps exist to keep honest: any
@@ -41,10 +48,14 @@ from repro.testing.generator import random_program, run_program
 NUM_SEEDS = 200
 BAND = 40
 JOBS = (1, 2, 4)
+#: Counters every kernel path (live, replayed, fast, sharded) agrees on.
 INVARIANT_PERF = (
     "precede_queries", "mutation_epoch", "shadow_fast_hits",
     "precede_calls_saved", "num_visits",
 )
+#: Counters the reference engine's plain Algorithms 8/9 share with the
+#: kernel; its query count obeys the identity in ``_assert_reference``.
+SHARED_PERF = ("mutation_epoch", "num_visits")
 
 
 def _replay(trace, **options):
@@ -75,6 +86,21 @@ def _assert_same(got, golden, what, seed, keys=INVARIANT_PERF):
         f"seed {seed}: {what} #AvgReaders diverges")
 
 
+def _assert_reference(got, ref, what, seed):
+    """``got`` (the kernel) against ``ref`` (the reference engine)."""
+    _assert_same(got, ref, what, seed, SHARED_PERF)
+    got_perf, ref_perf = _perf(got), _perf(ref)
+    assert ref_perf["precede_queries"] == (
+        got_perf["precede_queries"] + got_perf["precede_calls_saved"]), (
+        f"seed {seed}: {what} breaks the query identity "
+        f"({ref_perf['precede_queries']} != "
+        f"{got_perf['precede_queries']} + "
+        f"{got_perf['precede_calls_saved']})")
+    assert ref_perf["shadow_fast_hits"] == 0
+    assert ref_perf["precede_calls_saved"] == 0
+    return got_perf["precede_calls_saved"]
+
+
 class _Report:
     """A detector seen through a check result's comparison surface, its
     counters captured at construction."""
@@ -94,7 +120,7 @@ class _Report:
 
 @pytest.mark.parametrize("band", range(0, NUM_SEEDS, BAND))
 def test_array_engine_equivalence_fuzz(band):
-    racy_seeds = 0
+    racy_seeds = saved = 0
     for seed in range(band, band + BAND):
         program = random_program(random.Random(seed))
         rec = TraceRecorder()
@@ -103,7 +129,8 @@ def test_array_engine_equivalence_fuzz(band):
         run_program(program, [rec, live, live_ref])
         assert live.engine == "array"
         trace = rec.trace
-        _assert_same(_Report(live), _Report(live_ref), "live kernel", seed)
+        saved += _assert_reference(_Report(live), _Report(live_ref),
+                                   "live kernel", seed)
 
         golden = _Report(_replay(trace, engine="object"))
         # Captured above, before the all-pairs sweep below: every
@@ -111,7 +138,7 @@ def test_array_engine_equivalence_fuzz(band):
         racy_seeds += bool(golden.races)
 
         arr = _replay(trace)
-        _assert_same(_Report(arr), golden, "replayed kernel", seed)
+        _assert_reference(_Report(arr), golden, "replayed kernel", seed)
         undeduped = _replay(trace, dedupe=False)
         undeduped_ref = _replay(trace, engine="object", dedupe=False)
         assert [r.pair_key for r in undeduped.races] == [
@@ -122,7 +149,7 @@ def test_array_engine_equivalence_fuzz(band):
         assert len(undeduped.races) >= len(golden.races)
 
         fast = check_trace_fast(encode_trace(trace))
-        _assert_same(fast, golden, "fastcheck", seed)
+        _assert_reference(fast, golden, "fastcheck", seed)
 
         # All-pairs: the kernel's array graph vs the live object graph.
         for a in arr.dtrg.keys:
@@ -135,7 +162,9 @@ def test_array_engine_equivalence_fuzz(band):
                                           backend="inline")
             # num_visits is summed over shards, each with its own memo.
             keys = INVARIANT_PERF if jobs == 1 else INVARIANT_PERF[:-1]
-            _assert_same(result, golden, f"jobs={jobs}", seed, keys)
+            _assert_same(result, fast, f"jobs={jobs}", seed, keys)
     # A sweep where nothing races would vacuously pass the report
-    # comparisons; every band is expected to surface racy programs.
+    # comparisons, and one where no call is saved would vacuously pass
+    # the query identity; every band is expected to exercise both.
     assert racy_seeds > 0
+    assert saved > 0
