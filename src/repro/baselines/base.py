@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.core.events import ExecutionObserver
-from repro.core.races import AccessKind, Race, RaceReport, ReportPolicy
+from repro.core.races import AccessKind, RaceReport, ReportPolicy
 from repro.runtime.errors import RaceError
 
 __all__ = ["BaselineDetector"]
@@ -51,13 +51,8 @@ class BaselineDetector(ExecutionObserver):
     def _report_race(
         self, kind: AccessKind, prev: int, cur: int, loc: Hashable
     ) -> None:
-        race = Race(
-            loc=loc,
-            kind=kind,
-            prev_task=prev,
-            current_task=cur,
-            prev_name=self._names.get(prev, ""),
-            current_name=self._names.get(cur, ""),
-        )
-        if self.report.add(race) and self.policy is ReportPolicy.RAISE:
+        race = self.report.record(loc, kind.value, prev, cur,
+                                  self._names.get(prev, ""),
+                                  self._names.get(cur, ""))
+        if race is not None and self.policy is ReportPolicy.RAISE:
             raise RaceError(race)

@@ -51,19 +51,12 @@ from repro.core.events import (
     ColumnBuilder, EncodedTrace, ExecutionObserver, observer_hooks,
 )
 from repro.core.fastcheck import CheckResult, _kernel
-from repro.core.races import AccessKind, Race, RaceReport, ReportPolicy
+from repro.core.races import Race, RaceReport, ReportPolicy
 from repro.core.reachability import DynamicTaskReachabilityGraph
 from repro.core.shadow import ShadowMemory
 from repro.runtime.errors import RaceError
 
 __all__ = ["DeterminacyRaceDetector"]
-
-_KIND = {
-    "read-write": AccessKind.READ_WRITE,
-    "write-write": AccessKind.WRITE_WRITE,
-    "write-read": AccessKind.WRITE_READ,
-}
-
 
 class DeterminacyRaceDetector(ExecutionObserver):
     """On-the-fly determinacy race detector for async/finish/future programs.
@@ -420,15 +413,10 @@ class DeterminacyRaceDetector(ExecutionObserver):
     def _report_race(
         self, kind: str, prev: int, cur: int, loc: Hashable
     ) -> None:
-        race = Race(
-            loc=loc,
-            kind=_KIND[kind],
-            prev_task=prev,
-            current_task=cur,
-            prev_name=self._names.get(prev, ""),
-            current_name=self._names.get(cur, ""),
-        )
-        if not self.report.add(race):
+        race = self.report.record(loc, kind, prev, cur,
+                                  self._names.get(prev, ""),
+                                  self._names.get(cur, ""))
+        if race is None:
             return
         # The racing access is the one the shadow memory just counted.
         self.race_rows.append(self.shadow.num_accesses - 1)

@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.events import ExecutionObserver
-from repro.core.races import AccessKind, Race, RaceReport, ReportPolicy
+from repro.core.races import RaceReport, ReportPolicy
 from repro.core.shadow import ShadowMemory
 from repro.runtime.errors import RaceError
 
@@ -207,13 +207,8 @@ class ExactDetector(ExecutionObserver):
         )
 
     def _report_race(self, kind: str, prev_key, cur_key, loc) -> None:
-        race = Race(
-            loc=loc,
-            kind=AccessKind(kind),
-            prev_task=prev_key[0],
-            current_task=cur_key[0],
-            prev_name=self._names.get(prev_key[0], ""),
-            current_name=self._names.get(cur_key[0], ""),
-        )
-        if self.report.add(race) and self.policy is ReportPolicy.RAISE:
+        race = self.report.record(loc, kind, prev_key[0], cur_key[0],
+                                  self._names.get(prev_key[0], ""),
+                                  self._names.get(cur_key[0], ""))
+        if race is not None and self.policy is ReportPolicy.RAISE:
             raise RaceError(race)

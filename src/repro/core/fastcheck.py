@@ -75,16 +75,9 @@ from repro.core.events import (
     Event,
     encode_trace,
 )
-from repro.core.races import AccessKind, Race, RaceReport
+from repro.core.races import Race, RaceReport
 
 __all__ = ["CheckResult", "check_trace_fast"]
-
-_KIND = {
-    "read-write": AccessKind.READ_WRITE,
-    "write-write": AccessKind.WRITE_WRITE,
-    "write-read": AccessKind.WRITE_READ,
-}
-
 
 class CheckResult:
     """Outcome of a trace check, fast (:func:`check_trace_fast`) or sharded
@@ -225,22 +218,16 @@ def _kernel(
     #: finish 0 owned by main).
     scopes: Dict[int, list] = {0: [0, []]}
 
-    add_race = result.report.add
+    record = result.report.record
     race_rows = result.race_rows
     locs = enc.locs
     base = 0  # access rows dropped before the current columns
 
     def _report(kind: str, prev: int, cur: int, lid: int, row: int) -> None:
-        # Rare path: build the Race exactly as the reference engine would.
-        race = Race(
-            loc=locs[lid],
-            kind=_KIND[kind],
-            prev_task=task_keys[prev],
-            current_task=task_keys[cur],
-            prev_name=names_list[prev],
-            current_name=names_list[cur],
-        )
-        if add_race(race):
+        # Rare path: the report builds a Race only if it accepts it.
+        race = record(locs[lid], kind, task_keys[prev], task_keys[cur],
+                      names_list[prev], names_list[cur])
+        if race is not None:
             race_rows.append(base + row)
             if on_race is not None:
                 on_race(race)

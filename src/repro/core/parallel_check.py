@@ -19,7 +19,10 @@ the *locations* of a recorded trace between them:
    ordinal of the access that reported it; a stable sort on that ordinal
    is exactly serial detection order (all races of one access share its
    location, hence its shard).  Shard-local dedupe is already global,
-   because the dedupe key includes the location.
+   because the dedupe key includes the location, so the merge
+   concatenates the shards' races without testing them again
+   (:meth:`~repro.core.races.RaceReport.concat`); a lone shard's report
+   is adopted as it is.
 
 Dispatch.  ``inline`` checks every shard in-process, one after another.
 ``fork`` and ``spawn`` start one :mod:`multiprocessing` process per shard
@@ -35,7 +38,7 @@ the *movable rows* — ``sum(loads) - max(loads)``, the access rows off the
 heaviest shard — off the critical path, while making each process costs
 a fixed few milliseconds.  Below :data:`MIN_SPLIT_ROWS` movable rows the
 auto backend checks the trace as one unfiltered in-process shard (the
-``--fast`` kernel plus an O(races) merge) and reports ``backend ==
+``--fast`` kernel, whose report it adopts) and reports ``backend ==
 "inline"``.  Explicit backends always dispatch as named.
 
 Counter invariants (pinned by the golden/property tests):
@@ -65,6 +68,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.events import EncodedTrace, Event, encode_trace
 from repro.core.fastcheck import CheckResult, check_trace_fast
+from repro.core.races import RaceReport
 
 __all__ = ["MIN_SPLIT_ROWS", "check_trace_parallel"]
 
@@ -281,23 +285,27 @@ def check_trace_parallel(
         setattr(result, name, getattr(parts[0], name))
     for name in _SUMMED:
         setattr(result, name, sum(getattr(p, name) for p in parts))
-    tagged = []
     for k, part in zip(active, parts):
-        tagged.extend(zip(part.race_rows, part.races))
         result.shards.append({
             "shard": k,
             "events": loads[k],
             "races": len(part.races),
             "seconds": part.timings["total_seconds"],
         })
-    tagged.sort(key=itemgetter(0))  # stable: keeps each access's order
-    add = result.report.add
-    for row, race in tagged:
-        add(race)
-        result.race_rows.append(row)
+    if len(parts) == 1:
+        result.report = parts[0].report
+        result.race_rows = parts[0].race_rows
+    else:
+        tagged = []
+        for part in parts:
+            tagged.extend(zip(part.race_rows, part.races))
+        tagged.sort(key=itemgetter(0))  # stable: keeps each access's order
+        result.race_rows = [row for row, _ in tagged]
+        result.report = RaceReport.concat(
+            [part.report for part in parts], [race for _, race in tagged])
     t_merge = time.perf_counter()
     if progress is not None:
-        progress.add_races(len(tagged))
+        progress.add_races(len(result.races))
         progress.set_phase("done")
 
     result.timings = {

@@ -84,17 +84,10 @@ import threading
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.events import ExecutionObserver
-from repro.core.races import AccessKind, Race, RaceReport, ReportPolicy
+from repro.core.races import RaceReport, ReportPolicy
 from repro.runtime.errors import RaceError
 
 __all__ = ["ParallelRaceDetector"]
-
-_KIND = {
-    "read-write": AccessKind.READ_WRITE,
-    "write-write": AccessKind.WRITE_WRITE,
-    "write-read": AccessKind.WRITE_READ,
-}
-
 
 class _Cell:
     """Shadow state of one shared location.
@@ -320,15 +313,10 @@ class ParallelRaceDetector(ExecutionObserver):
 
     # ------------------------------------------------------------------ #
     def _report_race(self, kind: str, prev: int, cur: int, loc) -> None:
-        race = Race(
-            loc=loc,
-            kind=_KIND[kind],
-            prev_task=prev,
-            current_task=cur,
-            prev_name=self._names.get(prev, ""),
-            current_name=self._names.get(cur, ""),
-        )
+        prev_name = self._names.get(prev, "")
+        current_name = self._names.get(cur, "")
         with self._lock:
-            added = self.report.add(race)
-        if added and self.policy is ReportPolicy.RAISE:
+            race = self.report.record(loc, kind, prev, cur, prev_name,
+                                      current_name)
+        if race is not None and self.policy is ReportPolicy.RAISE:
             raise RaceError(race)

@@ -53,9 +53,11 @@ __all__ = [
     "tracer_source",
 ]
 
-#: Rough per-cell footprint of a ShadowMemory cell (cell object + writer
-#: slot + small reader list/set).  Deliberately a constant: the sampler
-#: must not walk the cell table, so ``approx_bytes`` is cells × this.
+#: Rough shadow-state footprint per shared location, whichever checker
+#: keeps it: the kernel's per-location column slots (writer, reader list,
+#: fast-path memo) plus the location key and its dense-id entry, or a
+#: reference engine's cell object.  Deliberately a constant: the sampler
+#: must not walk the shadow state, so ``approx_bytes`` is cells × this.
 APPROX_SHADOW_CELL_BYTES = 512
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.events import (
@@ -465,8 +465,8 @@ def explain_races(
     for i, race in enumerate(races):
         wid = f"w{i}"
         site = sites[race_rows[i]] if sites is not None else None
-        sited.append(replace(race, prev_site=prev_sites[i],
-                             current_site=site, witness_id=wid))
+        sited.append(race._replace(prev_site=prev_sites[i],
+                                   current_site=site, witness_id=wid))
         witnesses.append(RaceWitness(
             witness_id=wid,
             loc=race.loc,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import html
 from typing import Iterable, List, Optional
 
+from repro.core.races import report_order
 from repro.obs.provenance import RaceProvenance, RaceWitness, _fmt_label
 
 __all__ = ["render_html_report"]
@@ -146,16 +147,12 @@ def render_html_report(
         out.append("<h2>Races</h2><table>")
         out.append("<tr><th>location</th><th>kind</th><th>previous access"
                    "</th><th>current access</th><th>witness</th></tr>")
-        ordered = sorted(
-            races,
-            key=lambda r: (repr(r.loc),) + r.pair_key[1:3] + (r.kind.value,),
-        )
-        for race in ordered:
+        for loc_repr, race in report_order(races):
             wid = race.witness_id
             link = (f'<a href="#{_esc(wid)}"><code>{_esc(wid)}</code></a>'
                     if wid else "—")
             out.append(
-                f"<tr><td><code>{_esc(repr(race.loc))}</code></td>"
+                f"<tr><td><code>{_esc(loc_repr)}</code></td>"
                 f"<td>{_esc(race.kind)}</td>"
                 f"<td>{_esc(race.prev_name or race.prev_task)}"
                 f'<br><span class="site">{_esc(race.prev_site or "—")}'
