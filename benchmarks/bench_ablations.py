@@ -8,10 +8,11 @@ workload), isolating the cost/benefit of:
 * query memoization vs path-guarded re-exploration;
 * O(1) interval containment vs parent-pointer chasing.
 
-``full`` is the default detector (the kernel); every ablated variant runs
-the reference engine, the only one with the switches.  All variants must
-report identical verdicts (the property suite proves this on random
-programs; the assertion re-checks it here).
+Every variant runs the one kernel: ``full`` over the default
+``ArrayDTRG``, each ablated variant over ``AblatedArrayDTRG`` with its
+switches off, so the variants differ only in Algorithm 10's query
+strategy.  All variants must report identical verdicts (the property
+suite proves this on random programs; the assertion re-checks it here).
 """
 
 import pytest

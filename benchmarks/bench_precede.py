@@ -3,7 +3,8 @@
 Per shared-memory access, the detector issues up to ``(#readers + 1)``
 PRECEDE calls, and each call visits at most the non-tree edges reachable
 backwards (``O((n+1) * alpha)``).  We time PRECEDE directly on synthetic
-DTRGs sweeping the two cost drivers:
+:class:`~repro.core.array_dtrg.ArrayDTRG` graphs (by task key) sweeping
+the two cost drivers:
 
 * chain length of non-tree joins the query must traverse;
 * number of stored future readers a write-check loops over.
@@ -11,7 +12,7 @@ DTRGs sweeping the two cost drivers:
 
 import pytest
 
-from repro.core.reachability import DynamicTaskReachabilityGraph
+from repro.core.array_dtrg import ArrayDTRG
 
 CHAIN_LENGTHS = [4, 16, 64, 256]
 
@@ -22,7 +23,7 @@ def build_nt_chain(n):
     ``precede(F0, Fn)`` must walk the whole chain; ``precede(Fn, F0)`` is
     pruned immediately by the preorder check.
     """
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     prev = None
     for i in range(n + 1):
@@ -64,7 +65,7 @@ def test_precede_pruned_is_constant_time(benchmark, n):
 def test_memoization_bounds_visits(n):
     """With memoization every set is expanded at most once per query even
     on an adversarial all-pairs join pattern."""
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     names = []
     for i in range(min(n, 64)):
@@ -85,7 +86,7 @@ def test_tree_join_merge_cost(benchmark, num_tasks):
     """Structured joins are near-free: one union-find merge each."""
 
     def run():
-        g = DynamicTaskReachabilityGraph()
+        g = ArrayDTRG()
         g.add_root("main")
         for i in range(num_tasks):
             name = f"T{i}"

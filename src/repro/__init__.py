@@ -29,7 +29,6 @@ from repro.core.exact import ExactDetector
 from repro.core.events import ExecutionObserver, Trace
 from repro.core.parallel_detector import ParallelRaceDetector
 from repro.core.races import AccessKind, Race, RaceReport, ReportPolicy
-from repro.core.reachability import DynamicTaskReachabilityGraph
 from repro.obs import MetricsRegistry, Observability, RingTracer
 from repro.memory.shared import (
     SharedArray,
@@ -68,7 +67,6 @@ __all__ = [
     "DeterminacyRaceDetector",
     "ParallelRaceDetector",
     "ExactDetector",
-    "DynamicTaskReachabilityGraph",
     "ExecutionObserver",
     "Trace",
     "Race",

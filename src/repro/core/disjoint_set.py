@@ -1,5 +1,4 @@
-"""Disjoint-set (union-find) data structure used by the dynamic task
-reachability graph.
+"""Disjoint-set (union-find) data structure with per-set metadata.
 
 The paper's Section 4.1 ("Disjoint set representation of tree joins") uses the
 classic *fast disjoint-set* structure [CLRS ch. 21/22] with the three
@@ -18,7 +17,9 @@ metadata survives (the paper's Algorithm 7 keeps the metadata of the
 ancestor-side set).
 
 The structure is deliberately generic: elements are opaque hashable objects
-(task nodes in the detector, plain integers in unit tests).
+(task ids in the ESP-bags baseline, plain integers in unit tests).  The
+DTRG itself keeps a flat union-find column with the same discipline
+(:class:`repro.core.array_dtrg.ArrayDTRG`).
 """
 
 from __future__ import annotations

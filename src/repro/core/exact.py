@@ -38,10 +38,10 @@ The cost is real: no union-find collapsing, no O(1) containment fast path —
 ``bench_detector_comparison.py`` measures the gap, which is this module's
 second purpose: quantifying what the paper's discipline assumption buys.
 
-:class:`ExactDetector` reuses the reference engine's plain shadow memory
-(Algorithms 8-9, :class:`~repro.core.shadow.ShadowMemory`) with
-``(task, access_time)`` composite keys, so the two detectors differ
-*only* in the reachability primitive.  Every key is distinct, and
+:class:`ExactDetector` runs the plain shadow memory (Algorithms 8-9,
+:class:`~repro.core.shadow.ShadowMemory`) with ``(task, access_time)``
+composite keys, so it differs from the DTRG detector in the
+reachability primitive, not in the reader policy.  Every key is distinct, and
 ``precede`` is reflexive on a key, as the shadow memory requires.
 """
 

@@ -13,7 +13,7 @@ generator, so it can run offline or online:
 * the sharded checker (:mod:`repro.core.parallel_check`) runs
   ``check_trace_fast`` once per shard, restricted to the locations that
   shard owns;
-* the default :class:`~repro.core.detector.DeterminacyRaceDetector`
+* every :class:`~repro.core.detector.DeterminacyRaceDetector`
   lowers a live run into columns and resumes the kernel at every
   structure event, so each access block is checked as the event that
   closes it arrives, with the graph at the online epoch.
@@ -34,18 +34,21 @@ structural no-ops, the epoch-memoized same-task read and the batched
 writer verdict skip ``PRECEDE`` calls whose answers are forced, counted
 in ``shadow_fast_hits`` and ``precede_calls_saved``.
 
-Equivalence contract (pinned by
-``tests/properties/test_array_equivalence.py`` and the golden tests):
-race list, detection order, ``RaceReport.summary()``, ``race_rows``,
-``#AvgReaders``, ``mutation_epoch`` and the graph's ``num_visits`` are
-bit-identical to the reference engine
-(``DeterminacyRaceDetector(engine="object")``: the object DTRG plus the
-plain ``ShadowMemory``), and its ``precede_queries`` equals this
-kernel's ``precede_queries + precede_calls_saved``: every skipped call
-repeats a query made earlier in the same mutation epoch, which is
-answered at level 0 or from the verdict memo and costs no VISIT.  The
-reference engine reports 0 for both fast-path counters; ``cache_*``
-report 0 on every engine.
+Equivalence contract (pinned by ``tests/properties/test_engine_golden.py``
+against values first taken from the plain Algorithms 8/9 over the object
+DTRG this kernel replaced, and by ``test_array_equivalence.py`` across
+the kernel's live, replayed, fast and sharded paths): race list,
+detection order, ``race_rows``, ``#AvgReaders``, ``mutation_epoch`` and
+the graph's ``num_visits`` are those of the plain Algorithms 8/9, and
+the plain algorithms' query count equals this kernel's
+``precede_queries + precede_calls_saved``: every skipped call repeats a
+query made earlier in the same mutation epoch, which is answered at
+level 0 or from the verdict memo and costs no VISIT.  ``cache_*``
+report 0.
+
+The reachability engine is any :class:`~repro.core.backend.
+PrecedeBackend`: the kernel drives only its index layer and counts
+tasks itself.
 
 The run-length segments of the columns do double duty: dispatch is
 amortized over whole blocks (the access inner loop never tests event
@@ -64,6 +67,7 @@ from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.array_dtrg import ArrayDTRG
+from repro.core.backend import PrecedeBackend
 from repro.core.events import (
     OP_FINISH_END,
     OP_FINISH_START,
@@ -87,8 +91,9 @@ class CheckResult:
     ``avg_readers``, ``summary()``).  The live detector
     keeps one too.
 
-    ``dtrg`` is the live :class:`ArrayDTRG` of a fast check (``None`` for a
-    sharded one, whose graphs stay in the workers); ``race_rows[i]`` is the
+    ``dtrg`` is the reachability engine of a fast check or a live
+    detector (``None`` for a sharded check, whose graphs stay in the
+    workers); ``race_rows[i]`` is the
     access-row ordinal of the access that reported ``races[i]``.  The
     sharded path fills ``jobs``, ``backend``, ``shards`` and
     ``movable_rows``.
@@ -97,7 +102,7 @@ class CheckResult:
     def __init__(self, dedupe: bool = True) -> None:
         self.report = RaceReport(dedupe=dedupe)
         self.race_rows: List[int] = []
-        self.dtrg: Optional[ArrayDTRG] = None
+        self.dtrg: Optional[PrecedeBackend] = None
         self.jobs = 1
         self.backend = "inline"
         #: Per-shard ``{"shard", "events", "races", "seconds"}`` rows.
@@ -170,7 +175,7 @@ class CheckResult:
 
 def _kernel(
     enc: EncodedTrace,
-    dtrg: ArrayDTRG,
+    dtrg: PrecedeBackend,
     names_list: List[str],
     result: CheckResult,
     *,
@@ -205,6 +210,7 @@ def _kernel(
     """
     task_keys = enc.task_keys
     dtrg.add_root_idx(task_keys[0])
+    n_tasks = 1
     add_task_idx = dtrg.add_task_idx
     on_terminate_idx = dtrg.on_terminate_idx
     record_join_idx = dtrg.record_join_idx
@@ -428,7 +434,8 @@ def _kernel(
                     record_join_idx(t[1], t[2])
                 elif op == OP_TASK_CREATE:
                     parent = t[1]
-                    child = len(dtrg.uf)
+                    child = n_tasks
+                    n_tasks += 1
                     covered.append(1 if t[2] else covered[parent])
                     add_task_idx(parent, bool(t[2]), task_keys[child])
                     if t[3] >= 0:

@@ -33,17 +33,15 @@ printed never records the *first* reader of a location (the ``update`` flag
 stays false when ``r`` is empty), which would let a later parallel write slip
 through undetected; we treat an empty reader set as "record the reader".
 
-This module is the reference engine's shadow memory: the plain
-Algorithms 8-9, one ``PRECEDE`` call per stored reader and one for a
-writer other than the accessing task, and what the tests compare the
-checking kernel against.  The fast paths (structural no-ops, the
-epoch-memoized same-task read and the batched writer verdict) live only
-in the kernel, :func:`repro.core.fastcheck._kernel` (``docs/ALGORITHM.md``
-§3).  Every call they skip repeats a query made earlier in the same
-mutation epoch, so verdicts, cell states and ``num_visits`` agree, and
-the query counts differ by exactly the skipped calls:
-``precede_queries(here) == precede_queries(kernel) +
-precede_calls_saved(kernel)``.
+This module is now the exact detector's shadow memory
+(:class:`repro.core.exact.ExactDetector`, whose shadow entries are
+``(task, access_time)`` keys): the plain Algorithms 8-9, one ``PRECEDE``
+call per stored reader and one for a writer other than the accessing
+task.  The DTRG detector runs the same policy in the checking kernel,
+:func:`repro.core.fastcheck._kernel`, whose shadow columns store task
+indices and which adds the fast paths (structural no-ops, the
+epoch-memoized same-task read and the batched writer verdict;
+``docs/ALGORITHM.md`` §3).
 """
 
 from __future__ import annotations

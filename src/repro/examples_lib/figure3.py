@@ -63,6 +63,7 @@ class Figure3Result:
 
 
 def _snapshot(det: DeterminacyRaceDetector, tids: Dict[str, int]) -> DtrgSnapshot:
+    det.flush()  # apply the structure events the kernel has not consumed
     names = {tid: name for name, tid in tids.items()}
     known = [tid for tid in tids.values()]
     partition: List[Set[str]] = []
@@ -88,17 +89,16 @@ def _snapshot(det: DeterminacyRaceDetector, tids: Dict[str, int]) -> DtrgSnapsho
         anc = det.dtrg.lsa_of(tid)
         lsa[name] = names.get(anc) if anc is not None else None
     labels = {
-        name: (det.dtrg.label_of(tid).pre, det.dtrg.label_of(tid).post)
-        for name, tid in tids.items()
+        name: det.dtrg.label_of(tid) for name, tid in tids.items()
     }
     return DtrgSnapshot(partition=partition, nt_preds=nt, lsa=lsa, labels=labels)
 
 
 def run_figure3(extra_observers: Sequence = ()) -> Figure3Result:
-    """Execute the reconstructed Figure 3 program, snapshotting the DTRG
-    (the reference engine's object graph, whose sets and labels Table 1
-    lists)."""
-    det = DeterminacyRaceDetector(engine="object")
+    """Execute the reconstructed Figure 3 program under the default
+    detector, snapshotting its DTRG (sets, labels, ``P`` and LSAs: what
+    Table 1 lists)."""
+    det = DeterminacyRaceDetector()
     rt = Runtime(observers=[det, *extra_observers])
     tids: Dict[str, int] = {}
     snapshots: Dict[str, DtrgSnapshot] = {}

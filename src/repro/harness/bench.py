@@ -53,11 +53,12 @@ additionally tagged ``"speedup_valid": false`` and a loud warning is
 printed: multi-job wall times there measure sharding *overhead*, never
 speedup, and must not be read as regressions.
 
-``--throughput`` races the two single-thread checking engines
-back-to-back over each workload's recorded trace — live object-graph
-replay and the flat-array fast path
+``--throughput`` races the two single-thread checking legs back-to-back
+over each workload's recorded trace — the default detector replaying the
+events (the kernel resumed block by block) and the fast path
 (:func:`repro.core.fastcheck.check_trace_fast` over the columns the
-recorder wrote; neither leg includes recording) — and writes ``BENCH_PR6.json`` by default::
+recorder wrote; neither leg includes recording) — and writes
+``BENCH_PR6.json`` by default::
 
     repro-bench --throughput --scale large --only Jacobi
 
@@ -75,8 +76,9 @@ Schema (``repro.bench.throughput/2``)::
        "identical": ..., "mismatches": [...]}, ...]}
 
 ``--backends`` races every pluggable PRECEDE backend
-(``DeterminacyRaceDetector(engine=…)`` — object-graph dtrg, flat-array
-DTRG, future-aware vector clocks; see docs/ALGORITHM.md §14)
+(``DeterminacyRaceDetector(engine=…)`` — the flat-array dtrg and
+future-aware vector clocks, both under the one kernel; see
+docs/ALGORITHM.md §14)
 head-to-head over each workload's recorded trace and writes
 ``BENCH_PR7.json`` by default.  ``--scales`` takes a comma list so one
 artifact can cover several scales::
@@ -167,8 +169,8 @@ workload row.
 baseline (``benchmarks/throughput_baseline.json``): the run fails if any
 workload's fast-path ``access_events_per_second`` drops more than 10%
 below the baseline value, or if its whole-check speedup over the
-same-process object-graph replay falls below the recorded floor.  Baseline absolute
-numbers are deliberately conservative — shared-CI wall clocks vary
+same-process detector replay falls below the recorded floor.  Baseline
+absolute numbers are deliberately conservative — shared-CI wall clocks vary
 severalfold — while the speedup floor is box-speed-independent.  With
 ``--backends`` the same flag gates the **dtrg rows only** against
 ``benchmarks/backends_baseline.json`` (conservative
@@ -791,7 +793,7 @@ def check_throughput_baseline(data: dict, baseline: dict, out=None) -> List[str]
       run) because shared-CI wall clocks vary severalfold.
     * ``min_speedup_vs_replay`` — the fast path's whole-check ratio
       (``speedup_total_vs_replay``; no encode pass, since recording
-      writes the columns) over the same-process object-graph replay.
+      writes the columns) over the same-process detector replay.
       Box speed cancels out of the ratio, so this is the sharper gate.
     """
     rows = {w.get("name"): w for w in data.get("workloads", [])}
@@ -867,8 +869,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(live replay / flat-array fast path) over "
                              "each recorded trace")
     parser.add_argument("--backends", action="store_true",
-                        help="race every PRECEDE backend (dtrg / array / "
-                             "vc) over each recorded trace")
+                        help="race every PRECEDE backend (dtrg / vc) "
+                             "over each recorded trace")
     parser.add_argument("--executors", action="store_true",
                         help="run each workload live on the serial elision "
                              "and the work-stealing ThreadRuntime at each "

@@ -303,10 +303,11 @@ class ThroughputBenchResult:
     back-to-back in the same process (box speed varies across runs, so
     only same-process ratios are meaningful):
 
-    * ``replay`` — the reference engine (``engine="object"``: object
-      graph plus the plain Algorithms 8/9, per access) re-driven over the
-      recorded events by :func:`~repro.memory.tracer.replay_trace` (the
-      events are decoded from the trace once, before timing);
+    * ``replay`` — the default :class:`~repro.core.detector.
+      DeterminacyRaceDetector` (the kernel, resumed block by block as the
+      events arrive) re-driven over the recorded events by
+      :func:`~repro.memory.tracer.replay_trace` (the events are decoded
+      from the trace once, before timing);
     * ``fast`` — :func:`repro.core.fastcheck.check_trace_fast` over the
       recorded trace's :class:`~repro.core.events.EncodedTrace` columns:
       one pass over the flat-array live DTRG (what ``racecheck --fast``
@@ -314,12 +315,11 @@ class ThroughputBenchResult:
       program is recorded, which neither leg times, so this leg has no
       encode pass.
 
-    ``identical`` records the bit-equivalence contract: both engines
+    ``identical`` records the bit-equivalence contract: both legs
     produced the same ``RaceReport.summary()`` text, the same ordered race
-    pair list and the same ``mutation_epoch``, and the replay's
-    ``precede_queries`` equals the fast path's ``precede_queries +
-    precede_calls_saved`` (the reference engine runs the plain Algorithms
-    8/9, issuing every call the kernel's fast paths skip).
+    pair list and the same value of every invariant perf counter
+    (``precede_queries``, ``mutation_epoch``, ``shadow_fast_hits``,
+    ``precede_calls_saved``): they run the same kernel.
     """
 
     name: str
@@ -373,9 +373,9 @@ def run_throughput_benchmark(
     verify: bool = True,
 ) -> ThroughputBenchResult:
     """Record one workload's trace, then race the two single-thread
-    checking engines over it (see :class:`ThroughputBenchResult`).
+    checking legs over it (see :class:`ThroughputBenchResult`).
 
-    Both engines run back-to-back in this process on the *same* recorded
+    Both legs run back-to-back in this process on the *same* recorded
     stream; wall times are best-of-``repeats`` per engine (per timing key
     for the fast path).  Equivalence is asserted into
     ``identical``/``mismatches`` rather than raised so a violation still
@@ -400,7 +400,7 @@ def run_throughput_benchmark(
     replay_best = float("inf")
     detector = None
     for _ in range(repeats):
-        detector = DeterminacyRaceDetector(engine="object")
+        detector = DeterminacyRaceDetector()
         start = time.perf_counter()
         replay_trace(events, [detector])
         replay_best = min(replay_best, time.perf_counter() - start)
@@ -422,17 +422,11 @@ def run_throughput_benchmark(
         mismatches.append("fast: race list differs from replay")
     stats = fast.perf_stats
     golden_stats = detector.perf_stats
-    if stats["mutation_epoch"] != golden_stats["mutation_epoch"]:
-        mismatches.append(
-            f"fast: mutation_epoch {stats['mutation_epoch']} != "
-            f"{golden_stats['mutation_epoch']}"
-        )
-    queries = stats["precede_queries"] + stats["precede_calls_saved"]
-    if queries != golden_stats["precede_queries"]:
-        mismatches.append(
-            f"fast: precede_queries + precede_calls_saved {queries} != "
-            f"{golden_stats['precede_queries']}"
-        )
+    for key in _INVARIANT_PERF:
+        if stats[key] != golden_stats[key]:
+            mismatches.append(
+                f"fast: {key} {stats[key]} != {golden_stats[key]}"
+            )
 
     return ThroughputBenchResult(
         name=name,
@@ -612,7 +606,7 @@ def run_telemetry_benchmark(
 
 #: Engine rows of the ``--backends`` head-to-head, in report order.  The
 #: first row is the golden engine the others are gated against.
-BACKEND_ENGINES = ("dtrg", "array", "vc")
+BACKEND_ENGINES = ("dtrg", "vc")
 
 
 @dataclass
@@ -629,10 +623,10 @@ class BackendBenchResult:
     The equivalence gate is the *verdict stream* only: every completed
     engine must reproduce the golden (first) engine's
     ``RaceReport.summary()`` text and ordered race pair list
-    bit-for-bit.  Perf counters are per-engine invariants — a vector
-    clock is never consulted the way a shadow memory consults PRECEDE —
-    so they are reported, not gated (the dtrg/array counter bit-match
-    has its own gate in ``--throughput`` and the fuzzer).
+    bit-for-bit.  Perf counters are per-engine invariants — vector
+    clocks count no VISIT and tick on every join — so they are reported,
+    not gated (the kernel's counter bit-match across its live, replayed
+    and fast legs has its own gate in ``--throughput``).
     """
 
     name: str
@@ -660,8 +654,8 @@ def run_backend_benchmark(
 
     The workload runs **once** with only a trace recorder attached; every
     engine then re-checks the same recorded stream through the full
-    detector (shadow memory included), so the rows differ only in the
-    PRECEDE data structure behind them.  The events are decoded from the
+    detector (the one kernel, shadow state included), so the rows differ
+    only in the PRECEDE data structure behind them.  The events are decoded from the
     trace once, before any engine is timed.  Wall times are
     best-of-``repeats`` per engine.  Mismatches are recorded, not
     raised, so a violation still lands in the artifact."""

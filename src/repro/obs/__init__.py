@@ -18,7 +18,7 @@ al. (*DePa*):
   population) dumpable as JSON
   and renderable by :func:`repro.harness.report.render_metrics`;
 * :mod:`repro.obs.hooks` — :class:`Observability`, the bundle the hook
-  points in ``core/reachability.py``, ``core/shadow.py``,
+  points in ``core/array_dtrg.py`` (``TracedArrayDTRG``),
   ``core/detector.py``, ``runtime/runtime.py`` and
   ``runtime/workstealing.py`` call into, plus the
   :data:`NULL_OBSERVABILITY` null object.  Hook points are *detached by

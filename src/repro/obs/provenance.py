@@ -18,17 +18,17 @@ This module adds both, strictly opt-in:
 
 * :class:`RaceWitness` — a machine-checkable **non-ordering certificate**
   for one race, from
-  :meth:`~repro.core.reachability.DynamicTaskReachabilityGraph.explain_precede`:
-  both tasks' ``(pre, post)`` interval labels, their set representatives
-  and members, the level-0 checks that failed, the LSA chain walked, and
-  the VISIT frontier that was exhausted without reaching the predecessor.
+  :meth:`~repro.core.array_dtrg.ArrayDTRG.explain_precede`: both tasks'
+  ``(pre, post)`` interval labels, their sets' representatives (the
+  root-most member, whose label is the set label) and members, the
+  level-0 checks that failed, the LSA chain walked, and the VISIT
+  frontier that was exhausted without reaching the predecessor.
   :func:`confirm_witness` cross-validates a witness against the
   brute-force computation graph (``racecheck --verify-witness``).
 
 * :func:`explain_races` — the one witness builder.  No checker keeps
   sites or builds certificates while it runs; every path (the live
-  kernel, the reference engine, ``check_trace_fast``, each ``--jobs``
-  shard) reports its races with their access-row ordinals
+  kernel, ``check_trace_fast``, each ``--jobs`` shard) reports its races with their access-row ordinals
   (``race_rows``), and one pass over the recorded columns afterwards
   attaches both accesses' call sites and the certificates.
 
@@ -58,8 +58,8 @@ from repro.core.events import (
     Trace,
     encode_trace,
 )
+from repro.core.array_dtrg import MAXID, ArrayDTRG
 from repro.core.races import AccessKind, Race
-from repro.core.reachability import DynamicTaskReachabilityGraph
 
 __all__ = [
     "SiteTable",
@@ -277,7 +277,7 @@ class RaceWitness:
     """A non-ordering certificate for one reported race.
 
     ``certificate`` is the JSON-able dict produced by
-    :meth:`DynamicTaskReachabilityGraph.explain_precede` for the query
+    :meth:`ArrayDTRG.explain_precede` for the query
     ``PRECEDE(prev_task, current_task)`` (verdict ``False``): interval
     labels, set representatives/members, level-0 check outcomes, the LSA
     chain walked and the exhausted VISIT frontier.  The reverse direction
@@ -376,11 +376,10 @@ def explain_races(
     ``races`` is any checker's race list and ``race_rows[i]`` the
     access-row ordinal of the access that reported ``races[i]`` in
     ``columns``, the recorded trace of the same run.  One pass over the
-    columns applies each structure run to an object
-    :class:`~repro.core.reachability.DynamicTaskReachabilityGraph`, as
-    the kernel applies it to its ``ArrayDTRG``, and stops at each race's
-    row to ask :meth:`explain_precede(prev, cur)`: the graph is then in
-    the state the checker queried.
+    columns applies each structure run to an
+    :class:`~repro.core.array_dtrg.ArrayDTRG`, as the kernel does, and
+    stops at each race's row to ask :meth:`explain_precede(prev, cur)`:
+    the graph is then in the state the checker queried.
 
     The current site is the row's own recorded site.  The previous site
     is that of the latest earlier row by ``prev`` on the location with
@@ -415,15 +414,14 @@ def explain_races(
         p = latest.get(prev_rows[i])
         return None if p is None else sites[p]
 
-    graph = DynamicTaskReachabilityGraph()
-    graph.add_root(keys[0])
-    scopes: Dict[int, list] = {0: [keys[0], []]}
+    graph = ArrayDTRG()
+    graph.add_root_idx(keys[0])
+    scopes: Dict[int, list] = {0: [0, []]}
     order = sorted(range(len(races)), key=race_rows.__getitem__)
     certificates: List[Optional[dict]] = [None] * len(races)
     prev_sites: List[Optional[str]] = [None] * len(races)
     runs = enc.runs
     k = row = si = 0
-    child = 1
     for ri in range(0, len(runs), 2):
         count = runs[ri + 1]
         if runs[ri] == RUN_ACCESS:
@@ -440,20 +438,20 @@ def explain_races(
         for t in enc.structure[si:si + count]:
             op = t[0]
             if op == OP_GET:
-                graph.record_join(keys[t[1]], keys[t[2]])
+                graph.record_join_idx(t[1], t[2])
             elif op == OP_TASK_CREATE:
-                graph.add_task(keys[t[1]], keys[child], is_future=bool(t[2]))
+                child = graph.add_task_idx(t[1], bool(t[2]),
+                                           keys[len(graph.keys)])
                 if t[3] >= 0:
-                    scopes[t[3]][1].append(keys[child])
-                child += 1
+                    scopes[t[3]][1].append(child)
             elif op == OP_TASK_END:
-                graph.on_terminate(keys[t[1]])
+                graph.on_terminate_idx(t[1])
             elif op == OP_FINISH_START:
-                scopes[t[1]] = [keys[t[2]], []]
+                scopes[t[1]] = [t[2], []]
             else:  # OP_FINISH_END
                 owner, joins = scopes.pop(t[1])
-                for tid in joins:
-                    graph.merge(owner, tid)
+                for idx in joins:
+                    graph.merge_idx(owner, idx)
         si += count
     if k < len(order):
         raise ValueError(
@@ -552,10 +550,8 @@ def _fmt_label(label: Dict[str, Any]) -> str:
         return "?"
     post = label.get("post")
     if not label.get("final", True):
-        # Match IntervalLabel.__repr__: temporary postorders render as the
-        # dfid they were drawn from, flagged with a tilde.
-        from repro.core.labels import MAXID
-
+        # Temporary postorders render as the distance from MAXID they
+        # were drawn at, flagged with a tilde.
         post = f"~{MAXID - post}"
     return f"[{label.get('pre')}, {post}]"
 

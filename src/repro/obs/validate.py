@@ -20,7 +20,8 @@ order is not ``ts`` order.)
 Witness documents are the ``repro.race-witness-report/1`` JSON written by
 ``repro-racecheck --witness-json`` (and fuzz triage): the race fields plus
 the non-ordering certificate from
-:meth:`~repro.core.reachability.DynamicTaskReachabilityGraph.explain_precede`.
+:meth:`~repro.core.array_dtrg.ArrayDTRG.explain_precede`, whose set
+``rep`` is the set's root-most member (the first of its ``members``).
 The CLI auto-detects the document kind from its top-level keys.
 
 Exit status: 0 valid, 1 invalid (including unreadable/truncated JSON —

@@ -17,9 +17,9 @@ which is checked in up to two modes:
 
 * **scoped** (the language's reference-flow discipline): every general
   detector (dtrg, exact, vector-clock) *and* every DTRG ablation
-  (``dtrg[no-lsa]``, ``dtrg[no-memo]``, ``dtrg[no-intervals]`` — the same
-  graph with an optimization switched off, which must never change a
-  verdict) must report exactly the oracle's racy locations; every
+  (``dtrg[no-lsa]``, ``dtrg[no-memo]``, ``dtrg[no-intervals]`` — the
+  kernel over ``AblatedArrayDTRG``, the same graph with an optimization
+  switched off, which must never change a verdict) must report exactly the oracle's racy locations; every
   restricted detector (spd3, espbags, spbags, offset-span) must either
   refuse with ``UnsupportedConstructError`` or agree; the general
   PRECEDE backend ``vc`` (docs/ALGORITHM.md §14) runs as a parity row
@@ -104,10 +104,6 @@ ABLATIONS = {
     "dtrg[no-lsa]": dict(use_lsa=False),
     "dtrg[no-memo]": dict(memoize_visit=False),
     "dtrg[no-intervals]": dict(use_intervals=False),
-    # Not an optimization *off* but the reference engine: the object DTRG
-    # plus ShadowMemory must agree with the oracle and, by transitivity,
-    # with the kernel behind the plain dtrg row.
-    "dtrg[object]": dict(engine="object"),
 }
 #: Alternative PRECEDE backends behind ``DeterminacyRaceDetector(engine=…)``
 #: (docs/ALGORITHM.md §14).  ``vc`` is general — future-aware vector clocks
@@ -225,8 +221,8 @@ def _run_live(
 
     ``name`` may be a registry detector or an :data:`ABLATIONS` key; an
     enabled ``obs`` instruments both the detector (the kernel behind the
-    ``dtrg`` row; the reference rows refuse it) and the runtime's
-    task/finish spans.
+    ``dtrg`` row; the ablation and ``vc`` rows refuse it) and the
+    runtime's task/finish spans.
     """
     det = _make_detector(name, obs=obs)
     observers: List = [det]

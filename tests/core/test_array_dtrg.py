@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.core.array_dtrg import ArrayDTRG
+from repro.core.array_dtrg import AblatedArrayDTRG, ArrayDTRG
 from repro.core.detector import DeterminacyRaceDetector
-from repro.core.reachability import DynamicTaskReachabilityGraph
 
 
 def _mirror():
-    """A fresh (object graph, array graph) pair driven in lockstep."""
-    obj = DynamicTaskReachabilityGraph()
+    """A fresh (ablated graph, default graph) pair driven in lockstep: the
+    ablated one answers by parent chase and an unmemoized walk over every
+    spawn-tree ancestor, so it shares no query shortcut with the other."""
+    obj = AblatedArrayDTRG(use_lsa=False, memoize_visit=False,
+                           use_intervals=False)
     arr = ArrayDTRG()
     return obj, arr
 
@@ -27,7 +29,7 @@ def _assert_all_pairs(obj, arr, keys):
 
 def test_lockstep_future_scenario():
     """Spawns, terminations, a non-tree join and a tree merge produce the
-    same verdicts and the same structural counters as the object graph."""
+    same verdicts as the ablated graph, and the expected counters."""
     pair = _mirror()
     obj, arr = pair
     _drive(pair, "add_root", "m")
@@ -46,9 +48,10 @@ def test_lockstep_future_scenario():
 
     keys = ["m", "a", "b", "c"]
     _assert_all_pairs(obj, arr, keys)
-    assert arr.mutation_epoch == obj.mutation_epoch
-    assert arr.num_non_tree_edges == obj.num_non_tree_edges
-    assert arr.num_tree_merges == obj.num_tree_merges
+    # Three spawns, four terminates, one non-tree edge, two merges.
+    assert arr.mutation_epoch == obj.mutation_epoch == 10
+    assert arr.num_non_tree_edges == 1
+    assert arr.num_tree_merges == 2
     assert arr.num_tasks == 4
 
 
@@ -60,7 +63,7 @@ def test_repeated_get_is_idempotent():
     _drive(pair, "on_terminate", "f")
     for _ in range(3):  # repeated get: only the first mutates
         _drive(pair, "record_join", "m", "f")
-    assert arr.mutation_epoch == obj.mutation_epoch
+    assert arr.mutation_epoch == obj.mutation_epoch == 3
     assert arr.num_tree_merges == obj.num_tree_merges == 1
     assert arr.precede("f", "m") and obj.precede("f", "m")
 
@@ -81,7 +84,7 @@ def test_memo_invalidated_by_mutation():
     assert arr.precede("f", "g")
 
 
-def test_counter_discipline_matches_object_graph():
+def test_every_query_is_counted():
     """precede() bumps num_precede_queries on every call; the memo may
     only suppress duplicate *searches* (num_visits is engine-private)."""
     arr = ArrayDTRG()
@@ -126,11 +129,14 @@ def test_growth_past_initial_buffers():
 def test_detector_engine_gating():
     with pytest.raises(ValueError):
         DeterminacyRaceDetector(engine="bogus")
-    # Ablation switches exist on the reference engine only, so asking
-    # for one selects it.
+    # An ablation switch off selects the ablated graph under the kernel.
     for switch in ("use_lsa", "memoize_visit", "use_intervals"):
         det = DeterminacyRaceDetector(engine="array", **{switch: False})
-        assert det.engine == "object"
+        assert det.engine == "array"
+        assert isinstance(det.dtrg, AblatedArrayDTRG)
+        assert getattr(det.dtrg, switch) is False
+    with pytest.raises(ValueError, match="removed"):
+        DeterminacyRaceDetector(engine="object")
     with pytest.raises(ValueError):
         DeterminacyRaceDetector(engine="vc", use_lsa=False)
     det = DeterminacyRaceDetector(engine="array")

@@ -24,12 +24,14 @@ from repro.core.vc_backend import VectorClockBackend
 # Protocol and engine resolution                                         #
 # ---------------------------------------------------------------------- #
 def test_all_engines_satisfy_the_protocol():
-    from repro.core.array_dtrg import ArrayDTRG
-    from repro.core.reachability import DynamicTaskReachabilityGraph
+    from repro.core.array_dtrg import AblatedArrayDTRG, ArrayDTRG
 
-    for backend in (DynamicTaskReachabilityGraph(), ArrayDTRG(),
+    for backend in (ArrayDTRG(), AblatedArrayDTRG(use_lsa=False),
                     VectorClockBackend()):
         assert isinstance(backend, PrecedeBackend)
+    # vc counts no search, edges or sets.
+    vc = VectorClockBackend()
+    assert vc.num_visits == vc.num_non_tree_edges == vc.num_tree_merges == 0
 
 
 def test_resolve_engine_accepts_names_and_aliases():
@@ -57,13 +59,15 @@ def test_non_default_engines_reject_attachments():
         DeterminacyRaceDetector(engine="vc", use_lsa=False)
     with pytest.raises(ValueError, match="observability"):
         DeterminacyRaceDetector(engine="vc", obs=Observability())
-    # The kernel hands the ablations to the reference engine, and obs
-    # observes the kernel, which the reference engine refuses.
+    # The ablations run the kernel over the ablated graph, and obs
+    # observes the default graph only.
     assert DeterminacyRaceDetector(engine="array",
-                                   use_lsa=False).engine == "object"
+                                   use_lsa=False).engine == "array"
     assert DeterminacyRaceDetector(engine="array",
                                    obs=Observability()).engine == "array"
     with pytest.raises(ValueError, match="observability"):
+        DeterminacyRaceDetector(use_lsa=False, obs=Observability())
+    with pytest.raises(ValueError, match="was removed"):
         DeterminacyRaceDetector(engine="object", obs=Observability())
 
 
@@ -166,9 +170,9 @@ def _race_pairs(engine):
 
 
 def test_detector_reports_identical_races_on_every_engine():
-    golden = _race_pairs("object")
+    golden = _race_pairs("array")
     assert golden  # the scenario above must actually race
-    for engine in ("array", "vc"):
+    for engine in ("dtrg", "vc"):
         assert _race_pairs(engine) == golden
 
 

@@ -2,8 +2,8 @@
 
 Covers what the equivalence sweeps do not: engine selection, the
 ``RAISE`` timing and inertness, the dropped columns, the counters the
-live sampler reads, ``flush`` after an aborted run, and the race count
-``check_trace_fast`` reports to a progress counter.
+live sampler reads, ``flush`` after an aborted run and in mid-run, and
+the race count ``check_trace_fast`` reports to a progress counter.
 """
 
 import random
@@ -17,8 +17,9 @@ from repro import (
     Runtime,
     SharedVar,
 )
+from repro.core.array_dtrg import AblatedArrayDTRG
 from repro.core.events import (
-    ReadEvent, TaskCreateEvent, TaskEndEvent, Trace, WriteEvent,
+    ExecutionObserver, ReadEvent, TaskCreateEvent, TaskEndEvent, Trace, WriteEvent,
 )
 from repro.core.fastcheck import check_trace_fast
 from repro.memory.tracer import replay_trace
@@ -28,12 +29,15 @@ from repro.testing.generator import random_program, run_program
 
 def test_engine_selection():
     assert DeterminacyRaceDetector().engine == "array"
-    assert DeterminacyRaceDetector(engine="dtrg").engine == "object"
+    assert DeterminacyRaceDetector(engine="dtrg").engine == "array"
     assert DeterminacyRaceDetector(
         obs=Observability()).engine == "array"
-    assert DeterminacyRaceDetector(
-        memoize_visit=False).engine == "object"
+    ablated = DeterminacyRaceDetector(memoize_visit=False)
+    assert ablated.engine == "array"
+    assert isinstance(ablated.dtrg, AblatedArrayDTRG)
     assert DeterminacyRaceDetector(engine="vc").engine == "vc"
+    with pytest.raises(ValueError, match="reference engine"):
+        DeterminacyRaceDetector(engine="object")
 
 
 def _racy_seeds(count):
@@ -41,7 +45,7 @@ def _racy_seeds(count):
     seed = 0
     while len(seeds) < count:
         program = random_program(random.Random(seed))
-        det = DeterminacyRaceDetector(engine="object")
+        det = DeterminacyRaceDetector()
         run_program(program, [det])
         if det.races:
             seeds.append(seed)
@@ -60,7 +64,7 @@ def _first_race(program, **options):
 def test_raise_stops_at_the_first_race(seed):
     program = random_program(random.Random(seed))
     kernel, race = _first_race(program)
-    reference, reference_race = _first_race(program, engine="object")
+    reference, reference_race = _first_race(program, engine="vc")
     assert race == reference_race
     assert kernel.races == [race] == reference.races
 
@@ -137,7 +141,7 @@ def test_live_counters_lag_by_at_most_one_block():
 
 def test_flush_checks_the_block_an_aborted_run_left_open():
     racy = []
-    for engine in ("array", "object"):
+    for engine in ("array", "vc"):
         det = DeterminacyRaceDetector(engine=engine)
         rt = Runtime(observers=[det])
         x = SharedVar(rt, "x")
@@ -155,6 +159,42 @@ def test_flush_checks_the_block_an_aborted_run_left_open():
                      det.num_accesses))
     assert racy[0] == racy[1]
     assert len(racy[0][0]) == 1 and racy[0][2] == 2
+
+
+class _Flusher(ExecutionObserver):
+    """Flushes ``det`` after every spawn, get and finish end (attached
+    after it, so ``det`` has lowered the event first)."""
+
+    def __init__(self, det):
+        self.det = det
+        self.flushes = 0
+
+    def _flush(self, *_):
+        self.det.flush()
+        self.flushes += 1
+
+    on_task_create = on_get = on_finish_end = _flush
+
+
+def _outcome(det):
+    return (det.report.summary(), list(det.race_rows), det.perf_stats,
+            det.avg_readers, det.dtrg.num_visits, det.dtrg.mutation_epoch)
+
+
+def test_mid_run_flush_changes_no_result():
+    """A flush checks the open block at the current epoch, which is
+    where the next structure event would have checked it; Figure 3's
+    snapshots rely on that."""
+    flushes = racy = 0
+    for seed in range(200):
+        program = random_program(random.Random(seed))
+        plain, flushed = DeterminacyRaceDetector(), DeterminacyRaceDetector()
+        flusher = _Flusher(flushed)
+        run_program(program, [plain, flushed, flusher])
+        assert _outcome(flushed) == _outcome(plain), f"seed {seed}"
+        flushes += flusher.flushes
+        racy += bool(plain.races)
+    assert racy > 50 and flushes > 1000
 
 
 def _duplicate_race_trace():
@@ -181,7 +221,7 @@ def test_progress_counts_only_reported_races():
 def test_dedupe_false_keeps_every_report():
     trace = _duplicate_race_trace()
     kernel = DeterminacyRaceDetector(dedupe=False)
-    reference = DeterminacyRaceDetector(engine="object", dedupe=False)
+    reference = DeterminacyRaceDetector(engine="vc", dedupe=False)
     replay_trace(trace, [kernel, reference])
     assert len(kernel.races) == 2
     assert kernel.races == reference.races

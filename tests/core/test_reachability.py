@@ -1,13 +1,14 @@
-"""Unit tests for the dynamic task reachability graph (Section 4.1)."""
+"""Unit tests for the dynamic task reachability graph (Section 4.1),
+driven through :class:`ArrayDTRG`'s key layer."""
 
 import pytest
 
-from repro.core.reachability import DynamicTaskReachabilityGraph
+from repro.core.array_dtrg import AblatedArrayDTRG, ArrayDTRG
 
 
 def build_chain():
     """main -> A (future) -> B (future), fully live."""
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     g.add_task("main", "A", is_future=True, name="A")
     g.add_task("A", "B", is_future=True, name="B")
@@ -26,7 +27,7 @@ def test_live_ancestor_precedes_descendant():
 
 
 def test_completed_sibling_does_not_precede():
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     g.add_task("main", "A", is_future=True, name="A")
     g.on_terminate("A")
@@ -36,7 +37,7 @@ def test_completed_sibling_does_not_precede():
 
 
 def test_tree_join_via_parent_get_merges():
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     g.add_task("main", "A", is_future=True, name="A")
     g.on_terminate("A")
@@ -49,7 +50,7 @@ def test_tree_join_via_parent_get_merges():
 
 
 def test_sibling_get_records_non_tree_edge():
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     g.add_task("main", "A", is_future=True, name="A")
     g.on_terminate("A")
@@ -62,7 +63,7 @@ def test_sibling_get_records_non_tree_edge():
 
 
 def test_repeated_join_is_idempotent():
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     g.add_task("main", "A", is_future=True, name="A")
     g.on_terminate("A")
@@ -73,7 +74,7 @@ def test_repeated_join_is_idempotent():
 
 def test_transitive_path_through_two_non_tree_edges():
     # A -> B (B got A), B -> C (C got B): A must precede C.
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     g.add_task("main", "A", is_future=True, name="A")
     g.on_terminate("A")
@@ -89,7 +90,7 @@ def test_transitive_path_through_two_non_tree_edges():
 def test_lsa_assignment_rules():
     """Algorithm 2 lines 7-11: lsa is the parent iff the parent's set has
     non-tree edges, else inherited."""
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     g.add_task("main", "P", is_future=True, name="P")
     g.add_task("P", "C1", is_future=True, name="C1")
@@ -109,7 +110,7 @@ def test_lsa_assignment_rules():
 def test_reachability_through_ancestors_non_tree_edge():
     """A join recorded into an ancestor before the current task's branch
     spawned must order the producer before the current task (the LSA walk)."""
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     g.add_task("main", "A", is_future=True, name="A")
     g.on_terminate("A")
@@ -127,7 +128,7 @@ def test_merged_member_non_tree_edge_not_pruned():
     merge — main's set label has pre 0 while the nt edge source F1 has
     pre 1).  precede(F1, main) must be True via the merged nt list.
     """
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     g.add_task("main", "F1", is_future=True, name="F1")
     g.on_terminate("F1")
@@ -139,7 +140,7 @@ def test_merged_member_non_tree_edge_not_pruned():
 
 
 def test_statistics_counters():
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     g.add_task("main", "A", is_future=True, name="A")
     g.on_terminate("A")
@@ -168,7 +169,7 @@ def test_statistics_counters():
 )
 def test_ablation_variants_agree_on_small_graph(options):
     def build(**kw):
-        g = DynamicTaskReachabilityGraph(**kw)
+        g = AblatedArrayDTRG(**kw) if kw else ArrayDTRG()
         g.add_root("m")
         g.add_task("m", "a", is_future=True, name="a")
         g.on_terminate("a")
@@ -200,7 +201,7 @@ def sibling_join_graph():
     so the preorder prune cannot answer, and B's set has a non-tree edge
     to explore); ``precede(C, B)`` is an expensive *positive*.
     """
-    g = DynamicTaskReachabilityGraph()
+    g = ArrayDTRG()
     g.add_root("main")
     g.add_task("main", "A", is_future=True, name="A")
     g.on_terminate("A")

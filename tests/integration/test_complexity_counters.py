@@ -11,7 +11,9 @@ Wall-clock benchmarks live in ``benchmarks/``; these tests pin the
   of disjoint sets.
 """
 
-from repro.core.detector import DeterminacyRaceDetector
+from repro.core.array_dtrg import ArrayDTRG
+from repro.core.events import ExecutionObserver
+from repro.core.shadow import ShadowMemory
 from repro.workloads import crypt_idea, series, smith_waterman
 from repro.workloads.common import run_instrumented
 
@@ -30,8 +32,8 @@ def test_structured_program_stays_on_fast_path():
     # every task merges exactly once (at its IEF's end)
     assert dtrg.num_tree_merges == metrics.num_tasks
     # fast path: precede() answers at level 0 — num_visits counts VISIT
-    # *expansions* only (see DynamicTaskReachabilityGraph.__init__), so a
-    # structured program performs zero backward-search work.
+    # *expansions* only (see ArrayDTRG), so a structured program performs
+    # zero backward-search work.
     assert dtrg.num_visits == 0
 
 
@@ -66,14 +68,51 @@ def test_avg_readers_matches_paper_accounting():
         lambda rt: crypt_idea.run_future(rt, params)
     )
     assert det.num_accesses == metrics.num_shared_accesses
-    # The kernel's figure equals the reference engine's, recomputed from
-    # its shadow memory.
-    reference = run_instrumented(
-        lambda rt: crypt_idea.run_future(rt, params), detect=True,
-        detector_options={"engine": "object"},
-    ).detector
-    shadow = reference.shadow
+    # The kernel's figure equals the plain Algorithms 8/9's, recomputed
+    # from a ShadowMemory over the DTRG's key layer.
+    plain = _PlainShadow()
+    run_instrumented(lambda rt: crypt_idea.run_future(rt, params),
+                     detect=False, extra_observers=(plain,))
+    shadow = plain.shadow
     assert shadow.num_accesses == metrics.num_shared_accesses
-    assert det.avg_readers == reference.avg_readers == (
+    assert det.avg_readers == (
         shadow.total_readers_seen / shadow.num_accesses
     )
+
+
+class _PlainShadow(ExecutionObserver):
+    """The plain Algorithms 8/9 (``ShadowMemory``, one PRECEDE call per
+    stored reader and writer) over an ``ArrayDTRG`` driven by key."""
+
+    def __init__(self):
+        self.dtrg = ArrayDTRG()
+        #: tid -> future-covered (a future or inside one's spawn subtree).
+        self.covered = {}
+        self.shadow = ShadowMemory(precede=self.dtrg.precede,
+                                   is_future=self.covered.__getitem__,
+                                   report=lambda *race: None)
+
+    def on_init(self, main):
+        self.covered[main.tid] = False
+        self.dtrg.add_root(main.tid)
+
+    def on_task_create(self, parent, child):
+        self.covered[child.tid] = (child.is_future
+                                   or self.covered[parent.tid])
+        self.dtrg.add_task(parent.tid, child.tid, is_future=child.is_future)
+
+    def on_task_end(self, task):
+        self.dtrg.on_terminate(task.tid)
+
+    def on_get(self, consumer, producer):
+        self.dtrg.record_join(consumer.tid, producer.tid)
+
+    def on_finish_end(self, scope):
+        for task in scope.joins:
+            self.dtrg.merge(scope.owner.tid, task.tid)
+
+    def on_read(self, task, loc):
+        self.shadow.read(task.tid, loc)
+
+    def on_write(self, task, loc):
+        self.shadow.write(task.tid, loc)

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-import repro.core.detector as detector_mod
 import repro.tools.fuzz as fuzz
+from repro.core.array_dtrg import AblatedArrayDTRG, ArrayDTRG
 from repro.obs.validate import validate_witness_report
 from repro.testing.codec import entry_from_data
 from repro.testing.generator import (
@@ -35,24 +35,19 @@ FUTURE_COVERED_REPRO = Program(
 
 
 def plant_future_covered_bug(monkeypatch):
-    """Revert the reference engine to its pre-fix semantics: only the
-    future task itself counts as future-covered, not its spawn-tree
-    descendants.  (The kernel behind the plain ``dtrg`` row binds its own
-    hooks and stays correct, so the ``dtrg[object]`` row and the
-    ablations, which run the reference engine, are the ones to go red.)"""
+    """Plant the Lemma-4 reader-policy bug in the ``exact`` row: its
+    shadow memory treats no reader as future-covered, so it keeps a
+    single representative reader and drops the parallel one a later
+    ``get`` cannot order.  (The kernel behind every ``dtrg`` row keeps
+    the correct predicate, so only the ``exact`` row goes red.)"""
+    exact_cls = DETECTORS["exact"]
 
-    def broken_on_task_create(self, parent, child):
-        self._names[child.tid] = child.name
-        self._future_covered[child.tid] = child.is_future
-        self.dtrg.add_task(
-            parent.tid, child.tid, is_future=child.is_future, name=child.name
-        )
+    class PreFixExact(exact_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.shadow._is_future = lambda key: False
 
-    monkeypatch.setattr(
-        detector_mod.DeterminacyRaceDetector,
-        "on_task_create",
-        broken_on_task_create,
-    )
+    monkeypatch.setitem(fuzz.DETECTORS, "exact", PreFixExact)
 
 
 # ---------------------------------------------------------------------- #
@@ -94,13 +89,11 @@ def test_planted_soundness_bug_is_flagged_and_minimized(monkeypatch, tmp_path):
     plant_future_covered_bug(monkeypatch)
     failures = fuzz.check_seed(0, FUTURE_COVERED_REPRO, modes=("scoped",))
     sigs = [f.signature for f in failures]
-    assert "scoped:divergence:dtrg[object]:missing" in sigs
+    assert "scoped:divergence:exact:missing" in sigs
     assert "scoped:divergence:dtrg:missing" not in sigs
-    # The ablated configs share the reference engine's frontend, so the
-    # planted frontend bug is flagged for each of them as well.
-    assert "scoped:divergence:dtrg[no-lsa]:missing" in sigs
+    assert "scoped:divergence:dtrg[no-lsa]:missing" not in sigs
 
-    failure = next(f for f in failures if f.detector == "dtrg[object]")
+    failure = next(f for f in failures if f.detector == "exact")
     fuzz._shrink_failure(failure, budget=600)
     assert failure.minimized is not None
     assert count_stmts(failure.minimized.body) <= count_stmts(
@@ -198,29 +191,22 @@ def test_make_detector_applies_ablation_options():
     assert fuzz._make_detector("dtrg[no-memo]").dtrg.memoize_visit is False
     assert (fuzz._make_detector("dtrg[no-intervals]").dtrg.use_intervals
             is False)
-    # The reference row runs the full-featured object graph; the plain
-    # dtrg row runs the kernel.
-    full = fuzz._make_detector("dtrg[object]")
-    assert full.dtrg.use_lsa and full.dtrg.memoize_visit \
-        and full.dtrg.use_intervals
-    assert fuzz._make_detector("dtrg").engine == "array"
+    # Every row runs the kernel; the plain dtrg row over the plain graph.
+    full = fuzz._make_detector("dtrg")
+    assert full.engine == "array" and type(full.dtrg) is ArrayDTRG
 
 
 def test_planted_lsa_ablation_bug_is_flagged(monkeypatch):
     """Break the backward search *only when use_lsa=False*: the stock dtrg
     stays green, so only the ablation sweep can catch the regression."""
-    from repro.core.reachability import DynamicTaskReachabilityGraph
-
-    orig = DynamicTaskReachabilityGraph._explore
+    orig = AblatedArrayDTRG._explore
 
     def broken_explore(self, *a, **kw):
         if not self.use_lsa:
             return False  # never finds a backward path
         return orig(self, *a, **kw)
 
-    monkeypatch.setattr(
-        DynamicTaskReachabilityGraph, "_explore", broken_explore
-    )
+    monkeypatch.setattr(AblatedArrayDTRG, "_explore", broken_explore)
     # Sibling future join: the write is ordered before the read *only*
     # through the non-tree get edge, which the broken search can't find.
     program = Program(
@@ -238,18 +224,14 @@ def test_planted_lsa_ablation_bug_is_flagged(monkeypatch):
 
 def test_corpus_gate_covers_ablations(monkeypatch, capsys):
     """The checked-in corpus replays through the ablated configs too."""
-    from repro.core.reachability import DynamicTaskReachabilityGraph
-
-    orig = DynamicTaskReachabilityGraph._explore
+    orig = AblatedArrayDTRG._explore
 
     def broken_explore(self, *a, **kw):
         if not self.use_lsa:
             return False
         return orig(self, *a, **kw)
 
-    monkeypatch.setattr(
-        DynamicTaskReachabilityGraph, "_explore", broken_explore
-    )
+    monkeypatch.setattr(AblatedArrayDTRG, "_explore", broken_explore)
     assert fuzz.main(["--replay-corpus", str(CORPUS_DIR)]) == 1
     assert "dtrg[no-lsa]" in capsys.readouterr().out
 

@@ -165,7 +165,7 @@ def test_detector_perf_tolerates_missing_stats_keys():
     assert DetectorPerf.from_detector(None).precede_queries == 0
 
 
-@pytest.mark.parametrize("engine", ["array", "object"])
+@pytest.mark.parametrize("engine", ["array", "vc"])
 def test_detector_perf_cache_columns_are_zero(engine):
     """No engine keeps a public PRECEDE cache: the cache counters stay
     zero and the row still builds and renders."""

@@ -26,10 +26,12 @@ class TestNullObjectProtocol:
         det = DeterminacyRaceDetector(obs=NULL_OBSERVABILITY)
         assert det.obs is None
         assert det.engine == "array"
-        # Disabled is no attachment, so the reference engine accepts it.
-        det = DeterminacyRaceDetector(obs=NULL_OBSERVABILITY,
-                                      engine="object")
-        assert det.obs is None and det.engine == "object"
+        # Disabled is no attachment, so the vc engine and the ablated
+        # graph accept it.
+        det = DeterminacyRaceDetector(obs=NULL_OBSERVABILITY, engine="vc")
+        assert det.obs is None and det.engine == "vc"
+        det = DeterminacyRaceDetector(obs=NULL_OBSERVABILITY, use_lsa=False)
+        assert det.obs is None and det.engine == "array"
 
     def test_attach_enabled_rebinds_query_and_mutators(self):
         det = DeterminacyRaceDetector(obs=enabled_obs())
@@ -43,13 +45,22 @@ class TestNullObjectProtocol:
             assert name in vars(TracedArrayDTRG)
 
     @pytest.mark.parametrize("options", [
-        dict(engine="object"), dict(engine="dtrg"), dict(engine="vc"),
-        dict(use_lsa=False), dict(memoize_visit=False),
+        dict(engine="vc"), dict(use_lsa=False), dict(memoize_visit=False),
         dict(use_intervals=False),
+        dict(use_lsa=False, memoize_visit=False, use_intervals=False),
+        dict(engine="array", use_intervals=False),
     ])
     def test_reference_engines_refuse_enabled_obs(self, options):
+        """Every graph but the default one (vector clocks, each ablated
+        graph) refuses an enabled obs: only TracedArrayDTRG is traced."""
         with pytest.raises(ValueError, match="observability"):
             DeterminacyRaceDetector(obs=enabled_obs(), **options)
+
+    def test_dtrg_alias_is_observed_and_object_is_gone(self):
+        det = DeterminacyRaceDetector(obs=enabled_obs(), engine="dtrg")
+        assert isinstance(det.dtrg, TracedArrayDTRG)
+        with pytest.raises(ValueError, match="AblatedArrayDTRG"):
+            DeterminacyRaceDetector(engine="object")
 
 
 class TestTracedArrayDTRG:

@@ -167,7 +167,7 @@ class TestReplayProvenance:
         recording_prov = RaceProvenance()
         _, trace = run_racy(recording_prov)
 
-        det = DeterminacyRaceDetector(engine="object")
+        det = DeterminacyRaceDetector(engine="vc")
         replay_trace(trace, [det])
         (race,) = list(det.report)
         assert race.prev_site is None  # checkers report no sites

@@ -1,37 +1,32 @@
-"""The one kernel ≡ the reference engine, under fuzzing.
+"""The one kernel agrees with itself over every graph and every path.
 
-Properties over 200 generated programs (ALGORITHM.md §12, §13), each
-against the reference engine (``engine="object"``: the object DTRG plus
-``ShadowMemory``) replaying the recorded trace:
+Properties over 200 generated programs (ALGORITHM.md §12, §13); the
+values of the plain Algorithms 8/9 are pinned separately, by
+``test_engine_golden.py``:
 
-1. **Live equivalence** — the default detector, attached to the running
-   ``Runtime``, reports what the reference engine attached to the same
-   run reports: the same ``summary()`` with live task names, the same
-   race list in the same order, the same ``race_rows`` (the access-row
-   ordinal of each race, where ``explain_races`` stops), the same
-   ``mutation_epoch`` and ``num_visits``, the same ``#AvgReaders``, and
-   query counts tied by the closed-form identity below.
+1. **Graph equivalence, live** — attached to the running ``Runtime``,
+   the kernel over the fully ablated graph (``AblatedArrayDTRG``: parent
+   chase, every ancestor, unmemoized VISIT) and over vector clocks
+   (``engine="vc"``) report what the kernel over the default graph
+   reports: the same ``summary()`` with live task names, the same race
+   list in the same order, the same ``race_rows`` (the access-row
+   ordinal of each race, where ``explain_races`` stops) and the same
+   ``#AvgReaders``.  The ablated graph also issues the same queries in
+   the same epochs; only its ``num_visits`` differs.
 2. **Replay equivalence** — the default detector under ``replay_trace``
-   matches the reference replay the same way, with ``dedupe`` on and
-   off.
-3. **Query equivalence** — the kernel's ``ArrayDTRG`` is bit-equivalent
-   to the object DTRG on *every* task pair of the finished graph.
+   reproduces the live run's race list and rows and every counter, with
+   ``dedupe`` on and off.
+3. **Query equivalence** — the kernel's ``ArrayDTRG`` answers like the
+   fully ablated graph on *every* task pair of the finished graph.
 4. **Fast-path equivalence** — ``check_trace_fast`` over the recorded
-   columns reproduces the reference replay byte-for-byte.
+   columns reproduces the replay byte-for-byte, every counter included.
 5. **Sharded equivalence** — ``check_trace_parallel`` at jobs ∈
    {1, 2, 4} (the same kernel, split by location) stays byte-identical
    to ``check_trace_fast``, every counter included.
 
-The reference engine runs the plain Algorithms 8/9; the fast paths exist
-only in the kernel.  Every ``PRECEDE`` call they skip repeats a query
-made earlier in the same mutation epoch, so it is answered at level 0 or
-from the verdict memo and costs no VISIT: the reference engine's
-``precede_queries`` equals the kernel's ``precede_queries +
-precede_calls_saved``, and everything else matches exactly.
-
-The verdict memo both graphs keep and the inlined shadow loops of the
-kernel are exactly the machinery these sweeps exist to keep honest: any
-verdict or counter drift shows up as a seed-numbered counterexample.
+The inlined shadow loops of the kernel and the graphs' verdict memo are
+exactly the machinery these sweeps exist to keep honest: any verdict or
+counter drift shows up as a seed-numbered counterexample.
 """
 
 import random
@@ -53,9 +48,8 @@ INVARIANT_PERF = (
     "precede_queries", "mutation_epoch", "shadow_fast_hits",
     "precede_calls_saved", "num_visits",
 )
-#: Counters the reference engine's plain Algorithms 8/9 share with the
-#: kernel; its query count obeys the identity in ``_assert_reference``.
-SHARED_PERF = ("mutation_epoch", "num_visits")
+#: Counters the kernel keeps whatever the Algorithm 10 strategy.
+STRATEGY_PERF = INVARIANT_PERF[:-1]
 
 
 def _replay(trace, **options):
@@ -86,21 +80,6 @@ def _assert_same(got, golden, what, seed, keys=INVARIANT_PERF):
         f"seed {seed}: {what} #AvgReaders diverges")
 
 
-def _assert_reference(got, ref, what, seed):
-    """``got`` (the kernel) against ``ref`` (the reference engine)."""
-    _assert_same(got, ref, what, seed, SHARED_PERF)
-    got_perf, ref_perf = _perf(got), _perf(ref)
-    assert ref_perf["precede_queries"] == (
-        got_perf["precede_queries"] + got_perf["precede_calls_saved"]), (
-        f"seed {seed}: {what} breaks the query identity "
-        f"({ref_perf['precede_queries']} != "
-        f"{got_perf['precede_queries']} + "
-        f"{got_perf['precede_calls_saved']})")
-    assert ref_perf["shadow_fast_hits"] == 0
-    assert ref_perf["precede_calls_saved"] == 0
-    return got_perf["precede_calls_saved"]
-
-
 class _Report:
     """A detector seen through a check result's comparison surface, its
     counters captured at construction."""
@@ -118,6 +97,9 @@ class _Report:
         return self.det.report.summary()
 
 
+ALL_OFF = dict(use_lsa=False, memoize_visit=False, use_intervals=False)
+
+
 @pytest.mark.parametrize("band", range(0, NUM_SEEDS, BAND))
 def test_array_engine_equivalence_fuzz(band):
     racy_seeds = saved = 0
@@ -125,37 +107,46 @@ def test_array_engine_equivalence_fuzz(band):
         program = random_program(random.Random(seed))
         rec = TraceRecorder()
         live = DeterminacyRaceDetector()
-        live_ref = DeterminacyRaceDetector(engine="object")
-        run_program(program, [rec, live, live_ref])
-        assert live.engine == "array"
+        ablated = DeterminacyRaceDetector(**ALL_OFF)
+        vc = DeterminacyRaceDetector(engine="vc")
+        run_program(program, [rec, live, ablated, vc])
         trace = rec.trace
-        saved += _assert_reference(_Report(live), _Report(live_ref),
-                                   "live kernel", seed)
-
-        golden = _Report(_replay(trace, engine="object"))
-        # Captured above, before the all-pairs sweep below: every
-        # live-graph precede() bumps the query counters.
+        golden = _Report(live)
+        _assert_same(_Report(ablated), golden, "ablated graph", seed,
+                     STRATEGY_PERF)
+        _assert_same(_Report(vc), golden, "vc", seed, ())
         racy_seeds += bool(golden.races)
+        saved += golden.perf_stats["precede_calls_saved"]
 
-        arr = _replay(trace)
-        _assert_reference(_Report(arr), golden, "replayed kernel", seed)
+        # Captured at construction, before the all-pairs sweep below:
+        # every precede() bumps the query counters.
+        arr = _Report(_replay(trace))
+        assert [r.pair_key for r in arr.races] == [
+            r.pair_key for r in golden.races], (
+            f"seed {seed}: replayed race order diverges")
+        assert arr.race_rows == golden.race_rows, (
+            f"seed {seed}: replayed race_rows diverge")
+        for key in INVARIANT_PERF:
+            assert _perf(arr)[key] == _perf(golden)[key], (
+                f"seed {seed}: replayed counter {key} diverges")
         undeduped = _replay(trace, dedupe=False)
-        undeduped_ref = _replay(trace, engine="object", dedupe=False)
+        undeduped_ablated = _replay(trace, dedupe=False, **ALL_OFF)
         assert [r.pair_key for r in undeduped.races] == [
-            r.pair_key for r in undeduped_ref.races], (
+            r.pair_key for r in undeduped_ablated.races], (
             f"seed {seed}: dedupe=False race list diverges")
-        assert undeduped.race_rows == undeduped_ref.race_rows, (
+        assert undeduped.race_rows == undeduped_ablated.race_rows, (
             f"seed {seed}: dedupe=False race_rows diverge")
         assert len(undeduped.races) >= len(golden.races)
 
         fast = check_trace_fast(encode_trace(trace))
-        _assert_reference(fast, golden, "fastcheck", seed)
+        _assert_same(fast, arr, "fastcheck", seed)
 
-        # All-pairs: the kernel's array graph vs the live object graph.
-        for a in arr.dtrg.keys:
-            for b in arr.dtrg.keys:
-                assert arr.dtrg.precede(a, b) == golden.det.dtrg.precede(
-                    a, b), f"seed {seed}: ArrayDTRG diverges on ({a}, {b})"
+        # All-pairs: the kernel's graph vs the fully ablated one.
+        ref = _replay(trace, **ALL_OFF).dtrg
+        for a in arr.det.dtrg.keys:
+            for b in arr.det.dtrg.keys:
+                assert arr.det.dtrg.precede(a, b) == ref.precede(a, b), (
+                    f"seed {seed}: ArrayDTRG diverges on ({a}, {b})")
 
         for jobs in JOBS:
             result = check_trace_parallel(trace, jobs=jobs,
@@ -164,7 +155,7 @@ def test_array_engine_equivalence_fuzz(band):
             keys = INVARIANT_PERF if jobs == 1 else INVARIANT_PERF[:-1]
             _assert_same(result, fast, f"jobs={jobs}", seed, keys)
     # A sweep where nothing races would vacuously pass the report
-    # comparisons, and one where no call is saved would vacuously pass
-    # the query identity; every band is expected to exercise both.
+    # comparisons, and one where no call is saved would leave the fast
+    # paths unexercised; every band is expected to exercise both.
     assert racy_seeds > 0
     assert saved > 0

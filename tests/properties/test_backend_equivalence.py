@@ -7,14 +7,15 @@ all-pairs sweep would be degenerate (after the final joins the DTRG
 answers ``True`` almost universally, and a frozen clock cannot witness a
 task that was live when the query mattered), so the sweep here replays
 the contract: an observer forwards every structural event to all three
-backends exactly the way the detector does, and at every boundary diffs
-``precede(a, current)`` for every task seen so far.
+backends through their key layers, in the kernel's order, and at every
+boundary diffs ``precede(a, current)`` for every task seen so far.
 
 Two properties over 200 generated programs:
 
 1. **Fork-join equivalence** — on the fork-join projection of each
-   program (futures demoted to asyncs, gets dropped) the three engines
-   (object, array, vc) agree on every in-contract query.
+   program (futures demoted to asyncs, gets dropped) the three query
+   strategies (the fully ablated graph, the default graph, vector
+   clocks) agree on every in-contract query.
 2. **General equivalence** — on the original program (futures and gets
    included) they agree as well.
 
@@ -27,9 +28,8 @@ import random
 
 import pytest
 
-from repro.core.array_dtrg import ArrayDTRG
+from repro.core.array_dtrg import AblatedArrayDTRG, ArrayDTRG
 from repro.core.events import ExecutionObserver
-from repro.core.reachability import DynamicTaskReachabilityGraph
 from repro.core.vc_backend import VectorClockBackend
 from repro.testing.generator import (
     Async,
@@ -135,7 +135,8 @@ def _sweep(seed, *, forkjoin):
         prog = Program(num_locs=prog.num_locs,
                        body=_forkjoinify(prog.body))
     harness = _Harness([
-        ("object", DynamicTaskReachabilityGraph()),
+        ("ablated", AblatedArrayDTRG(use_lsa=False, memoize_visit=False,
+                                     use_intervals=False)),
         ("array", ArrayDTRG()),
         ("vc", VectorClockBackend()),
     ])

@@ -4,43 +4,57 @@
 s_i ≺ s_j for all s_i such that Task(s_i) = T_A and s_i executes before
 s_j in the depth-first execution."
 
-We instrument the detector to log every reachability query it issues from
-the shadow-memory checks, together with the current step (taken from a
-co-attached graph builder), then check each answer against the exact
-transitive closure: the answer must be True iff *every* step of the
-queried task with a smaller step id (= executed earlier) precedes the
-current step.
+We run the checking kernel over a recorded program with a logging
+``ArrayDTRG`` and log every reachability query the kernel issues, with
+the access row being checked (the kernel's ``on_access`` hook marks it).
+A co-attached graph builder maps each row to its step, and each answer
+is checked against the exact transitive closure: it must be True iff
+*every* step of the queried task with a smaller step id (= executed
+earlier) precedes the current step.  The kernel's fast paths skip calls
+whose answers are forced; every call it makes is checked.
 """
 
 from hypothesis import HealthCheck, given, settings
 
+from repro.core.array_dtrg import ArrayDTRG
 from repro.core.detector import DeterminacyRaceDetector
+from repro.core.events import encode_trace
+from repro.core.fastcheck import CheckResult, _kernel
 from repro.graph import GraphBuilder, ReachabilityClosure
+from repro.memory.tracer import TraceRecorder
 from repro.testing.generator import program_strategy, run_program
 
 
-class LoggingDetector(DeterminacyRaceDetector):
-    """Detector that logs (queried_task, current_task, current_step, answer)
-    for every shadow-memory PRECEDE call.  It runs the reference engine,
-    which queries at each access; the kernel answers the same queries a
-    block later, and the equivalence sweeps hold it to these verdicts."""
+class LoggingDTRG(ArrayDTRG):
+    """Logs ``(queried_task, current_task, row, answer)`` for every
+    ``precede_idx`` call; ``row`` is set by the kernel's access hook."""
 
-    def __init__(self, graph_builder: GraphBuilder):
-        super().__init__(engine="object")
-        self._gb = graph_builder
+    def __init__(self):
+        super().__init__()
+        self.row = -1
         self.queries = []
-        inner = self.dtrg.precede
 
-        def logged(a_tid, b_tid):
-            answer = inner(a_tid, b_tid)
-            step = self._gb._step(b_tid)  # the current step of the querier
-            self.queries.append((a_tid, b_tid, step.sid, answer))
-            return answer
+    def precede_idx(self, ia, ib):
+        answer = super().precede_idx(ia, ib)
+        self.queries.append((self.keys[ia], self.keys[ib], self.row, answer))
+        return answer
 
-        # The shadow memory holds a reference to the bound method taken at
-        # detector construction; rebind both.
-        self.dtrg.precede = logged
-        self.shadow._precede = logged
+
+def _logged_queries(trace):
+    enc = encode_trace(trace)
+    dtrg = LoggingDTRG()
+
+    def on_access(is_write, task, lid, readers):
+        dtrg.row += 1
+
+    kernel = _kernel(enc, dtrg, [str(key) for key in enc.task_keys],
+                     CheckResult(), on_access=on_access)
+    next(kernel)
+    try:
+        kernel.send(True)
+    except StopIteration:
+        pass
+    return dtrg.queries
 
 
 @given(program=program_strategy(num_locs=3, max_leaves=30))
@@ -48,16 +62,22 @@ class LoggingDetector(DeterminacyRaceDetector):
           suppress_health_check=[HealthCheck.too_slow])
 def test_every_precede_answer_is_exact(program):
     gb = GraphBuilder()
-    det = LoggingDetector(gb)
-    # graph builder first so its current step is up to date when queried
-    run_program(program, [gb, det])
+    recorder = TraceRecorder()
+    run_program(program, [gb, recorder])
     closure = ReachabilityClosure(gb.graph)
     graph = gb.graph
     steps_by_task = {}
     for step in graph.steps:
         steps_by_task.setdefault(step.task, []).append(step.sid)
+    # Steps run contiguously in sid order, so listing their accesses in
+    # that order gives the access rows in execution order.
+    row_step = [acc.step for step in graph.steps for acc in step.accesses]
 
-    for a_tid, b_tid, cur_sid, answer in det.queries:
+    queries = _logged_queries(recorder.trace)
+    assert all(0 <= row < len(row_step) for _, _, row, _ in queries)
+    for a_tid, b_tid, row, answer in queries:
+        cur_sid = row_step[row]
+        assert graph.steps[cur_sid].task == b_tid
         if a_tid == b_tid:
             assert answer, "a task precedes itself"
             continue

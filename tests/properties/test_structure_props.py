@@ -6,8 +6,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.array_dtrg import ArrayDTRG
 from repro.core.disjoint_set import DisjointSets
-from repro.core.labels import LabelAllocator
 from repro.graph import GraphBuilder
 from repro.testing.generator import program_strategy, run_program
 
@@ -24,22 +24,29 @@ def spawn_trees(draw, max_nodes=24):
 
 
 def _labels_for_tree(parents):
-    """Assign labels by simulating the depth-first spawn/terminate order."""
+    """Assign labels by driving an ``ArrayDTRG`` in the depth-first
+    spawn/terminate order; ``labels[node]`` is its final ``(pre, post)``."""
     children = {i: [] for i in range(len(parents))}
     for i, p in enumerate(parents):
         if p is not None:
             children[p].append(i)
-    alloc = LabelAllocator()
-    labels = {}
+    g = ArrayDTRG()
 
     def walk(node):
-        labels[node] = alloc.on_spawn()
+        if parents[node] is None:
+            g.add_root(node)
+        else:
+            g.add_task(parents[node], node, is_future=False)
         for child in children[node]:
             walk(child)
-        alloc.on_terminate(labels[node])
+        g.on_terminate(node)
 
     walk(0)
-    return labels
+    return {node: g.label_of(node) for node in range(len(parents))}
+
+
+def _contains(outer, inner):
+    return outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
 def _is_ancestor(parents, a, b):
@@ -59,14 +66,14 @@ def test_containment_iff_ancestry(parents):
     for a in range(n):
         for b in range(n):
             expected = a == b or _is_ancestor(parents, a, b)
-            assert labels[a].contains(labels[b]) == expected, (a, b)
+            assert _contains(labels[a], labels[b]) == expected, (a, b)
 
 
 @given(parents=spawn_trees())
 @settings(max_examples=100, deadline=None)
 def test_preorders_are_dense_and_unique(parents):
     labels = _labels_for_tree(parents)
-    pres = sorted(label.pre for label in labels.values())
+    pres = sorted(pre for pre, _post in labels.values())
     assert pres == list(range(0, 2 * len(parents), 2)) or len(set(pres)) == len(
         parents
     )
@@ -112,32 +119,39 @@ def test_union_find_matches_naive_partition(n, ops):
 def test_dtrg_invariants_after_execution(program):
     from repro import DeterminacyRaceDetector
 
-    # The reference engine: the invariants are stated on the object graph.
-    det = DeterminacyRaceDetector(engine="object")
+    det = DeterminacyRaceDetector()
     gb = GraphBuilder()
     run_program(program, [gb, det])
     graph = gb.graph
-    dtrg = det.dtrg
+    g = det.dtrg
+    pre, post = g.pre, g.post
+
+    def contains(a, b):
+        return pre[a] <= pre[b] and post[b] <= post[a]
 
     for tid in graph.task_parent:
-        node = dtrg.node(tid)
+        i = g.index[tid]
         # 1. labels are finalized and nest along the spawn tree
-        assert node.label.final
+        assert g.final[i]
         parent = graph.task_parent[tid]
         if parent is not None:
-            assert dtrg.node(parent).label.contains(node.label)
+            assert g.parent[i] == g.index[parent]
+            assert contains(g.index[parent], i)
         # 2. the set's lsa, if any, is a proper ancestor of the set's
-        #    root-most member (the invariant the LSA walk termination uses)
-        data = dtrg.set_data(tid)
-        if data.lsa is not None:
-            assert data.lsa.label.pre < data.label.pre
-            assert data.lsa.label.contains(data.label)
+        #    root (its root-most member: the invariant the LSA walk
+        #    termination uses)
+        root = g.find(i)
+        assert contains(root, i)
+        lsa = g.lsa[root]
+        if lsa >= 0:
+            assert pre[lsa] < pre[root]
+            assert contains(lsa, root)
         # 3. max_pre dominates the set label's pre
-        assert data.max_pre >= data.label.pre
+        assert g.max_pre[root] >= pre[root]
         # 4. every recorded non-tree predecessor was spawned before the
         #    getter could exist (sources predate some member)
-        for pred in data.nt:
-            assert pred.label.pre <= data.max_pre
+        for pred in g.nt[root] or ():
+            assert pre[pred] <= g.max_pre[root]
 
 
 @given(program=program_strategy(num_locs=2, max_leaves=25))

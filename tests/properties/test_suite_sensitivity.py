@@ -7,17 +7,15 @@ meta-failure mode of differential testing.
 """
 
 from repro.baselines import BruteForceDetector
+from repro.core.array_dtrg import ArrayDTRG
 from repro.core.detector import DeterminacyRaceDetector
 from repro.testing.programs import CORPUS, run_corpus_program
 
 
 def corpus_disagrees_with(detector_factory) -> bool:
-    """True if any corpus program exposes the broken detector.  The
-    mutants break the reference engine's hooks and shadow memory, so they
-    run on it; the kernel is held to the reference by the equivalence
-    sweeps."""
+    """True if any corpus program exposes the broken detector."""
     for program in CORPUS:
-        det = detector_factory(engine="object")
+        det = detector_factory()
         oracle = BruteForceDetector()
         try:
             run_corpus_program(program, [det, oracle])
@@ -28,45 +26,72 @@ def corpus_disagrees_with(detector_factory) -> bool:
     return False
 
 
-class _NoNonTreeEdges(DeterminacyRaceDetector):
+def _on_graph(graph_cls):
+    """The kernel over a broken graph: the detector's hooks are bound
+    when it is built, so the mutants break the graph the kernel drives
+    (the kernel takes ``det.dtrg`` when the run starts)."""
+
+    class Mutant(DeterminacyRaceDetector):
+        def __init__(self):
+            super().__init__()
+            self.dtrg = graph_cls()
+
+    return Mutant
+
+
+class _NoNonTreeEdgesGraph(ArrayDTRG):
     """Bug: forget to record non-tree joins (Algorithm 4 else-branch)."""
 
-    def on_get(self, consumer, producer) -> None:
-        dtrg = self.dtrg
-        c, p = dtrg._nodes[consumer.tid], dtrg._nodes[producer.tid]
-        if p.parent is not None and dtrg._sets.same_set(c, p.parent):
-            dtrg.merge(consumer.tid, producer.tid)
+    def record_join_idx(self, consumer_idx, producer_idx):
+        par = self.parent[producer_idx]
+        rc = self.find(consumer_idx)
+        if rc != self.find(producer_idx) and par >= 0 \
+                and self.find(par) == rc:
+            self.merge_idx(consumer_idx, producer_idx)
         # else: silently dropped
 
 
-class _NoFinishMerges(DeterminacyRaceDetector):
-    """Bug: forget Algorithm 6 (end-finish merges)."""
+class _NoFinishMergesGraph(ArrayDTRG):
+    """Bug: forget Algorithm 6 (end-finish merges); a tree-join ``get``
+    still merges."""
 
-    def on_finish_end(self, scope) -> None:
-        pass
+    def record_join_idx(self, consumer_idx, producer_idx):
+        self.in_get = True
+        super().record_join_idx(consumer_idx, producer_idx)
+        self.in_get = False
+
+    def merge_idx(self, ancestor_idx, descendant_idx):
+        if getattr(self, "in_get", False):
+            super().merge_idx(ancestor_idx, descendant_idx)
+
+
+class _AlwaysOrderedGraph(ArrayDTRG):
+    """Bug: precede() returns True unconditionally."""
+
+    def precede_idx(self, ia, ib):
+        return True
+
+
+class _NeverOrderedGraph(ArrayDTRG):
+    """Bug: precede() is just identity (pure per-task program order)."""
+
+    def precede_idx(self, ia, ib):
+        return ia == ib
+
+
+_NoNonTreeEdges = _on_graph(_NoNonTreeEdgesGraph)
+_NoFinishMerges = _on_graph(_NoFinishMergesGraph)
+_AlwaysOrdered = _on_graph(_AlwaysOrderedGraph)
+_NeverOrderedAcrossTasks = _on_graph(_NeverOrderedGraph)
 
 
 class _NoReaderSet(DeterminacyRaceDetector):
-    """Bug: never store readers (write-after-read races vanish)."""
+    """Bug: drop every read, so no reader is ever stored (write-after-read
+    races vanish)."""
 
-    def on_read(self, task, loc) -> None:
-        pass
-
-
-class _AlwaysOrdered(DeterminacyRaceDetector):
-    """Bug: precede() returns True unconditionally."""
-
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        self.shadow._precede = lambda a, b: True
-
-
-class _NeverOrderedAcrossTasks(DeterminacyRaceDetector):
-    """Bug: precede() is just identity (pure per-task program order)."""
-
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        self.shadow._precede = lambda a, b: a == b
+    def __init__(self):
+        super().__init__()
+        self.on_read = lambda task, loc: None
 
 
 def test_dropped_non_tree_edges_caught():

@@ -52,7 +52,7 @@ def test_detector_matches_oracle_per_location(program):
         {"use_lsa": False},
         {"memoize_visit": False},
         {"use_intervals": False},
-        {"engine": "object"},
+        {"use_lsa": False, "memoize_visit": False, "use_intervals": False},
         {"engine": "array"},
         {"use_lsa": False, "memoize_visit": False},
     ],

@@ -14,7 +14,8 @@ with scoped and unscoped handles, with and without a
     ``async#3``, replay ``task#3``; both carry the tid), and reports the
     same races in the same order, at the same access rows;
 (d) ``explain_races`` over the columns gives the live kernel's races and
-    a replaying reference engine's races the same sites and witnesses;
+    a replaying ``engine="vc"`` detector's races the same sites and
+    witnesses;
 (e) a program that raises inside an open finish leaves a trace that
     decodes, encodes, checks and explains (``racecheck`` writes exactly
     this partial trace when a run aborts).
@@ -47,7 +48,7 @@ VARIANTS = [
 def _record(program, *, scoped, prov, extra=()):
     provenance = RaceProvenance() if prov else None
     recorder = TraceRecorder(provenance=provenance)
-    live = DeterminacyRaceDetector(engine="object")
+    live = DeterminacyRaceDetector()
     run_program(program, [recorder, live, *extra], scoped_handles=scoped,
                 provenance=provenance)
     return recorder.trace, live
@@ -113,7 +114,7 @@ def test_provenance_replay_matches_live_sites():
         run_program(program, [recorder, live], provenance=provenance)
         trace = recorder.trace
 
-        replayed = DeterminacyRaceDetector(engine="object")
+        replayed = DeterminacyRaceDetector(engine="vc")
         replay_trace(trace, [replayed])
         live_races, live_witnesses = explain_races(
             trace, live.races, live.race_rows)

@@ -4,7 +4,11 @@
 ``random_program`` seed in 0-199, the SHA-256 of the canonical JSON
 (``sort_keys``, no whitespace) of ``witness_report_data(witnesses)``.
 The hashes were taken from the reference engine when it still built
-witnesses and retained call sites while checking.  Each run here
+witnesses and retained call sites while checking; seeds 9, 10, 12, 19,
+29, 58, 63, 64, 106, 129, 141 and 182 were re-hashed when the
+certificates moved to ``ArrayDTRG``, whose set ``rep`` is always the
+root-most member (the object graph's union by rank picked another
+member there; nothing else in those certificates changed).  Each run here
 records the program with a :class:`~repro.obs.provenance.RaceProvenance`
 and re-derives the witnesses with
 :func:`~repro.obs.provenance.explain_races` from three race lists:

@@ -11,7 +11,8 @@ same property for the provenance layer's *explanations*:
   witnessed roles really is logically parallel;
 * the certificate's recorded verdict matches a fresh ``precede`` query,
   i.e. ``explain_precede`` is a faithful read-only replay of the decision
-  procedure, and every witness passes the JSON schema validator;
+  procedure, each set's ``rep`` is its root-most member (the first of its
+  ``members``), and every witness passes the JSON schema validator;
 * the witnessed location is racy under the exact detector (Theorem 2
   cross-check at location granularity).
 
@@ -43,12 +44,12 @@ NUM_SEEDS = 200
 
 
 def detect_with_witnesses(program):
-    """Run once with a provenance recorder + dtrg (the reference engine,
-    whose object DTRG the sweep queries afterwards) + graph builder +
-    exact, then explain the races from the trace."""
+    """Run once with a provenance recorder + dtrg (whose graph the sweep
+    queries afterwards) + graph builder + exact, then explain the races
+    from the trace."""
     prov = RaceProvenance()
     recorder = TraceRecorder(prov)
-    det = DeterminacyRaceDetector(engine="object")
+    det = DeterminacyRaceDetector()
     gb = GraphBuilder()
     exact = ExactDetector()
     run_program(program, [recorder, det, gb, exact], scoped_handles=True,
@@ -79,6 +80,11 @@ def test_generated_program_witnesses_are_sound():
             # pair since, so both are re-queried on the same state).
             cert = w.certificate
             assert cert["verdict"] is False
+            # A set's representative is its root-most member, the first
+            # of its members in creation order.
+            for side in ("a_set", "b_set"):
+                assert cert[side]["rep"] == cert[side]["members"][0], (
+                    f"seed {seed}: {side} rep is not its root-most member")
             replayed = det.dtrg.explain_precede(
                 w.prev_task, w.current_task
             )
