@@ -475,8 +475,9 @@ def test_batched_explain_matches_serial(flags, racy_program, tmp_path,
 @pytest.mark.parametrize("obs", [False, True], ids=["kernel", "reference"])
 def test_raise_explain_writes_the_one_witness(obs, tmp_path, capsys):
     """``--policy raise`` stops at the first of two races; the abort path
-    still explains it.  With ``--perfetto`` the reference engine runs and
-    raises inside the access hook, which the recorder has already seen."""
+    still explains it.  With ``--perfetto`` (the ``reference`` case, named
+    for the engine it once ran) the kernel runs observed, over
+    ``TracedArrayDTRG``, and raises when the racing block closes."""
     import json
 
     path = tmp_path / "two_races.py"
