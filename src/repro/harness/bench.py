@@ -113,9 +113,10 @@ checking during execution, and writes ``BENCH_PR8.json`` by default::
 
 Per workload the document records each runtime's wall seconds, tasks/s
 and shadow-checked accesses/s, the speedup over the serial elision, the
-thread rows' peak pool size (workers + compensation threads), and the
-parity gate: every runtime must report exactly the serial elision's
-racy-location set and task count (``identical``).  The AsyncioRuntime
+thread rows' peak pool size (workers + compensation threads), their
+compensation threads and the tasks run inline by a blocked ``get`` or
+finish exit, and the parity gate: every runtime must report exactly the
+serial elision's racy-location set and task count (``identical``).  The AsyncioRuntime
 has no row — workload kernels use the synchronous blocking ``get()``
 style the cooperative runtime rejects by design; its parity coverage
 lives in ``repro-fuzz --runtimes`` and the property sweep.  As with
@@ -133,7 +134,9 @@ Schema (``repro.bench.executors/1``)::
          "serial": {"seconds": ..., "tasks_per_second": ...,
                     "accesses_per_second": ..., "speedup_vs_serial": 1.0,
                     "races": ...},
-         "threads-2": {"workers": 2, "pool_size": ..., ...}, ...}}, ...]}
+         "threads-2": {"workers": 2, "pool_size": ...,
+                       "compensation_threads": ..., "inlined": ..., ...},
+         ...}}, ...]}
 
 ``--telemetry`` measures the live-telemetry plane's checking overhead
 (``docs/ALGORITHM.md`` §16) and writes ``BENCH_PR9.json`` by default:

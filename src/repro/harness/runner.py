@@ -749,7 +749,9 @@ class ExecutorBenchResult:
     best-of-``repeats`` wall seconds, tasks/s and shadow-checked
     accesses/s implied by that wall time, the speedup over the serial
     elision, and (threads rows) the peak pool size — workers plus any
-    compensation threads spawned for blocking ``get``\\ s.
+    compensation threads spawned for blocking waits — with the
+    ``compensation_threads`` started and the tasks ``inlined`` by a
+    blocked ``get`` or finish exit.
 
     The equivalence gate is the *racy-location set*: every runtime must
     report exactly the serial elision's set (race pair order is
@@ -799,7 +801,7 @@ def run_executor_benchmark(
 
     def one_leg(make_runtime):
         best = float("inf")
-        det = stats = pool = None
+        det = stats = rt = None
         for _ in range(repeats):
             det = ParallelRaceDetector()
             rt = make_runtime(det)
@@ -807,10 +809,9 @@ def run_executor_benchmark(
             result = rt.run(lambda r: bench.parallel(r, params))
             best = min(best, time.perf_counter() - start)
             stats = det.perf_stats
-            pool = getattr(rt, "pool_size", None)
             if verify:
                 bench.verify(params, result)
-        return det, stats, best, pool
+        return det, stats, best, rt
 
     per_runtime: Dict[str, Dict[str, Any]] = {}
     mismatches: List[str] = []
@@ -833,12 +834,14 @@ def run_executor_benchmark(
     }
 
     for w in workers:
-        det, stats, best, pool = one_leg(
+        det, stats, best, rt = one_leg(
             lambda d, w=w: ThreadRuntime(observers=[d], workers=w)
         )
         row: Dict[str, Any] = {
             "workers": w,
-            "pool_size": pool,
+            "pool_size": rt.pool_size,
+            "compensation_threads": rt.compensation_threads,
+            "inlined": rt.inlined,
             "seconds": best,
             "tasks_per_second": round(stats["num_tasks"] / best, 1)
             if best else 0.0,

@@ -353,15 +353,22 @@ class Observability:
             )
 
     def exec_task_run(
-        self, worker: int, tid: int, start_us: float, dur_us: float
+        self, worker: Optional[int], tid: int, start_us: float, dur_us: float
     ) -> None:
-        """One task body executed on a worker thread (back-dated span)."""
+        """One task body executed (back-dated span) on a worker thread,
+        or inline on the caller thread running ``main`` (``worker`` None).
+        A task run inline nests inside the span of the task it ran under."""
         with self._exec_lock:
             self.registry.counter("exec_tasks_run").inc()
             tracer = self.tracer
             if tracer is not None:
+                if worker is None:
+                    track = "exec-caller"
+                    tracer.set_track_name(track, "exec caller (main)")
+                else:
+                    track = f"exec-worker-{worker}"
                 tracer.complete(
-                    f"run t{tid}", "exec", f"exec-worker-{worker}",
+                    f"run t{tid}", "exec", track,
                     start_us, dur_us, args={"tid": tid},
                 )
 

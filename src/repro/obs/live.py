@@ -358,7 +358,7 @@ def detector_source(detector) -> Callable[[], Dict[str, Any]]:
 def thread_runtime_source(runtime) -> Callable[[], Dict[str, Any]]:
     """Gauges from a :class:`~repro.runtime.executor.ThreadRuntime`:
     per-worker deque depths (sum/max on /metrics, the full vector in
-    /snapshot), steal/block/compensation counters and striped
+    /snapshot), steal/block/compensation/inlined counters and striped
     shadow-lock acquisitions.  All reads are lock-free and approximate
     by design (ALGORITHM.md §16)."""
 
@@ -374,6 +374,7 @@ def thread_runtime_source(runtime) -> Callable[[], Dict[str, Any]]:
             ("steals", "exec_steals_total"),
             ("failed_steals", "exec_failed_steals_total"),
             ("compensation_threads", "exec_compensation_threads_total"),
+            ("inlined", "exec_inlined_total"),
             ("blocked", "exec_blocked_tasks"),
             ("num_tasks", "exec_tasks"),
             ("pool_size", "exec_pool_size"),

@@ -15,22 +15,46 @@ the Blumofe–Leiserson discipline the simulator
 * tasks spawned by non-worker threads (the caller running ``main``)
   land on a shared FIFO inject queue that every worker also polls.
 
-**Blocking and compensation.**  ``get()`` on an incomplete future and
-finish-scope exit are real blocking waits here.  A blocked worker cannot
-"help" by running queued tasks on top of its stack — with futures that
-deadlocks (the queued task may transitively ``get`` the very future the
-pinned task below it must produce) — so the pool uses compensation
-threads instead (the managed-blocker idea from java.util.concurrent's
-ForkJoinPool): before a worker blocks, it starts a spare worker whenever
-the runnable-worker count would drop below the configured parallelism
-(bounded by ``max_threads``).  Because the task DAG is acyclic, some
-runnable task always exists while anything is blocked, and a spare's
-randomized-victim scan covers *every* deque before sleeping, so progress
-is guaranteed — up to the cap.  A chain of nested blocking waits deeper
-than ``max_threads`` pins every worker; when the pool is at the cap,
-every worker waits on an unsatisfied ``get``/``finish`` and no task has
-completed for a full wait tick, the waiting workers raise
-:class:`~repro.runtime.errors.RuntimeStateError` instead of hanging.
+**Try-unfork, blocking and compensation.**  ``get()`` on an incomplete
+future and finish-scope exit first try to run the awaited work on the
+calling thread, as java.util.concurrent's ForkJoinPool does with
+try-unfork.  Each spawned task is *claimed* exactly once: by the worker
+that pops it or by a thread that inlines it (a popped task that was
+already claimed is dropped, not run and not counted as a steal).
+
+* ``get()`` of a future no thread has started claims the producer and
+  runs its body on the calling thread, worker or caller alike, then
+  restores the consumer's context.
+* Finish exit claims and runs the scope's unstarted registered tasks in
+  registration (= spawn) order, including tasks registered while the
+  loop is inlining, and then blocks for the rest.
+
+Inlining is safe because the inlined task runs on top of a frame that
+already waits for exactly that task (the producer, or a member of the
+scope being exited), and every frame below waits in turn for the one
+above it: stacking adds no wait-for edge, so it cannot deadlock.  Running
+an *arbitrary* queued task on a blocked stack would add one (the queued
+task may transitively ``get`` the very future the pinned frame below it
+must produce), which is why a thread never "helps" with other work.  A
+per-thread inline depth bounded by a budget derived from
+``sys.getrecursionlimit()`` keeps deep chains off the Python recursion
+limit: past it, the wait takes the blocking path below.
+
+A wait on a task that has already started is a real blocking wait.  The
+pool keeps its parallelism with compensation threads (the managed-blocker
+idea from ForkJoinPool): before a worker blocks, it starts a spare worker
+whenever the runnable-worker count would drop below the configured
+parallelism (bounded by ``max_threads``).  Because the task DAG is
+acyclic, some runnable task always exists while anything is blocked, and
+a spare's randomized-victim scan covers *every* deque before sleeping,
+so progress is guaranteed — up to the cap.  A chain of nested blocking
+waits deeper than ``max_threads`` pins every worker; when the pool is at
+the cap, every worker and the caller thread wait on an unsatisfied
+``get``/``finish`` and no task has completed for a full wait tick, the
+waiting workers raise :class:`~repro.runtime.errors.RuntimeStateError`
+instead of hanging.  A ``get`` whose producer is running on the calling
+thread's own stack (the current task or one it inlined below) can never
+complete and raises ``RuntimeStateError`` at once.
 
 **Online detection.**  Observers are dispatched during the parallel
 execution under the two-tier locking discipline of ALGORITHM.md §15:
@@ -70,6 +94,7 @@ import collections
 import contextlib
 import os
 import random
+import sys
 import threading
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar
@@ -91,17 +116,29 @@ _STRIPES = 64
 #: starvation detection period).
 _WAIT_TICK = 0.1
 
+#: Python frames one inlined level may stack (the runtime's own ~5 —
+#: get/finish exit, ``_on_get``/``_wait_scope``, ``_execute`` — plus room
+#: for the body's); the inline budget is the recursion limit over this.
+_FRAMES_PER_INLINE = 8
+
 
 class _TaskCtx:
-    """Per-task execution context, owned by the thread running the task."""
+    """Per-task execution context, owned by the thread running the task.
 
-    __slots__ = ("task", "finish_stack")
+    ``below`` is the context this task was inlined on top of (``None`` for
+    a task a worker popped, and for main); ``depth`` counts the inlined
+    levels on the thread, so the chain is the thread's stack of tasks.
+    """
 
-    def __init__(self, task: Task) -> None:
+    __slots__ = ("task", "finish_stack", "below", "depth")
+
+    def __init__(self, task: Task, below: Optional["_TaskCtx"] = None) -> None:
         self.task = task
         self.finish_stack: List[FinishScope] = (
             [] if task.ief is None else [task.ief]
         )
+        self.below = below
+        self.depth = 0 if below is None else below.depth + 1
 
 
 class _Slot:
@@ -130,7 +167,9 @@ class ThreadRuntime:
         Optional :class:`repro.obs.Observability` sink: task/finish spans
         and get instants like the serial runtime, plus real-thread worker
         spans, per-task run spans and steal instants on
-        ``exec-worker-<n>`` tracks.
+        ``exec-worker-<n>`` tracks (tasks the caller thread runs inline
+        land on an ``exec-caller`` track; inlined runs nest inside the
+        run they were inlined into).
     max_threads:
         Hard cap on pool size including compensation threads.  A program
         whose nested blocking waits need more threads than this fails
@@ -185,11 +224,20 @@ class ThreadRuntime:
         self._shutdown = False
         self._threads: List[threading.Thread] = []
         self._tls = threading.local()
+        #: tid -> (body, args, kwargs) of every spawned task nobody has
+        #: claimed yet.  Deques hold tasks; whoever pops a task's entry
+        #: (one atomic ``dict.pop``) runs it, so each task runs once.
+        self._bodies: Dict[int, tuple] = {}
+        self._inline_budget = 0
         # --- pool accounting (compensation) ---------------------------
         self._pool_lock = threading.Lock()
         self._live = 0
         #: worker id -> (wait kind, wait predicate) while blocked.
         self._waiting: Dict[int, tuple] = {}
+        #: The caller thread's (wait kind, wait predicate) while blocked:
+        #: until it blocks it may still inline a task, so the pool is not
+        #: starved.
+        self._caller_wait: Optional[tuple] = None
         # --- detection locking tiers ----------------------------------
         self._struct_lock = threading.Lock()
         self._stripes = [threading.Lock() for _ in range(_STRIPES)]
@@ -209,6 +257,8 @@ class ThreadRuntime:
         self.steals = 0
         self.failed_steals = 0
         self.compensation_threads = 0
+        #: Tasks run inline by a blocked get or finish exit (try-unfork).
+        self.inlined = 0
         #: Per-stripe acquisition tallies for record_read/record_write;
         #: bumped while the stripe lock is held (the index is already in
         #: hand), read lock-free by the telemetry sampler.
@@ -245,6 +295,7 @@ class ThreadRuntime:
         self._running = True
         self._read_hooks = [ob.on_read for ob in self._observers]
         self._write_hooks = [ob.on_write for ob in self._observers]
+        self._inline_budget = sys.getrecursionlimit() // _FRAMES_PER_INLINE
 
         main = Task(self._next_tid, TaskKind.MAIN, parent=None, ief=None)
         self._next_tid += 1
@@ -433,20 +484,31 @@ class ThreadRuntime:
             )
             self._next_tid += 1
             parent.num_children += 1
+            self._bodies[child.tid] = (body, args, kwargs)
             ief.register(child)
             self._pending[ief.fid] += 1
             for ob in self._observers:
                 ob.on_task_create(parent, child)
             if obs is not None:
                 obs.task_begin(child.tid, child.name, child.is_future)
-        self._push((child, body, args, kwargs))
+        self._push(child)
         return child
 
     def _on_get(self, handle: FutureHandle) -> Any:
         ctx = self._require_ctx()
         consumer = ctx.task
         producer = handle.task
-        if not producer.completed:
+        if not producer.completed and not self._try_inline(ctx, producer):
+            below: Optional[_TaskCtx] = ctx
+            while below is not None:
+                if below.task is producer:
+                    raise RuntimeStateError(
+                        f"get() of {producer.name} inside its own execution "
+                        f"(by {consumer.name} on thread "
+                        f"{threading.current_thread().name}): a future "
+                        "cannot wait for itself"
+                    )
+                below = below.below
             self._blocking_wait("get", lambda: producer.completed)
         with self._struct_lock:
             for ob in self._observers:
@@ -469,8 +531,30 @@ class ThreadRuntime:
     def _wait_scope(self, scope: FinishScope) -> None:
         fid = scope.fid
         pending = self._pending
+        ctx = self._tls.ctx
+        joins = scope.joins
+        # Registration order is spawn order; ``len`` is re-read so tasks
+        # registered while an earlier one runs inline are included.
+        i = 0
+        while pending[fid] and i < len(joins):
+            self._try_inline(ctx, joins[i])
+            i += 1
         if pending[fid]:
             self._blocking_wait("finish", lambda: pending[fid] == 0)
+
+    def _try_inline(self, ctx: _TaskCtx, task: Task) -> bool:
+        """Claim ``task`` and run it on the calling thread on top of
+        ``ctx``; False if another thread claimed it first or the thread's
+        inline depth is at the budget."""
+        if ctx.depth >= self._inline_budget:
+            return False
+        item = self._bodies.pop(task.tid, None)
+        if item is None:
+            return False
+        with self._stats_lock:
+            self.inlined += 1
+        self._execute(getattr(self._tls, "worker_id", None), task, item)
+        return True
 
     def _blocking_wait(self, kind: str, predicate: Callable[[], bool]) -> None:
         """Block the calling thread until ``predicate`` holds.
@@ -484,6 +568,8 @@ class ThreadRuntime:
         wid = getattr(self._tls, "worker_id", None)
         if wid is not None:
             self._before_block(wid, kind, predicate)
+        else:
+            self._caller_wait = (kind, predicate)
         try:
             with self._join_cv:
                 while not predicate():
@@ -497,23 +583,32 @@ class ThreadRuntime:
         finally:
             if wid is not None:
                 self._after_block(wid)
+            else:
+                self._caller_wait = None
 
     def _check_starved(self) -> None:
         """Raise if no worker can ever run again (caller holds _join_cv
         and saw no task complete for a full wait tick).
 
         Starved means the pool is at ``max_threads`` and every live
-        worker waits on a predicate that is still false.  Evaluating the
-        predicates, not just counting waiters, keeps a waiter that was
-        woken but has not yet run from counting as blocked.  Only a task
-        completion can satisfy a predicate, and every worker that could
-        complete one is waiting, so the state is permanent.
+        worker and the caller thread wait on a predicate that is still
+        false.  Evaluating the predicates, not just counting waiters,
+        keeps a waiter that was woken but has not yet run from counting
+        as blocked.  Only a task completion can satisfy a predicate, and
+        every thread that could complete one is waiting (a caller thread
+        that is not waiting may still inline a task), so the state is
+        permanent.
         """
         with self._pool_lock:
             waits = list(self._waiting.values())
-            if self._live < self._max_threads or len(waits) < self._live:
+            caller = self._caller_wait
+            if (
+                self._live < self._max_threads
+                or len(waits) < self._live
+                or caller is None
+            ):
                 return
-        if any(predicate() for _, predicate in waits):
+        if caller[1]() or any(predicate() for _, predicate in waits):
             return
         kinds = collections.Counter(kind for kind, _ in waits)
         raise RuntimeStateError(
@@ -576,31 +671,32 @@ class ThreadRuntime:
         for thread in self._threads:
             thread.join()
 
-    def _push(self, item: tuple) -> None:
+    def _push(self, task: Task) -> None:
         wid = getattr(self._tls, "worker_id", None)
         if wid is None:
             with self._inject_lock:
-                self._inject.append(item)
+                self._inject.append(task)
         else:
             slot = self._slots[wid]
             with slot.lock:
-                slot.deque.append(item)  # newest end (owner LIFO)
+                slot.deque.append(task)  # newest end (owner LIFO)
         with self._work_cv:
             self._work_version += 1
             self._work_cv.notify_all()
 
     def _worker_loop(self, wid: int) -> None:
         self._tls.worker_id = wid
+        self._tls.ctx = None
         obs = self._obs
         if obs is not None:
             obs.exec_worker_begin(wid)
         rng = random.Random((self._steal_seed << 16) ^ 0x9E3779B1 ^ wid)
         try:
             while True:
-                item = self._next_item(wid, rng)
-                if item is None:
+                claimed = self._next_item(wid, rng)
+                if claimed is None:
                     return  # shutdown
-                self._execute(wid, item)
+                self._execute(wid, *claimed)
         finally:
             if obs is not None:
                 obs.exec_worker_end(wid)
@@ -619,15 +715,16 @@ class ThreadRuntime:
                     self._work_cv.wait(0.1)
 
     def _try_pop(self, wid: int, rng: random.Random) -> Optional[tuple]:
+        """Claim the next task to run: ``(task, (body, args, kwargs))``."""
         # 1. Own deque, newest end (local depth-first, like the elision).
         slot = self._slots[wid]
-        with slot.lock:
-            if slot.deque:
-                return slot.deque.pop()
+        item = self._take(slot.lock, slot.deque, newest=True)
+        if item is not None:
+            return item
         # 2. The shared inject queue (tasks spawned by the caller thread).
-        with self._inject_lock:
-            if self._inject:
-                return self._inject.popleft()
+        item = self._take(self._inject_lock, self._inject, newest=False)
+        if item is not None:
+            return item
         # 3. Steal: visit every other deque in uniformly random order,
         #    taking the *oldest* end (Blumofe–Leiserson).  Scanning all
         #    victims (not one probe) before sleeping guarantees progress.
@@ -637,11 +734,7 @@ class ThreadRuntime:
             rng.shuffle(victims)
             for victim in victims:
                 vslot = self._slots[victim]
-                with vslot.lock:
-                    if vslot.deque:
-                        item = vslot.deque.popleft()
-                    else:
-                        item = None
+                item = self._take(vslot.lock, vslot.deque, newest=False)
                 if item is not None:
                     with self._stats_lock:
                         self.steals += 1
@@ -654,10 +747,27 @@ class ThreadRuntime:
                 self._obs.exec_steal(wid, victims[-1], hit=False)
         return None
 
-    def _execute(self, wid: int, item: tuple) -> None:
-        task, body, args, kwargs = item
-        ctx = _TaskCtx(task)
-        self._tls.ctx = ctx
+    def _take(
+        self, lock: threading.Lock, deque: collections.deque, *, newest: bool
+    ) -> Optional[tuple]:
+        """Pop tasks from ``deque`` until one is claimed.  A task an
+        inlining thread already claimed is dropped: not run, not counted."""
+        while True:
+            with lock:
+                if not deque:
+                    return None
+                task = deque.pop() if newest else deque.popleft()
+            item = self._bodies.pop(task.tid, None)
+            if item is not None:
+                return task, item
+
+    def _execute(self, wid: Optional[int], task: Task, item: tuple) -> None:
+        """Run a claimed task on this thread, on top of the thread's
+        current context (``None`` on a worker's scheduling loop), and
+        publish its completion.  ``wid`` is None on the caller thread."""
+        body, args, kwargs = item
+        below = self._tls.ctx
+        self._tls.ctx = _TaskCtx(task, below)
         obs = self._obs
         start = perf_counter() if obs is not None else 0.0
         try:
@@ -666,7 +776,7 @@ class ThreadRuntime:
         except BaseException as e:  # stored, re-raised at join points
             value, exc = None, e
         finally:
-            self._tls.ctx = None
+            self._tls.ctx = below
         with self._struct_lock:
             task.value = value
             task.exception = exc
@@ -724,10 +834,10 @@ class ThreadRuntime:
     # ------------------------------------------------------------------ #
     @property
     def blocked(self) -> int:
-        """Workers currently parked in a blocking ``get`` (approximate:
-        read without ``_pool_lock``, so a sampler may see a value one
-        transition stale — never negative state corruption, since it
-        only ever reads)."""
+        """Workers currently parked in a blocking ``get`` or finish wait
+        (approximate: read without ``_pool_lock``, so a sampler may see
+        a value one transition stale — never negative state corruption,
+        since it only ever reads)."""
         return len(self._waiting)
 
     @property

@@ -34,9 +34,11 @@ class FinishScope:
     enclosing:
         The dynamically enclosing finish scope (``None`` for the root).
     joins:
-        Tasks whose IEF is this scope, in completion order.  Algorithm 6
-        iterates this list merging each ``S_B`` into ``S_A`` where ``A`` is
-        the owner.
+        Tasks whose IEF is this scope, in spawn order (every runtime
+        registers a task when it is spawned).  Algorithm 6 iterates this
+        list merging each ``S_B`` into ``S_A`` where ``A`` is the owner;
+        ``ThreadRuntime``'s finish exit runs the unstarted ones inline in
+        this order, as the serial elision would have run them.
     """
 
     __slots__ = ("fid", "owner", "enclosing", "joins", "closed")

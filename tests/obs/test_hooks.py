@@ -1,10 +1,15 @@
 """Tests for the Observability hook bundle and the null-object protocol."""
 
+import collections
+import threading
+
 import pytest
 
+from repro import ThreadRuntime
 from repro.core.array_dtrg import ArrayDTRG, TracedArrayDTRG
 from repro.core.detector import DeterminacyRaceDetector
 from repro.obs import NULL_OBSERVABILITY, Observability, RingTracer
+from repro.obs.validate import validate_chrome_trace
 
 
 def enabled_obs():
@@ -221,6 +226,51 @@ class TestWorkStealingHooks:
         assert steal["ts"] == 4.0
         assert obs.registry.counter("ws_steals").value == 1
         assert obs.registry.histogram("ws_victim_depth").count == 1
+
+
+class TestExecutorSpans:
+    def test_inlined_runs_nest_on_the_inlining_threads_track(self):
+        obs = enabled_obs()
+        rt = ThreadRuntime(workers=1, obs=obs)
+        gate = threading.Event()
+
+        def outer(rt):
+            # On the worker: its own unstarted child runs inline.
+            return rt.future(lambda: 7).get() + 1
+
+        def program(rt):
+            blocker = rt.future(lambda: gate.wait(10))
+            f = rt.future(lambda: rt.future(lambda: 1).get() + 1)
+            assert f.get() == 2  # the worker is in blocker: f runs here
+            gate.set()
+            blocker.get()
+            return rt.future(outer, rt).get()
+
+        assert rt.run(program) == 8
+        assert rt.inlined >= 2
+        chrome = obs.tracer.to_chrome()
+        assert validate_chrome_trace(chrome) == []
+        names = {e["tid"]: e["args"]["name"]
+                 for e in chrome["traceEvents"] if e["ph"] == "M"}
+        assert "exec caller (main)" in names.values()
+        assert not any("None" in name for name in names.values())
+        runs = collections.defaultdict(list)
+        for e in chrome["traceEvents"]:
+            if e["ph"] == "X" and e["name"].startswith("run t"):
+                runs[names[e["tid"]]].append((e["ts"], e["ts"] + e["dur"]))
+        # Spans on one thread's track are disjoint or nested; f and the
+        # future it got both ran on the caller thread, one inside the other.
+        for spans in runs.values():
+            for a in spans:
+                for b in spans:
+                    assert a[1] <= b[0] or b[1] <= a[0] or (
+                        a[0] <= b[0] and b[1] <= a[1]
+                    ) or (b[0] <= a[0] and a[1] <= b[1])
+        caller = runs["exec caller (main)"]
+        assert any(
+            a is not b and a[0] <= b[0] and b[1] <= a[1]
+            for a in caller for b in caller
+        )
 
 
 def test_write_trace_requires_tracer(tmp_path):

@@ -168,6 +168,7 @@ class TestSamplerSources:
         class RT:
             steals = 7
             failed_steals = 3
+            inlined = 5
             blocked = 0
             pool_size = 2
             stripe_acquisitions = [4, 0, 6]
@@ -178,6 +179,7 @@ class TestSamplerSources:
         g = thread_runtime_source(RT())()
         assert g["exec_steals_total"] == 7
         assert g["exec_failed_steals_total"] == 3
+        assert g["exec_inlined_total"] == 5
         assert g["worker_deque_depths"] == [2, 5]
         assert g["worker_deque_depth_sum"] == 7
         assert g["worker_deque_depth_max"] == 5

@@ -1,10 +1,13 @@
 """Unit tests for ThreadRuntime — the work-stealing threaded executor."""
 
+import collections
 import os
 import subprocess
 import sys
 import textwrap
 import threading
+import time
+from typing import List
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro import (
     ThreadRuntime,
 )
 from repro.runtime.base import RuntimeBase
+from repro.runtime.executor import _WAIT_TICK
 
 
 def test_satisfies_runtime_protocol():
@@ -115,8 +119,9 @@ def test_invalid_workers_and_provenance_rejected():
 
 
 def test_compensation_thread_unblocks_single_worker_pool():
-    """workers=1: a pool task blocking on get() must spawn a spare so the
-    producer can run — otherwise this test deadlocks."""
+    """workers=1: a get of a future nobody has started runs it inline and
+    needs no spare thread; a get of a future already running elsewhere
+    blocks the only worker, which must start a compensation thread."""
     rt = ThreadRuntime(workers=1)
 
     def outer(rt):
@@ -128,8 +133,72 @@ def test_compensation_thread_unblocks_single_worker_pool():
         return f.get()
 
     assert rt.run(program) == 8
+    assert rt.compensation_threads == 0
+    assert rt.pool_size == 1
+    assert rt.inlined >= 1
+
+    rt = ThreadRuntime(workers=1)
+    consumer_running = threading.Event()
+    producer_started = threading.Event()
+    box = {}
+
+    def consumer():
+        consumer_running.set()
+        assert producer_started.wait(10)
+        return box["p"].get() + 1  # p runs on the caller thread: block
+
+    def producer(rt):
+        producer_started.set()
+        deadline = time.monotonic() + 10
+        while rt.compensation_threads == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return 7
+
+    def program(rt):
+        c = rt.future(consumer)
+        assert consumer_running.wait(10)  # the only worker is in c
+        box["p"] = rt.future(producer, rt)
+        assert rt.get(box["p"]) == 7  # unstarted, so it runs on this thread
+        return c.get()
+
+    assert rt.run(program) == 8
     assert rt.compensation_threads >= 1
     assert rt.pool_size >= 2  # initial worker + at least one spare
+
+
+def test_each_task_runs_once_under_a_short_switch_interval():
+    """Owners inlining at get and finish exit race thieves popping the
+    same tasks; with more workers than cores and a tiny switch interval,
+    every body still runs exactly once."""
+    runs = collections.Counter()
+    lock = threading.Lock()
+
+    def leaf(i):
+        with lock:
+            runs[i] += 1
+
+    def spawner(rt, base):
+        with rt.finish():
+            for j in range(10):
+                rt.async_(leaf, base + j)
+        handles = [rt.future(leaf, base + 10 + j) for j in range(10)]
+        for handle in reversed(handles):
+            handle.get()
+
+    def program(rt):
+        with rt.finish():
+            for k in range(30):
+                rt.async_(spawner, rt, 20 * k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            runs.clear()
+            ThreadRuntime(workers=4, steal_seed=seed).run(program)
+            assert runs == collections.Counter(range(600))
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_online_detection_racy_writes():
@@ -245,41 +314,159 @@ def test_nested_get_chain_runs_at_default_max_threads():
     assert rt.run(lambda rt: _get_chain(rt, 3)) == 3
 
 
-def test_starved_pool_raises_instead_of_hanging():
-    """A nested get chain deeper than ``max_threads`` pins every worker.
-    Runs in a subprocess so a hang fails this test instead of the job."""
-    script = textwrap.dedent("""
-        from repro import RuntimeStateError, ThreadRuntime
-
-        def run(body):
-            rt = ThreadRuntime(workers=1, max_threads=2)
-            try:
-                rt.run(body)
-            except RuntimeStateError as exc:
-                print(exc)
-
-        def get_chain(rt, d):
-            if d:
-                rt.future(lambda: get_chain(rt, d - 1)).get()
-
-        def finish_chain(rt, d):
-            if d:
-                with rt.finish():
-                    rt.async_(lambda: finish_chain(rt, d - 1))
-
-        run(lambda rt: get_chain(rt, 3))
-        run(lambda rt: finish_chain(rt, 4))
-    """)
+def _run_script(script: str) -> List[str]:
+    """Run ``script`` in a subprocess, so a hang fails the calling test
+    instead of the job; return its stdout lines."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        env=env, timeout=60,
+        [sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
+        text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert len(lines) == 2, proc.stdout
-    for line, kind in zip(lines, ("get", "finish")):
-        assert "max_threads=2" in line
-        assert f"all 2 workers are blocked (2 {kind})" in line
+    return proc.stdout.splitlines()
+
+
+def test_deep_chains_run_and_shallow_ones_inline():
+    def finish_chain(rt, depth, out):
+        if depth:
+            with rt.finish():
+                rt.async_(lambda: finish_chain(rt, depth - 1, out))
+            out.append(depth)
+
+    rt = ThreadRuntime(workers=1)
+    assert rt.run(lambda rt: _get_chain(rt, 100)) == 100
+    assert rt.compensation_threads == 0
+    # Past the inline budget a chain falls back to blocking waits.
+    rt = ThreadRuntime(workers=1)
+    assert rt.run(lambda rt: _get_chain(rt, 200)) == 200
+    out = []
+    ThreadRuntime(workers=1).run(lambda rt: finish_chain(rt, 200, out))
+    assert out == list(range(1, 201))
+
+
+def test_starved_pool_raises_instead_of_hanging():
+    """Nested get/finish chains deeper than ``max_threads`` now run inline;
+    two *running* tasks that get each other pin every worker, which
+    inlining cannot resolve, so the starved pool raises."""
+    lines = _run_script("""
+        import threading
+        from repro import RuntimeStateError, ThreadRuntime
+
+        def get_chain(rt, d):
+            return rt.future(lambda: get_chain(rt, d - 1)).get() + 1 if d else 0
+
+        def finish_chain(rt, d, out):
+            if d:
+                with rt.finish():
+                    rt.async_(lambda: finish_chain(rt, d - 1, out))
+                out.append(d)
+
+        print(ThreadRuntime(workers=1, max_threads=2).run(
+            lambda rt: get_chain(rt, 3)))
+        out = []
+        ThreadRuntime(workers=1, max_threads=2).run(
+            lambda rt: finish_chain(rt, 4, out))
+        print(out)
+
+        handles = {}
+        published = threading.Event()
+        started = {"a": threading.Event(), "b": threading.Event()}
+
+        def body(me, other):
+            started[me].set()
+            assert published.wait(10) and started[other].wait(10)
+            return handles[other].get()
+
+        def program(rt):
+            handles["a"] = rt.future(body, "a", "b")
+            handles["b"] = rt.future(body, "b", "a")
+            published.set()
+            for event in started.values():  # both run on the two workers
+                assert event.wait(10)
+
+        try:
+            ThreadRuntime(workers=2, max_threads=2).run(program)
+        except RuntimeStateError as exc:
+            print(exc)
+    """)
+    assert lines[:2] == ["3", "[1, 2, 3, 4]"], lines
+    assert len(lines) == 3, lines
+    assert "max_threads=2" in lines[2]
+    assert "all 2 workers are blocked (2 get)" in lines[2]
+
+
+def test_cyclic_get_on_own_stack_raises_instead_of_hanging():
+    """A future that gets its own handle — directly, or from a task it
+    inlined — raises at once; at the parent this hung at any max_threads."""
+    lines = _run_script("""
+        import threading
+        from repro import RuntimeStateError, ThreadRuntime
+
+        def run(program, max_threads):
+            try:
+                ThreadRuntime(workers=1, max_threads=max_threads).run(program)
+            except RuntimeStateError as exc:
+                print(exc)
+
+        for max_threads in (2, 256):
+            box = {}
+            published = threading.Event()
+
+            def self_get():
+                assert published.wait(10)
+                return box["f"].get()
+
+            def direct(rt):
+                box["f"] = rt.future(self_get)
+                published.set()
+                return box["f"].get()
+
+            run(direct, max_threads)
+
+            started = threading.Event()
+
+            def outer(rt):
+                started.set()
+                assert published.wait(10)
+                # g is on this worker's own deque: it runs inline above f.
+                return rt.future(lambda: box["f"].get()).get()
+
+            def below(rt):
+                published.clear()
+                box["f"] = rt.future(outer, rt)
+                published.set()
+                assert started.wait(10)  # f runs on the worker
+
+            run(below, max_threads)
+    """)
+    assert len(lines) == 4, lines
+    for line in lines:
+        assert "cannot wait for itself" in line, line
+
+
+def test_worker_waiting_on_a_caller_inlined_task_is_not_starved():
+    """At the cap, a worker blocked on a task the caller thread runs
+    inline is waiting on live work: the pool must not report starvation."""
+    rt = ThreadRuntime(workers=1, max_threads=1)
+    gate = threading.Event()
+
+    def producer(rt):
+        gate.set()  # frees the worker, which then blocks on this task
+        deadline = time.monotonic() + 10
+        while rt.blocked == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(4 * _WAIT_TICK)  # several starvation ticks pass
+        return 1
+
+    def program(rt):
+        blocker = rt.future(lambda: gate.wait(10))
+        p = rt.future(producer, rt)
+        c = rt.future(lambda: p.get() + 1)
+        assert p.get() == 1  # the worker is in blocker: p runs here
+        blocker.get()
+        return c.get()
+
+    assert rt.run(program) == 2
+    assert rt.blocked == 0
