@@ -22,7 +22,6 @@ from repro.baselines import (
     SPD3Detector,
 )
 from repro.core.detector import DeterminacyRaceDetector
-from repro.core.exact import ExactDetector
 from repro.core.parallel_detector import ParallelRaceDetector
 from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.runtime.runtime import Runtime
@@ -78,7 +77,6 @@ def test_crypt_af_trace(benchmark, crypt_af_trace, name, cls):
 
 DETECTORS_FUT = [
     ("dtrg", DeterminacyRaceDetector),
-    ("exact", ExactDetector),
     ("vector-clock", ParallelRaceDetector),
     ("brute-force", BruteForceDetector),
 ]

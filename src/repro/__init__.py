@@ -25,7 +25,6 @@ Quickstart::
 """
 
 from repro.core.detector import DeterminacyRaceDetector
-from repro.core.exact import ExactDetector
 from repro.core.events import ExecutionObserver, Trace
 from repro.core.parallel_detector import ParallelRaceDetector
 from repro.core.races import AccessKind, Race, RaceReport, ReportPolicy
@@ -66,7 +65,6 @@ __all__ = [
     # detector
     "DeterminacyRaceDetector",
     "ParallelRaceDetector",
-    "ExactDetector",
     "ExecutionObserver",
     "Trace",
     "Race",

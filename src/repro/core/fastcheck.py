@@ -18,9 +18,8 @@ generator, so it can run offline or online:
   structure event, so each access block is checked as the event that
   closes it arrives, with the graph at the online epoch.
 
-The shadow state is the structure-of-arrays form of
-:class:`~repro.core.shadow.ShadowMemory`'s cells, indexed by interned
-location id:
+The shadow state is the paper's per-location shadow cell (Section 4.2)
+in structure-of-arrays form, indexed by interned location id:
 
 * ``writers[loc]`` — last writing task index (``-1`` none),
 * ``readers[loc]`` — stored parallel-reader index list (``None`` until

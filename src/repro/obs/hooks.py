@@ -353,11 +353,13 @@ class Observability:
             )
 
     def exec_task_run(
-        self, worker: Optional[int], tid: int, start_us: float, dur_us: float
+        self, worker: Optional[int], tid: int, start_us: float
     ) -> None:
-        """One task body executed (back-dated span) on a worker thread,
-        or inline on the caller thread running ``main`` (``worker`` None).
-        A task run inline nests inside the span of the task it ran under."""
+        """One task body executed on a worker thread, or inline on the
+        caller thread running ``main`` (``worker`` None), since
+        ``start_us`` (:meth:`RingTracer.now_us`; ignored without a
+        tracer).  A task run inline nests inside the span of the task it
+        ran under."""
         with self._exec_lock:
             self.registry.counter("exec_tasks_run").inc()
             tracer = self.tracer
@@ -369,7 +371,7 @@ class Observability:
                     track = f"exec-worker-{worker}"
                 tracer.complete(
                     f"run t{tid}", "exec", track,
-                    start_us, dur_us, args={"tid": tid},
+                    start_us, tracer.now_us() - start_us, args={"tid": tid},
                 )
 
     def exec_steal(self, worker: int, victim: int, *, hit: bool) -> None:

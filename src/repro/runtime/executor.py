@@ -96,7 +96,6 @@ import os
 import random
 import sys
 import threading
-from time import perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar
 
 from repro.core.events import ExecutionObserver
@@ -769,7 +768,8 @@ class ThreadRuntime:
         below = self._tls.ctx
         self._tls.ctx = _TaskCtx(task, below)
         obs = self._obs
-        start = perf_counter() if obs is not None else 0.0
+        tracer = obs.tracer if obs is not None else None
+        start = tracer.now_us() if tracer is not None else 0.0
         try:
             value: Any = body(*args, **kwargs)
             exc: Optional[BaseException] = None
@@ -785,10 +785,7 @@ class ThreadRuntime:
             if obs is not None:
                 obs.task_end(task.tid)
         if obs is not None:
-            now = perf_counter()
-            obs.exec_task_run(
-                wid, task.tid, start * 1e6, (now - start) * 1e6
-            )
+            obs.exec_task_run(wid, task.tid, start)
         # Completion signal strictly after on_task_end: joiners woken
         # here observe a finalized (frozen-clock) producer.
         with self._join_cv:

@@ -16,7 +16,7 @@ Per seed, :func:`~repro.testing.generator.random_program` yields a program
 which is checked in up to two modes:
 
 * **scoped** (the language's reference-flow discipline): every general
-  detector (dtrg, exact, vector-clock) *and* every DTRG ablation
+  detector (dtrg, vector-clock) *and* every DTRG ablation
   (``dtrg[no-lsa]``, ``dtrg[no-memo]``, ``dtrg[no-intervals]`` — the
   kernel over ``AblatedArrayDTRG``, the same graph with an optimization
   switched off, which must never change a verdict) must report exactly the oracle's racy locations; every
@@ -28,11 +28,11 @@ which is checked in up to two modes:
   :class:`~repro.memory.tracer.TraceRecorder`/:func:`replay_trace` with an
   identical verdict (record-replay parity).
 * **wild** (out-of-band handle registry, outside the model's guarantee):
-  nothing may crash, and the exact detector — whose reachability needs no
-  reference-flow assumption — must still match the oracle.  dtrg,
-  vector-clock and ``vc`` verdicts are *not* compared here;
-  task-granularity false positives/negatives are documented behavior
-  (DESIGN.md deviation #4).
+  nothing may crash, and the vector-clock detector — whose access stamps
+  need no reference-flow assumption — must still match the oracle.  dtrg
+  and ``vc`` verdicts are *not* compared here; their task-granularity
+  false positives/negatives are documented behavior (DESIGN.md
+  deviation #4).
 
 Failures are triaged by deduplicated signature, minimized with the
 hypothesis-free ddmin shrinker (:mod:`repro.testing.shrinker`), printed as
@@ -91,7 +91,7 @@ __all__ = [
 
 ORACLE = "brute-force"
 #: Detectors whose model covers every generated program.
-GENERAL = ("dtrg", "exact", "vector-clock")
+GENERAL = ("dtrg", "vector-clock")
 #: Detectors that must refuse-or-agree (restricted models).
 RESTRICTED = ("spd3", "espbags", "spbags", "offset-span")
 #: DTRG ablations (optimizations off).  Theorem 2 makes no reference to
@@ -555,6 +555,8 @@ def check_seed(
                 continue
             stats.tally(name, "runs")
             verdicts[name] = _verdict(det)
+            if verdicts[name]:
+                stats.tally(name, "racy")
             stats.events += len(wild_trace)
             # Replay parity holds in wild mode too: the recorded stream is
             # just events, and replay must reproduce the live verdict.
@@ -573,18 +575,16 @@ def check_seed(
                      f"wild:replay:{name}",
                      f"live {sorted(verdicts[name], key=repr)} vs replay "
                      f"{sorted(_verdict(replayed), key=repr)}")
-        # The exact detector needs no reference-flow assumption: it must
-        # match the oracle even on wild handle flows.
-        if ORACLE in verdicts and "exact" in verdicts:
-            if verdicts["exact"] != verdicts[ORACLE]:
-                stats.tally("exact", "divergences")
-                direction = _diff_direction(
-                    verdicts["exact"], verdicts[ORACLE]
-                )
-                fail("wild", "divergence", "exact",
-                     f"wild:divergence:exact:{direction}",
-                     f"exact {sorted(verdicts['exact'], key=repr)} vs oracle "
-                     f"{sorted(verdicts[ORACLE], key=repr)}")
+        # Access stamps need no reference-flow assumption: the
+        # vector-clock detector must match the oracle on wild flows too.
+        got, want = verdicts.get("vector-clock"), verdicts.get(ORACLE)
+        if got is not None and want is not None and got != want:
+            stats.tally("vector-clock", "divergences")
+            direction = _diff_direction(got, want)
+            fail("wild", "divergence", "vector-clock",
+                 f"wild:divergence:vector-clock:{direction}",
+                 f"vector-clock {sorted(got, key=repr)} vs oracle "
+                 f"{sorted(want, key=repr)}")
 
     return failures
 

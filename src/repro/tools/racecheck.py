@@ -76,9 +76,10 @@ pool size) and ``--runtime asyncio`` on the cooperative
 must then define ``async def program(rt)``), with detection running
 *online during the parallel execution*.  Both force ``--detector
 parallel`` (:class:`~repro.core.parallel_detector.ParallelRaceDetector`,
-which ``--detector vector-clock`` also names — the one engine whose
-verdicts are exact under any schedule; the DTRG family assumes the
-serial depth-first event order, see README "Choosing a runtime") and
+which ``--detector vector-clock`` and ``--detector exact`` also name —
+the one engine whose verdicts are exact under any schedule and any
+handle flow; the DTRG family assumes the serial depth-first event
+order, see README "Choosing a runtime") and
 reject the flags whose machinery assumes that order:
 ``--jobs``/``--fast`` (post-hoc replay), the ``--explain`` family
 (witnesses are rebuilt from serial-order columns), and
@@ -118,7 +119,6 @@ from repro.baselines import (
     SPD3Detector,
 )
 from repro.core.detector import DeterminacyRaceDetector
-from repro.core.exact import ExactDetector
 from repro.core.parallel_check import check_trace_parallel
 from repro.core.parallel_detector import ParallelRaceDetector
 from repro.graph import GraphBuilder, ReachabilityClosure, to_dot
@@ -135,12 +135,13 @@ __all__ = ["main", "DETECTORS"]
 
 DETECTORS = {
     "dtrg": DeterminacyRaceDetector,
-    "exact": ExactDetector,
+    # ``exact``, ``vector-clock`` and ``parallel`` all name the
+    # access-stamp vector clocks: exact under any handle flow and schedule.
+    "exact": ParallelRaceDetector,
     "espbags": ESPBagsDetector,
     "spbags": SPBagsDetector,
     "spd3": SPD3Detector,
     "offset-span": OffsetSpanDetector,
-    # The precise vector-clock detector of §1 is the schedule-robust one.
     "vector-clock": ParallelRaceDetector,
     "brute-force": BruteForceDetector,
     "parallel": ParallelRaceDetector,

@@ -1,11 +1,21 @@
-"""Unit tests for the exact timestamped detector (beyond-paper extension)."""
+"""Exactness of the access-stamp vector-clock detector under any handle flow.
+
+:class:`~repro.core.parallel_detector.ParallelRaceDetector` (``racecheck
+--detector exact``) stamps every access with its task's own clock
+component, so it orders a task's prefix and suffix around a spawn or a
+join separately — the refinement the task-granularity DTRG cannot
+express outside the language's reference-flow discipline (DESIGN.md
+deviation #4).  The first cases drive its hooks directly, in orders no
+serial elision produces; the rest run programs.
+"""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro import Runtime, SharedArray
+from repro import ParallelRaceDetector, Runtime, SharedArray
 from repro.baselines import BruteForceDetector
 from repro.core.detector import DeterminacyRaceDetector
-from repro.core.exact import ExactDetector, ExactTaskReachability
 from repro.testing.generator import (
     Async,
     Future,
@@ -19,7 +29,7 @@ from repro.testing.programs import CORPUS, run_corpus_program
 
 
 def run(builder, locs=4):
-    det = ExactDetector()
+    det = ParallelRaceDetector()
     rt = Runtime(observers=[det])
     mem = SharedArray(rt, "x", locs)
     rt.run(lambda _rt: builder(rt, mem))
@@ -27,56 +37,101 @@ def run(builder, locs=4):
 
 
 # ---------------------------------------------------------------------- #
-# Reachability primitive                                                 #
+# Access stamps, driven hook by hook                                     #
 # ---------------------------------------------------------------------- #
+def task(tid):
+    return SimpleNamespace(tid=tid, name=f"t{tid}")
+
+
+def started(*tids):
+    """A detector past ``on_init(main)`` and the tasks named by ``tids``
+    (0 is main)."""
+    det = ParallelRaceDetector()
+    det.on_init(task(0))
+    return det, [task(tid) for tid in tids]
+
+
 def test_program_order():
-    r = ExactTaskReachability()
-    r.add_task(0, None, False)
-    assert r.access_precedes(0, r.tick(), 0)
+    det, (main,) = started(0)
+    det.on_write(main, "x")
+    det.on_read(main, "x")
+    det.on_write(main, "x")
+    assert det.racy_locations == set()
 
 
 def test_spawn_prefix_bound():
-    r = ExactTaskReachability()
-    r.add_task(0, None, False)
-    before = r.tick()
-    r.add_task(1, 0, True)
-    after = r.tick()
+    det, (main, child) = started(0, 1)
+    det.on_write(main, "before")
+    det.on_task_create(main, child)
+    det.on_write(main, "after")
     # the parent's access BEFORE the spawn precedes the child...
-    assert r.access_precedes(0, before, 1)
+    det.on_read(child, "before")
     # ...but its access AFTER the spawn does not.
-    assert not r.access_precedes(0, after, 1)
+    det.on_read(child, "after")
+    assert det.racy_locations == {"after"}
 
 
 def test_join_orders_whole_producer():
-    r = ExactTaskReachability()
-    r.add_task(0, None, False)
-    r.add_task(1, 0, True)
-    t_in_child = r.tick()
-    r.record_join(0, 1)
-    assert r.access_precedes(1, t_in_child, 0)
+    det, (main, child) = started(0, 1)
+    det.on_task_create(main, child)
+    det.on_write(child, "x")
+    det.on_task_end(child)
+    det.on_get(main, child)
+    det.on_read(main, "x")
+    assert det.racy_locations == set()
 
 
 def test_join_time_bounds_consumer_suffix_only():
-    """A join into X at time tau gives paths into X's steps at/after tau,
-    which is irrelevant when the target region ends before tau."""
-    r = ExactTaskReachability()
-    r.add_task(0, None, False)
-    r.add_task(1, 0, True)            # producer P
-    t_p = r.tick()                    # access inside P
-    r.add_task(2, 0, True)            # consumer C (sibling)
-    r.record_join(0, 1)               # main joins P *after* spawning C
-    # P's access does not precede C: the join into main happened after C's
-    # spawn, so the prefix bound (spawn_time of C) excludes it.
-    assert not r.access_precedes(1, t_p, 2)
-    # but it does precede main's current step
-    assert r.access_precedes(1, t_p, 0)
+    """A join into X orders the producer before X's steps after the join,
+    not before a task X spawned earlier."""
+    det, (main, p, c) = started(0, 1, 2)
+    det.on_task_create(main, p)        # producer P
+    det.on_write(p, "x")               # accesses inside P
+    det.on_write(p, "z")
+    det.on_task_end(p)
+    det.on_task_create(main, c)        # consumer C (sibling)
+    det.on_get(main, p)                # main joins P *after* spawning C
+    # P's access does not precede C: C was spawned before the join...
+    det.on_read(c, "x")
+    # ...but it does precede main's current step.
+    det.on_read(main, "z")
+    assert det.racy_locations == {"x"}
+
+
+def test_bound_upgrade_reexpansion():
+    """An access after a consumer's spawn reaches it through a later join
+    path (access -> spawn(F) -> F end -> C joins F), while an access after
+    F's spawn stays unordered with C."""
+    det, (main, c, f) = started(0, 1, 2)
+    det.on_task_create(main, c)        # consumer C
+    det.on_write(main, "x")            # main's access AFTER spawning C
+    det.on_task_create(main, f)        # F, spawned after the access
+    det.on_write(main, "y")            # and an access after F's spawn
+    det.on_task_end(f)
+    det.on_get(c, f)                   # C joins F (wild flow)
+    det.on_read(c, "x")
+    det.on_read(c, "y")
+    assert det.racy_locations == {"y"}
+
+
+def test_query_counters_populate():
+    def prog(rt, mem):
+        f = rt.future(lambda: mem.write(0, 1))
+        f.get()
+        mem.read(0)
+
+    det = run(prog)
+    assert det.num_accesses == 2
+    assert det.total_clock_entries_copied >= 2  # the spawn and the join
+    assert det.mutation_epoch >= 3
+    assert det.max_clock_size == 2
 
 
 # ---------------------------------------------------------------------- #
-# Regressions: the two shrunk wild-mode counterexamples                  #
+# Regressions: the shrunk wild-mode counterexamples                      #
 # ---------------------------------------------------------------------- #
 def wild_verdicts(program):
-    det = ExactDetector()
+    det = ParallelRaceDetector()
     dtrg = DeterminacyRaceDetector()
     oracle = BruteForceDetector()
     run_program(program, [det, dtrg, oracle], scoped_handles=False)
@@ -120,8 +175,8 @@ def test_suffix_escape_false_negative_fixed():
 def test_lemma4_breakdown_under_wild_flow():
     """Keeping a single async reader is unsound without the discipline:
     a wild get of a future spawned inside async A orders A's *prefix* with
-    the getter, so the retained reader can be ordered while the dropped
-    one still races."""
+    the getter, so a retained reader can be ordered while a dropped one
+    still races.  The vector-clock cell keeps every reader task."""
     program = Program(
         body=(
             Async(body=(Read(loc=2), Future(body=()))),
@@ -141,7 +196,7 @@ def test_lemma4_breakdown_under_wild_flow():
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("program", CORPUS, ids=lambda p: p.name)
 def test_corpus_agreement(program):
-    det = ExactDetector()
+    det = ParallelRaceDetector()
     run_corpus_program(program, [det])
     assert det.racy_locations == program.racy
 
@@ -156,38 +211,8 @@ def test_basic_detection_and_policies():
     assert det.racy_locations == {("x", 0)}
     from repro import RaceError
 
-    strict = ExactDetector(policy="raise")
+    strict = ParallelRaceDetector(policy="raise")
     rt = Runtime(observers=[strict])
     mem = SharedArray(rt, "x", 2)
     with pytest.raises(RaceError):
         rt.run(lambda _rt: prog(rt, mem))
-
-
-def test_query_counters_populate():
-    def prog(rt, mem):
-        f = rt.future(lambda: mem.write(0, 1))
-        f.get()
-        mem.read(0)
-
-    det = run(prog)
-    assert det.reach.num_queries >= 1
-    assert det.reach.num_expansions >= det.reach.num_queries
-
-
-def test_bound_upgrade_reexpansion():
-    """A task first reached with a small prefix bound must be re-expanded
-    when a larger bound arrives through another path (the memo keeps the
-    max bound, not just visited-ness)."""
-    r = ExactTaskReachability()
-    r.add_task(0, None, False)   # main
-    r.add_task(1, 0, False)      # consumer C
-    a = r.tick()                 # main's access AFTER spawning C
-    r.add_task(2, 0, True)       # F, spawned after the access
-    r.record_join(1, 2)          # C joins F (wild flow)
-    # Path: access -> spawn(F) -> F end -> join -> C.  The direct parent
-    # edge only covers main's prefix before C's spawn (excludes `a`); the
-    # join path covers the prefix before F's spawn (includes `a`).
-    assert r.access_precedes(0, a, 1)
-    # and an access after F's spawn stays unordered
-    later = r.tick()
-    assert not r.access_precedes(0, later, 1)

@@ -35,19 +35,21 @@ FUTURE_COVERED_REPRO = Program(
 
 
 def plant_future_covered_bug(monkeypatch):
-    """Plant the Lemma-4 reader-policy bug in the ``exact`` row: its
-    shadow memory treats no reader as future-covered, so it keeps a
-    single representative reader and drops the parallel one a later
-    ``get`` cannot order.  (The kernel behind every ``dtrg`` row keeps
-    the correct predicate, so only the ``exact`` row goes red.)"""
-    exact_cls = DETECTORS["exact"]
+    """Plant a Lemma-4-style reader-policy bug in the ``vector-clock`` row:
+    each cell keeps only its first reader, so a parallel reader that a
+    later ``get`` cannot order is dropped.  (The kernel behind every
+    ``dtrg`` row keeps the correct policy, so only the ``vector-clock``
+    row goes red.)"""
+    vc_cls = DETECTORS["vector-clock"]
 
-    class PreFixExact(exact_cls):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.shadow._is_future = lambda key: False
+    class OneReaderVC(vc_cls):
+        def on_read(self, task, loc):
+            super().on_read(task, loc)
+            readers = self._cells[loc].readers
+            first = next(iter(readers))
+            self._cells[loc].readers = {first: readers[first]}
 
-    monkeypatch.setitem(fuzz.DETECTORS, "exact", PreFixExact)
+    monkeypatch.setitem(fuzz.DETECTORS, "vector-clock", OneReaderVC)
 
 
 # ---------------------------------------------------------------------- #
@@ -89,11 +91,10 @@ def test_planted_soundness_bug_is_flagged_and_minimized(monkeypatch, tmp_path):
     plant_future_covered_bug(monkeypatch)
     failures = fuzz.check_seed(0, FUTURE_COVERED_REPRO, modes=("scoped",))
     sigs = [f.signature for f in failures]
-    assert "scoped:divergence:exact:missing" in sigs
-    assert "scoped:divergence:dtrg:missing" not in sigs
-    assert "scoped:divergence:dtrg[no-lsa]:missing" not in sigs
+    assert "scoped:divergence:vector-clock:missing" in sigs
+    assert not any(f.detector.startswith("dtrg") for f in failures)
 
-    failure = next(f for f in failures if f.detector == "exact")
+    failure = next(f for f in failures if f.detector == "vector-clock")
     fuzz._shrink_failure(failure, budget=600)
     assert failure.minimized is not None
     assert count_stmts(failure.minimized.body) <= count_stmts(
@@ -127,51 +128,72 @@ def test_corpus_gate_catches_the_planted_bug(monkeypatch, capsys):
 
 def test_planted_verdict_divergence_in_fuzz_range(monkeypatch):
     """A detector that drops one racy location diverges on racy seeds."""
-    exact_cls = DETECTORS["exact"]
+    vc_cls = DETECTORS["vector-clock"]
 
-    class MissingOneExact(exact_cls):
+    class MissingOneVC(vc_cls):
         @property
         def racy_locations(self):
-            full = set(exact_cls.racy_locations.fget(self))
+            full = set(vc_cls.racy_locations.fget(self))
             if full:
                 full.discard(min(full))
             return full
 
-    monkeypatch.setitem(fuzz.DETECTORS, "exact", MissingOneExact)
+    monkeypatch.setitem(fuzz.DETECTORS, "vector-clock", MissingOneVC)
     stats, failures = fuzz.fuzz_range(
         range(0, 8), modes=("scoped",), shrink=False
     )
     signatures = {f.signature for f in failures}
-    assert "scoped:divergence:exact:missing" in signatures
+    assert "scoped:divergence:vector-clock:missing" in signatures
     assert stats.failures > 0
 
 
-def test_planted_crash_is_flagged(monkeypatch):
-    class CrashingExact(DETECTORS["exact"]):
-        def on_write(self, task, loc):
-            raise RuntimeError("injected fault")
+def test_planted_wild_divergence_is_flagged(monkeypatch):
+    """The wild leg compares the vector-clock row with the oracle: the
+    planted one-reader cell misses the race a wild get leaves."""
+    plant_future_covered_bug(monkeypatch)
+    program = Program(
+        body=(
+            Async((Read(0), Future(()))),
+            Async((Read(0),)),
+            Get(0.6),
+            Write(0),
+        ),
+        num_locs=1,
+    )
+    stats = fuzz.FuzzStats()
+    sigs = {f.signature for f in fuzz.check_seed(0, program,
+                                                 modes=("wild",),
+                                                 stats=stats)}
+    assert sigs == {"wild:divergence:vector-clock:missing"}
+    # Wild runs are tallied like scoped ones, racy verdicts included.
+    assert stats.per_detector["brute-force"]["racy"] == 1
+    assert stats.per_detector["vector-clock"]["racy"] == 0
 
-    monkeypatch.setitem(fuzz.DETECTORS, "exact", CrashingExact)
+
+class CrashingVC(DETECTORS["vector-clock"]):
+    def on_write(self, task, loc):
+        raise RuntimeError("injected fault")
+
+
+def test_planted_crash_is_flagged(monkeypatch):
+    monkeypatch.setitem(fuzz.DETECTORS, "vector-clock", CrashingVC)
     stats, failures = fuzz.fuzz_range(
         range(0, 2), modes=("scoped",), shrink=False
     )
     assert any(
-        f.kind == "crash" and f.detector == "exact"
+        f.kind == "crash" and f.detector == "vector-clock"
         and "RuntimeError" in f.signature
         for f in failures
     )
 
 
 def test_fuzz_range_dedupes_signatures(monkeypatch):
-    class CrashingExact(DETECTORS["exact"]):
-        def on_write(self, task, loc):
-            raise RuntimeError("injected fault")
-
-    monkeypatch.setitem(fuzz.DETECTORS, "exact", CrashingExact)
+    monkeypatch.setitem(fuzz.DETECTORS, "vector-clock", CrashingVC)
     stats, failures = fuzz.fuzz_range(
         range(0, 6), modes=("scoped",), shrink=False
     )
-    crash_sigs = [f.signature for f in failures if f.detector == "exact"]
+    crash_sigs = [f.signature for f in failures
+                  if f.detector == "vector-clock"]
     assert len(crash_sigs) == len(set(crash_sigs))  # deduplicated
     assert stats.failures >= len(crash_sigs)  # raw count keeps every hit
 

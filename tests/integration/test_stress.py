@@ -9,7 +9,7 @@ import random
 
 from repro import DeterminacyRaceDetector, Runtime, SharedArray
 from repro.baselines import BruteForceDetector
-from repro.core.exact import ExactDetector
+from repro.core.parallel_detector import ParallelRaceDetector
 from repro.testing.generator import count_stmts, random_program, run_program
 
 
@@ -34,7 +34,7 @@ def test_large_wild_programs_exact_vs_oracle():
         program = random_program(
             rng, num_locs=5, max_depth=5, max_block=8, p_task=0.4
         )
-        det = ExactDetector()
+        det = ParallelRaceDetector()
         oracle = BruteForceDetector()
         run_program(program, [det, oracle], scoped_handles=False)
         assert det.racy_locations == oracle.racy_locations

@@ -272,6 +272,23 @@ class TestExecutorSpans:
             for a in caller for b in caller
         )
 
+    def test_run_spans_share_the_tracer_clock(self):
+        """Run spans are timed on the tracer's clock, like the worker,
+        task and finish spans they belong to."""
+        obs = enabled_obs()
+        rt = ThreadRuntime(workers=1, obs=obs)
+
+        def program(rt):
+            return sum(rt.future(lambda i=i: i).get() for i in range(3))
+
+        assert rt.run(program) == 3
+        end = obs.tracer.now_us()
+        runs = [e for e in obs.tracer.to_chrome()["traceEvents"]
+                if e["ph"] == "X" and e["name"].startswith("run t")]
+        assert runs
+        for e in runs:
+            assert 0 <= e["ts"] <= e["ts"] + e["dur"] <= end, e
+
 
 def test_write_trace_requires_tracer(tmp_path):
     obs = Observability(tracer=None)

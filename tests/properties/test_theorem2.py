@@ -105,11 +105,12 @@ def test_bulk_random_differential_sweep():
 @given(program=program_strategy())
 @settings(max_examples=120, **COMMON)
 def test_exact_detector_matches_oracle_even_wild(program):
-    """The beyond-paper ExactDetector needs no reference-flow assumption:
-    per-location verdicts equal the oracle's even for out-of-band joins."""
-    from repro.core.exact import ExactDetector
+    """The access-stamp vector-clock detector needs no reference-flow
+    assumption: per-location verdicts equal the oracle's even for
+    out-of-band joins."""
+    from repro.core.parallel_detector import ParallelRaceDetector
 
-    det = ExactDetector()
+    det = ParallelRaceDetector()
     oracle = BruteForceDetector()
     run_program(program, [det, oracle], scoped_handles=False)
     assert det.racy_locations == oracle.racy_locations, str(program)

@@ -13,8 +13,8 @@ same property for the provenance layer's *explanations*:
   i.e. ``explain_precede`` is a faithful read-only replay of the decision
   procedure, each set's ``rep`` is its root-most member (the first of its
   ``members``), and every witness passes the JSON schema validator;
-* the witnessed location is racy under the exact detector (Theorem 2
-  cross-check at location granularity).
+* the witnessed location is racy under the access-stamp vector-clock
+  detector too (Theorem 2 cross-check at location granularity).
 
 Plus one anatomy regression: the checked-in non-tree-join corpus program
 whose certificate must contain a walked LSA chain and an exhausted VISIT
@@ -26,7 +26,7 @@ import random
 from pathlib import Path
 
 from repro.core.detector import DeterminacyRaceDetector
-from repro.core.exact import ExactDetector
+from repro.core.parallel_detector import ParallelRaceDetector
 from repro.graph import GraphBuilder, ReachabilityClosure
 from repro.memory.tracer import TraceRecorder
 from repro.obs.provenance import (
@@ -39,30 +39,30 @@ from repro.testing.generator import random_program, run_program
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 #: Seed budget for the sweep; each seed is one full program execution with
-#: recorder + dtrg + graph builder + exact detector attached.
+#: recorder + dtrg + graph builder + vector-clock detector attached.
 NUM_SEEDS = 200
 
 
 def detect_with_witnesses(program):
     """Run once with a provenance recorder + dtrg (whose graph the sweep
-    queries afterwards) + graph builder + exact, then explain the races
-    from the trace."""
+    queries afterwards) + graph builder + vector clocks, then explain the
+    races from the trace."""
     prov = RaceProvenance()
     recorder = TraceRecorder(prov)
     det = DeterminacyRaceDetector()
     gb = GraphBuilder()
-    exact = ExactDetector()
-    run_program(program, [recorder, det, gb, exact], scoped_handles=True,
+    vc = ParallelRaceDetector()
+    run_program(program, [recorder, det, gb, vc], scoped_handles=True,
                 provenance=prov)
     _, witnesses = explain_races(recorder.trace, det.races, det.race_rows)
-    return det, witnesses, gb, exact
+    return det, witnesses, gb, vc
 
 
 def test_generated_program_witnesses_are_sound():
     confirmed = 0
     for seed in range(NUM_SEEDS):
         program = random_program(random.Random(seed))
-        det, witnesses, gb, exact = detect_with_witnesses(program)
+        det, witnesses, gb, vc = detect_with_witnesses(program)
         assert len(witnesses) == len(list(det.report))
         if not witnesses:
             continue
@@ -94,9 +94,10 @@ def test_generated_program_witnesses_are_sound():
             # (3) schema-valid and JSON-serializable
             assert validate_witness(w.to_data()) == []
             json.dumps(w.to_data())
-            # (4) the location is racy under the exact detector too
-            assert w.loc in set(exact.racy_locations), (
-                f"seed {seed}: witnessed loc {w.loc!r} not racy per exact"
+            # (4) the location is racy under the vector clocks too
+            assert w.loc in set(vc.racy_locations), (
+                f"seed {seed}: witnessed loc {w.loc!r} not racy per "
+                "vector clocks"
             )
             confirmed += 1
     # the generator must actually exercise the property
@@ -112,7 +113,7 @@ def test_corpus_lsa_chain_witness_anatomy():
     entry = entry_from_data(json.loads(
         (CORPUS / "future_nt_join_lsa_witness.json").read_text()
     ))
-    det, witnesses, gb, exact = detect_with_witnesses(entry.program)
+    det, witnesses, gb, _ = detect_with_witnesses(entry.program)
     assert set(det.racy_locations) == {("x", 0)}
     (w,) = witnesses
     assert w.kind == "write-read"
