@@ -174,18 +174,28 @@ class DeterminacyRaceDetector(ExecutionObserver):
 
         hooks = observer_hooks(builder)
         runs = enc.runs
+        inert = False
 
         def step() -> None:
+            nonlocal inert
             try:
                 self._step()
             except BaseException:
-                # RaceError under RAISE ends the kernel: turn inert,
-                # lowering and dropping events unchecked.
+                # RaceError under RAISE ends the kernel: turn inert.  The
+                # structure hooks then lower nothing (the spawn that raised
+                # never runs its child, so the stream no longer follows
+                # the running task) and drop the rows the access hooks
+                # append.
+                inert = True
                 self._step = builder.drop
                 raise
 
         def stepped(lower):
             def hook(*args) -> None:
+                if inert:
+                    builder.flush()
+                    builder.drop()
+                    return
                 lower(*args)
                 # Resume only when this event closed an access block: it
                 # opened a new structure run behind an unconsumed one.

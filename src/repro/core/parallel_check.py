@@ -105,10 +105,14 @@ def _plan_shards(
     and the per-shard access counts."""
     if jobs == 1:
         return [None], [enc.num_access_events]
-    counts = Counter(enc.access[2::3])
+    counts: Counter = Counter()
+    for code, n in Counter(enc.access).items():  # fold kinds by ``>> 1``
+        counts[code >> 1] += n
     masks = [bytearray(enc.num_locations) for _ in range(jobs)]
     heap = [(0, k) for k in range(jobs)]
     for lid in sorted(counts, key=counts.__getitem__, reverse=True):
+        if lid >= enc.num_locations:
+            continue  # out of range: every shard's kernel rejects its row
         load, k = heap[0]
         masks[k][lid] = 1
         heapreplace(heap, (load + counts[lid], k))

@@ -45,9 +45,10 @@ class TraceRecorder(ExecutionObserver):
 
     Each hook lowers its event straight into the trace's columns through
     the trace's :class:`~repro.core.events.ColumnBuilder`: an access
-    appends one ``(is_write, task_idx, loc_id)`` row, a spawn, get or
-    finish boundary one structure tuple.  No event object is built while
-    the program runs; iterating the trace decodes them afterwards.
+    appends one int ``loc_id << 1 | is_write`` (the builder's own
+    ``read``/``write`` are the access hooks), a spawn, get or finish
+    boundary one structure tuple.  No event object is built while the
+    program runs; iterating the trace decodes them afterwards.
 
     The implicit bracket (main task init/end, root finish start/end,
     shutdown) is *not* recorded — :func:`replay_trace` re-synthesizes it, so

@@ -26,7 +26,10 @@ which is checked in up to two modes:
   that must always agree, so by transitivity it agrees with the dtrg;
   and each completed run must round-trip through
   :class:`~repro.memory.tracer.TraceRecorder`/:func:`replay_trace` with an
-  identical verdict (record-replay parity).
+  identical verdict (record-replay parity).  The recorded trace's columns
+  are then broken once per :data:`MUTATIONS` kind (malformed-trace leg):
+  each mutant must raise ``TraceFormatError`` or, when it is still a
+  valid trace, check as the oracle does on its decoded events.
 * **wild** (out-of-band handle registry, outside the model's guarantee):
   nothing may crash, and the vector-clock detector — whose access stamps
   need no reference-flow assumption — must still match the oracle.  dtrg
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import builtins
+import copy
 import json
 import random
 import re
@@ -59,6 +63,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.events import (
+    FinishEndEvent,
+    FinishStartEvent,
+    TaskCreateEvent,
+    TaskEndEvent,
+    OP_FINISH_START,
+    OP_GET,
+    OP_TASK_CREATE,
+    OP_TASK_END,
+    RUN_STRUCTURE,
+    EncodedTrace,
+    TraceFormatError,
+    _decode,
+    encode_trace,
+)
+from repro.core.fastcheck import check_trace_fast
 from repro.harness.report import render_kv, render_table
 from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.runtime.errors import UnsupportedConstructError
@@ -85,6 +105,7 @@ __all__ = [
     "FuzzStats",
     "check_seed",
     "fuzz_range",
+    "mutate_columns",
     "replay_corpus",
     "main",
 ]
@@ -119,6 +140,16 @@ WILD = (ORACLE,) + GENERAL + tuple(BACKENDS)
 #: must reproduce the sequential dtrg racy set *and* byte-identical
 #: ``RaceReport.summary()`` text at every job count.
 PARALLEL_NAME = "dtrg[parallel]"
+#: Stats row of the malformed-trace leg (every scoped seed): each
+#: :data:`MUTATIONS` kind breaks a copy of the recorded columns once, and
+#: ``check_trace_fast`` must raise ``TraceFormatError`` (a refusal) or,
+#: if the mutant is still a valid trace, report the oracle's racy set on
+#: its decoded events.  Any other exception is a crash.
+MALFORMED_NAME = "trace[malformed]"
+#: A structure tuple dropped, duplicated or swapped with the next; a task
+#: id in a structure tuple or a location id in an access row put out of
+#: range; the last access rows truncated.
+MUTATIONS = ("drop", "duplicate", "swap", "task-id", "loc-id", "truncate")
 #: Runtime-parity rows (``--runtimes``, PR 8): the same scoped program is
 #: *executed for real* on every substrate — the serial elision, the
 #: work-stealing ThreadRuntime at several pool sizes, and the cooperative
@@ -189,7 +220,8 @@ class FuzzStats:
     def detector_rows(self) -> List[Dict[str, object]]:
         order = (
             (ORACLE,) + GENERAL + RESTRICTED + tuple(ABLATIONS)
-            + tuple(BACKENDS) + (PARALLEL_NAME, RUNTIME_SERIAL)
+            + tuple(BACKENDS) + (PARALLEL_NAME, MALFORMED_NAME,
+                                 RUNTIME_SERIAL)
             + RUNTIME_ROWS
         )
         rows = []
@@ -377,6 +409,125 @@ def _crash_predicate(
     return holds
 
 
+
+def _run_of(runs, k: int) -> int:
+    """Offset of the structure run holding structure tuple ``k``."""
+    for ri in range(0, len(runs), 2):
+        if runs[ri] == RUN_STRUCTURE:
+            if k < runs[ri + 1]:
+                return ri
+            k -= runs[ri + 1]
+    raise IndexError(k)
+
+
+#: Task-id fields of each structure opcode (tuple positions).
+_TASK_FIELDS = {OP_TASK_CREATE: (1,), OP_TASK_END: (1,), OP_GET: (1, 2),
+                OP_FINISH_START: (2,)}
+
+
+def mutate_columns(enc: EncodedTrace, kind: str,
+                   rng: random.Random) -> Optional[EncodedTrace]:
+    """A copy of ``enc`` (without sites) with one ``kind`` mutation (see
+    :data:`MUTATIONS`), or ``None`` when ``enc`` has nothing to mutate
+    that way.  A dropped or duplicated tuple's run count follows it, so
+    only the running-task and scope checks can tell."""
+    enc = copy.deepcopy(enc)
+    enc.access_sites = enc.structure_sites = None
+    acc, structure, runs = enc.access, enc.structure, enc.runs
+    if kind in ("drop", "duplicate", "swap"):
+        if len(structure) < (2 if kind == "swap" else 1):
+            return None
+        k = rng.randrange(len(structure) - (kind == "swap"))
+        if kind == "swap":
+            structure[k], structure[k + 1] = structure[k + 1], structure[k]
+        elif kind == "drop":
+            del structure[k]
+            runs[_run_of(runs, k) + 1] -= 1
+        else:
+            ri = _run_of(runs, k)
+            structure.insert(k, structure[k])
+            runs[ri + 1] += 1
+    elif kind == "task-id":
+        ks = [k for k, t in enumerate(structure) if t[0] in _TASK_FIELDS]
+        if not ks:
+            return None
+        k = rng.choice(ks)
+        t = list(structure[k])
+        t[rng.choice(_TASK_FIELDS[t[0]])] = (
+            enc.num_tasks + rng.randrange(10 ** 6))
+        structure[k] = tuple(t)
+    elif kind == "loc-id":
+        if not acc:
+            return None
+        r = rng.randrange(len(acc))
+        acc[r] = (enc.num_locations + rng.randrange(1000)) << 1 | acc[r] & 1
+    elif kind == "truncate":
+        if not acc:
+            return None
+        del acc[len(acc) - rng.randint(1, min(len(acc), 4)):]
+    else:
+        raise ValueError(f"unknown mutation {kind!r}")
+    return enc
+
+
+def _closed(events: list) -> list:
+    """``events`` with the tasks and finish scopes it leaves open closed,
+    innermost first.  A trace may end with both open, as an aborted
+    run's does; the checkers accept that, and closing them adds no
+    access, so it changes no verdict, but the oracle needs whole runs."""
+    open_items: list = []
+    for e in events:
+        if isinstance(e, TaskCreateEvent):
+            open_items.append(TaskEndEvent(e.child))
+        elif isinstance(e, FinishStartEvent):
+            open_items.append(FinishEndEvent(e.fid))
+        elif isinstance(e, (TaskEndEvent, FinishEndEvent)):
+            open_items.pop()
+    return events + open_items[::-1]
+
+
+def _check_mutants(seed: int, trace, stats: "FuzzStats", fail) -> None:
+    """The malformed-trace leg of one scoped seed (see
+    :data:`MALFORMED_NAME`)."""
+    rng = random.Random(seed)
+    enc = encode_trace(trace)
+    for kind in MUTATIONS:
+        mutant = mutate_columns(enc, kind, rng)
+        if mutant is None:
+            continue
+        stats.tally(MALFORMED_NAME, "runs")
+        try:
+            got = set(check_trace_fast(mutant).racy_locations)
+        except TraceFormatError:
+            stats.tally(MALFORMED_NAME, "refusals")
+            continue
+        except Exception as exc:
+            stats.tally(MALFORMED_NAME, "crashes")
+            fail("scoped", "crash", MALFORMED_NAME,
+                 f"scoped:malformed-crash:{kind}:{type(exc).__name__}",
+                 f"{kind} mutant raised {type(exc).__name__}: {exc}")
+            continue
+        try:
+            oracle = DETECTORS[ORACLE]()
+            replay_trace(_closed(list(_decode(mutant))), [oracle])
+            want = _verdict(oracle)
+        except Exception as exc:
+            stats.tally(MALFORMED_NAME, "crashes")
+            fail("scoped", "crash", MALFORMED_NAME,
+                 f"scoped:malformed-decode:{kind}:{type(exc).__name__}",
+                 f"{kind} mutant checked, but decoding or the oracle "
+                 f"raised {type(exc).__name__}: {exc}")
+            continue
+        if got:
+            stats.tally(MALFORMED_NAME, "racy")
+        if got != want:
+            stats.tally(MALFORMED_NAME, "divergences")
+            fail("scoped", "divergence", MALFORMED_NAME,
+                 f"scoped:malformed:{kind}:{_diff_direction(got, want)}",
+                 f"{kind} mutant {sorted(got, key=repr)} vs oracle "
+                 f"{sorted(want, key=repr)}")
+
+
 def check_seed(
     seed: int,
     program: Program,
@@ -432,6 +583,7 @@ def check_seed(
                  f"scoped:replay:{ORACLE}",
                  f"live {sorted(want, key=repr)} vs replay "
                  f"{sorted(_verdict(replayed_oracle), key=repr)}")
+        _check_mutants(seed, trace, stats, fail)
 
         for name in GENERAL + RESTRICTED + tuple(ABLATIONS) + tuple(BACKENDS):
             try:
@@ -605,8 +757,10 @@ def _shrink_failure(failure: FuzzFailure, budget: int) -> None:
         predicate = _parallel_predicate(
             int(failure.signature.rsplit(":", 1)[-1])
         )
-    elif failure.detector == PARALLEL_NAME:
-        return  # parallel-crash repros are kept unminimized
+    elif failure.detector in (PARALLEL_NAME, MALFORMED_NAME):
+        # parallel-crash repros are kept unminimized, and a mutant is
+        # defined on one recorded trace, not on the program.
+        return
     elif failure.kind == "divergence":
         predicate = _divergence_predicate(failure.detector, scoped)
     elif failure.kind == "replay-divergence":

@@ -19,6 +19,7 @@ def sample_trace():
     trace = Trace()
     trace.append(TaskCreateEvent(parent=0, child=1, is_future=True, ief=0))
     trace.append(WriteEvent(task=1, loc=("x", 0)))
+    trace.append(TaskEndEvent(task=1))
     trace.append(GetEvent(consumer=0, producer=1))
     trace.append(ReadEvent(task=0, loc=("x", 0)))
     return trace
@@ -39,9 +40,10 @@ def test_events_are_value_objects():
 
 def test_len_and_iter():
     trace = sample_trace()
-    assert len(trace) == 4
+    assert len(trace) == 5
     assert [type(e).__name__ for e in trace] == [
-        "TaskCreateEvent", "WriteEvent", "GetEvent", "ReadEvent",
+        "TaskCreateEvent", "WriteEvent", "TaskEndEvent", "GetEvent",
+        "ReadEvent",
     ]
 
 

@@ -24,8 +24,8 @@ def _async_write_race(sites: bool = False):
     return Trace(events=[
         TaskCreateEvent(parent=0, child=1, is_future=False, ief=0),
         WriteEvent(task=1, loc="x", site="a.py:1" if sites else None),
-        WriteEvent(task=0, loc="x", site="a.py:2" if sites else None),
         TaskEndEvent(task=1),
+        WriteEvent(task=0, loc="x", site="a.py:2" if sites else None),
     ])
 
 
@@ -86,8 +86,8 @@ def test_site_attribution_matches_sharded_checker(jobs):
     trace = Trace(events=[
         TaskCreateEvent(parent=0, child=1, is_future=False, ief=0),
         *(WriteEvent(task=1, loc=x, site=f"a.py:{x}") for x in locs),
-        *(WriteEvent(task=0, loc=x, site=f"b.py:{x}") for x in locs),
         TaskEndEvent(task=1),
+        *(WriteEvent(task=0, loc=x, site=f"b.py:{x}") for x in locs),
     ])
     fast = check_trace_fast(trace)
     sharded = check_trace_parallel(trace, jobs=jobs, backend="inline")
@@ -155,3 +155,59 @@ def test_result_surface():
     # cache_* columns are 0 by construction on the array engine.
     assert fast.perf_stats["cache_hits"] == 0
     assert fast.perf_stats["cache_hit_rate"] == 0.0
+
+
+def test_block_memo_asks_each_task_pair_once_per_block():
+    """Within an access block the graph's epoch and the running task are
+    fixed, so a ``PRECEDE(x, task)`` verdict asked once is reused: over a
+    recorded Jacobi-future trace, every call that reaches the graph is a
+    distinct (block, other task) pair, and the counters, memo hits
+    included, are those of the kernel without the memo."""
+    from repro.core.array_dtrg import ArrayDTRG
+    from repro.core.fastcheck import CheckResult, _kernel
+    from repro.memory.tracer import TraceRecorder
+    from repro.runtime.runtime import Runtime
+    from repro.workloads import jacobi
+
+    recorder = TraceRecorder()
+    Runtime(observers=[recorder]).run(
+        lambda rt: jacobi.run_future(rt, jacobi.default_params("tiny")))
+    enc = encode_trace(recorder.trace)
+
+    class Blocks:
+        """``progress`` stand-in: the kernel bumps it once per run."""
+        count = 0
+
+        def add(self, n):
+            self.count += 1
+
+    blocks = Blocks()
+
+    class CountingDTRG(ArrayDTRG):
+        __slots__ = ("calls",)
+
+        def __init__(self):
+            super().__init__()
+            self.calls = []
+
+        def precede_idx(self, ia, ib):
+            self.calls.append((blocks.count, ia, ib))
+            return super().precede_idx(ia, ib)
+
+    dtrg = CountingDTRG()
+    result = CheckResult()
+    names = [f"t{i}" for i in range(enc.num_tasks)]
+    kernel = _kernel(enc, dtrg, names, result, progress=blocks)
+    next(kernel)
+    with pytest.raises(StopIteration):
+        kernel.send(True)
+    pairs = {(block, ia) for block, ia, _ib in dtrg.calls}
+    assert len(dtrg.calls) <= len(pairs)
+    assert all(len({ib for b, _ia, ib in dtrg.calls if b == block}) == 1
+               for block, _ia in pairs)  # one running task per block
+    # Pinned: the kernel's values before the memo existed.
+    assert result.num_precede_queries == 264
+    assert result.precede_calls_saved == 432
+    assert result.num_visits == 24
+    assert len(dtrg.calls) < result.num_precede_queries
+    assert result.perf_stats == check_trace_fast(enc).perf_stats

@@ -3,9 +3,11 @@
 These drive the one checking kernel (:func:`repro.core.fastcheck._kernel`)
 over a scripted reachability backend — an explicit happens-before table —
 isolating the reader-set policies from the DTRG.  Every scripted task is
-a child of main, created just before its first access; the kernel is
-resumed after each access, so each case checks the accesses one by one
-in the order it lists them.
+a child of main, created just before its first access, after the task
+that accessed before it ends (a task's accesses are consecutive in every
+case, as the running-task discipline of the columns requires); the kernel
+is resumed after each access, so each case checks the accesses one by
+one in the order it lists them.
 """
 
 import pytest
@@ -61,6 +63,7 @@ class Harness:
         # Every reported conflict, as the plain algorithms report them.
         self.result = CheckResult(dedupe=False)
         self.names = ["main"]
+        self.running = None  # the scripted task now running, if any
         self.kernel = _kernel(
             self.enc, ScriptedBackend(self.order), self.names, self.result,
             drop=self.builder.drop,
@@ -72,8 +75,12 @@ class Harness:
 
     def _access(self, lower, task, loc):
         if task not in self.enc.task_keys:
+            if self.running is not None:
+                self.builder.task_end(self.running)
             self.names.append(f"t{task}")
             self.builder.task_create(0, task, task in self.futures, 0)
+            self.running = task
+        assert task == self.running, "a task's accesses are consecutive"
         lower(task, loc)
         self.builder.flush()
         next(self.kernel)

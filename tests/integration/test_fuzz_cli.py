@@ -308,3 +308,63 @@ def test_planted_parallel_divergence_is_flagged(monkeypatch):
     assert any(f.kind == "parallel-divergence" for f in failures)
     row = stats.per_detector[fuzz.PARALLEL_NAME]
     assert row["divergences"] > 0
+
+
+# ---------------------------------------------------------------------- #
+# Malformed traces: a pointed error or the oracle's verdict, nothing else #
+# ---------------------------------------------------------------------- #
+def test_malformed_leg_over_a_seed_band():
+    """Every mutation kind runs on the seed band; most mutants are
+    refused with ``TraceFormatError``, and those that stay valid traces
+    check as the oracle does on their decoded events."""
+    stats, failures = fuzz.fuzz_range(
+        range(0, 40), modes=("scoped",), shrink=False
+    )
+    assert failures == []
+    row = stats.per_detector[fuzz.MALFORMED_NAME]
+    assert row["runs"] > 5 * 40 * 0.9
+    assert 0 < row["refusals"] < row["runs"]  # both outcomes occur
+    assert row["crashes"] == row["divergences"] == 0
+
+
+@pytest.mark.parametrize("kind", fuzz.MUTATIONS)
+def test_each_mutation_breaks_the_columns(kind):
+    import random
+
+    from repro.core.events import encode_trace
+
+    _, trace = fuzz._run_live(fuzz.ORACLE, FUTURE_COVERED_REPRO,
+                              scoped=True, record=True)
+    enc = encode_trace(trace)
+    mutant = fuzz.mutate_columns(enc, kind, random.Random(0))
+    assert mutant is not None and mutant is not enc
+    assert (list(mutant.access), mutant.structure) != (
+        list(enc.access), enc.structure)
+
+
+def test_planted_bare_exception_in_the_checker_is_flagged(monkeypatch):
+    """A malformed trace that escapes as a bare exception fails the
+    seed."""
+    real = fuzz.check_trace_fast
+
+    def checker(enc):
+        if len(enc) != len(checker.whole):
+            raise IndexError("planted")
+        return real(enc)
+
+    def record(name, program, **kwargs):
+        det, trace = real_run(name, program, **kwargs)
+        if trace is not None:
+            checker.whole = trace
+        return det, trace
+
+    real_run = fuzz._run_live
+    monkeypatch.setattr(fuzz, "_run_live", record)
+    monkeypatch.setattr(fuzz, "check_trace_fast", checker)
+    stats, failures = fuzz.fuzz_range(
+        range(0, 3), modes=("scoped",), shrink=False
+    )
+    assert any(f.detector == fuzz.MALFORMED_NAME
+               and f.signature.startswith("scoped:malformed-crash:")
+               and f.signature.endswith(":IndexError") for f in failures)
+    assert stats.per_detector[fuzz.MALFORMED_NAME]["crashes"] > 0
