@@ -86,7 +86,7 @@ def main() -> None:
     print("scope made explicit.  Not needing the assumption is cheap at")
     print("these sizes: replaying the table2-scale Series, Crypt, Jacobi,")
     print("Smith-Waterman and Strassen traces, the vector-clock detector")
-    print("took 0.5-2.7x the DTRG detector's time (Xeon, 2 cores, CPython")
+    print("took 0.75-2.0x the DTRG detector's time (2 cores, CPython")
     print("3.11).  Its cost is memory: each clock grows with the tasks")
     print("joined, the blow-up the paper's §1 warns of")
     print("(benchmarks/bench_vector_clock_scaling.py).")

@@ -8,10 +8,14 @@ machinery on the one kernel.  The hooks lower each event into integer
 columns (:class:`~repro.core.events.ColumnBuilder`, as
 :class:`~repro.memory.tracer.TraceRecorder` does), and a structure event
 that closes an access block resumes the one Algorithm 8/9 kernel,
-:func:`repro.core.fastcheck._kernel`, over the reachability engine.  Each
-access block is checked when the spawn, get, end or finish that closes it
-arrives — still one on-the-fly pass in serial-elision order — and the
-consumed rows are dropped, so the columns hold O(tasks + locations).
+:func:`repro.core.fastcheck._kernel`, over the reachability engine.
+Under ``RAISE`` or an enabled ``obs`` every such event resumes it, so
+each block is checked when the spawn, get, end or finish that closes it
+arrives; a plain ``COLLECT`` run resumes once :data:`RESUME_ENTRIES`
+entries wait.  Either way it is one on-the-fly pass in serial-elision
+order, each block checked at the epoch of the event that closes it, and
+the consumed rows are dropped, so the columns hold O(tasks + locations)
+plus a constant.
 
 ======================  ===========================================
 Paper                    Implementation
@@ -45,7 +49,14 @@ from repro.core.fastcheck import CheckResult, _kernel
 from repro.core.races import Race, ReportPolicy
 from repro.runtime.errors import RaceError
 
-__all__ = ["DeterminacyRaceDetector"]
+__all__ = ["DeterminacyRaceDetector", "RESUME_ENTRIES"]
+
+#: Unconsumed column entries (access rows plus structure tuples) at which
+#: a ``COLLECT`` run without ``obs`` resumes the kernel, at the next
+#: structure event that closes an access block; structure tuples alone
+#: resume it at this count under any policy (docs/ALGORITHM.md §13.4).
+RESUME_ENTRIES = 4096
+
 
 class DeterminacyRaceDetector(ExecutionObserver):
     """On-the-fly determinacy race detector for async/finish/future programs.
@@ -54,7 +65,10 @@ class DeterminacyRaceDetector(ExecutionObserver):
     ----------
     policy:
         :attr:`ReportPolicy.COLLECT` (default) records every race and lets
-        the program finish; :attr:`ReportPolicy.RAISE` raises
+        the program finish; without ``obs`` it checks in batches of about
+        :data:`RESUME_ENTRIES` column entries, so its results lag the
+        program by at most that many entries plus one block.
+        :attr:`ReportPolicy.RAISE` raises
         :class:`~repro.runtime.errors.RaceError` at the first one, when
         the racing access's block closes, i.e. at the next spawn, get,
         task end or finish boundary, or at main's end.  The error carries
@@ -91,7 +105,7 @@ class DeterminacyRaceDetector(ExecutionObserver):
     dtrg:
         The underlying reachability structure (exposed for tests,
         Table 1-style dumps and the metrics harness), current as of the
-        last checked block.
+        last resume; ``flush()`` brings it up to date.
     race_rows:
         ``race_rows[i]`` is the access-row ordinal (the count of reads and
         writes before it) of the access that reported ``races[i]``; with a
@@ -190,6 +204,13 @@ class DeterminacyRaceDetector(ExecutionObserver):
                 self._step = builder.drop
                 raise
 
+        # A block's verdicts depend on the structure before it, not on
+        # when it is checked.  Only ``RaceError`` and the observability
+        # instants show the timing, so they resume at every block; a
+        # plain ``COLLECT`` run resumes once RESUME_ENTRIES entries wait.
+        limit = 1 if raises or obs is not None else RESUME_ENTRIES
+        acc, structure = enc.access, enc.structure
+
         def stepped(lower):
             def hook(*args) -> None:
                 if inert:
@@ -197,10 +218,14 @@ class DeterminacyRaceDetector(ExecutionObserver):
                     builder.drop()
                     return
                 lower(*args)
-                # Resume only when this event closed an access block: it
-                # opened a new structure run behind an unconsumed one.
-                # Structure-only stretches are applied with the next block.
-                if len(runs) > 2 and runs[-1] == 1:
+                # Resume when this event closed an access block (it
+                # opened a new structure run behind an unconsumed one)
+                # and ``limit`` entries wait.  Structure-only stretches
+                # are applied with the next block, or once they alone
+                # reach RESUME_ENTRIES (a loop of empty finishes).
+                if ((len(runs) > 2 and runs[-1] == 1
+                        and len(acc) + len(structure) >= limit)
+                        or len(structure) >= RESUME_ENTRIES):
                     step()
             return hook
 
@@ -255,11 +280,13 @@ class DeterminacyRaceDetector(ExecutionObserver):
     def flush(self) -> None:
         """Check every access seen so far (bound per instance).
 
-        The kernel checks an access block when the structure event that
-        closes it arrives, so a run that aborts (the program raised)
-        leaves its last block unchecked; ``flush`` checks it, with the
-        graph at the current epoch.  A mid-run flush changes no result;
-        after main's end it is a no-op.
+        The kernel checks access blocks when a structure event that
+        closes one arrives (under ``COLLECT`` without ``obs``, once
+        :data:`RESUME_ENTRIES` entries wait), so a run that aborts (the
+        program raised) leaves its last blocks unchecked; ``flush``
+        checks them, each at the epoch of the event that closed it and
+        the open one at the current epoch.  A mid-run flush changes no
+        result; after main's end it is a no-op.
         """
 
     # ------------------------------------------------------------------ #
@@ -299,8 +326,8 @@ class DeterminacyRaceDetector(ExecutionObserver):
 
     @property
     def num_accesses(self) -> int:
-        """Accesses checked up to the last closed block (the live
-        sampler reads it)."""
+        """Accesses checked up to the last resume (the live sampler
+        reads it); see ``policy`` for the lag."""
         return self._result.num_accesses
 
     @property

@@ -14,9 +14,10 @@ generator, so it can run offline or online:
   ``check_trace_fast`` once per shard, restricted to the locations that
   shard owns;
 * every :class:`~repro.core.detector.DeterminacyRaceDetector`
-  lowers a live run into columns and resumes the kernel at every
-  structure event, so each access block is checked as the event that
-  closes it arrives, with the graph at the online epoch.
+  lowers a live run into columns and resumes the kernel at structure
+  events that close an access block (at each one under ``RAISE`` or an
+  enabled ``obs``, in batches otherwise); each block is checked with
+  the graph at the epoch of the event that closes it.
 
 The shadow state is the paper's per-location shadow cell (Section 4.2)
 in structure-of-arrays form, indexed by interned location id:

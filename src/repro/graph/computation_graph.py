@@ -179,6 +179,16 @@ class GraphBuilder(ExecutionObserver):
         self._pending.setdefault(tid, []).append((step.sid, EdgeKind.CONTINUE))
         return step
 
+    def _ended_step(self, tid: int, joiner: str) -> int:
+        """The last step of the ended task ``tid``; ``joiner`` names the
+        get or finish end that joins it, for the error a stream raises
+        that joins a task still running (a run that raised leaves one)."""
+        sid = self.graph.last_step.get(tid)
+        if sid is None:
+            raise ValueError(f"{joiner} joins task {tid}, which is still "
+                             "running: a join needs the task's end first")
+        return sid
+
     # -- observer hooks -------------------------------------------------- #
     def on_init(self, main) -> None:
         g = self.graph
@@ -212,7 +222,8 @@ class GraphBuilder(ExecutionObserver):
             else EdgeKind.JOIN_NON_TREE
         )
         self._pending.setdefault(consumer.tid, []).append(
-            (g.last_step[producer.tid], kind)
+            (self._ended_step(producer.tid,
+                              f"the get of task {consumer.tid}"), kind)
         )
 
     def on_finish_start(self, scope) -> None:
@@ -222,11 +233,12 @@ class GraphBuilder(ExecutionObserver):
         self._end_step(scope.owner.tid)
 
     def on_finish_end(self, scope) -> None:
-        g = self.graph
         self._end_step(scope.owner.tid)
         pend = self._pending.setdefault(scope.owner.tid, [])
+        joiner = f"the end of finish {scope.fid} (owner task {scope.owner.tid})"
         for task in scope.joins:
-            pend.append((g.last_step[task.tid], EdgeKind.JOIN_TREE))
+            pend.append((self._ended_step(task.tid, joiner),
+                         EdgeKind.JOIN_TREE))
 
     def on_read(self, task, loc) -> None:
         self.graph.add_access(self._step(task.tid), loc, is_write=False)

@@ -55,7 +55,7 @@ speedup, and must not be read as regressions.
 
 ``--throughput`` races the two single-thread checking legs back-to-back
 over each workload's recorded trace — the default detector replaying the
-events (the kernel resumed block by block) and the fast path
+events (the kernel resumed in batches) and the fast path
 (:func:`repro.core.fastcheck.check_trace_fast` over the columns the
 recorder wrote; neither leg includes recording) — and writes
 ``BENCH_PR6.json`` by default::

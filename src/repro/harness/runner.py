@@ -304,7 +304,7 @@ class ThroughputBenchResult:
     only same-process ratios are meaningful):
 
     * ``replay`` — the default :class:`~repro.core.detector.
-      DeterminacyRaceDetector` (the kernel, resumed block by block as the
+      DeterminacyRaceDetector` (the kernel, resumed in batches as the
       events arrive) re-driven over the recorded events by
       :func:`~repro.memory.tracer.replay_trace` (the events are decoded
       from the trace once, before timing);

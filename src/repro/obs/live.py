@@ -297,8 +297,9 @@ class TelemetryServer:
 def detector_source(detector) -> Callable[[], Dict[str, Any]]:
     """Gauges from any detector shape we ship: the serial
     :class:`~repro.core.detector.DeterminacyRaceDetector` (location and
-    access counts, current as of the last checked block on the kernel,
-    plus DTRG sizes), the schedule-robust
+    access counts, current as of the kernel's last resume, which under
+    ``COLLECT`` comes once per batch of column entries, plus DTRG sizes),
+    the schedule-robust
     :class:`~repro.core.parallel_detector.ParallelRaceDetector` (clock
     table + stripe counters), and the checker result objects (races +
     perf counters).  Missing attributes are simply skipped, so one

@@ -34,12 +34,12 @@ from repro.runtime.asyncio_runtime import AsyncioRuntime
 from repro.runtime.executor import ThreadRuntime
 from repro.runtime.runtime import Runtime
 
-try:  # hypothesis is a dev dependency; the module works without it.
-    from hypothesis import strategies as st
-
-    _HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover
-    _HAVE_HYPOTHESIS = False
+# hypothesis is a dev dependency: program_strategy, the one function
+# that needs it, imports it when called, so importing the library (and
+# the benchmark workers that call random_program) does not pay for it.
+# Provenance sites name this module's lines: the race witnesses in
+# tests/corpus/witness_golden.json pin them, so the interpreters below
+# keep their line numbers unless those hashes are regenerated.
 
 __all__ = [
     "Stmt",
@@ -423,8 +423,11 @@ def program_strategy(
     constructs from the outside in; selectors shrink toward 0 (the oldest
     future), which tends to shrink counterexamples toward parent-joins.
     """
-    if not _HAVE_HYPOTHESIS:  # pragma: no cover
-        raise ImportError("hypothesis is required for program_strategy")
+    try:
+        from hypothesis import strategies as st
+    except ImportError:  # pragma: no cover
+        raise ImportError(
+            "hypothesis is required for program_strategy") from None
 
     leaf = st.one_of(
         st.builds(Read, loc=st.integers(0, num_locs - 1)),

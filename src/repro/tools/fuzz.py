@@ -26,10 +26,12 @@ which is checked in up to two modes:
   that must always agree, so by transitivity it agrees with the dtrg;
   and each completed run must round-trip through
   :class:`~repro.memory.tracer.TraceRecorder`/:func:`replay_trace` with an
-  identical verdict (record-replay parity).  The recorded trace's columns
-  are then broken once per :data:`MUTATIONS` kind (malformed-trace leg):
-  each mutant must raise ``TraceFormatError`` or, when it is still a
-  valid trace, check as the oracle does on its decoded events.
+  identical verdict (record-replay parity).  A ``policy="raise"`` dtrg
+  run must stop at the default run's first race (``RAISE`` leg).  The
+  recorded trace's columns are then broken once per :data:`MUTATIONS`
+  kind (malformed-trace leg): each mutant must raise
+  ``TraceFormatError`` or, when it is still a valid trace, check as the
+  oracle does on its decoded events.
 * **wild** (out-of-band handle registry, outside the model's guarantee):
   nothing may crash, and the vector-clock detector — whose access stamps
   need no reference-flow assumption — must still match the oracle.  dtrg
@@ -81,7 +83,7 @@ from repro.core.events import (
 from repro.core.fastcheck import check_trace_fast
 from repro.harness.report import render_kv, render_table
 from repro.memory.tracer import TraceRecorder, replay_trace
-from repro.runtime.errors import UnsupportedConstructError
+from repro.runtime.errors import RaceError, UnsupportedConstructError
 from repro.testing.codec import (
     CorpusEntry,
     entry_to_data,
@@ -146,6 +148,12 @@ PARALLEL_NAME = "dtrg[parallel]"
 #: if the mutant is still a valid trace, report the oracle's racy set on
 #: its decoded events.  Any other exception is a crash.
 MALFORMED_NAME = "trace[malformed]"
+#: Stats row of the ``RAISE`` leg (every scoped seed): a live
+#: ``policy="raise"`` dtrg run must raise ``RaceError`` iff the default
+#: ``COLLECT`` run reports a race, and raise exactly that run's first race.
+#: ``RAISE`` resumes the kernel at every access block and ``COLLECT`` in
+#: batches (docs/ALGORITHM.md §13.4), so the leg diffs the two resume rules.
+RAISE_NAME = "dtrg[raise]"
 #: A structure tuple dropped, duplicated or swapped with the next; a task
 #: id in a structure tuple or a location id in an access row put out of
 #: range; the last access rows truncated.
@@ -220,7 +228,7 @@ class FuzzStats:
     def detector_rows(self) -> List[Dict[str, object]]:
         order = (
             (ORACLE,) + GENERAL + RESTRICTED + tuple(ABLATIONS)
-            + tuple(BACKENDS) + (PARALLEL_NAME, MALFORMED_NAME,
+            + tuple(BACKENDS) + (RAISE_NAME, PARALLEL_NAME, MALFORMED_NAME,
                                  RUNTIME_SERIAL)
             + RUNTIME_ROWS
         )
@@ -263,6 +271,34 @@ def _run_live(
         observers.append(recorder)
     run_program(program, observers, scoped_handles=scoped, obs=obs)
     return det, (recorder.trace if recorder is not None else None)
+
+
+def _raise_mismatch(program: Program, collected) -> Optional[str]:
+    """``None`` if a ``policy="raise"`` dtrg run of ``program`` stops at
+    ``collected``'s first race (or runs through when it has none), else
+    what it did instead (see :data:`RAISE_NAME`)."""
+    want = collected.races[0] if collected.races else None
+    try:
+        run_program(program, [DETECTORS["dtrg"](policy="raise")],
+                    scoped_handles=True)
+    except RaceError as exc:
+        if exc.race == want:
+            return None
+        return f"raised {exc.race} but the COLLECT run's first race is {want}"
+    if want is None:
+        return None
+    return f"raised nothing but the COLLECT run's first race is {want}"
+
+
+def _raise_predicate(candidate: Program) -> bool:
+    """Reproduction check for a ``RAISE``-leg divergence or crash."""
+    try:
+        collected, _ = _run_live("dtrg", candidate, scoped=True)
+        return _raise_mismatch(candidate, collected) is not None
+    except UnsupportedConstructError:
+        return False
+    except Exception:
+        return True
 
 
 def _run_runtime(name: str, program: Program, seed: int = 0):
@@ -629,6 +665,26 @@ def check_seed(
                      f"scoped:replay:{name}",
                      f"live {sorted(got, key=repr)} vs replay "
                      f"{sorted(_verdict(replayed), key=repr)}")
+            if name == "dtrg":
+                stats.tally(RAISE_NAME, "runs")
+                try:
+                    # An enabled obs makes the dtrg run resume per block
+                    # too; the leg compares against a batched run.
+                    collected = det if obs is None else _run_live(
+                        "dtrg", program, scoped=True)[0]
+                    mismatch = _raise_mismatch(program, collected)
+                except Exception as exc:
+                    stats.tally(RAISE_NAME, "crashes")
+                    fail("scoped", "crash", RAISE_NAME,
+                         f"scoped:crash:{RAISE_NAME}:{type(exc).__name__}",
+                         f"{type(exc).__name__}: {exc}")
+                else:
+                    if got:
+                        stats.tally(RAISE_NAME, "racy")
+                    if mismatch is not None:
+                        stats.tally(RAISE_NAME, "divergences")
+                        fail("scoped", "divergence", RAISE_NAME,
+                             f"scoped:divergence:{RAISE_NAME}", mismatch)
             if name == "dtrg" and jobs > 1:
                 from repro.core.parallel_check import check_trace_parallel
 
@@ -757,6 +813,8 @@ def _shrink_failure(failure: FuzzFailure, budget: int) -> None:
         predicate = _parallel_predicate(
             int(failure.signature.rsplit(":", 1)[-1])
         )
+    elif failure.detector == RAISE_NAME:
+        predicate = _raise_predicate
     elif failure.detector in (PARALLEL_NAME, MALFORMED_NAME):
         # parallel-crash repros are kept unminimized, and a mutant is
         # defined on one recorded trace, not on the program.

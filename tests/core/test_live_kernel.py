@@ -1,9 +1,12 @@
-"""The default detector runs the one kernel live, block by block.
+"""The default detector runs the one kernel live: block by block under
+``RAISE`` or an enabled ``obs``, in batches of ``RESUME_ENTRIES`` column
+entries otherwise.
 
 Covers what the equivalence sweeps do not: engine selection, the
-``RAISE`` timing and inertness, the dropped columns, the counters the
-live sampler reads, ``flush`` after an aborted run and in mid-run, and
-the race count ``check_trace_fast`` reports to a progress counter.
+``RAISE`` timing and inertness, the dropped columns and the counters the
+live sampler reads under both resume rules, ``flush`` after an aborted
+run and in mid-run, and the race count ``check_trace_fast`` reports to a
+progress counter.
 """
 
 import random
@@ -20,6 +23,7 @@ from repro import (
 )
 from repro.baselines import BruteForceDetector
 from repro.core.array_dtrg import AblatedArrayDTRG
+from repro.core.detector import RESUME_ENTRIES
 from repro.core.events import (
     ExecutionObserver, ReadEvent, TaskCreateEvent, TaskEndEvent, Trace, WriteEvent,
 )
@@ -71,6 +75,11 @@ def test_raise_stops_at_the_first_race(seed):
     reference, reference_race = _first_race(program, engine="vc")
     assert race == reference_race
     assert kernel.races == [race] == reference.races
+    # The batched COLLECT run checks the same blocks at the same epochs.
+    collected = DeterminacyRaceDetector()
+    run_program(program, [collected])
+    assert race == collected.races[0]
+    assert kernel.race_rows[0] == collected.race_rows[0]
 
 
 def test_raise_waits_for_the_block_then_turns_inert():
@@ -100,8 +109,18 @@ def test_raise_waits_for_the_block_then_turns_inert():
     assert det.races == [seen[1]]
 
 
-def test_columns_hold_no_consumed_rows():
-    det = DeterminacyRaceDetector()
+#: The two consumers that see check timing resume the kernel at every
+#: block: ``RAISE`` (the error is raised when the racing block closes) and
+#: an enabled ``obs`` (its instants are emitted when a block is checked).
+EAGER = {
+    "raise": lambda: {"policy": "raise"},
+    "obs": lambda: {"obs": Observability()},
+}
+
+
+@pytest.mark.parametrize("eager", sorted(EAGER))
+def test_columns_hold_no_consumed_rows(eager):
+    det = DeterminacyRaceDetector(**EAGER[eager]())
     rt = Runtime(observers=[det])
     x = SharedVar(rt, "x")
     sizes = []
@@ -126,8 +145,9 @@ def test_columns_hold_no_consumed_rows():
     assert det.num_locations == 1
 
 
-def test_live_counters_lag_by_at_most_one_block():
-    det = DeterminacyRaceDetector()
+@pytest.mark.parametrize("eager", sorted(EAGER))
+def test_live_counters_lag_by_at_most_one_block(eager):
+    det = DeterminacyRaceDetector(**EAGER[eager]())
     rt = Runtime(observers=[det])
     x = SharedVar(rt, "x")
     counts = []
@@ -141,6 +161,89 @@ def test_live_counters_lag_by_at_most_one_block():
 
     rt.run(program)
     assert counts == [0, 2]
+
+
+#: Per iteration of ``_batched_program``: a write, a read, and the end
+#: and create between two blocks.
+_ITERATION = 4
+
+
+def _batched_program(det, observe):
+    """Main writes and reads ``x`` and spawns an empty child, 3 *
+    RESUME_ENTRIES / _ITERATION + 1 times; ``observe(accesses)`` runs in
+    each child, with the count of accesses made so far."""
+    rt = Runtime(observers=[det])
+    x = SharedVar(rt, "x")
+    made = [0]
+
+    def program(r):
+        for i in range(3 * RESUME_ENTRIES // _ITERATION + 1):
+            x.write(i)
+            x.read()
+            made[0] += 2
+            r.async_(lambda: observe(made[0]))
+
+    rt.run(program)
+    return made[0]
+
+
+def test_collect_columns_hold_at_most_the_bound_plus_one_block():
+    det = DeterminacyRaceDetector()
+    columns = det._columns
+    sizes = []
+
+    def observe(_accesses):
+        sizes.append(len(columns.access) + len(columns.structure))
+
+    accesses = _batched_program(det, observe)
+    assert accesses + 2 * len(sizes) >= 3 * RESUME_ENTRIES
+    assert max(sizes) <= RESUME_ENTRIES + _ITERATION
+    assert max(sizes) >= RESUME_ENTRIES - _ITERATION  # batched, not eager
+    assert sizes.count(0) >= 3                           # resumed mid-run
+    assert (len(columns.access), len(columns.structure),
+            len(columns.runs)) == (0, 0, 0)
+    assert det.num_accesses == accesses
+    assert det.num_locations == 1
+
+
+def test_collect_counters_lag_by_at_most_the_bound():
+    det = DeterminacyRaceDetector()
+    lags = []
+
+    def observe(accesses):
+        lags.append(accesses - det.num_accesses)
+
+    accesses = _batched_program(det, observe)
+    assert 0 <= min(lags) and max(lags) <= RESUME_ENTRIES
+    assert max(lags) > 2 and lags.count(0) >= 3
+    assert det.num_accesses == accesses
+    columns = det._columns
+    assert (len(columns.access), len(columns.structure),
+            len(columns.runs)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("policy", ["collect", "raise"])
+def test_a_structure_only_stretch_is_bounded_too(policy):
+    """A loop of empty finishes closes no access block; the columns still
+    resume once RESUME_ENTRIES structure tuples wait."""
+    det = DeterminacyRaceDetector(policy=policy)
+    rt = Runtime(observers=[det])
+    x = SharedVar(rt, "x")
+    sizes = []
+
+    def program(r):
+        for i in range(RESUME_ENTRIES):
+            with r.finish():
+                pass
+            if i % 256 == 0:
+                sizes.append(len(det._columns.structure))
+        x.write(1)
+        x.read()
+
+    rt.run(program)
+    assert max(sizes) < RESUME_ENTRIES
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # resumed
+    assert det.num_accesses == 2 and not det.races
 
 
 def test_flush_checks_the_block_an_aborted_run_left_open():

@@ -1,7 +1,12 @@
 """Unit tests for computation-graph construction (Section 3)."""
 
+import pytest
+
 from repro import Runtime, SharedArray
+from repro.baselines import BruteForceDetector
+from repro.core.events import GetEvent, TaskCreateEvent, Trace, WriteEvent
 from repro.graph import EdgeKind, GraphBuilder
+from repro.memory.tracer import replay_trace
 
 
 def build(builder, locs=4):
@@ -140,3 +145,20 @@ def test_steps_of_task_and_label_lookup():
     assert len(main_steps) == 3  # pre-spawn, post-spawn, post-root-finish
     graph.steps[0].label = "first"
     assert graph.step_by_label("first") is graph.steps[0]
+
+
+def test_a_join_of_a_running_task_raises_a_pointed_error():
+    """A trace cut short (a run that raised) ends with a task still
+    running; the oracle names the join instead of a bare ``KeyError``."""
+    with pytest.raises(ValueError,
+                       match=r"end of finish 0 \(owner task 0\) joins task "
+                             r"1, which is still running"):
+        replay_trace(Trace([TaskCreateEvent(0, 1, False, 0),
+                            WriteEvent(1, "x")]), [BruteForceDetector()])
+    # A bare event list skips Trace's checks, so a get can reach the
+    # oracle before its producer ends.
+    with pytest.raises(ValueError,
+                       match=r"get of task 0 joins task 1, which is still "
+                             r"running"):
+        replay_trace([TaskCreateEvent(0, 1, True, 0), GetEvent(0, 1)],
+                     [GraphBuilder()])

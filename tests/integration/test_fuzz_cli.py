@@ -368,3 +368,38 @@ def test_planted_bare_exception_in_the_checker_is_flagged(monkeypatch):
                and f.signature.startswith("scoped:malformed-crash:")
                and f.signature.endswith(":IndexError") for f in failures)
     assert stats.per_detector[fuzz.MALFORMED_NAME]["crashes"] > 0
+
+
+# ---------------------------------------------------------------------- #
+# The RAISE leg: the eager resume rule stops at the batched run's first race
+# ---------------------------------------------------------------------- #
+def test_raise_leg_over_a_seed_band():
+    stats, failures = fuzz.fuzz_range(
+        range(0, 20), modes=("scoped",), shrink=False
+    )
+    assert failures == []
+    row = stats.per_detector[fuzz.RAISE_NAME]
+    assert row["runs"] == 20 and row["racy"] > 0
+    assert row["crashes"] == row["divergences"] == 0
+
+
+def test_planted_raise_that_never_raises_is_flagged(monkeypatch):
+    """A ``policy="raise"`` run that collects instead of raising diverges
+    on every racy seed, and its repro shrinks."""
+    from io import StringIO
+
+    from repro import DeterminacyRaceDetector
+
+    monkeypatch.setitem(
+        fuzz.DETECTORS, "dtrg",
+        lambda policy=None, **options: DeterminacyRaceDetector(**options))
+    stats, failures = fuzz.fuzz_range(
+        range(0, 6), modes=("scoped",), shrink=True, out=StringIO()
+    )
+    flagged = [f for f in failures if f.detector == fuzz.RAISE_NAME]
+    assert flagged and all(f.kind == "divergence" for f in flagged)
+    assert "raised nothing" in flagged[0].detail
+    assert count_stmts(flagged[0].repro.body) < count_stmts(
+        flagged[0].program.body)
+    # Failures are deduplicated by signature; the row counts every seed.
+    assert stats.per_detector[fuzz.RAISE_NAME]["divergences"] > 1
