@@ -11,7 +11,8 @@ runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py [--quick]
 
-Four configurations, same workload, min-of-N wall time:
+Four configurations, same workload, min-of-N wall time (N = 9 by
+default):
 
 1. **baseline** — detector run exactly as before this layer existed;
 2. **null**     — ``obs=NULL_OBSERVABILITY`` threaded through runtime and
@@ -29,6 +30,13 @@ Four configurations, same workload, min-of-N wall time:
    baseline — the sampler reads counters the hot path already maintains,
    so serving metrics must not slow the run it observes).
 
+The legs are interleaved: every repeat times each configuration once, in
+an order that rotates from repeat to repeat, and each leg keeps its best
+sample.  A sample repeats the run until the baseline takes at least
+``MIN_SAMPLE_S`` (40 ms), so on the tiny ``--quick`` scale, whose single
+run takes about 2 ms, the relative bound decides and not the timer's
+jitter.
+
 The run also asserts the Table-2 structural columns, PRECEDE query and
 VISIT counts included, are bit-identical across all four configurations
 — instrumentation must observe, never perturb.  Exit status 1 on any
@@ -39,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import sys
 import threading
 import time
 import urllib.request
@@ -80,10 +87,15 @@ def _structure(run, detector=None) -> tuple:
     )
 
 
+#: Shortest baseline sample, in seconds: a sample runs the workload
+#: ``runs`` times, the fewest power of two whose baseline reaches this.
+MIN_SAMPLE_S = 0.040
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="tiny scale, fewer repeats (CI smoke)")
+                        help="tiny scale (CI smoke)")
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument("--max-overhead", type=float, default=0.05,
                         help="allowed fractional slowdown of the "
@@ -91,28 +103,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     scale = "tiny" if args.quick else "small"
-    repeats = args.repeats or (3 if args.quick else 5)
+    repeats = args.repeats or 9
     params = jacobi.default_params(scale)
 
-    def best(obs_factory) -> tuple:
-        best_wall, structure = float("inf"), None
-        for _ in range(repeats):
+    def plain(obs_factory):
+        def sample() -> tuple:
             holder = {}
-            wall = _timed(lambda: holder.update(run=_run(params, obs_factory())))
-            best_wall = min(best_wall, wall)
-            structure = _structure(holder["run"])
-        return best_wall, structure
 
-    def best_live() -> tuple:
+            def body():
+                for _ in range(runs):
+                    holder["run"] = _run(params, obs_factory())
+
+            return _timed(body), _structure(holder["run"])
+        return sample
+
+    scrapes = 0
+
+    def live() -> tuple:
         """The served configuration: a live sampler + HTTP exporter +
-        250 ms self-scraper all running while the detection run executes.
-        The detector is pre-built so the sampler can watch it mid-run;
+        250 ms self-scraper all running while the detection runs
+        execute, started and stopped outside the timed region.  Each
+        detector is pre-built so the sampler can watch it mid-run;
         passing it through ``extra_observers`` with ``detect=False``
         produces the exact observer list ``detect=True`` builds."""
         from repro.core.detector import DeterminacyRaceDetector
         from repro.obs.live import LiveTelemetry, detector_source
 
-        best_wall, structure, scrapes = float("inf"), None, 0
+        nonlocal scrapes
         holder = {}
         telemetry = LiveTelemetry(port=0, interval=0.25)
         telemetry.add_source(
@@ -135,38 +152,51 @@ def main(argv=None) -> int:
                 if stop.wait(0.25):
                     return
 
+        def body():
+            for _ in range(runs):
+                holder["detector"] = DeterminacyRaceDetector()
+                holder["run"] = run_instrumented(
+                    lambda rt: jacobi.run_future(rt, params),
+                    detect=False, extra_observers=(holder["detector"],),
+                )
+
         scraper = threading.Thread(target=scrape_loop, daemon=True)
         scraper.start()
         try:
-            for _ in range(repeats):
-                detector = DeterminacyRaceDetector()
-                holder["detector"] = detector
-                run_holder = {}
-                wall = _timed(lambda: run_holder.update(
-                    run=run_instrumented(
-                        lambda rt: jacobi.run_future(rt, params),
-                        detect=False, extra_observers=(detector,),
-                    )
-                ))
-                best_wall = min(best_wall, wall)
-                structure = _structure(run_holder["run"], detector)
+            wall = _timed(body)
         finally:
             stop.set()
             scraper.join(timeout=2.0)
             telemetry.stop()
-        return best_wall, structure, scrapes
+        return wall, _structure(holder["run"], holder["detector"])
 
-    base_wall, base_struct = best(lambda: None)
-    null_wall, null_struct = best(lambda: NULL_OBSERVABILITY)
-    on_wall, on_struct = best(
-        lambda: Observability(tracer=RingTracer(), registry=MetricsRegistry())
-    )
-    live_wall, live_struct, live_scrapes = best_live()
+    # Size the samples: double the runs until a baseline sample is long
+    # enough (these calibration samples are not timed results).
+    runs = 1
+    while plain(lambda: None)()[0] < MIN_SAMPLE_S:
+        runs *= 2
 
+    legs = {
+        "baseline": plain(lambda: None),
+        "null": plain(lambda: NULL_OBSERVABILITY),
+        "enabled": plain(lambda: Observability(
+            tracer=RingTracer(), registry=MetricsRegistry())),
+        "live": live,
+    }
+    names = list(legs)
+    best = {name: float("inf") for name in names}
+    structures = {}
+    for rep in range(repeats):
+        for name in names[rep % len(names):] + names[:rep % len(names)]:
+            wall, structures[name] = legs[name]()
+            best[name] = min(best[name], wall)
+
+    base_wall, null_wall = best["baseline"], best["null"]
+    on_wall, live_wall = best["enabled"], best["live"]
     overhead = (null_wall - base_wall) / base_wall if base_wall else 0.0
     live_overhead = (live_wall - base_wall) / base_wall if base_wall else 0.0
     enabled_x = on_wall / base_wall if base_wall else 0.0
-    print(f"jacobi scale={scale} repeats={repeats}")
+    print(f"jacobi scale={scale} repeats={repeats} runs/sample={runs}")
     print(f"  baseline (no obs):        {base_wall * 1e3:9.1f} ms")
     print(f"  NULL_OBSERVABILITY:       {null_wall * 1e3:9.1f} ms "
           f"({overhead:+.1%} vs baseline)")
@@ -174,24 +204,19 @@ def main(argv=None) -> int:
           f"({enabled_x:.2f}x baseline)")
     print(f"  live (sampler+exporter):  {live_wall * 1e3:9.1f} ms "
           f"({live_overhead:+.1%} vs baseline, "
-          f"{live_scrapes} scrape(s))")
-
-    # The gate is relative, but on sub-10ms legs (--quick) a few percent
-    # is below scheduler jitter on a loaded box — allow 1 ms of absolute
-    # slack so the smoke run measures the code, not the timer.
-    slack = max(args.max_overhead * base_wall, 1e-3)
+          f"{scrapes} scrape(s))")
 
     ok = True
-    if not (base_struct == null_struct == on_struct == live_struct):
+    if len(set(structures.values())) != 1:
         print("FAIL: structural columns differ across obs configurations:"
-              f"\n  baseline {base_struct}\n  null     {null_struct}"
-              f"\n  enabled  {on_struct}\n  live     {live_struct}")
+              + "".join(f"\n  {name:<8} {structures[name]}"
+                        for name in names))
         ok = False
-    if null_wall - base_wall > slack:
+    if overhead > args.max_overhead:
         print(f"FAIL: disabled-obs overhead {overhead:.1%} exceeds "
               f"{args.max_overhead:.0%}")
         ok = False
-    if live_wall - base_wall > slack:
+    if live_overhead > args.max_overhead:
         print(f"FAIL: live-telemetry overhead {live_overhead:.1%} exceeds "
               f"{args.max_overhead:.0%}")
         ok = False

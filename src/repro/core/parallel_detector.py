@@ -58,24 +58,46 @@ sketch):
   location is always caught — and ``racy_locations`` (the quantity the
   brute-force oracle pins, see :mod:`repro.core.races`) is exact.
 
+Both arguments hold for the accesses checked in *any* linear extension
+of happens-before, which is what lets the checks run late, per segment
+(ALGORITHM.md §15.1):
+
+* ``on_read``/``on_write`` only append the location and the kind, as
+  two flat items, to the running task's own buffer.  A task runs on one
+  thread at a time, so the append takes no lock.
+* A *segment* is the run of a task's accesses between two of its
+  structural events; the task's stamp does not change inside one.  The
+  task's next structural hook checks the whole buffer in one pass, with
+  the clock and stamp read once, before it ticks or freezes the clock:
+  ``on_task_create`` checks the parent's, ``on_get`` the consumer's,
+  ``on_finish_end`` the owner's and ``on_task_end`` the task's own.
+  Every edge out of a segment leaves through that hook, so a segment is
+  checked before any access ordered after it, and the check order is a
+  linear extension of happens-before.  On the serial ``Runtime`` it is
+  the access order, so reports are byte-identical to checking each
+  access as it happens.
+* A buffer holding :data:`~repro.core.detector.RESUME_ENTRIES` items is
+  checked early, so memory stays bounded.  Under ``RAISE`` the bound is
+  1: every access is checked at the access, on the accessing thread, and
+  no structural hook ever raises.
+* ``report``, ``races``, ``racy_locations``, ``perf_stats`` and
+  :meth:`ParallelRaceDetector.flush` first check every pending buffer,
+  so a hand-driven detector or an aborted run still reports its tail.
+
 Thread-safety contract (the runtime side of ALGORITHM.md §15):
 
-* structural hooks (init/spawn/end/get/finish) must be serialized by the
-  caller — ``ThreadRuntime`` dispatches them under its exclusive
-  structural lock, the serial/asyncio runtimes are single-threaded;
-* access hooks (read/write) may run concurrently for different
-  locations, but must be serialized *per location* — ``ThreadRuntime``'s
-  striped per-cell locks provide that.  An access by task ``t`` reads
-  only ``t``'s own live clock (mutated exclusively by the thread running
-  ``t``), frozen producer clocks, and immutable stamps in the cell, so
-  no structural lock is needed on the access path;
-* the race report is shared across cells and guarded by an internal
-  lock here.
+* a task's hooks run on the thread running that task, in program order
+  (a task is never on two threads at once);
+* access hooks take no lock: each touches only its own task's buffer;
+* every check and every structural mutation runs under the detector's
+  own lock, so checks by different threads, a structural hook and a
+  query from another thread (the live sampler) never interleave.  A
+  check consumes a prefix of a buffer (``del buf[:n]``), so a query may
+  check another task's buffer while that task keeps appending to it.
 
 ``mutation_epoch`` counts structural mutations under the same contract
 as :mod:`repro.core.backend` ("epoch unchanged ⇒ no structural mutation
-happened between the two reads"), which makes the per-cell same-access
-fast path below well-defined even mid-schedule.
+happened between the two reads").
 """
 
 from __future__ import annotations
@@ -83,11 +105,13 @@ from __future__ import annotations
 import threading
 from typing import Dict, Hashable, List, Optional, Tuple
 
+from repro.core.detector import RESUME_ENTRIES
 from repro.core.events import ExecutionObserver
 from repro.core.races import RaceReport, ReportPolicy
 from repro.runtime.errors import RaceError
 
 __all__ = ["ParallelRaceDetector"]
+
 
 class _Cell:
     """Shadow state of one shared location.
@@ -98,13 +122,15 @@ class _Cell:
     monotone, so ``covered`` on the latest read implies ``covered`` on
     all earlier reads by that task — and an uncovered earlier read would
     report the same ``(loc, pair, kind)`` the dedup collapses anyway).
+    ``hits`` counts the accesses checked against the cell.
     """
 
-    __slots__ = ("writer", "readers")
+    __slots__ = ("writer", "readers", "hits")
 
     def __init__(self) -> None:
         self.writer: Optional[Tuple[int, int]] = None
         self.readers: Dict[int, int] = {}
+        self.hits = 0
 
 
 class ParallelRaceDetector(ExecutionObserver):
@@ -120,15 +146,14 @@ class ParallelRaceDetector(ExecutionObserver):
     policy:
         :attr:`ReportPolicy.COLLECT` (default) or
         :attr:`ReportPolicy.RAISE` (raise
-        :class:`~repro.runtime.errors.RaceError` at the first race — on a
-        threaded runtime the error surfaces on the accessing worker and
-        propagates out of ``run``).
+        :class:`~repro.runtime.errors.RaceError` at the first race, at
+        the racing access — on a threaded runtime the error surfaces on
+        the accessing worker and propagates out of ``run``).
     dedupe:
         Collapse repeated reports of the same (location, pair, kind).
     """
 
-    #: Stripe fan-out for :attr:`stripe_counts`; matches ThreadRuntime's
-    #: striped per-location lock count so the two tallies line up.
+    #: Location-hash buckets of :attr:`stripe_counts`.
     NUM_STRIPES = 64
 
     def __init__(
@@ -140,66 +165,73 @@ class ParallelRaceDetector(ExecutionObserver):
         if isinstance(policy, str):
             policy = ReportPolicy(policy)
         self.policy = policy
-        self.report = RaceReport(dedupe=dedupe)
-        #: tid -> live vector clock (mutated only by the thread currently
-        #: running the task; see the module thread-safety contract).
+        self._report = RaceReport(dedupe=dedupe)
+        #: tid -> live vector clock (mutated only by the task's own
+        #: structural hooks, under ``_lock``).
         self._clocks: Dict[int, Dict[int, int]] = {}
         #: tid -> frozen clock, written once at task end.
         self._final: Dict[int, Dict[int, int]] = {}
         self._names: Dict[int, str] = {}
         self._cells: Dict[Hashable, _Cell] = {}
-        #: Guards _cells insertion and the report (cells for *different*
-        #: locations are mutated concurrently under the runtime's striped
-        #: per-location locks; this lock covers the cross-location shared
-        #: pieces only, so it is never contended on the per-cell state).
+        #: tid -> the unchecked accesses of a task that has not ended, as
+        #: flat ``loc, is_write`` pairs (appended only by the task itself).
+        self._buffers: Dict[int, list] = {}
+        #: Buffer length at which an access hook checks its buffer.
+        self._limit = 1 if policy is ReportPolicy.RAISE else RESUME_ENTRIES
+        #: Serializes the checks, the structural mutations and the report.
         self._lock = threading.Lock()
         #: Structural mutation counter (core/backend.py epoch contract).
         self.mutation_epoch = 0
         #: Clock entries copied by spawns plus entries merged by joins —
-        #: the §1 scaling metric (structural hooks only, so serialized).
+        #: the §1 scaling metric.
         self.total_clock_entries_copied = 0
+        #: Accesses checked so far.
         self.num_accesses = 0
-        #: Per-stripe access tallies, indexed like ThreadRuntime's
-        #: striped per-location locks (``hash(loc) % NUM_STRIPES``) —
-        #: live telemetry reads these to show how access traffic spreads
-        #: over the lock stripes.  Increments happen while the caller
-        #: holds the matching stripe lock, so same-stripe updates never
-        #: collide; reads are lock-free and therefore approximate.
-        self.stripe_counts = [0] * self.NUM_STRIPES
 
     # ------------------------------------------------------------------ #
-    # Structural hooks (serialized by the runtime)                       #
+    # Structural hooks: check the task's segment, then change its clock  #
     # ------------------------------------------------------------------ #
     def on_init(self, main) -> None:
-        self._names[main.tid] = main.name
-        self._clocks[main.tid] = {main.tid: 1}
-        self.mutation_epoch += 1
+        with self._lock:
+            self._names[main.tid] = main.name
+            self._clocks[main.tid] = {main.tid: 1}
+            self._buffers[main.tid] = []
+            self.mutation_epoch += 1
 
     def on_task_create(self, parent, child) -> None:
-        self._names[child.tid] = child.name
-        pclock = self._clocks[parent.tid]
-        clock = dict(pclock)
-        self.total_clock_entries_copied += len(pclock)
-        clock[child.tid] = 1
-        self._clocks[child.tid] = clock
-        # Parent's post-spawn steps are unordered with the child: tick.
-        pclock[parent.tid] += 1
-        self.mutation_epoch += 1
+        with self._lock:
+            self._check(parent.tid)
+            self._names[child.tid] = child.name
+            pclock = self._clocks[parent.tid]
+            clock = dict(pclock)
+            self.total_clock_entries_copied += len(pclock)
+            clock[child.tid] = 1
+            self._clocks[child.tid] = clock
+            self._buffers[child.tid] = []
+            # Parent's post-spawn steps are unordered with the child: tick.
+            pclock[parent.tid] += 1
+            self.mutation_epoch += 1
 
     def on_task_end(self, task) -> None:
-        # Freeze by copy: the live dict keeps servicing in-flight
-        # covered() reads by the owner thread without aliasing the
-        # frozen summary that joiners will merge.
-        self._final[task.tid] = dict(self._clocks[task.tid])
-        self.mutation_epoch += 1
+        with self._lock:
+            self._check(task.tid)
+            del self._buffers[task.tid]
+            # Freeze by copy: joiners merge the summary, never the live
+            # dict.
+            self._final[task.tid] = dict(self._clocks[task.tid])
+            self.mutation_epoch += 1
 
     def on_get(self, consumer, producer) -> None:
-        self._join(consumer.tid, producer.tid)
+        with self._lock:
+            self._check(consumer.tid)
+            self._join(consumer.tid, producer.tid)
 
     def on_finish_end(self, scope) -> None:
         owner = scope.owner.tid
-        for task in scope.joins:
-            self._join(owner, task.tid)
+        with self._lock:
+            self._check(owner)
+            for task in scope.joins:
+                self._join(owner, task.tid)
 
     def _join(self, dst: int, src: int) -> None:
         frozen = self._final.get(src)
@@ -218,61 +250,95 @@ class ParallelRaceDetector(ExecutionObserver):
         self.mutation_epoch += 1
 
     # ------------------------------------------------------------------ #
-    # Access hooks (serialized per location by the runtime)              #
+    # Access hooks: append to the running task's buffer, no lock         #
     # ------------------------------------------------------------------ #
-    def _cell(self, loc: Hashable) -> _Cell:
-        cell = self._cells.get(loc)
-        if cell is None:
-            # Double-checked under the lock: two tasks touching the same
-            # new location race to create its cell; same loc ⇒ same
-            # stripe lock in ThreadRuntime, so this is belt-and-braces
-            # for callers with weaker per-location serialization.
+    def on_read(self, task, loc: Hashable) -> None:
+        buf = self._buffers[task.tid]
+        buf.append(loc)
+        buf.append(False)
+        if len(buf) >= self._limit:
             with self._lock:
-                cell = self._cells.get(loc)
-                if cell is None:
-                    cell = _Cell()
-                    self._cells[loc] = cell
-        return cell
+                self._check(task.tid)
 
     def on_write(self, task, loc: Hashable) -> None:
-        tid = task.tid
-        clock = self._clocks[tid]
-        stamp = clock[tid]
-        cell = self._cell(loc)
-        self.num_accesses += 1
-        self.stripe_counts[hash(loc) % self.NUM_STRIPES] += 1
-        w = cell.writer
-        if w is not None and w == (tid, stamp) and not cell.readers:
-            return  # pure replay of this task's own stored write
-        for r_tid, r_stamp in cell.readers.items():
-            if r_tid != tid and clock.get(r_tid, 0) < r_stamp:
-                self._report_race("read-write", r_tid, tid, loc)
-        if w is not None and w[0] != tid and clock.get(w[0], 0) < w[1]:
-            self._report_race("write-write", w[0], tid, loc)
-        cell.writer = (tid, stamp)
-        # Retired readers are either ordered before this write (covered)
-        # or already reported; either way the stored writer now witnesses
-        # every future conflict they could have witnessed (hb transitivity
-        # — see the module docstring soundness argument).
-        if cell.readers:
-            cell.readers = {}
-
-    def on_read(self, task, loc: Hashable) -> None:
-        tid = task.tid
-        clock = self._clocks[tid]
-        stamp = clock[tid]
-        cell = self._cell(loc)
-        self.num_accesses += 1
-        self.stripe_counts[hash(loc) % self.NUM_STRIPES] += 1
-        w = cell.writer
-        if w is not None and w[0] != tid and clock.get(w[0], 0) < w[1]:
-            self._report_race("write-read", w[0], tid, loc)
-        prev = cell.readers.get(tid, 0)
-        if stamp > prev:
-            cell.readers[tid] = stamp
+        buf = self._buffers[task.tid]
+        buf.append(loc)
+        buf.append(True)
+        if len(buf) >= self._limit:
+            with self._lock:
+                self._check(task.tid)
 
     # ------------------------------------------------------------------ #
-    # Queries                                                            #
+    # The check (caller holds _lock)                                     #
+    # ------------------------------------------------------------------ #
+    def _check(self, tid: int) -> None:
+        """Check the accesses buffered for ``tid`` against the cells,
+        with ``tid``'s current clock.  Consumes only the whole pairs
+        present now: when the caller is a query on another thread, the
+        task's own thread may append behind them meanwhile, and may
+        have appended a location but not yet its kind."""
+        buf = self._buffers[tid]
+        n = len(buf) & -2
+        if not n:
+            return
+        batch = buf[:n]
+        del buf[:n]
+        self.num_accesses += n >> 1
+        clock = self._clocks[tid]
+        clock_at = clock.get
+        stamp = clock[tid]
+        me = (tid, stamp)
+        cells = self._cells
+        it = iter(batch)
+        for loc, is_write in zip(it, it):
+            cell = cells.get(loc)
+            if cell is None:
+                cell = cells[loc] = _Cell()
+            cell.hits += 1
+            w = cell.writer
+            if is_write:
+                readers = cell.readers
+                if w == me and not readers:
+                    continue  # pure replay of this task's own stored write
+                for r_tid, r_stamp in readers.items():
+                    if r_tid != tid and clock_at(r_tid, 0) < r_stamp:
+                        self._report_race("read-write", r_tid, tid, loc)
+                if w is not None and w[0] != tid and clock_at(w[0], 0) < w[1]:
+                    self._report_race("write-write", w[0], tid, loc)
+                cell.writer = me
+                # Retired readers are either ordered before this write
+                # (covered) or already reported; either way the stored
+                # writer now witnesses every future conflict they could
+                # have witnessed (hb transitivity — see the module
+                # docstring soundness argument).
+                if readers:
+                    cell.readers = {}
+            else:
+                if w is not None and w[0] != tid and clock_at(w[0], 0) < w[1]:
+                    self._report_race("write-read", w[0], tid, loc)
+                readers = cell.readers
+                if readers.get(tid, 0) < stamp:
+                    readers[tid] = stamp
+
+    def _report_race(self, kind: str, prev: int, cur: int, loc) -> None:
+        race = self._report.record(loc, kind, prev, cur,
+                                   self._names.get(prev, ""),
+                                   self._names.get(cur, ""))
+        if race is not None and self.policy is ReportPolicy.RAISE:
+            raise RaceError(race)
+
+    def flush(self) -> None:
+        """Check every buffered access now.  Safe from any thread, also
+        while tasks run; a no-op under ``RAISE``, which checks every
+        access at the access."""
+        if self._limit == 1:
+            return
+        with self._lock:
+            for tid in list(self._buffers):
+                self._check(tid)
+
+    # ------------------------------------------------------------------ #
+    # Queries (each checks the pending buffers first)                    #
     # ------------------------------------------------------------------ #
     def precede(self, a_tid: int, b_tid: int) -> bool:
         """Task-granularity PRECEDE (end of ``a`` before current step of
@@ -295,6 +361,12 @@ class ParallelRaceDetector(ExecutionObserver):
         return max(map(len, self._clocks.values()), default=0)
 
     @property
+    def report(self) -> RaceReport:
+        """The accumulated :class:`~repro.core.races.RaceReport`."""
+        self.flush()
+        return self._report
+
+    @property
     def races(self):
         return self.report.races
 
@@ -304,6 +376,7 @@ class ParallelRaceDetector(ExecutionObserver):
 
     @property
     def perf_stats(self) -> dict:
+        self.flush()
         return {
             "mutation_epoch": self.mutation_epoch,
             "num_accesses": self.num_accesses,
@@ -311,12 +384,15 @@ class ParallelRaceDetector(ExecutionObserver):
             "num_tasks": len(self._clocks),
         }
 
-    # ------------------------------------------------------------------ #
-    def _report_race(self, kind: str, prev: int, cur: int, loc) -> None:
-        prev_name = self._names.get(prev, "")
-        current_name = self._names.get(cur, "")
+    @property
+    def stripe_counts(self) -> List[int]:
+        """Checked accesses per location-hash bucket
+        (``hash(loc) % NUM_STRIPES``): how access traffic spreads over
+        the locations."""
+        self.flush()
+        counts = [0] * self.NUM_STRIPES
         with self._lock:
-            race = self.report.record(loc, kind, prev, cur, prev_name,
-                                      current_name)
-        if race is not None and self.policy is ReportPolicy.RAISE:
-            raise RaceError(race)
+            cells = list(self._cells.items())
+        for loc, cell in cells:
+            counts[hash(loc) % self.NUM_STRIPES] += cell.hits
+        return counts

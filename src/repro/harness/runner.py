@@ -789,7 +789,7 @@ def run_executor_benchmark(
 
     Unlike the trace-replay benchmarks, nothing is recorded and nothing
     is replayed: every leg is a live run, so thread rows measure the
-    whole contract at once — scheduler, two-tier detector locking, and
+    whole contract at once — scheduler, per-task access buffers, and
     the verified workload result.  Mismatches are recorded, not raised,
     so a violation still lands in the artifact."""
     from repro.core.parallel_detector import ParallelRaceDetector

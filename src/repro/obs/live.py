@@ -15,12 +15,15 @@ contract — a run without telemetry executes byte-identically):
     calls a set of *source* callables — each returns a flat dict of
     gauge values — and swaps the merged result in atomically.  Sources
     read live detector/runtime state **without taking the subject's
-    locks**: shadow-cell counts, DTRG sizes, deque depths and stripe
+    locks**: shadow-cell counts, DTRG sizes, deque depths and bucket
     counters are plain attribute reads of values that only ever grow, so
     a torn read costs accuracy (a gauge may lag by one increment), never
     correctness.  That is why every gauge here is documented as
-    *approximate*.  The sampler also maintains an events/s EWMA from
-    deltas between consecutive samples.
+    *approximate*.  (``ParallelRaceDetector``'s queries are the one
+    exception: they first check its buffered accesses under the
+    detector's own lock, which no access hook takes.)  The sampler
+    also maintains an events/s EWMA from deltas between consecutive
+    samples.
 
 :class:`TelemetryServer` / :class:`LiveTelemetry`
     ``LiveTelemetry`` is the facade the CLI tools construct for
@@ -301,9 +304,11 @@ def detector_source(detector) -> Callable[[], Dict[str, Any]]:
     ``COLLECT`` comes once per batch of column entries, plus DTRG sizes),
     the schedule-robust
     :class:`~repro.core.parallel_detector.ParallelRaceDetector` (clock
-    table + stripe counters), and the checker result objects (races +
-    perf counters).  Missing attributes are simply skipped, so one
-    source works across all of them."""
+    table, and the ``stripe_lock_*`` gauges: its checked accesses per
+    location-hash bucket; its queries first check the buffered accesses,
+    under the detector's own lock, never an access path's), and the
+    checker result objects (races + perf counters).  Missing attributes
+    are simply skipped, so one source works across all of them."""
 
     def sample() -> Dict[str, Any]:
         g: Dict[str, Any] = {}
@@ -359,9 +364,8 @@ def detector_source(detector) -> Callable[[], Dict[str, Any]]:
 def thread_runtime_source(runtime) -> Callable[[], Dict[str, Any]]:
     """Gauges from a :class:`~repro.runtime.executor.ThreadRuntime`:
     per-worker deque depths (sum/max on /metrics, the full vector in
-    /snapshot), steal/block/compensation/inlined counters and striped
-    shadow-lock acquisitions.  All reads are lock-free and approximate
-    by design (ALGORITHM.md §16)."""
+    /snapshot) and steal/block/compensation/inlined counters.  All reads
+    are lock-free and approximate by design (ALGORITHM.md §16)."""
 
     def sample() -> Dict[str, Any]:
         g: Dict[str, Any] = {}
@@ -383,11 +387,6 @@ def thread_runtime_source(runtime) -> Callable[[], Dict[str, Any]]:
             value = getattr(runtime, attr, None)
             if value is not None:
                 g[name] = value
-        stripes = getattr(runtime, "stripe_acquisitions", None)
-        if stripes:
-            g["stripe_lock_acquisitions_total"] = sum(stripes)
-            g["stripe_lock_max_acquisitions"] = max(stripes)
-            g["stripe_locks_touched"] = sum(1 for n in stripes if n)
         return g
 
     return sample

@@ -57,17 +57,17 @@ thread's own stack (the current task or one it inlined below) can never
 complete and raises ``RuntimeStateError`` at once.
 
 **Online detection.**  Observers are dispatched during the parallel
-execution under the two-tier locking discipline of ALGORITHM.md §15:
+execution (ALGORITHM.md §15.1):
 
 * *structural* events (init/spawn/task-end/get/finish) are rare and
   serialize under one exclusive lock, so every observer sees a single
-  consistent structural order and
-  :class:`~repro.core.parallel_detector.ParallelRaceDetector`'s
-  ``mutation_epoch`` ticks atomically with the mutation;
-* *access* events (read/write — the hot path) bypass the structural
-  lock entirely and serialize only per location, via 64 striped locks
-  (``hash(loc) % 64``), so checks on different locations genuinely
-  overlap.
+  consistent structural order;
+* *access* events (read/write — the hot path) take no lock at all.  A
+  task runs on one thread at a time, so its access hooks run in program
+  order on that thread, and hooks of different tasks overlap freely.
+  :class:`~repro.core.parallel_detector.ParallelRaceDetector` appends
+  each access to the running task's own buffer and checks the buffer
+  under its own lock at the task's next structural event.
 
 Pair this runtime with schedule-robust observers only — the DTRG
 detector family assumes depth-first event order and is rejected by
@@ -107,9 +107,6 @@ from repro.runtime.task import Task, TaskKind
 __all__ = ["ThreadRuntime"]
 
 T = TypeVar("T")
-
-#: Number of striped per-location access locks.
-_STRIPES = 64
 
 #: Seconds between a blocked waiter's re-checks (lost-wakeup guard and
 #: starvation detection period).
@@ -237,9 +234,8 @@ class ThreadRuntime:
         #: until it blocks it may still inline a task, so the pool is not
         #: starved.
         self._caller_wait: Optional[tuple] = None
-        # --- detection locking tiers ----------------------------------
+        # --- structural event lock ------------------------------------
         self._struct_lock = threading.Lock()
-        self._stripes = [threading.Lock() for _ in range(_STRIPES)]
         # --- join/finish signalling -----------------------------------
         self._join_cv = threading.Condition()
         self._pending: Dict[int, int] = {}
@@ -258,10 +254,6 @@ class ThreadRuntime:
         self.compensation_threads = 0
         #: Tasks run inline by a blocked get or finish exit (try-unfork).
         self.inlined = 0
-        #: Per-stripe acquisition tallies for record_read/record_write;
-        #: bumped while the stripe lock is held (the index is already in
-        #: hand), read lock-free by the telemetry sampler.
-        self._stripe_counts = [0] * _STRIPES
 
     # ------------------------------------------------------------------ #
     # Observer management                                                #
@@ -439,28 +431,24 @@ class ThreadRuntime:
     # Shared-memory instrumentation entry points                         #
     # ------------------------------------------------------------------ #
     def record_read(self, loc) -> None:
-        """Report a read of ``loc`` — serialized per location (stripe)."""
+        """Report a read of ``loc`` by the task this thread runs (no
+        lock: see the module docstring)."""
         ctx = getattr(self._tls, "ctx", None)
         if ctx is None:
             raise RuntimeStateError("shared read outside a running task")
         task = ctx.task
-        idx = hash(loc) % _STRIPES
-        with self._stripes[idx]:
-            self._stripe_counts[idx] += 1
-            for hook in self._read_hooks:
-                hook(task, loc)
+        for hook in self._read_hooks:
+            hook(task, loc)
 
     def record_write(self, loc) -> None:
-        """Report a write of ``loc`` — serialized per location (stripe)."""
+        """Report a write of ``loc`` by the task this thread runs (no
+        lock: see the module docstring)."""
         ctx = getattr(self._tls, "ctx", None)
         if ctx is None:
             raise RuntimeStateError("shared write outside a running task")
         task = ctx.task
-        idx = hash(loc) % _STRIPES
-        with self._stripes[idx]:
-            self._stripe_counts[idx] += 1
-            for hook in self._write_hooks:
-                hook(task, loc)
+        for hook in self._write_hooks:
+            hook(task, loc)
 
     # ------------------------------------------------------------------ #
     # Spawning and joining                                               #
@@ -836,12 +824,6 @@ class ThreadRuntime:
         a value one transition stale — never negative state corruption,
         since it only ever reads)."""
         return len(self._waiting)
-
-    @property
-    def stripe_acquisitions(self) -> List[int]:
-        """Per-stripe acquisition counts of the record_read/record_write
-        per-location locks (a copy; approximate under concurrency)."""
-        return list(self._stripe_counts)
 
     def deque_depths(self) -> List[int]:
         """Current per-worker deque depths, sampled without taking slot

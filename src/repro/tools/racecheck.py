@@ -101,7 +101,9 @@ user program itself).
 Whatever artifacts were requested (``--dot``/``--trace``/``--metrics``) are
 written from the observers' recorded state even when the run aborts early —
 a ``--policy raise`` abort or a crash in the user program still yields the
-graph/trace collected up to that point.
+graph/trace collected up to that point.  A crash also prints the races
+found in the accesses made before it (every detector checks its
+unchecked tail first), then exits 2.
 """
 
 from __future__ import annotations
@@ -396,14 +398,22 @@ def main(argv: List[str] | None = None) -> int:
         witnesses[:] = found
 
     def check_aborted_tail() -> None:
-        """An aborted run leaves the kernel's last access block open:
-        check it, so the explanation and the artifacts cover every
-        access the program made."""
-        if isinstance(detector, DeterminacyRaceDetector):
+        """An aborted run leaves accesses unchecked (the kernel's last
+        access block, or the vector-clock detector's buffered segments):
+        check them, so the explanation, the artifacts and the printed
+        races cover every access the program made."""
+        if isinstance(detector, (DeterminacyRaceDetector,
+                                 ParallelRaceDetector)):
             try:
                 detector.flush()
             except RaceError:
                 pass  # --policy raise: the race is in the report
+
+    def print_aborted_races() -> None:
+        """An aborted run still reports the races its accesses made."""
+        if detector is not None and detector.report.has_races:
+            print("races before the error:")
+            print(detector.report.summary())
 
     def write_artifacts() -> None:
         """Flush whatever the observers recorded — also on aborted runs."""
@@ -517,6 +527,7 @@ def main(argv: List[str] | None = None) -> int:
                   file=sys.stderr)
             check_aborted_tail()
             explain_report()
+            print_aborted_races()
             write_artifacts()
             return 2
         except Exception as exc:
@@ -524,6 +535,7 @@ def main(argv: List[str] | None = None) -> int:
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             check_aborted_tail()
             explain_report()
+            print_aborted_races()
             write_artifacts()
             return 2
 

@@ -37,17 +37,23 @@ FUTURE_COVERED_REPRO = Program(
 def plant_future_covered_bug(monkeypatch):
     """Plant a Lemma-4-style reader-policy bug in the ``vector-clock`` row:
     each cell keeps only its first reader, so a parallel reader that a
-    later ``get`` cannot order is dropped.  (The kernel behind every
-    ``dtrg`` row keeps the correct policy, so only the ``vector-clock``
-    row goes red.)"""
+    later ``get`` cannot order is dropped.  The detector checks a task's
+    buffered accesses once per segment, so the bug sits at that check:
+    after it, every cell the segment touched keeps its first reader only
+    (a segment adds at most one reader per cell, its own task).  (The
+    kernel behind every ``dtrg`` row keeps the correct policy, so only
+    the ``vector-clock`` row goes red.)"""
     vc_cls = DETECTORS["vector-clock"]
 
     class OneReaderVC(vc_cls):
-        def on_read(self, task, loc):
-            super().on_read(task, loc)
-            readers = self._cells[loc].readers
-            first = next(iter(readers))
-            self._cells[loc].readers = {first: readers[first]}
+        def _check(self, tid):
+            locs = self._buffers[tid][::2]
+            super()._check(tid)
+            for loc in locs:
+                readers = self._cells[loc].readers
+                if len(readers) > 1:
+                    first = next(iter(readers))
+                    self._cells[loc].readers = {first: readers[first]}
 
     monkeypatch.setitem(fuzz.DETECTORS, "vector-clock", OneReaderVC)
 

@@ -171,6 +171,29 @@ def test_user_program_exception_still_writes_trace(tmp_path, capsys):
     assert len(Trace.load(str(trace))) == 1  # the write before the crash
 
 
+@pytest.mark.parametrize("runtime", ["serial", "threads", "asyncio"])
+def test_crash_still_reports_the_race_in_mains_unchecked_tail(
+        runtime, tmp_path, capsys):
+    """Main's read after the spawn is still unchecked when the program
+    raises (no structural event of main follows it); the aborted run
+    checks it and prints the race, then exits 2."""
+    prefix = "async " if runtime == "asyncio" else ""
+    path = tmp_path / "crash_tail.py"
+    path.write_text(
+        "from repro import SharedArray\n"
+        "def setup(rt):\n    return SharedArray(rt, 'd', 2)\n"
+        f"{prefix}def program(rt, d):\n"
+        "    rt.future(lambda: d.write(0, 1), name='producer')\n"
+        "    d.read(0)\n"
+        "    raise RuntimeError('late crash')\n"
+    )
+    assert main([str(path), "--runtime", runtime]) == 2
+    captured = capsys.readouterr()
+    assert "late crash" in captured.err
+    assert "races before the error:" in captured.out
+    assert "('d', 0)" in captured.out and "write-read" in captured.out
+
+
 def test_import_time_error_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.py"
     path.write_text("1 / 0\n")

@@ -171,7 +171,6 @@ class TestSamplerSources:
             inlined = 5
             blocked = 0
             pool_size = 2
-            stripe_acquisitions = [4, 0, 6]
 
             def deque_depths(self):
                 return [2, 5]
@@ -183,9 +182,9 @@ class TestSamplerSources:
         assert g["worker_deque_depths"] == [2, 5]
         assert g["worker_deque_depth_sum"] == 7
         assert g["worker_deque_depth_max"] == 5
-        assert g["stripe_lock_acquisitions_total"] == 10
-        assert g["stripe_lock_max_acquisitions"] == 6
-        assert g["stripe_locks_touched"] == 2
+        # The runtime takes no lock per access; the stripe_lock_* gauges
+        # come from the detector's location-hash buckets only.
+        assert not any(name.startswith("stripe") for name in g)
 
     def test_tracer_source_pins_drop_counter_name(self):
         class Tracer:
