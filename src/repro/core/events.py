@@ -116,11 +116,12 @@ class ExecutionObserver:
 #
 # A recorded :class:`Trace` stores columns (below); these objects are
 # what iterating it yields, and what hand-built streams are made of.
-# ``site`` is the optional provenance call-site label (``file:line
-# (function)``) recorded when a :class:`repro.obs.provenance.RaceProvenance`
-# is attached to the recorder; it defaults to ``None``.  Event objects
-# pickled before the field existed lack the attribute entirely, so code
-# reading arbitrary event iterables uses ``getattr(event, "site", None)``.
+# An access's ``site`` is the optional provenance call-site label
+# (``file:line (function)``) recorded when a
+# :class:`repro.obs.provenance.RaceProvenance` is attached to the
+# recorder; it defaults to ``None``.  Event objects pickled before the
+# field existed lack the attribute entirely, so code reading arbitrary
+# event iterables uses ``getattr(event, "site", None)``.
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True, slots=True)
 class TaskCreateEvent:
@@ -128,7 +129,6 @@ class TaskCreateEvent:
     child: int           #: tid of the new task
     is_future: bool      #: TaskKind of the child
     ief: int             #: fid of the child's immediately enclosing finish
-    site: Optional[str] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +140,6 @@ class TaskEndEvent:
 class GetEvent:
     consumer: int
     producer: int
-    site: Optional[str] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,15 +272,14 @@ class EncodedTrace:
         ``bytearray`` flag per dense task index (main task -> 0).
     locs:
         dense loc id -> original location key (``loc_index`` inverts it).
-    access_sites, structure_sites:
-        ``None`` while no access (structure) event carries a provenance
-        site, else a list aligned with access-row (structure-tuple)
-        ordinals.
+    access_sites:
+        ``None`` while no access event carries a provenance site, else a
+        list aligned with access-row ordinals.
     """
 
     __slots__ = (
         "access", "structure", "runs", "task_keys", "is_future",
-        "locs", "loc_index", "access_sites", "structure_sites",
+        "locs", "loc_index", "access_sites",
     )
 
     def __init__(self) -> None:
@@ -293,7 +291,14 @@ class EncodedTrace:
         self.locs: List[LocationKey] = []
         self.loc_index: Dict[LocationKey, int] = {}
         self.access_sites: Optional[List[Optional[str]]] = None
-        self.structure_sites: Optional[List[Optional[str]]] = None
+
+    def __setstate__(self, state) -> None:
+        # Columns pickled before the structure-site column was dropped
+        # still carry its slot.
+        _, slots = state
+        slots.pop("structure_sites", None)
+        for name, value in slots.items():
+            setattr(self, name, value)
 
     def __len__(self) -> int:
         return len(self.access) + len(self.structure)
@@ -361,8 +366,8 @@ class ColumnBuilder:
     ``read(tid, loc)``, ``write(tid, loc)``, ``task_create(parent, child,
     is_future, ief)``, ``task_end(tid)``, ``get(consumer, producer)``,
     ``finish_start(fid, owner, enclosing)`` and ``finish_end(fid)``.
-    ``access_site(label)`` / ``structure_site(label)`` attach a provenance
-    site to the row just appended.  ``add(event)`` lowers one event object
+    ``access_site(label)`` attaches a provenance site to the access row
+    just appended.  ``add(event)`` lowers one event object
     through the same functions; :class:`~repro.memory.tracer.TraceRecorder`
     binds them into its hooks and builds no event object at all.
 
@@ -379,7 +384,7 @@ class ColumnBuilder:
 
     Access rows leave the current run-length segment open; the next
     structure event, or ``flush()``, closes it.  ``flush()`` also pads the
-    site columns to full length, so the columns read whole after it.
+    site column to full length, so the columns read whole after it.
     ``drop()`` deletes what the run segments cover (access rows,
     structure tuples, runs, sites) once a reader has consumed them; the
     rows of a still open access run and the task and location tables
@@ -391,7 +396,7 @@ class ColumnBuilder:
 
     __slots__ = (
         "read", "write", "task_create", "task_end", "get", "finish_start",
-        "finish_end", "access_site", "structure_site", "add", "flush",
+        "finish_end", "access_site", "add", "flush",
         "drop",
     )
 
@@ -494,19 +499,10 @@ class ColumnBuilder:
                 _pad(enc.access_sites, len(acc) - 1)
                 enc.access_sites.append(site)
 
-        def structure_site(site: Optional[str]) -> None:
-            if site is not None:
-                if enc.structure_sites is None:
-                    enc.structure_sites = []
-                _pad(enc.structure_sites, len(structure) - 1)
-                enc.structure_sites.append(site)
-
         def flush() -> None:
             close_access_run()
             if enc.access_sites is not None:
                 _pad(enc.access_sites, len(acc))
-            if enc.structure_sites is not None:
-                _pad(enc.structure_sites, len(structure))
 
         def drop() -> None:
             nonlocal covered, dropped
@@ -516,8 +512,6 @@ class ColumnBuilder:
             del runs[:]
             if enc.access_sites is not None:
                 del enc.access_sites[:covered]
-            if enc.structure_sites is not None:
-                del enc.structure_sites[:]
             covered = 0
 
         # Event objects pickled before ``site`` existed lack the field.
@@ -534,7 +528,6 @@ class ColumnBuilder:
         def add_task_create(e: TaskCreateEvent) -> None:
             on_task(e.parent, "the parent of task {}", e.child)
             task_create(e.parent, e.child, e.is_future, e.ief)
-            structure_site(getattr(e, "site", None))
 
         def add_task_end(e: TaskEndEvent) -> None:
             on_task(e.task, "the ending task")
@@ -546,7 +539,6 @@ class ColumnBuilder:
         def add_get(e: GetEvent) -> None:
             on_task(e.consumer, "the consumer of task {}", e.producer)
             get(e.consumer, e.producer)
-            structure_site(getattr(e, "site", None))
 
         def add_finish_start(e: FinishStartEvent) -> None:
             on_task(e.owner, "the owner of finish {}", e.fid)
@@ -571,7 +563,7 @@ class ColumnBuilder:
         self.read, self.write = read, write
         self.task_create, self.task_end, self.get = task_create, task_end, get
         self.finish_start, self.finish_end = finish_start, finish_end
-        self.access_site, self.structure_site = access_site, structure_site
+        self.access_site = access_site
         self.add, self.flush, self.drop = add, flush, drop
 
 
@@ -625,22 +617,21 @@ def _decode(enc: EncodedTrace) -> Iterator[Event]:
     task raises :class:`TraceFormatError`)."""
     acc, structure = enc.access, enc.structure
     keys, locs = enc.task_keys, enc.locs
-    access_sites, structure_sites = enc.access_sites, enc.structure_sites
+    access_sites = enc.access_sites
     child = 1  # dense index of the next task created
     done = 0  # structure tuples decoded
     for row, count, task_idx, si in _access_runs(enc, [0]):
         for k in range(done, si):
             s = structure[k]
             op = s[0]
-            site = structure_sites[k] if structure_sites is not None else None
             if op == OP_TASK_CREATE:
                 yield TaskCreateEvent(keys[s[1]], keys[child], bool(s[2]),
-                                      s[3], site)
+                                      s[3])
                 child += 1
             elif op == OP_TASK_END:
                 yield TaskEndEvent(keys[s[1]])
             elif op == OP_GET:
-                yield GetEvent(keys[s[1]], keys[s[2]], site)
+                yield GetEvent(keys[s[1]], keys[s[2]])
             elif op == OP_FINISH_START:
                 yield FinishStartEvent(s[1], keys[s[2]], s[3])
             else:

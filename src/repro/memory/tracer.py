@@ -62,8 +62,8 @@ class TraceRecorder(ExecutionObserver):
 
     With a :class:`repro.obs.provenance.RaceProvenance` attached (the same
     object given to the runtime, whose adapter observer runs first), the
-    spawn/get/read/write events additionally carry the provenance call-site
-    label, so :func:`repro.obs.provenance.explain_races` can attribute
+    read/write events additionally carry the provenance call-site label,
+    so :func:`repro.obs.provenance.explain_races` can attribute
     races to source sites without re-running the program.  The hooks that
     record sites are defined only then, so the default hooks stay
     branch-free.
@@ -81,19 +81,15 @@ class TraceRecorder(ExecutionObserver):
         if prov is not None:
             label = prov.site_label
             access_site = builder.access_site
-            structure_site = builder.structure_site
 
-            def with_site(lower, add_site):
-                def hook(a, b) -> None:
-                    lower(a, b)
-                    add_site(label(prov.current_site))
+            def with_site(lower):
+                def hook(task, loc) -> None:
+                    lower(task, loc)
+                    access_site(label(prov.current_site))
                 return hook
 
-            for name, add_site in (
-                ("on_task_create", structure_site), ("on_get", structure_site),
-                ("on_read", access_site), ("on_write", access_site),
-            ):
-                hooks[name] = with_site(hooks[name], add_site)
+            for name in ("on_read", "on_write"):
+                hooks[name] = with_site(hooks[name])
         for name, hook in hooks.items():
             setattr(self, name, hook)
 

@@ -135,12 +135,14 @@ def _shorten(filename: str) -> str:
 def _internal_files() -> frozenset:
     """Source files whose frames are library plumbing, not user code."""
     import repro.memory.shared as _shared
+    import repro.runtime.base as _base
     import repro.runtime.future as _future
     import repro.runtime.runtime as _runtime
 
-    return frozenset(
-        {__file__, _runtime.__file__, _future.__file__, _shared.__file__}
-    )
+    return frozenset({
+        __file__, _base.__file__, _runtime.__file__, _future.__file__,
+        _shared.__file__,
+    })
 
 
 class _ProvenanceObserver(ExecutionObserver):

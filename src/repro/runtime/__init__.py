@@ -1,6 +1,6 @@
 """Execution substrates for async/finish/future programs: the serial
 depth-first elision (Section 2 model), the work-stealing ThreadRuntime,
-the cooperative AsyncioRuntime — all behind the RuntimeBase protocol —
+the cooperative AsyncioRuntime — all on the RuntimeBase model core —
 plus the parallel-execution analyses built on recorded computation
 graphs."""
 

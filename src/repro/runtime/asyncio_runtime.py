@@ -1,7 +1,9 @@
 """AsyncioRuntime — async/finish/future on the ``asyncio`` event loop.
 
-The third execution substrate behind :class:`~repro.runtime.base.RuntimeBase`
-(ROADMAP item 1): cooperative single-threaded concurrency.
+The third execution substrate on :class:`~repro.runtime.base.RuntimeBase`,
+which owns the model (ids, the implicit bracket, the front doors and the
+observer dispatch with its error-path rules); this module adds the
+schedule, cooperative single-threaded concurrency:
 
 * ``async``/``future`` spawn → :meth:`asyncio.loop.create_task` — each
   model task is one ``asyncio.Task`` running the body (a coroutine
@@ -12,7 +14,11 @@ The third execution substrate behind :class:`~repro.runtime.base.RuntimeBase`
   points;
 * ``finish`` → a structured-concurrency scope (``async with
   rt.finish():``) whose exit awaits every task registered in the scope,
-  including tasks those tasks transitively spawn with the same IEF.
+  including tasks those tasks transitively spawn with the same IEF;
+  ``forall`` is awaited (``await rt.forall(...)``).
+
+A task's done event is set however its ``on_task_end`` returns; an
+observer's error there is raised at the join that awaits the task.
 
 There is no preemption and no shared-memory tearing — but the *event
 order* is whatever the loop's ready queue produces, which is nothing
@@ -35,13 +41,15 @@ across concurrently-live tasks would corrupt scope tracking.
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextlib
 import contextvars
 import inspect
 from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar
 
 from repro.core.events import ExecutionObserver
-from repro.runtime.errors import NullFutureError, RuntimeStateError
+from repro.runtime.base import RuntimeBase
+from repro.runtime.errors import RuntimeStateError
 from repro.runtime.finish import FinishScope
 from repro.runtime.future import FutureHandle
 from repro.runtime.task import Task, TaskKind
@@ -61,7 +69,7 @@ class _TaskCtx:
         )
 
 
-class AsyncioRuntime:
+class AsyncioRuntime(RuntimeBase):
     """Cooperative ``asyncio`` executor for async/finish/future programs.
 
     ``run(program)`` expects an ``async def program(rt)`` and drives it
@@ -79,44 +87,15 @@ class AsyncioRuntime:
         obs=None,
         provenance=None,
     ) -> None:
-        if provenance is not None and getattr(provenance, "enabled", False):
-            raise ValueError(
-                "AsyncioRuntime does not support provenance: call-site "
-                "attribution assumes the serial depth-first elision; run "
-                "the serial Runtime for --explain"
-            )
-        self._observers: List[ExecutionObserver] = list(observers)
-        self._obs = (
-            obs if obs is not None and getattr(obs, "enabled", False) else None
-        )
-        self._running = False
-        self._next_tid = 0
-        self._next_fid = 0
-        self.main_task: Optional[Task] = None
+        super().__init__(observers, obs=obs, provenance=provenance)
         self._ctx_var: contextvars.ContextVar[Optional[_TaskCtx]] = (
             contextvars.ContextVar("repro_asyncio_ctx", default=None)
         )
         self._done: Dict[int, asyncio.Event] = {}
         #: fid -> asyncio.Tasks registered in the scope, not yet awaited.
-        self._scope_tasks: Dict[int, List[asyncio.Task]] = {}
-        self._read_hooks: List[Callable] = []
-        self._write_hooks: List[Callable] = []
-        #: tids whose exception was already delivered at a get() — the
-        #: enclosing finish does not re-raise those.
-        self._delivered: set = set()
-
-    # ------------------------------------------------------------------ #
-    # Observer management                                                #
-    # ------------------------------------------------------------------ #
-    def add_observer(self, observer: ExecutionObserver) -> None:
-        """Register an observer; only allowed before :meth:`run`."""
-        if self._running:
-            raise RuntimeStateError("cannot add observers while running")
-        self._observers.append(observer)
-
-    @property
-    def observers(self) -> List[ExecutionObserver]:
-        return list(self._observers)
+        self._scope_tasks: Dict[int, List[asyncio.Task]] = (
+            collections.defaultdict(list)
+        )
 
     # ------------------------------------------------------------------ #
     # Program execution                                                  #
@@ -134,130 +113,60 @@ class AsyncioRuntime:
                 "as `async def program(rt)` (the serial and threaded "
                 "runtimes take the synchronous form)"
             )
-        if self._running:
-            raise RuntimeStateError("runtime is already running a program")
-        if self._next_tid != 0:
-            raise RuntimeStateError(
-                "runtime instances are single-use; create a new "
-                "AsyncioRuntime"
-            )
         return asyncio.run(self._main(program))
 
     async def _main(self, program) -> Any:
-        self._running = True
-        self._read_hooks = [ob.on_read for ob in self._observers]
-        self._write_hooks = [ob.on_write for ob in self._observers]
-        main = Task(self._next_tid, TaskKind.MAIN, parent=None, ief=None)
-        self._next_tid += 1
-        self.main_task = main
+        main = self._begin()
         ctx = _TaskCtx(main)
         self._ctx_var.set(ctx)
-        obs = self._obs
-        for ob in self._observers:
-            ob.on_init(main)
-        if obs is not None:
-            obs.task_begin(main.tid, main.name, False)
-        root = FinishScope(self._next_fid, owner=main, enclosing=None)
-        self._next_fid += 1
-        self._scope_tasks[root.fid] = []
-        for ob in self._observers:
-            ob.on_finish_start(root)
-        if obs is not None:
-            obs.finish_begin(root.fid, main.tid)
-        ctx.finish_stack.append(root)
+        root = self._open_finish(main, ctx.finish_stack)
         try:
             result = await program(self)
-        except BaseException:
+        finally:
             await self._drain_scope(root)
             root.closed = True
-            self._running = False
-            raise
         ctx.finish_stack.pop()
-        await self._drain_scope(root)
-        root.closed = True
-        self._running = False
-        self._raise_child_failure(root)
-        for ob in self._observers:
-            ob.on_finish_end(root)
-        main.completed = True
-        for ob in self._observers:
-            ob.on_task_end(main)
-            ob.on_shutdown(main)
-        if obs is not None:
-            obs.finish_end(root.fid)
-            obs.task_end(main.tid)
+        failure = self._child_failure(root)
+        if failure is not None:
+            raise failure
+        self._end_run(main, root)
         return result
-
-    # ------------------------------------------------------------------ #
-    # Parallel constructs                                                #
-    # ------------------------------------------------------------------ #
-    def async_(
-        self,
-        body: Callable[..., Any],
-        *args: Any,
-        name: Optional[str] = None,
-        **kwargs: Any,
-    ) -> Task:
-        """``async { body(...) }`` — spawn; returns the model Task."""
-        return self._spawn(TaskKind.ASYNC, body, args, kwargs, name)
-
-    def future(
-        self,
-        body: Callable[..., T],
-        *args: Any,
-        name: Optional[str] = None,
-        **kwargs: Any,
-    ) -> FutureHandle[T]:
-        """``future<T> f = async<T> body(...)``; ``await handle.get()``."""
-        task = self._spawn(TaskKind.FUTURE, body, args, kwargs, name)
-        return FutureHandle(self, task)
 
     @contextlib.asynccontextmanager
     async def finish(self):
         """``finish { ... }`` — ``async with rt.finish():``; exit awaits
         every task whose IEF is this scope."""
         ctx = self._require_ctx()
-        current = ctx.task
-        obs = self._obs
-        scope = FinishScope(
-            self._next_fid, owner=current, enclosing=ctx.finish_stack[-1]
-        )
-        self._next_fid += 1
-        self._scope_tasks[scope.fid] = []
-        for ob in self._observers:
-            ob.on_finish_start(scope)
-        if obs is not None:
-            obs.finish_begin(scope.fid, current.tid)
-        ctx.finish_stack.append(scope)
+        stack = ctx.finish_stack
+        scope = self._open_finish(ctx.task, stack)
         try:
             yield scope
         except BaseException:
-            while ctx.finish_stack and ctx.finish_stack[-1] is not scope:
-                ctx.finish_stack.pop().closed = True
-            if ctx.finish_stack and ctx.finish_stack[-1] is scope:
-                ctx.finish_stack.pop()
-            await self._drain_scope(scope)
-            scope.closed = True
+            for open_scope in stack[stack.index(scope):]:
+                await self._drain_scope(open_scope)
+            self._exit_finish(stack, scope, True)
             raise
-        top = ctx.finish_stack.pop()
-        if top is not scope:  # pragma: no cover - defensive
-            raise RuntimeStateError("finish scopes exited out of order")
         await self._drain_scope(scope)
-        scope.closed = True
-        self._raise_child_failure(scope)
-        for ob in self._observers:
-            ob.on_finish_end(scope)
-        if obs is not None:
-            obs.finish_end(scope.fid)
+        failure = self._child_failure(scope)
+        self._exit_finish(stack, scope, failure is not None)
+        if failure is not None:
+            raise failure
 
-    def get(self, handle: Optional[FutureHandle[T]]):
-        """Null-checked ``get``; returns an awaitable of the value."""
-        if handle is None:
-            raise NullFutureError(
-                "get() on a null future reference: the handle's publishing "
-                "write raced with this read (Appendix A)"
-            )
-        return handle.get()
+    async def forall(
+        self,
+        iterable,
+        body: Callable[..., Any],
+        *,
+        name: Optional[str] = None,
+    ) -> None:
+        """``forall (item in iterable) { body(item) }`` — ``await
+        rt.forall(...)``."""
+        async with self.finish():
+            for index, item in enumerate(iterable):
+                self.async_(
+                    body, item,
+                    name=f"{name or 'forall'}[{index}]",
+                )
 
     # ------------------------------------------------------------------ #
     # Shared-memory instrumentation entry points                         #
@@ -292,21 +201,12 @@ class AsyncioRuntime:
         name: Optional[str],
     ) -> Task:
         ctx = self._require_ctx()
-        parent = ctx.task
-        ief = ctx.finish_stack[-1]
-        child = Task(self._next_tid, kind, parent=parent, ief=ief, name=name)
-        self._next_tid += 1
-        parent.num_children += 1
-        ief.register(child)
+        child = self._create(ctx.task, ctx.finish_stack[-1], kind, name)
         self._done[child.tid] = asyncio.Event()
-        for ob in self._observers:
-            ob.on_task_create(parent, child)
-        if self._obs is not None:
-            self._obs.task_begin(child.tid, child.name, child.is_future)
         atask = asyncio.get_running_loop().create_task(
             self._run_task(child, body, args, kwargs), name=child.name
         )
-        self._scope_tasks[ief.fid].append(atask)
+        self._scope_tasks[child.ief.fid].append(atask)
         return child
 
     async def _run_task(
@@ -317,38 +217,28 @@ class AsyncioRuntime:
         # and the parent's mutable finish stack is never shared.
         self._ctx_var.set(_TaskCtx(task))
         try:
-            if inspect.iscoroutinefunction(body):
-                task.value = await body(*args, **kwargs)
-            else:
-                result = body(*args, **kwargs)
-                if inspect.isawaitable(result):
-                    result = await result
-                task.value = result
+            result = body(*args, **kwargs)
+            if inspect.isawaitable(result):
+                result = await result
+            task.value = result
         except BaseException as exc:  # stored, re-raised at join points
             task.exception = exc
-        for ob in self._observers:
-            ob.on_task_end(task)
-        if self._obs is not None:
-            self._obs.task_end(task.tid)
-        # Done signal strictly after on_task_end (RuntimeBase contract):
-        # awaiting consumers observe a finalized producer.
-        task.completed = True
-        self._done[task.tid].set()
+        try:
+            self._end_task(task)
+        except BaseException as exc:  # an observer's: raised at the join
+            task.exception = exc
+        finally:
+            # Done signal strictly after on_task_end: awaiting consumers
+            # observe a finalized producer.
+            task.completed = True
+            self._done[task.tid].set()
 
     async def _on_get(self, handle: FutureHandle) -> Any:
         ctx = self._require_ctx()
-        consumer = ctx.task
         producer = handle.task
         if not producer.completed:
             await self._done[producer.tid].wait()
-        for ob in self._observers:
-            ob.on_get(consumer, producer)
-        if self._obs is not None:
-            self._obs.on_get(consumer.tid, producer.tid)
-        if producer.exception is not None:
-            self._delivered.add(producer.tid)
-            raise producer.exception
-        return producer.value
+        return self._got(ctx.task, producer)
 
     async def _drain_scope(self, scope: FinishScope) -> None:
         # Tasks already in the scope may spawn more with the same IEF
@@ -358,13 +248,6 @@ class AsyncioRuntime:
             batch = pending[:]
             del pending[: len(batch)]
             await asyncio.gather(*batch)
-
-    def _raise_child_failure(self, scope: FinishScope) -> None:
-        # Exceptions already delivered at a get() are handled; the rest
-        # re-raise at the finish boundary.
-        for task in scope.joins:
-            if task.exception is not None and task.tid not in self._delivered:
-                raise task.exception
 
     def _require_ctx(self) -> _TaskCtx:
         ctx = self._ctx_var.get()
@@ -379,8 +262,3 @@ class AsyncioRuntime:
         """The model task the calling coroutine belongs to, if any."""
         ctx = self._ctx_var.get()
         return ctx.task if ctx is not None else None
-
-    @property
-    def num_tasks(self) -> int:
-        """Total tasks created so far (including main)."""
-        return self._next_tid

@@ -1,9 +1,12 @@
 """ThreadRuntime — a work-stealing threaded executor with online detection.
 
-ROADMAP item 1: the serial :class:`~repro.runtime.runtime.Runtime` is the
-*elision* of the async/finish/future model; this module is the model run
-for real.  Tasks execute on a pool of ``threading`` workers scheduled by
-the Blumofe–Leiserson discipline the simulator
+The serial :class:`~repro.runtime.runtime.Runtime` is the *elision* of
+the async/finish/future model; this module is the model run for real.
+The model — ids, the implicit bracket, the front doors and the observer
+dispatch with its error-path rules — is
+:class:`~repro.runtime.base.RuntimeBase`; this module adds the schedule.
+Tasks execute on a pool of ``threading`` workers scheduled by the
+Blumofe–Leiserson discipline the simulator
 (:mod:`repro.runtime.workstealing`) models in virtual time:
 
 * each worker owns a LIFO deque — it pushes and pops freshly spawned
@@ -59,9 +62,9 @@ complete and raises ``RuntimeStateError`` at once.
 **Online detection.**  Observers are dispatched during the parallel
 execution (ALGORITHM.md §15.1):
 
-* *structural* events (init/spawn/task-end/get/finish) are rare and
-  serialize under one exclusive lock, so every observer sees a single
-  consistent structural order;
+* *structural* events (init/spawn/task-end/get/finish) are rare; the
+  base's dispatch methods run under one exclusive lock, so every
+  observer sees a single consistent structural order;
 * *access* events (read/write — the hot path) take no lock at all.  A
   task runs on one thread at a time, so its access hooks run in program
   order on that thread, and hooks of different tasks overlap freely.
@@ -83,9 +86,14 @@ contract detectors rely on):
   done signal, hence before any ``on_get`` naming it as producer and
   before its IEF's pending count can reach zero — vector-clock engines
   always join against a frozen producer clock;
+* the completion is published however ``on_task_end`` returns: an
+  observer's error there becomes the task's error, raised at the join
+  that waits for it (``get``, the finish exit or ``run``), so no waiter
+  hangs on a task whose end hook failed;
 * ``on_finish_end`` is dispatched only after every task registered in
   the scope (including transitively spawned ones with the same IEF) has
-  completed.
+  completed, and also when the scope exits by an error;
+* a refused spawn is never queued, so no thread runs its body.
 """
 
 from __future__ import annotations
@@ -99,7 +107,8 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, TypeVar
 
 from repro.core.events import ExecutionObserver
-from repro.runtime.errors import NullFutureError, RuntimeStateError
+from repro.runtime.base import RuntimeBase
+from repro.runtime.errors import RuntimeStateError
 from repro.runtime.finish import FinishScope
 from repro.runtime.future import FutureHandle
 from repro.runtime.task import Task, TaskKind
@@ -147,7 +156,7 @@ class _Slot:
         self.deque: collections.deque = collections.deque()
 
 
-class ThreadRuntime:
+class ThreadRuntime(RuntimeBase):
     """Work-stealing threaded executor for async/finish/future programs.
 
     Parameters
@@ -190,16 +199,7 @@ class ThreadRuntime:
         steal_seed: int = 0,
         provenance=None,
     ) -> None:
-        if provenance is not None and getattr(provenance, "enabled", False):
-            raise ValueError(
-                "ThreadRuntime does not support provenance: call-site "
-                "attribution assumes the serial depth-first elision; run "
-                "the serial Runtime for --explain"
-            )
-        self._observers: List[ExecutionObserver] = list(observers)
-        self._obs = (
-            obs if obs is not None and getattr(obs, "enabled", False) else None
-        )
+        super().__init__(observers, obs=obs, provenance=provenance)
         if workers is None:
             workers = min(4, os.cpu_count() or 1)
         if workers < 1:
@@ -207,10 +207,6 @@ class ThreadRuntime:
         self._workers = workers
         self._max_threads = max(max_threads, workers)
         self._steal_seed = steal_seed
-        self._running = False
-        self._next_tid = 0
-        self._next_fid = 0
-        self.main_task: Optional[Task] = None
         # --- scheduling state -----------------------------------------
         self._slots: List[_Slot] = []
         self._inject: collections.deque = collections.deque()
@@ -238,15 +234,10 @@ class ThreadRuntime:
         self._struct_lock = threading.Lock()
         # --- join/finish signalling -----------------------------------
         self._join_cv = threading.Condition()
-        self._pending: Dict[int, int] = {}
+        #: fid -> tasks registered in the scope and not yet completed.
+        self._pending: Dict[int, int] = collections.defaultdict(int)
         #: Tasks completed so far (guarded by _join_cv).
         self._completions = 0
-        # --- pre-bound hot-path hook lists (rebuilt at run()) ---------
-        self._read_hooks: List[Callable] = []
-        self._write_hooks: List[Callable] = []
-        #: tids whose exception was already delivered at a get() — the
-        #: enclosing finish does not re-raise those (guarded by _join_cv).
-        self._delivered: set = set()
         # --- stats ----------------------------------------------------
         self._stats_lock = threading.Lock()
         self.steals = 0
@@ -254,19 +245,6 @@ class ThreadRuntime:
         self.compensation_threads = 0
         #: Tasks run inline by a blocked get or finish exit (try-unfork).
         self.inlined = 0
-
-    # ------------------------------------------------------------------ #
-    # Observer management                                                #
-    # ------------------------------------------------------------------ #
-    def add_observer(self, observer: ExecutionObserver) -> None:
-        """Register an observer; only allowed before :meth:`run`."""
-        if self._running:
-            raise RuntimeStateError("cannot add observers while running")
-        self._observers.append(observer)
-
-    @property
-    def observers(self) -> List[ExecutionObserver]:
-        return list(self._observers)
 
     # ------------------------------------------------------------------ #
     # Program execution                                                  #
@@ -277,155 +255,52 @@ class ThreadRuntime:
         Spawned tasks run on the worker pool; the caller thread blocks at
         joins like any task.  Single-use, like the serial runtime.
         """
-        if self._running:
-            raise RuntimeStateError("runtime is already running a program")
-        if self._next_tid != 0:
-            raise RuntimeStateError(
-                "runtime instances are single-use; create a new ThreadRuntime"
-            )
-        self._running = True
-        self._read_hooks = [ob.on_read for ob in self._observers]
-        self._write_hooks = [ob.on_write for ob in self._observers]
+        main = self._begin()
         self._inline_budget = sys.getrecursionlimit() // _FRAMES_PER_INLINE
-
-        main = Task(self._next_tid, TaskKind.MAIN, parent=None, ief=None)
-        self._next_tid += 1
-        self.main_task = main
-        ctx = _TaskCtx(main)
-        self._tls.ctx = ctx
-        obs = self._obs
-        with self._struct_lock:
-            for ob in self._observers:
-                ob.on_init(main)
-            if obs is not None:
-                obs.task_begin(main.tid, main.name, False)
-            root = FinishScope(self._next_fid, owner=main, enclosing=None)
-            self._next_fid += 1
-            self._pending[root.fid] = 0
-            for ob in self._observers:
-                ob.on_finish_start(root)
-            if obs is not None:
-                obs.finish_begin(root.fid, main.tid)
-        ctx.finish_stack.append(root)
-        self._start_workers()
+        ctx = self._tls.ctx = _TaskCtx(main)
         try:
+            root = self._open_finish(main, ctx.finish_stack)
+            self._start_workers()
             try:
                 result = program(self)
-            except BaseException:
-                # Abandon the root scope like the serial runtime — but
-                # children are genuinely in flight here, so drain them
-                # before tearing the pool down.
+            finally:
+                # Children are genuinely in flight: drain them before
+                # the pool is torn down, however the program exits.
                 self._wait_scope(root)
                 root.closed = True
-                raise
             ctx.finish_stack.pop()
-            self._wait_scope(root)
-            root.closed = True
-            self._raise_child_failure(root)
+            failure = self._child_failure(root)
+            if failure is not None:
+                raise failure
             with self._struct_lock:
-                for ob in self._observers:
-                    ob.on_finish_end(root)
-            main.completed = True
-            with self._struct_lock:
-                for ob in self._observers:
-                    ob.on_task_end(main)
-                    ob.on_shutdown(main)
-                if obs is not None:
-                    obs.finish_end(root.fid)
-                    obs.task_end(main.tid)
+                self._end_run(main, root)
             return result
         finally:
             self._stop_workers()
-            self._running = False
             self._tls.ctx = None
-
-    # ------------------------------------------------------------------ #
-    # Parallel constructs                                                #
-    # ------------------------------------------------------------------ #
-    def async_(
-        self,
-        body: Callable[..., Any],
-        *args: Any,
-        name: Optional[str] = None,
-        **kwargs: Any,
-    ) -> Task:
-        """``async { body(...) }`` — spawn; the Task runs on the pool."""
-        return self._spawn(TaskKind.ASYNC, body, args, kwargs, name)
-
-    def future(
-        self,
-        body: Callable[..., T],
-        *args: Any,
-        name: Optional[str] = None,
-        **kwargs: Any,
-    ) -> FutureHandle[T]:
-        """``future<T> f = async<T> body(...)`` — spawn a future task."""
-        task = self._spawn(TaskKind.FUTURE, body, args, kwargs, name)
-        return FutureHandle(self, task)
 
     @contextlib.contextmanager
     def finish(self):
         """``finish { ... }`` — scope exit blocks until every task spawned
         inside (transitively, with this scope as IEF) has completed."""
         ctx = self._require_ctx()
-        current = ctx.task
-        obs = self._obs
+        stack = ctx.finish_stack
         with self._struct_lock:
-            scope = FinishScope(
-                self._next_fid, owner=current, enclosing=ctx.finish_stack[-1]
-            )
-            self._next_fid += 1
-            self._pending[scope.fid] = 0
-            for ob in self._observers:
-                ob.on_finish_start(scope)
-            if obs is not None:
-                obs.finish_begin(scope.fid, current.tid)
-        ctx.finish_stack.append(scope)
+            scope = self._open_finish(ctx.task, stack)
         try:
             yield scope
         except BaseException:
-            while ctx.finish_stack and ctx.finish_stack[-1] is not scope:
-                ctx.finish_stack.pop().closed = True
-            if ctx.finish_stack and ctx.finish_stack[-1] is scope:
-                ctx.finish_stack.pop()
-            self._wait_scope(scope)
-            scope.closed = True
+            for open_scope in stack[stack.index(scope):]:
+                self._wait_scope(open_scope)
+            with self._struct_lock:
+                self._exit_finish(stack, scope, True)
             raise
-        top = ctx.finish_stack.pop()
-        if top is not scope:  # pragma: no cover - defensive
-            raise RuntimeStateError("finish scopes exited out of order")
         self._wait_scope(scope)
-        scope.closed = True
-        self._raise_child_failure(scope)
+        failure = self._child_failure(scope)
         with self._struct_lock:
-            for ob in self._observers:
-                ob.on_finish_end(scope)
-            if obs is not None:
-                obs.finish_end(scope.fid)
-
-    def forall(
-        self,
-        iterable,
-        body: Callable[..., Any],
-        *,
-        name: Optional[str] = None,
-    ) -> None:
-        """``forall (item in iterable) { body(item) }``."""
-        with self.finish():
-            for index, item in enumerate(iterable):
-                self.async_(
-                    body, item,
-                    name=f"{name or 'forall'}[{index}]",
-                )
-
-    def get(self, handle: Optional[FutureHandle[T]]) -> T:
-        """Null-checked ``get``: blocks until the producer completes."""
-        if handle is None:
-            raise NullFutureError(
-                "get() on a null future reference: the handle's publishing "
-                "write raced with this read (Appendix A)"
-            )
-        return handle.get()
+            self._exit_finish(stack, scope, failure is not None)
+        if failure is not None:
+            raise failure
 
     # ------------------------------------------------------------------ #
     # Shared-memory instrumentation entry points                         #
@@ -462,28 +337,15 @@ class ThreadRuntime:
         name: Optional[str],
     ) -> Task:
         ctx = self._require_ctx()
-        parent = ctx.task
-        ief = ctx.finish_stack[-1]
-        obs = self._obs
         with self._struct_lock:
-            child = Task(
-                self._next_tid, kind, parent=parent, ief=ief, name=name
-            )
-            self._next_tid += 1
-            parent.num_children += 1
+            child = self._create(ctx.task, ctx.finish_stack[-1], kind, name)
             self._bodies[child.tid] = (body, args, kwargs)
-            ief.register(child)
-            self._pending[ief.fid] += 1
-            for ob in self._observers:
-                ob.on_task_create(parent, child)
-            if obs is not None:
-                obs.task_begin(child.tid, child.name, child.is_future)
+            self._pending[child.ief.fid] += 1
         self._push(child)
         return child
 
     def _on_get(self, handle: FutureHandle) -> Any:
         ctx = self._require_ctx()
-        consumer = ctx.task
         producer = handle.task
         if not producer.completed and not self._try_inline(ctx, producer):
             below: Optional[_TaskCtx] = ctx
@@ -491,29 +353,14 @@ class ThreadRuntime:
                 if below.task is producer:
                     raise RuntimeStateError(
                         f"get() of {producer.name} inside its own execution "
-                        f"(by {consumer.name} on thread "
+                        f"(by {ctx.task.name} on thread "
                         f"{threading.current_thread().name}): a future "
                         "cannot wait for itself"
                     )
                 below = below.below
             self._blocking_wait("get", lambda: producer.completed)
         with self._struct_lock:
-            for ob in self._observers:
-                ob.on_get(consumer, producer)
-            if self._obs is not None:
-                self._obs.on_get(consumer.tid, producer.tid)
-        if producer.exception is not None:
-            with self._join_cv:
-                self._delivered.add(producer.tid)
-            raise producer.exception
-        return producer.value
-
-    def _raise_child_failure(self, scope: FinishScope) -> None:
-        # A failed future whose exception was already delivered at a
-        # ``get()`` is considered handled; everything else re-raises here.
-        for task in scope.joins:
-            if task.exception is not None and task.tid not in self._delivered:
-                raise task.exception
+            return self._got(ctx.task, producer)
 
     def _wait_scope(self, scope: FinishScope) -> None:
         fid = scope.fid
@@ -759,28 +606,26 @@ class ThreadRuntime:
         tracer = obs.tracer if obs is not None else None
         start = tracer.now_us() if tracer is not None else 0.0
         try:
-            value: Any = body(*args, **kwargs)
-            exc: Optional[BaseException] = None
-        except BaseException as e:  # stored, re-raised at join points
-            value, exc = None, e
+            task.value = body(*args, **kwargs)
+        except BaseException as exc:  # stored, re-raised at join points
+            task.exception = exc
         finally:
             self._tls.ctx = below
-        with self._struct_lock:
-            task.value = value
+        try:
+            with self._struct_lock:
+                self._end_task(task)
+        except BaseException as exc:  # an observer's: raised at the join
             task.exception = exc
-            for ob in self._observers:
-                ob.on_task_end(task)
+        finally:
             if obs is not None:
-                obs.task_end(task.tid)
-        if obs is not None:
-            obs.exec_task_run(wid, task.tid, start)
-        # Completion signal strictly after on_task_end: joiners woken
-        # here observe a finalized (frozen-clock) producer.
-        with self._join_cv:
-            task.completed = True
-            self._completions += 1
-            self._pending[task.ief.fid] -= 1
-            self._join_cv.notify_all()
+                obs.exec_task_run(wid, task.tid, start)
+            # Completion signal strictly after on_task_end: joiners woken
+            # here observe a finalized (frozen-clock) producer.
+            with self._join_cv:
+                task.completed = True
+                self._completions += 1
+                self._pending[task.ief.fid] -= 1
+                self._join_cv.notify_all()
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #
@@ -798,11 +643,6 @@ class ThreadRuntime:
         """The task the *calling thread* is executing, if any."""
         ctx = getattr(self._tls, "ctx", None)
         return ctx.task if ctx is not None else None
-
-    @property
-    def num_tasks(self) -> int:
-        """Total tasks created so far (including main)."""
-        return self._next_tid
 
     @property
     def workers(self) -> int:

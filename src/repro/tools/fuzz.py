@@ -468,7 +468,7 @@ def mutate_columns(enc: EncodedTrace, kind: str,
     that way.  A dropped or duplicated tuple's run count follows it, so
     only the running-task and scope checks can tell."""
     enc = copy.deepcopy(enc)
-    enc.access_sites = enc.structure_sites = None
+    enc.access_sites = None
     acc, structure, runs = enc.access, enc.structure, enc.runs
     if kind in ("drop", "duplicate", "swap"):
         if len(structure) < (2 if kind == "swap" else 1):

@@ -1,8 +1,11 @@
 """Unit tests for the event vocabulary and trace container."""
 
+import pickle
+
 import pytest
 
 from repro.core.events import (
+    EncodedTrace,
     FinishEndEvent,
     FinishStartEvent,
     GetEvent,
@@ -56,8 +59,6 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_load_rejects_non_trace(tmp_path):
-    import pickle
-
     path = tmp_path / "junk.pkl"
     with open(path, "wb") as fh:
         pickle.dump([1, 2, 3], fh)
@@ -70,8 +71,7 @@ def test_load_rejects_non_trace(tmp_path):
 # ---------------------------------------------------------------------- #
 def sample_events():
     return [
-        TaskCreateEvent(parent=0, child=1, is_future=True, ief=0,
-                        site="a.py:1 (main)"),
+        TaskCreateEvent(parent=0, child=1, is_future=True, ief=0),
         WriteEvent(task=1, loc=("x", 0), site="a.py:2 (f)"),
         TaskEndEvent(task=1),
         GetEvent(consumer=0, producer=1),
@@ -119,7 +119,6 @@ def test_encode_trace_returns_the_trace_columns():
     assert encode_trace(trace) is enc  # no second pass, no copy
     assert enc.num_access_events == 2 and enc.num_structure_events == 5
     assert enc.access_sites == ["a.py:2 (f)", None]
-    assert enc.structure_sites == ["a.py:1 (main)", None, None, None, None]
     # Appending after encoding extends the same columns.
     trace.append(WriteEvent(task=0, loc=("x", 1)))
     assert encode_trace(trace) is enc
@@ -144,3 +143,16 @@ def test_trace_pickled_as_an_event_list_still_loads():
     old = Trace.__new__(Trace)
     old.__setstate__({"events": sample_events()})
     assert old == Trace(events=sample_events())
+
+
+def test_columns_pickled_with_structure_sites_still_load(monkeypatch):
+    # Columns pickled while they had a structure-site column.
+    trace = Trace(events=sample_events())
+    enc = encode_trace(trace)
+    slots = {name: getattr(enc, name) for name in EncodedTrace.__slots__}
+    slots["structure_sites"] = ["a.py:1 (main)", None, None, None, None]
+    monkeypatch.setattr(EncodedTrace, "__getstate__",
+                        lambda self: (None, slots), raising=False)
+    data = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+    monkeypatch.undo()
+    assert pickle.loads(data) == trace

@@ -194,6 +194,40 @@ def test_crash_still_reports_the_race_in_mains_unchecked_tail(
     assert "('d', 0)" in captured.out and "write-read" in captured.out
 
 
+@pytest.mark.parametrize("raiser", ["finish-body", "child"])
+@pytest.mark.parametrize("runtime", [["threads", "--workers", "2"],
+                                     ["asyncio"]], ids=["threads", "asyncio"])
+def test_a_caught_finish_error_is_no_race(runtime, raiser, tmp_path, capsys):
+    """The finish waited for its children, so the read after catching its
+    error (from its body, or a child's re-raised at its exit) is ordered
+    after their writes; at the parent this reported a write-read race."""
+    a = "async " if runtime[0] == "asyncio" else ""
+    path = tmp_path / "caught.py"
+    path.write_text(textwrap.dedent(f"""
+        from repro import SharedArray
+
+        def setup(rt):
+            return SharedArray(rt, "d", 1)
+
+        def child(d):
+            d.write(0, 1)
+            if {raiser == "child"}:
+                raise ValueError("child")
+
+        {a}def program(rt, d):
+            try:
+                {a}with rt.finish():
+                    rt.async_(child, d)
+                    if {raiser == "finish-body"}:
+                        raise ValueError("body")
+            except ValueError:
+                pass
+            assert d.read(0) == 1
+    """))
+    assert main([str(path), "--runtime", *runtime]) == 0
+    assert "no determinacy races" in capsys.readouterr().out
+
+
 def test_import_time_error_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.py"
     path.write_text("1 / 0\n")

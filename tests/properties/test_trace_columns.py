@@ -36,7 +36,7 @@ from repro.testing.generator import random_program, run_program
 NUM_SEEDS = 200
 COLUMNS = (
     "access", "structure", "runs", "task_keys", "is_future", "locs",
-    "access_sites", "structure_sites",
+    "access_sites",
 )
 VARIANTS = [
     pytest.param(scoped, prov, id=f"{'scoped' if scoped else 'wild'}-"

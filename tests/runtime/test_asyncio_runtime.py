@@ -51,6 +51,16 @@ def test_coroutine_bodies_supported():
     assert rt.run(program) == 7
 
 
+def test_forall_is_awaited():
+    seen = []
+
+    async def program(rt):
+        await rt.forall(range(3), seen.append)
+        return sorted(seen)
+
+    assert AsyncioRuntime().run(program) == [0, 1, 2]
+
+
 def test_finish_scope_drains_transitive_spawns():
     rt = AsyncioRuntime()
     seen = []

@@ -1,8 +1,19 @@
-"""Unit tests for the serial depth-first runtime semantics (Section 2)."""
+"""Unit tests for the serial depth-first runtime semantics (Section 2),
+and for the error-path rules every runtime shares."""
+
+import collections
 
 import pytest
 
-from repro import Runtime, RuntimeStateError, TaskKind
+from repro import (
+    AsyncioRuntime,
+    ParallelRaceDetector,
+    Runtime,
+    RuntimeStateError,
+    SharedArray,
+    TaskKind,
+    ThreadRuntime,
+)
 from repro.core.events import ExecutionObserver
 
 
@@ -212,31 +223,89 @@ def test_child_exception_propagates_and_marks_task():
     assert tasks.get("raised")
 
 
-def test_a_raising_child_and_finish_still_end_for_observers():
-    # Observers see the child end, and its finish end, before the parent
-    # resumes, so the stream stays depth-first when the error is caught.
-    rec = Recorder()
-    rt = Runtime(observers=[rec])
+# The error-path rules are the RuntimeBase contract: each check runs on
+# every runtime, the serial one under the test's plain name and the
+# concurrent ones under its "_concurrently" twin.  The serial runtime's
+# log is exact; a concurrent one must send the same hook calls, in any
+# order.
+CONCURRENT_RUNTIMES = [
+    pytest.param(lambda observers: ThreadRuntime(observers, workers=1),
+                 id="threads-1"),
+    pytest.param(lambda observers: ThreadRuntime(observers, workers=2),
+                 id="threads-2"),
+    pytest.param(AsyncioRuntime, id="asyncio"),
+]
+RUNTIMES = [pytest.param(Runtime, id="serial"), *CONCURRENT_RUNTIMES]
 
-    def prog(rt):
+
+def _run(rt, program, async_program):
+    rt.run(async_program if isinstance(rt, AsyncioRuntime) else program)
+
+
+def _assert_log(rt, log, want):
+    if isinstance(rt, Runtime):
+        assert log == want
+    else:
+        assert collections.Counter(log) == collections.Counter(want)
+
+
+def test_a_raising_child_and_finish_still_end_for_observers():
+    _check_a_raising_child_and_finish_still_end_for_observers(Runtime)
+
+
+@pytest.mark.parametrize("make", CONCURRENT_RUNTIMES)
+def test_a_raising_child_and_finish_still_end_for_observers_concurrently(make):
+    _check_a_raising_child_and_finish_still_end_for_observers(make)
+
+
+def _check_a_raising_child_and_finish_still_end_for_observers(make):
+    # Observers see the child end, and both finishes end, before the
+    # error reaches the parent, so the stream stays whole when the error
+    # is caught.
+    rec = Recorder()
+
+    def program(rt):
         def boom():
             with rt.finish():
                 rt.async_(lambda: None)
                 raise ValueError("boom")
 
         with pytest.raises(ValueError):
-            rt.async_(boom)
+            with rt.finish():
+                rt.async_(boom)
         rt.async_(lambda: None)
 
-    rt.run(prog)
-    assert rec.log[2:] == [
-        ("create", 0, 1), ("fstart", 1), ("create", 1, 2), ("end", 2),
-        ("fend", 1), ("end", 1), ("create", 0, 3), ("end", 3),
+    async def async_program(rt):
+        async def boom():
+            async with rt.finish():
+                rt.async_(lambda: None)
+                raise ValueError("boom")
+
+        with pytest.raises(ValueError):
+            async with rt.finish():
+                rt.async_(boom)
+        rt.async_(lambda: None)
+
+    rt = make([rec])
+    _run(rt, program, async_program)
+    _assert_log(rt, rec.log, [
+        ("init", 0), ("fstart", 0), ("fstart", 1), ("create", 0, 1),
+        ("fstart", 2), ("create", 1, 2), ("end", 2), ("fend", 2),
+        ("end", 1), ("fend", 1), ("create", 0, 3), ("end", 3),
         ("fend", 0), ("end", 0), ("shutdown", 0),
-    ]
+    ])
 
 
 def test_a_refused_spawn_is_taken_back():
+    _check_a_refused_spawn_is_taken_back(Runtime)
+
+
+@pytest.mark.parametrize("make", CONCURRENT_RUNTIMES)
+def test_a_refused_spawn_is_taken_back_concurrently(make):
+    _check_a_refused_spawn_is_taken_back(make)
+
+
+def _check_a_refused_spawn_is_taken_back(make):
     # An observer refuses a spawn: the child never runs, the observers
     # that saw it created see it end, and the refusal propagates.
     class RefuseGrandchild(ExecutionObserver):
@@ -245,24 +314,42 @@ def test_a_refused_spawn_is_taken_back():
                 raise RuntimeStateError("refused")
 
     rec = Recorder()
-    rt = Runtime(observers=[rec, RefuseGrandchild()])
-    scopes = []
+    scopes, ran = [], []
 
-    def prog(rt):
+    def child():
+        rt.async_(lambda: ran.append("grandchild"))
+
+    def program(rt):
         with rt.finish() as scope:
             scopes.append(scope)
-            rt.async_(lambda: rt.async_(lambda: None))
+            rt.async_(child)
 
+    async def async_program(rt):
+        async with rt.finish() as scope:
+            scopes.append(scope)
+            rt.async_(child)
+
+    rt = make([rec, RefuseGrandchild()])
     with pytest.raises(RuntimeStateError, match="refused"):
-        rt.run(prog)
-    assert rec.log[2:] == [
-        ("fstart", 1), ("create", 0, 1), ("create", 1, 2), ("end", 2),
-        ("end", 1), ("fend", 1),
-    ]
+        _run(rt, program, async_program)
+    _assert_log(rt, rec.log, [
+        ("init", 0), ("fstart", 0), ("fstart", 1), ("create", 0, 1),
+        ("create", 1, 2), ("end", 2), ("end", 1), ("fend", 1),
+    ])
     assert [t.tid for t in scopes[0].joins] == [1]
+    assert ran == []
 
 
 def test_an_end_hook_error_unwinds_without_abnormal_ends():
+    _check_an_end_hook_error_unwinds_without_abnormal_ends(Runtime)
+
+
+@pytest.mark.parametrize("make", CONCURRENT_RUNTIMES)
+def test_an_end_hook_error_unwinds_without_abnormal_ends_concurrently(make):
+    _check_an_end_hook_error_unwinds_without_abnormal_ends(make)
+
+
+def _check_an_end_hook_error_unwinds_without_abnormal_ends(make):
     # Once an observer raises at an end, the observers' streams disagree,
     # so no further end is dispatched while the error propagates.
     class FailAtEnd(ExecutionObserver):
@@ -271,15 +358,64 @@ def test_an_end_hook_error_unwinds_without_abnormal_ends():
                 raise RuntimeStateError("failed")
 
     rec = Recorder()
-    rt = Runtime(observers=[rec, FailAtEnd()])
 
-    def prog(rt):
+    def program(rt):
+        def child():
+            with rt.finish():
+                rt.async_(lambda: None)
+
         with rt.finish():
-            rt.async_(lambda: rt.async_(lambda: None))
+            rt.async_(child)
 
+    async def async_program(rt):
+        async def child():
+            async with rt.finish():
+                rt.async_(lambda: None)
+
+        async with rt.finish():
+            rt.async_(child)
+
+    rt = make([rec, FailAtEnd()])
     with pytest.raises(RuntimeStateError, match="failed"):
-        rt.run(prog)
-    assert rec.log[-2:] == [("create", 1, 2), ("end", 2)]
+        _run(rt, program, async_program)
+    _assert_log(rt, rec.log, [
+        ("init", 0), ("fstart", 0), ("fstart", 1), ("create", 0, 1),
+        ("fstart", 2), ("create", 1, 2), ("end", 2),
+    ])
+
+
+@pytest.mark.parametrize("make", RUNTIMES)
+@pytest.mark.parametrize("raiser", ["finish-body", "child"])
+def test_a_caught_finish_error_still_joins_the_children(make, raiser):
+    # The scope waited for its children, so reading what they wrote after
+    # catching its error is no race, on any runtime.
+    det = ParallelRaceDetector()
+    rt = make([det])
+    data = SharedArray(rt, "d", 1)
+
+    def child():
+        data.write(0, 1)
+        if raiser == "child":
+            raise ValueError("child")
+
+    def program(rt):
+        with pytest.raises(ValueError):
+            with rt.finish():
+                rt.async_(child)
+                if raiser == "finish-body":
+                    raise ValueError("body")
+        data.read(0)
+
+    async def async_program(rt):
+        with pytest.raises(ValueError):
+            async with rt.finish():
+                rt.async_(child)
+                if raiser == "finish-body":
+                    raise ValueError("body")
+        data.read(0)
+
+    _run(rt, program, async_program)
+    assert det.racy_locations == set()
 
 
 def test_args_and_kwargs_forwarded():

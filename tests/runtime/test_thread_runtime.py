@@ -446,6 +446,47 @@ def test_cyclic_get_on_own_stack_raises_instead_of_hanging():
         assert "cannot wait for itself" in line, line
 
 
+def test_an_end_hook_error_on_a_worker_raises_instead_of_hanging():
+    """An observer that raises in ``on_task_end`` on a worker: the task
+    still completes and the join that waits for it (finish exit, get or
+    ``run``) raises the hook's error; at the parent the worker died and
+    ``run()`` hung."""
+    lines = _run_script("""
+        import threading
+        from repro import ThreadRuntime
+        from repro.core.events import ExecutionObserver
+
+        class FailAtEnd(ExecutionObserver):
+            def on_task_end(self, task):
+                if task.tid == 1:
+                    raise ValueError("hook failed")
+
+        for join in ("finish", "get", "run"):
+            started = threading.Event()
+
+            def program(rt):
+                # The caller waits until the worker runs the task.
+                if join == "finish":
+                    with rt.finish():
+                        rt.async_(started.set)
+                        assert started.wait(10)
+                elif join == "get":
+                    f = rt.future(started.set)
+                    assert started.wait(10)
+                    f.get()
+                else:
+                    rt.async_(started.set)
+                    assert started.wait(10)
+
+            try:
+                ThreadRuntime([FailAtEnd()], workers=1).run(program)
+            except ValueError as exc:
+                print(join, exc)
+    """)
+    assert lines == ["finish hook failed", "get hook failed",
+                     "run hook failed"]
+
+
 def test_worker_waiting_on_a_caller_inlined_task_is_not_starved():
     """At the cap, a worker blocked on a task the caller thread runs
     inline is waiting on live work: the pool must not report starvation."""
