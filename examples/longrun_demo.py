@@ -7,9 +7,9 @@ by ``finish`` barriers, so the program is race-free by construction — the
 interesting output is not the (empty) race set but the run itself.  The
 recursion spawns from *inside* worker tasks, so a threaded run populates
 worker deques and produces real steals (unlike the Jacobi example, whose
-tiles are all injected from the caller thread), and every cell access goes
-through the striped shadow locks — the two counter families the telemetry
-acceptance check watches.
+tiles are all injected from the caller thread), and every cell access is
+checked by the online detector — steals and checked accesses are the two
+counts the telemetry acceptance check watches.
 
 Watch it live (README "Watching a long run")::
 
@@ -18,7 +18,7 @@ Watch it live (README "Watching a long run")::
     curl -s localhost:9464/metrics | grep repro_detector_accesses
     curl -s localhost:9464/snapshot | python -m json.tool
 
-or threaded, to see steal and stripe-lock counters move::
+or threaded, to see the steal and checked-access counts move::
 
     repro-racecheck examples/longrun_demo.py --runtime threads \
         --workers 2 --serve-metrics 9464

@@ -71,16 +71,10 @@ class DetectorPerf:
     These are *performance* observability (PRECEDE queries, DTRG mutation
     epochs, shadow fast-path savings), kept separate from the structural
     :class:`Metrics` so the Table 2 columns stay comparable to the paper
-    while the report can print them alongside ``#AvgReaders``.  The
-    ``cache_*`` fields mirror ``perf_stats`` and are 0: no engine keeps a
-    public PRECEDE cache.
+    while the report can print them alongside ``#AvgReaders``.
     """
 
     precede_queries: int = 0    #: PRECEDE calls issued by the shadow checks
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_invalidations: int = 0
-    cache_hit_rate: float = 0.0
     epoch_bumps: int = 0        #: DTRG mutations observed (epoch counter)
     shadow_fast_hits: int = 0   #: accesses short-circuited before PRECEDE
     precede_calls_saved: int = 0
@@ -100,10 +94,6 @@ class DetectorPerf:
         stats = detector.perf_stats
         return cls(
             precede_queries=stats.get("precede_queries", 0),
-            cache_hits=stats.get("cache_hits", 0),
-            cache_misses=stats.get("cache_misses", 0),
-            cache_invalidations=stats.get("cache_invalidations", 0),
-            cache_hit_rate=stats.get("cache_hit_rate", 0.0),
             epoch_bumps=stats.get("mutation_epoch", 0),
             shadow_fast_hits=stats.get("shadow_fast_hits", 0),
             precede_calls_saved=stats.get("precede_calls_saved", 0),

@@ -31,9 +31,8 @@ from repro.harness.runner import (
     BENCHMARKS,
     EXTENDED_BENCHMARKS,
     BenchmarkResult,
-    ParallelBenchResult,
     run_benchmark,
-    run_parallel_benchmark,
+    run_legs,
 )
 
 __all__ = ["main", "PAPER_TABLE2"]
@@ -171,34 +170,31 @@ def main(argv: List[str] | None = None) -> int:
         print(" ", line)
 
     if args.jobs > 1:
-        parallel: Dict[str, ParallelBenchResult] = {}
+        parallel = {}
         for name in names:
             print(f"parallel-checking {name} (jobs=1,{args.jobs}) ...",
                   file=sys.stderr)
-            parallel[name] = run_parallel_benchmark(
-                name, args.scale, jobs=(1, args.jobs),
+            parallel[name] = run_legs(
+                "parallel", name, args.scale, jobs=(1, args.jobs),
                 repeats=args.repeats, verify=False,
             )
         print(f"\nTwo-phase sharded checker (jobs=1 vs {args.jobs}):\n")
-        print(render_table([
-            {
+        rows = []
+        for name, p in parallel.items():
+            one, many = p["legs"]
+            rows.append({
                 "Benchmark": name,
-                "#Accesses": p.num_access_events,
-                "Freeze (ms)": round(p.freeze_seconds * 1e3, 2),
-                "Check@1 (ms)": round(
-                    p.per_jobs[1]["seconds"] * 1e3, 1
-                ),
-                f"Check@{args.jobs} (ms)": round(
-                    p.per_jobs[args.jobs]["seconds"] * 1e3, 1
-                ),
-                "Speedup": round(p.speedup(args.jobs), 2),
-                "Identical": p.identical,
-            }
-            for name, p in parallel.items()
-        ]))
+                "#Accesses": p["num_access_events"],
+                "Freeze (ms)": round(one["freeze_seconds"] * 1e3, 2),
+                "Check@1 (ms)": round(one["seconds"] * 1e3, 1),
+                f"Check@{args.jobs} (ms)": round(many["seconds"] * 1e3, 1),
+                "Speedup": round(many["speedup"], 2),
+                "Identical": p["identical"],
+            })
+        print(render_table(rows))
         print("\nParallel determinism checks:")
         for name, p in parallel.items():
-            status = "PASS" if p.identical else "FAIL"
+            status = "PASS" if p["identical"] else "FAIL"
             print(f"  [{status}] {name}: jobs={args.jobs} summary and "
                   "counters byte-identical to jobs=1")
     if obs is not None:

@@ -38,6 +38,7 @@ contract — a run without telemetry executes byte-identically):
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -255,14 +256,42 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
 
+class _Server(ThreadingHTTPServer):
+    """Serves each connection on a daemon thread and keeps the thread
+    and its socket, so :meth:`TelemetryServer.stop` can end idle
+    keep-alive connections and wait for responses already started.
+    (The stdlib server keeps no daemon handler thread, and its
+    ``server_close`` joins none.)"""
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self.connections: Dict[threading.Thread, socket.socket] = {}
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        # Only the serving thread calls this, and stop() reads the map
+        # after that thread has finished.
+        self.connections = {
+            t: sock for t, sock in self.connections.items() if t.is_alive()
+        }
+        self.connections[thread] = request
+        thread.start()
+
+
 class TelemetryServer:
     """A :class:`ThreadingHTTPServer` bound at construction (so port 0
     resolves immediately) and served from a daemon thread."""
 
+    #: How long :meth:`stop` waits, in all, for responses in flight.
+    STOP_GRACE_SECONDS = 5.0
+
     def __init__(self, telemetry: "LiveTelemetry", port: int,
                  host: str = "127.0.0.1") -> None:
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host, port), _Handler)
         self._httpd.telemetry = telemetry  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
@@ -286,11 +315,23 @@ class TelemetryServer:
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop accepting, then let every response already started
+        finish (for at most :attr:`STOP_GRACE_SECONDS` in all) before
+        closing.  Shutting the read side of each connection wakes a
+        handler idle between keep-alive requests at once, and leaves a
+        response being written whole."""
         if self._thread is None:
             return
         self._httpd.shutdown()
         self._thread.join(timeout=5.0)
         self._thread = None
+        deadline = time.monotonic() + self.STOP_GRACE_SECONDS
+        for thread, sock in self._httpd.connections.items():
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:  # the handler already closed it
+                pass
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
         self._httpd.server_close()
 
 
@@ -304,11 +345,11 @@ def detector_source(detector) -> Callable[[], Dict[str, Any]]:
     ``COLLECT`` comes once per batch of column entries, plus DTRG sizes),
     the schedule-robust
     :class:`~repro.core.parallel_detector.ParallelRaceDetector` (clock
-    table, and the ``stripe_lock_*`` gauges: its checked accesses per
-    location-hash bucket; its queries first check the buffered accesses,
-    under the detector's own lock, never an access path's), and the
-    checker result objects (races + perf counters).  Missing attributes
-    are simply skipped, so one source works across all of them."""
+    table and checked accesses; its queries first check the buffered
+    accesses, under the detector's own lock, never an access path's),
+    and the checker result objects (races + perf counters).  Missing
+    attributes are simply skipped, so one source works across all of
+    them."""
 
     def sample() -> Dict[str, Any]:
         g: Dict[str, Any] = {}
@@ -345,11 +386,6 @@ def detector_source(detector) -> Callable[[], Dict[str, Any]]:
                 )
             if "num_accesses" in stats:
                 g.setdefault("detector_accesses", stats["num_accesses"])
-        stripes = getattr(detector, "stripe_counts", None)
-        if stripes:
-            g["stripe_lock_acquisitions_total"] = sum(stripes)
-            g["stripe_lock_max_acquisitions"] = max(stripes)
-            g["stripe_locks_touched"] = sum(1 for n in stripes if n)
         races = getattr(detector, "races", None)
         if races is not None:
             try:

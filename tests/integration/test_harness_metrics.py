@@ -1,6 +1,8 @@
 """Unit/integration tests for the metrics collector and report rendering
 corners not covered elsewhere."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro import Runtime, SharedArray
@@ -159,16 +161,16 @@ def test_detector_perf_tolerates_missing_stats_keys():
 
     perf = DetectorPerf.from_detector(Partial())
     assert perf.precede_queries == 7
-    assert perf.cache_hits == 0
-    assert perf.cache_hit_rate == 0.0
+    assert perf.shadow_fast_hits == 0
     assert perf.as_row()["#PrecedeQ"] == 7
     assert DetectorPerf.from_detector(None).precede_queries == 0
 
 
 @pytest.mark.parametrize("engine", ["array", "vc"])
 def test_detector_perf_cache_columns_are_zero(engine):
-    """No engine keeps a public PRECEDE cache: the cache counters stay
-    zero and the row still builds and renders."""
+    """No engine keeps a public PRECEDE cache: the snapshot carries no
+    cache counters (they were always 0), and the row still builds and
+    renders."""
     det = DeterminacyRaceDetector(engine=engine)
     rt = Runtime(observers=[det])
     mem = SharedArray(rt, "x", 2)
@@ -180,8 +182,7 @@ def test_detector_perf_cache_columns_are_zero(engine):
 
     rt.run(prog)
     perf = DetectorPerf.from_detector(det)
-    assert perf.cache_hits == 0 and perf.cache_misses == 0
-    assert perf.cache_hit_rate == 0.0
+    assert not [f for f in asdict(perf) if f.startswith("cache_")]
     assert perf.precede_queries > 0
     assert "#PrecedeQ" in render_table([perf.as_row()])
 

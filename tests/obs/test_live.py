@@ -1,7 +1,10 @@
 """Unit tests for the live telemetry plane (progress, sampler, server)."""
 
+import http.client
 import io
 import json
+import threading
+import time
 import urllib.request
 
 import pytest
@@ -182,8 +185,7 @@ class TestSamplerSources:
         assert g["worker_deque_depths"] == [2, 5]
         assert g["worker_deque_depth_sum"] == 7
         assert g["worker_deque_depth_max"] == 5
-        # The runtime takes no lock per access; the stripe_lock_* gauges
-        # come from the detector's location-hash buckets only.
+        # The runtime takes no lock per access: no stripe gauge.
         assert not any(name.startswith("stripe") for name in g)
 
     def test_tracer_source_pins_drop_counter_name(self):
@@ -302,3 +304,53 @@ class TestLiveTelemetry:
         lt.start()
         lt.stop()
         lt.stop()
+
+    def test_stop_waits_for_a_response_in_flight(self):
+        """A process exits right after stop(): a /metrics response
+        already started must be written whole before stop() returns."""
+        lt = LiveTelemetry(port=0)
+        rendering, rendered = threading.Event(), threading.Event()
+        body = "x" * 200_000 + "\n"
+
+        def slow_render() -> str:
+            rendering.set()
+            time.sleep(0.5)
+            rendered.set()
+            return body
+
+        lt.render_metrics = slow_render
+        lt.start()
+        got = {}
+
+        def client() -> None:
+            with urllib.request.urlopen(f"{lt.url}/metrics",
+                                        timeout=10) as resp:
+                got["body"] = resp.read().decode()
+
+        reader = threading.Thread(target=client)
+        reader.start()
+        assert rendering.wait(5.0)
+        lt.stop()
+        assert rendered.is_set()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got["body"] == body
+
+    def test_an_idle_keep_alive_connection_does_not_block_stop(self):
+        lt = LiveTelemetry(port=0)
+        lt.start()
+        conn = http.client.HTTPConnection(
+            lt.server.host, lt.server.port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.read() == b"ok\n"
+            assert not resp.will_close  # HTTP/1.1: the connection stays
+            handlers = list(lt.server._httpd.connections)
+            assert handlers and all(t.is_alive() for t in handlers)
+            start = time.monotonic()
+            lt.stop()
+            assert time.monotonic() - start < 2.0
+            assert not any(t.is_alive() for t in handlers)
+        finally:
+            conn.close()
