@@ -522,9 +522,12 @@ def run_benchmark(
     """Run one Table 2 row in all three configurations.
 
     ``repeats`` keeps the best wall time per configuration (the paper uses
-    the mean of 10 in-JVM runs to dodge JIT warmup; CPython has no warmup,
-    so min-of-N suffices and is the conventional choice for interpreted
-    code).
+    the mean of 10 in-JVM runs to dodge JIT warmup; min-of-N is the
+    conventional choice for interpreted code).  CPython warms up too: a
+    workload's first call in a process pays for imports, allocator growth
+    and cold caches (``jacobi.serial`` at ``tiny`` scale took about 9 ms
+    cold and 0.05 ms warm), so one untimed ``Seq`` call precedes the
+    timed ones.
 
     ``obs`` (an :class:`repro.obs.Observability`) instruments the *Racedet*
     configuration only — the Seq and Instrumented bars stay untouched so
@@ -535,6 +538,7 @@ def run_benchmark(
     bench = BENCHMARKS.get(name) or EXTENDED_BENCHMARKS[name]
     params = bench.params(scale)
 
+    bench.serial(params)  # untimed warm-up, see above
     seq_best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()

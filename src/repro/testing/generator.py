@@ -229,28 +229,24 @@ def run_program(
 # race by construction), so parity legs always run scoped.
 
 
-def _make_sync_interpreter(rt, mem, *, scoped_handles: bool, values: bool):
-    registry: List = []  # wild mode: all handles in creation order
-
+def _make_sync_interpreter(rt, mem):
     def exec_body(body: Sequence[Stmt], visible: List, path: tuple = ()) -> None:
         for i, stmt in enumerate(body):
             if isinstance(stmt, Read):
                 mem.read(stmt.loc)
             elif isinstance(stmt, Write):
-                mem.write(stmt.loc, path + (i,) if values else None)
+                mem.write(stmt.loc, path + (i,))
             elif isinstance(stmt, Get):
-                pool = visible if scoped_handles else registry
-                if pool:
-                    idx = min(int(stmt.selector * len(pool)), len(pool) - 1)
-                    pool[idx].get()
+                if visible:
+                    idx = min(int(stmt.selector * len(visible)),
+                              len(visible) - 1)
+                    visible[idx].get()
             elif isinstance(stmt, Async):
                 rt.async_(exec_body, stmt.body, list(visible), path + (i,))
             elif isinstance(stmt, Future):
-                handle = rt.future(
+                visible.append(rt.future(
                     exec_body, stmt.body, list(visible), path + (i,)
-                )
-                visible.append(handle)
-                registry.append(handle)
+                ))
             elif isinstance(stmt, Finish):
                 with rt.finish():
                     exec_body(stmt.body, visible, path + (i,))
@@ -260,9 +256,7 @@ def _make_sync_interpreter(rt, mem, *, scoped_handles: bool, values: bool):
     return exec_body
 
 
-def _make_async_interpreter(rt, mem, *, scoped_handles: bool, values: bool):
-    registry: List = []
-
+def _make_async_interpreter(rt, mem):
     async def exec_body(
         body: Sequence[Stmt], visible: List, path: tuple = ()
     ) -> None:
@@ -270,20 +264,18 @@ def _make_async_interpreter(rt, mem, *, scoped_handles: bool, values: bool):
             if isinstance(stmt, Read):
                 mem.read(stmt.loc)
             elif isinstance(stmt, Write):
-                mem.write(stmt.loc, path + (i,) if values else None)
+                mem.write(stmt.loc, path + (i,))
             elif isinstance(stmt, Get):
-                pool = visible if scoped_handles else registry
-                if pool:
-                    idx = min(int(stmt.selector * len(pool)), len(pool) - 1)
-                    await pool[idx].get()
+                if visible:
+                    idx = min(int(stmt.selector * len(visible)),
+                              len(visible) - 1)
+                    await visible[idx].get()
             elif isinstance(stmt, Async):
                 rt.async_(exec_body, stmt.body, list(visible), path + (i,))
             elif isinstance(stmt, Future):
-                handle = rt.future(
+                visible.append(rt.future(
                     exec_body, stmt.body, list(visible), path + (i,)
-                )
-                visible.append(handle)
-                registry.append(handle)
+                ))
             elif isinstance(stmt, Finish):
                 async with rt.finish():
                     await exec_body(stmt.body, visible, path + (i,))
@@ -293,24 +285,16 @@ def _make_async_interpreter(rt, mem, *, scoped_handles: bool, values: bool):
     return exec_body
 
 
-def run_program_values(
-    program: Program,
-    observers: Sequence = (),
-    *,
-    scoped_handles: bool = True,
-    obs=None,
-):
+def run_program_values(program: Program, observers: Sequence = ()):
     """Serial depth-first execution with path-token writes.
 
     The reference leg of the runtime-parity sweep: same substrate as
     :func:`run_program` but writes statement-path tokens so the final
     memory is comparable.  Returns ``(runtime, final_memory)``.
     """
-    rt = Runtime(observers=list(observers), obs=obs)
+    rt = Runtime(observers=list(observers))
     mem = SharedArray(rt, "x", program.num_locs)
-    exec_body = _make_sync_interpreter(
-        rt, mem, scoped_handles=scoped_handles, values=True
-    )
+    exec_body = _make_sync_interpreter(rt, mem)
     rt.run(lambda _rt: exec_body(program.body, [], ()))
     return rt, mem.to_list()
 
@@ -320,39 +304,26 @@ def run_program_threads(
     observers: Sequence = (),
     *,
     workers: int = 2,
-    scoped_handles: bool = True,
-    obs=None,
     steal_seed: int = 0,
 ):
     """Execute ``program`` on a :class:`ThreadRuntime` with path-token
     writes.  Returns ``(runtime, final_memory)``; observers must be
     schedule-robust (``ParallelRaceDetector``)."""
     rt = ThreadRuntime(
-        observers=list(observers), workers=workers, obs=obs,
-        steal_seed=steal_seed,
+        observers=list(observers), workers=workers, steal_seed=steal_seed,
     )
     mem = SharedArray(rt, "x", program.num_locs)
-    exec_body = _make_sync_interpreter(
-        rt, mem, scoped_handles=scoped_handles, values=True
-    )
+    exec_body = _make_sync_interpreter(rt, mem)
     rt.run(lambda _rt: exec_body(program.body, [], ()))
     return rt, mem.to_list()
 
 
-def run_program_asyncio(
-    program: Program,
-    observers: Sequence = (),
-    *,
-    scoped_handles: bool = True,
-    obs=None,
-):
+def run_program_asyncio(program: Program, observers: Sequence = ()):
     """Execute ``program`` on an :class:`AsyncioRuntime` with path-token
     writes.  Returns ``(runtime, final_memory)``."""
-    rt = AsyncioRuntime(observers=list(observers), obs=obs)
+    rt = AsyncioRuntime(observers=list(observers))
     mem = SharedArray(rt, "x", program.num_locs)
-    exec_body = _make_async_interpreter(
-        rt, mem, scoped_handles=scoped_handles, values=True
-    )
+    exec_body = _make_async_interpreter(rt, mem)
 
     async def main(_rt):
         await exec_body(program.body, [], ())

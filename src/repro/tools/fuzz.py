@@ -12,42 +12,39 @@ and diffing every implementation against the brute-force oracle:
     repro-fuzz --replay-corpus tests/corpus  # replay checked-in repros
     repro-fuzz --seeds 0:50 --perfetto t.json --metrics-json m.json
 
-Per seed, :func:`~repro.testing.generator.random_program` yields a program
-which is checked in up to two modes:
+Per seed, :func:`~repro.testing.generator.random_program` yields a
+program, and every enabled entry of one table, :data:`LEGS`, checks it
+(docs/ALGORITHM.md §9 tabulates the legs).  A leg is one row of the
+stats table: it runs one thing, and its verdict must equal the oracle's,
+the row's live run's, or the serial elision's final memory.
 
 * **scoped** (the language's reference-flow discipline): every general
-  detector (dtrg, vector-clock) *and* every DTRG ablation
-  (``dtrg[no-lsa]``, ``dtrg[no-memo]``, ``dtrg[no-intervals]`` — the
-  kernel over ``AblatedArrayDTRG``, the same graph with an optimization
-  switched off, which must never change a verdict) must report exactly the oracle's racy locations; every
-  restricted detector (spd3, espbags, spbags, offset-span) must either
-  refuse with ``UnsupportedConstructError`` or agree; the general
-  PRECEDE backend ``vc`` (docs/ALGORITHM.md §14) runs as a parity row
-  that must always agree, so by transitivity it agrees with the dtrg;
-  and each completed run must round-trip through
-  :class:`~repro.memory.tracer.TraceRecorder`/:func:`replay_trace` with an
-  identical verdict (record-replay parity).  A ``policy="raise"`` dtrg
-  run must stop at the default run's first race (``RAISE`` leg).  The
-  recorded trace's columns are then broken once per :data:`MUTATIONS`
-  kind (malformed-trace leg): each mutant must raise
-  ``TraceFormatError`` or, when it is still a valid trace, check as the
-  oracle does on its decoded events.
+  detector (dtrg, vector-clock), DTRG ablation (``dtrg[no-lsa]``,
+  ``dtrg[no-memo]``, ``dtrg[no-intervals]``) and PRECEDE backend
+  (``vc``) must report exactly the oracle's racy locations; a restricted
+  detector (spd3, espbags, spbags, offset-span) may refuse with
+  ``UnsupportedConstructError`` instead.  Each completed run must replay
+  the oracle's recorded trace to its live verdict; ``dtrg[raise]`` must
+  raise the live run's first race; ``trace[malformed]`` mutates the
+  recorded columns (:data:`MUTATIONS`).  ``--jobs N`` adds
+  ``dtrg[parallel]`` and ``--runtimes`` the ``runtime[...]`` rows.
 * **wild** (out-of-band handle registry, outside the model's guarantee):
-  nothing may crash, and the vector-clock detector — whose access stamps
-  need no reference-flow assumption — must still match the oracle.  dtrg
-  and ``vc`` verdicts are *not* compared here; their task-granularity
-  false positives/negatives are documented behavior (DESIGN.md
-  deviation #4).
+  nothing may crash, each run must replay its own trace to its live
+  verdict, and the vector-clock detector — whose access stamps need no
+  reference-flow assumption — must still match the oracle.  dtrg and
+  ``vc`` verdicts are *not* compared here (DESIGN.md deviation #4).
 
-Failures are triaged by deduplicated signature, minimized with the
-hypothesis-free ddmin shrinker (:mod:`repro.testing.shrinker`), printed as
-pretty programs, and optionally written as regression-corpus JSON entries
-(:mod:`repro.testing.codec`) for ``tests/corpus/``.  When a minimized
-scoped repro is racy under the DTRG detector, triage reruns it with race
-provenance enabled and prints a compact witness line per race (the
-non-ordering certificate from ``explain_races``); with ``--corpus-dir``
-the full ``repro.race-witness-report/1`` JSON is written next to the
-corpus entry as ``<name>.witness.json``.
+One runner, :func:`_run_leg`, books every leg's runs, refusals, crashes,
+racy verdicts and divergences.  Failures are deduplicated by signature
+(``mode:kind:detector:...``) and minimized with the ddmin shrinker
+(:mod:`repro.testing.shrinker`) under one predicate: the failing leg,
+re-run on the candidate, must bring the exact signature back.  A failure
+that depends on the schedule or on one recorded trace, or that does not
+recur on the program itself, is reported unminimized.  Repros print as
+pretty programs, with a witness line per race when racy under the DTRG
+detector (``explain_races``), and ``--corpus-dir`` writes them as
+regression-corpus entries (:mod:`repro.testing.codec`) with a
+``<name>.witness.json`` report beside each.
 
 Exit status: 0 = no failures, 1 = at least one failure, 2 = bad usage.
 """
@@ -55,7 +52,6 @@ Exit status: 0 = no failures, 1 = at least one failure, 2 = bad usage.
 from __future__ import annotations
 
 import argparse
-import builtins
 import copy
 import json
 import random
@@ -63,7 +59,9 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, ClassVar, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.events import (
     FinishEndEvent,
@@ -105,6 +103,8 @@ from repro.tools.racecheck import DETECTORS
 __all__ = [
     "FuzzFailure",
     "FuzzStats",
+    "LEGS",
+    "Leg",
     "check_seed",
     "fuzz_range",
     "mutate_columns",
@@ -139,7 +139,7 @@ BACKENDS = {
 WILD = (ORACLE,) + GENERAL + tuple(BACKENDS)
 #: Stats row for the two-phase sharded checker (``--jobs N``, N > 1):
 #: per scoped seed it re-checks the recorded trace at jobs ∈ {1, N} and
-#: must reproduce the sequential dtrg racy set *and* byte-identical
+#: must reproduce the live dtrg racy set *and* the dtrg replay's
 #: ``RaceReport.summary()`` text at every job count.
 PARALLEL_NAME = "dtrg[parallel]"
 #: Stats row of the malformed-trace leg (every scoped seed): each
@@ -158,7 +158,7 @@ RAISE_NAME = "dtrg[raise]"
 #: id in a structure tuple or a location id in an access row put out of
 #: range; the last access rows truncated.
 MUTATIONS = ("drop", "duplicate", "swap", "task-id", "loc-id", "truncate")
-#: Runtime-parity rows (``--runtimes``, PR 8): the same scoped program is
+#: Runtime-parity rows (``--runtimes``): the same scoped program is
 #: *executed for real* on every substrate — the serial elision, the
 #: work-stealing ThreadRuntime at several pool sizes, and the cooperative
 #: AsyncioRuntime — each with a fresh
@@ -194,12 +194,16 @@ class FuzzFailure:
 
     seed: int
     mode: str            #: "scoped" | "wild"
-    kind: str            #: "divergence" | "replay-divergence" | "crash"
+    kind: str            #: "crash" | "divergence" | "replay-divergence" | …
     detector: str
     signature: str       #: dedup key (mode/kind/detector/direction)
     detail: str
     program: Program
     minimized: Optional[Program] = None
+    #: The leg that failed and the argument it ran with (a job count, a
+    #: mutant): what the shrink predicate re-runs.
+    leg: Optional["Leg"] = field(default=None, repr=False)
+    arg: object = field(default=None, repr=False)
 
     @property
     def repro(self) -> Program:
@@ -226,19 +230,10 @@ class FuzzStats:
         row[key] += amount
 
     def detector_rows(self) -> List[Dict[str, object]]:
-        order = (
-            (ORACLE,) + GENERAL + RESTRICTED + tuple(ABLATIONS)
-            + tuple(BACKENDS) + (RAISE_NAME, PARALLEL_NAME, MALFORMED_NAME,
-                                 RUNTIME_SERIAL)
-            + RUNTIME_ROWS
-        )
-        rows = []
-        for name in order:
-            row = self.per_detector.get(name)
-            if row is None:
-                continue
-            rows.append({"detector": name, **row})
-        return rows
+        """The rows that ran, in :data:`LEGS` order."""
+        return [{"detector": name, **self.per_detector[name]}
+                for name in dict.fromkeys(leg.row for leg in LEGS)
+                if name in self.per_detector]
 
     def summary(self) -> Dict[str, object]:
         return {
@@ -252,6 +247,10 @@ class FuzzStats:
 
 def _verdict(det) -> Set[Tuple[str, int]]:
     return set(det.racy_locations)
+
+
+def _show(verdict) -> list:
+    return sorted(verdict, key=repr)
 
 
 def _run_live(
@@ -271,51 +270,6 @@ def _run_live(
         observers.append(recorder)
     run_program(program, observers, scoped_handles=scoped, obs=obs)
     return det, (recorder.trace if recorder is not None else None)
-
-
-def _raise_mismatch(program: Program, collected) -> Optional[str]:
-    """``None`` if a ``policy="raise"`` dtrg run of ``program`` stops at
-    ``collected``'s first race (or runs through when it has none), else
-    what it did instead (see :data:`RAISE_NAME`)."""
-    want = collected.races[0] if collected.races else None
-    try:
-        run_program(program, [DETECTORS["dtrg"](policy="raise")],
-                    scoped_handles=True)
-    except RaceError as exc:
-        if exc.race == want:
-            return None
-        return f"raised {exc.race} but the COLLECT run's first race is {want}"
-    if want is None:
-        return None
-    return f"raised nothing but the COLLECT run's first race is {want}"
-
-
-def _raise_predicate(candidate: Program) -> bool:
-    """Reproduction check for a ``RAISE``-leg divergence or crash."""
-    try:
-        collected, _ = _run_live("dtrg", candidate, scoped=True)
-        return _raise_mismatch(candidate, collected) is not None
-    except UnsupportedConstructError:
-        return False
-    except Exception:
-        return True
-
-
-def _run_runtime(name: str, program: Program, seed: int = 0):
-    """Execute ``program`` on the named substrate with a fresh
-    :class:`ParallelRaceDetector` and statement-path write tokens.
-    Returns ``(racy-location verdict, final memory fingerprint)``."""
-    det = ParallelRaceDetector()
-    if name == RUNTIME_SERIAL:
-        _rt, mem = run_program_values(program, [det])
-    elif name == "runtime[asyncio]":
-        _rt, mem = run_program_asyncio(program, [det])
-    else:
-        workers = int(name.rsplit("-", 1)[-1].rstrip("]"))
-        _rt, mem = run_program_threads(
-            program, [det], workers=workers, steal_seed=seed
-        )
-    return _verdict(det), mem
 
 
 def _triage_witnesses(program: Program) -> list:
@@ -363,86 +317,6 @@ def _diff_direction(got: Set, want: Set) -> str:
         return "mixed"
     return "extra" if extra else "missing"
 
-
-def _divergence_predicate(
-    name: str, scoped: bool
-) -> Callable[[Program], bool]:
-    """Reproduction check for a verdict divergence (used by the shrinker)."""
-
-    def holds(candidate: Program) -> bool:
-        try:
-            det, _ = _run_live(name, candidate, scoped=scoped)
-            oracle, _ = _run_live(ORACLE, candidate, scoped=scoped)
-        except UnsupportedConstructError:
-            return False
-        return _verdict(det) != _verdict(oracle)
-
-    return holds
-
-
-def _replay_predicate(name: str, scoped: bool) -> Callable[[Program], bool]:
-    def holds(candidate: Program) -> bool:
-        try:
-            live, trace = _run_live(name, candidate, scoped=scoped, record=True)
-            replayed = DETECTORS[name]()
-            replay_trace(trace, [replayed])
-        except UnsupportedConstructError:
-            return False
-        return _verdict(live) != _verdict(replayed)
-
-    return holds
-
-
-def _parallel_predicate(jobs: int) -> Callable[[Program], bool]:
-    """Reproduction check for a sequential/parallel checker divergence."""
-
-    def holds(candidate: Program) -> bool:
-        from repro.core.parallel_check import check_trace_parallel
-
-        try:
-            live, trace = _run_live(
-                "dtrg", candidate, scoped=True, record=True
-            )
-            sequential = DETECTORS["dtrg"]()
-            replay_trace(trace, [sequential])
-            result = check_trace_parallel(trace, jobs=jobs, backend="inline")
-        except Exception:
-            return False
-        return (set(result.racy_locations) != _verdict(live)
-                or result.summary() != sequential.report.summary())
-
-    return holds
-
-
-def _runtime_divergence_predicate(
-    name: str, seed: int
-) -> Callable[[Program], bool]:
-    """Reproduction check for a runtime-parity verdict divergence."""
-
-    def holds(candidate: Program) -> bool:
-        try:
-            oracle, _ = _run_live(ORACLE, candidate, scoped=True)
-            got, _mem = _run_runtime(name, candidate, seed)
-        except Exception:
-            return False
-        return got != _verdict(oracle)
-
-    return holds
-
-
-def _crash_predicate(
-    name: str, exc_type: type, scoped: bool
-) -> Callable[[Program], bool]:
-    def holds(candidate: Program) -> bool:
-        try:
-            _run_live(name, candidate, scoped=scoped)
-        except exc_type:
-            return True
-        except Exception:
-            return False
-        return False
-
-    return holds
 
 
 
@@ -522,46 +396,387 @@ def _closed(events: list) -> list:
     return events + open_items[::-1]
 
 
-def _check_mutants(seed: int, trace, stats: "FuzzStats", fail) -> None:
-    """The malformed-trace leg of one scoped seed (see
-    :data:`MALFORMED_NAME`)."""
-    rng = random.Random(seed)
-    enc = encode_trace(trace)
-    for kind in MUTATIONS:
-        mutant = mutate_columns(enc, kind, rng)
-        if mutant is None:
-            continue
-        stats.tally(MALFORMED_NAME, "runs")
+# ---------------------------------------------------------------------- #
+# The legs                                                               #
+# ---------------------------------------------------------------------- #
+class _Missing(Exception):
+    """A run that a leg reads did not complete: the leg is skipped, or,
+    when only its reference is missing, run without a comparison."""
+
+
+_FAILED = object()  #: a leg's result when its run did not complete
+
+
+@dataclass(frozen=True, eq=False)
+class Leg:
+    """One check of a seed, booked on one stats row (see :data:`LEGS`).
+
+    The base class runs the ``row`` detector live on the program; each
+    subclass changes what is run and what its verdict is compared with.
+    ``run`` returns a pair whose first item holds the verdict and whose
+    second is what later legs read (the recorded trace, the final
+    memory).
+    """
+
+    row: str
+    mode: str = "scoped"
+    #: What the verdict must equal: ``"oracle"`` (the mode's oracle, or
+    #: under ``--replay-corpus`` the entry's declared racy set),
+    #: ``"live"`` (the row's live run), ``"serial"`` (the serial
+    #: elision's final memory), or ``None`` (nothing; only crashes fail).
+    expect: Optional[str] = "oracle"
+    #: Exceptions booked as refusals, not crashes.
+    refuses: Tuple[type, ...] = ()
+    #: Failure outcomes (``"crash"``, ``"divergence"``) that shrink: the
+    #: program alone brings them back, whatever the schedule.
+    shrinks: Tuple[str, ...] = ("crash", "divergence")
+    #: The :func:`check_seed` option that enables the leg (``"jobs"``
+    #: when ``jobs`` > 1, ``"runtimes"``); ``None`` for always.
+    flag: Optional[str] = None
+    #: Stats key of every failure of a leg that is no run of its own (it
+    #: books no runs and no racy verdicts); ``None`` for a run.
+    book: ClassVar[Optional[str]] = None
+
+    def args(self, ctx: "_Seed") -> Sequence:
+        """The arguments the leg runs once each with."""
+        return (None,)
+
+    def run(self, ctx: "_Seed", arg) -> tuple:
+        scoped = self.mode == "scoped"
+        det, trace = _run_live(
+            self.row, ctx.program, scoped=scoped,
+            record=not scoped or self.row == ORACLE,
+            obs=ctx.obs if scoped and self.row == "dtrg" else None,
+        )
+        if trace is not None:
+            ctx.stats.events += len(trace)
+        return det, trace
+
+    def verdict(self, result: tuple):
+        return _verdict(result[0])
+
+    def racy(self, verdict) -> bool:
+        return bool(verdict)
+
+    def reference(self, ctx: "_Seed", arg):
+        """The verdict this one must equal; raises :class:`_Missing`
+        when there is none."""
+        if self.expect == "oracle":
+            return ctx.oracle(self.mode)
+        if self.expect == "live":
+            return _verdict(ctx.result(Leg, self.mode, self.row)[0])
+        raise _Missing(self.row)
+
+    def crashed(self, exc: Exception, arg,
+                reference: bool = False) -> Tuple[str, str, str]:
+        """``(kind, signature, detail)`` of a run (or, with
+        ``reference``, a reference) that raised ``exc``."""
+        name = type(exc).__name__
+        return ("crash", f"{self.mode}:crash:{self.row}:{name}",
+                f"{name}: {exc}")
+
+    def diverged(self, got, want, arg) -> Tuple[str, str, str]:
+        """``(kind, signature, detail)`` of a verdict ``got`` that is not
+        the reference ``want``."""
+        return ("divergence", f"{self.mode}:divergence:{self.row}:"
+                f"{_diff_direction(got, want)}",
+                f"{self.row} {_show(got)} vs oracle {_show(want)}")
+
+
+class Replay(Leg):
+    """The recorded trace replayed into a fresh ``row`` detector: the
+    oracle's trace in scoped mode, the row's own live trace in wild mode.
+    Only a row whose live run completed is replayed."""
+
+    book = "replay_mismatches"
+
+    def run(self, ctx: "_Seed", arg) -> tuple:
+        _det, trace = ctx.result(Leg, self.mode, self.row)
+        if self.mode == "scoped":
+            trace = ctx.result(Leg, "scoped", ORACLE)[1]
+        replayed = _make_detector(self.row)
+        replay_trace(trace, [replayed])
+        return replayed, None
+
+    def crashed(self, exc, arg, reference=False):
+        name = type(exc).__name__
+        if self.mode == "scoped" and isinstance(exc,
+                                                UnsupportedConstructError):
+            return ("replay-divergence", f"scoped:replay-refusal:{self.row}",
+                    "completed live but refused the recorded trace")
+        return ("crash", f"{self.mode}:replay-crash:{self.row}:{name}",
+                f"replay raised {name}: {exc}")
+
+    def diverged(self, got, want, arg):
+        return ("replay-divergence", f"{self.mode}:replay:{self.row}",
+                f"live {_show(want)} vs replay {_show(got)}")
+
+
+class Raise(Leg):
+    """A ``policy="raise"`` dtrg run (see :data:`RAISE_NAME`); its verdict
+    is the race it raised, or ``None``."""
+
+    def run(self, ctx: "_Seed", arg) -> tuple:
         try:
-            got = set(check_trace_fast(mutant).racy_locations)
-        except TraceFormatError:
-            stats.tally(MALFORMED_NAME, "refusals")
+            run_program(ctx.program, [DETECTORS["dtrg"](policy="raise")])
+        except RaceError as exc:
+            return exc.race, None
+        return None, None
+
+    def verdict(self, result: tuple):
+        return result[0]
+
+    def reference(self, ctx: "_Seed", arg):
+        # An enabled obs makes the live dtrg run resume per block too;
+        # the leg compares against a batched run.
+        live = (ctx.result(Leg, "scoped", "dtrg") if ctx.obs is None
+                else _run_live("dtrg", ctx.program, scoped=True))[0]
+        return live.races[0] if live.races else None
+
+    def diverged(self, got, want, arg):
+        raised = "nothing" if got is None else got
+        return ("divergence", f"scoped:divergence:{self.row}",
+                f"raised {raised} but the COLLECT run's first race is "
+                f"{want}")
+
+
+class Sharded(Leg):
+    """The recorded trace re-checked by the two-phase sharded checker at
+    jobs 1 and N (see :data:`PARALLEL_NAME`); its verdict is the racy
+    set and the ``summary()`` text."""
+
+    def args(self, ctx: "_Seed") -> Sequence:
+        return (1, ctx.jobs)
+
+    def run(self, ctx: "_Seed", jobs) -> tuple:
+        from repro.core.parallel_check import check_trace_parallel
+
+        # Pinned inline: the auto backend would check these small traces
+        # as one unsplit shard.
+        trace = ctx.result(Leg, "scoped", ORACLE)[1]
+        return check_trace_parallel(trace, jobs=jobs, backend="inline"), None
+
+    def verdict(self, result: tuple):
+        return _verdict(result[0]), result[0].summary()
+
+    def racy(self, verdict) -> bool:
+        return bool(verdict[0])
+
+    def reference(self, ctx: "_Seed", jobs):
+        replayed = ctx.result(Replay, "scoped", "dtrg")[0]
+        return (_verdict(ctx.result(Leg, "scoped", "dtrg")[0]),
+                replayed.report.summary())
+
+    def crashed(self, exc, jobs, reference=False):
+        name = type(exc).__name__
+        return ("crash", f"scoped:parallel-crash:{name}",
+                f"jobs={jobs} raised {name}: {exc}")
+
+    def diverged(self, got, want, jobs):
+        return ("parallel-divergence", f"scoped:parallel:{jobs}",
+                f"jobs={jobs} {_show(got[0])} vs dtrg {_show(want[0])} "
+                f"(summary match: {got[1] == want[1]})")
+
+
+class Mutants(Leg):
+    """``check_trace_fast`` on each :data:`MUTATIONS` kind of the oracle's
+    recorded columns (see :data:`MALFORMED_NAME`); the reference is the
+    oracle run on the mutant's decoded events."""
+
+    def args(self, ctx: "_Seed") -> Sequence:
+        rng = random.Random(ctx.seed)
+        enc = encode_trace(ctx.result(Leg, "scoped", ORACLE)[1])
+        mutants = ((kind, mutate_columns(enc, kind, rng))
+                   for kind in MUTATIONS)
+        return [(kind, mutant) for kind, mutant in mutants
+                if mutant is not None]
+
+    def run(self, ctx: "_Seed", arg) -> tuple:
+        return check_trace_fast(arg[1]), None
+
+    def reference(self, ctx: "_Seed", arg):
+        oracle = DETECTORS[ORACLE]()
+        replay_trace(_closed(list(_decode(arg[1]))), [oracle])
+        return _verdict(oracle)
+
+    def crashed(self, exc, arg, reference=False):
+        name = type(exc).__name__
+        if reference:
+            return ("crash", f"scoped:malformed-decode:{arg[0]}:{name}",
+                    f"{arg[0]} mutant checked, but decoding or the oracle "
+                    f"raised {name}: {exc}")
+        return ("crash", f"scoped:malformed-crash:{arg[0]}:{name}",
+                f"{arg[0]} mutant raised {name}: {exc}")
+
+    def diverged(self, got, want, arg):
+        return ("divergence",
+                f"scoped:malformed:{arg[0]}:{_diff_direction(got, want)}",
+                f"{arg[0]} mutant {_show(got)} vs oracle {_show(want)}")
+
+
+class Runtime(Leg):
+    """Real execution on the row's substrate under a fresh online
+    :class:`ParallelRaceDetector`, writing statement-path tokens (see
+    :data:`RUNTIME_WORKERS`); the second item is the final memory."""
+
+    def run(self, ctx: "_Seed", arg) -> tuple:
+        det = ParallelRaceDetector()
+        if self.row == RUNTIME_SERIAL:
+            _rt, memory = run_program_values(ctx.program, [det])
+        elif self.row == "runtime[asyncio]":
+            _rt, memory = run_program_asyncio(ctx.program, [det])
+        else:
+            workers = int(self.row.rsplit("-", 1)[-1].rstrip("]"))
+            _rt, memory = run_program_threads(
+                ctx.program, [det], workers=workers, steal_seed=ctx.seed
+            )
+        return det, memory
+
+
+class Memory(Leg):
+    """The row's final memory against the serial elision's, on race-free
+    programs only: no run of its own, it reads the :class:`Runtime`
+    leg's."""
+
+    book = "divergences"
+
+    def run(self, ctx: "_Seed", arg) -> tuple:
+        return None, ctx.result(Runtime, "scoped", self.row)[1]
+
+    def verdict(self, result: tuple):
+        return result[1]
+
+    def reference(self, ctx: "_Seed", arg):
+        if ctx.oracle("scoped"):
+            raise _Missing(self.row)  # a racy program has no one memory
+        return ctx.result(Runtime, "scoped", RUNTIME_SERIAL)[1]
+
+    def diverged(self, got, want, arg):
+        return ("memory-divergence", f"scoped:runtime-mem:{self.row}",
+                f"{self.row} final memory diverged from the serial elision "
+                "on a race-free program (Determinism Property violated)")
+
+
+#: Every check of a seed, in stats-table order.  A leg runs after the
+#: legs it reads; ``check_seed`` runs those of the requested modes whose
+#: ``flag`` is on.
+LEGS: Tuple[Leg, ...] = (
+    Leg(ORACLE),
+    Replay(ORACLE, expect="live"),
+    *(leg for name in GENERAL + RESTRICTED + tuple(ABLATIONS)
+      + tuple(BACKENDS)
+      for leg in (
+          Leg(name, refuses=(UnsupportedConstructError,)
+              if name in RESTRICTED else ()),
+          Replay(name, expect="live"),
+      )),
+    Raise(RAISE_NAME, expect="live"),
+    Sharded(PARALLEL_NAME, expect="live", flag="jobs"),
+    Mutants(MALFORMED_NAME, refuses=(TraceFormatError,), shrinks=()),
+    *(Runtime(name, flag="runtimes", shrinks=("divergence",))
+      for name in (RUNTIME_SERIAL,) + RUNTIME_ROWS),
+    *(Memory(name, expect="serial", flag="runtimes", shrinks=())
+      for name in RUNTIME_ROWS),
+    *(leg for name in WILD for leg in (
+        Leg(name, "wild", expect="oracle" if name == "vector-clock"
+            else None),
+        Replay(name, "wild", expect="live"),
+    )),
+)
+_INDEX = {(type(leg), leg.mode, leg.row): leg for leg in LEGS}
+
+
+@dataclass
+class _Seed:
+    """One program under check: what its legs returned, what failed."""
+
+    seed: int
+    program: Program
+    stats: FuzzStats = field(default_factory=FuzzStats)
+    obs: object = None
+    jobs: int = 1
+    #: A corpus entry's racy set, which stands in for the oracle's.
+    declared: Optional[Set] = None
+    results: Dict[Leg, object] = field(default_factory=dict)
+    failures: List[FuzzFailure] = field(default_factory=list)
+
+    def result(self, kind: type, mode: str, row: str) -> tuple:
+        """What the ``kind`` leg of ``row`` returned, running it first if
+        it has not run; raises :class:`_Missing` if it did not
+        complete."""
+        leg = _INDEX[kind, mode, row]
+        if leg not in self.results:
+            _run_leg(self, leg)
+        result = self.results[leg]
+        if result is _FAILED:
+            raise _Missing(row)
+        return result
+
+    def oracle(self, mode: str) -> Set:
+        if self.declared is not None:
+            return self.declared
+        return _verdict(self.result(Leg, mode, ORACLE)[0])
+
+    def fail(self, leg: Leg, arg, kind: str, signature: str,
+             detail: str) -> None:
+        self.failures.append(FuzzFailure(
+            seed=self.seed, mode=leg.mode, kind=kind, detector=leg.row,
+            signature=signature, detail=detail, program=self.program,
+            leg=leg, arg=arg,
+        ))
+        self.stats.failures += 1
+
+
+def _run_leg(ctx: _Seed, leg: Leg, args: Optional[Sequence] = None) -> None:
+    """Run ``leg`` once per argument on ``ctx.program`` and book each
+    outcome on its row: a run, then a refusal, a crash, or a verdict
+    (racy or not) that must equal the leg's reference."""
+    stats, book = ctx.stats, leg.book
+    ctx.results[leg] = _FAILED  # until a run completes, readers skip
+    try:
+        args = leg.args(ctx) if args is None else args
+    except _Missing:
+        return
+    for arg in args:
+        error = None
+        try:
+            result = leg.run(ctx, arg)
+            got = leg.verdict(result)
+        except _Missing:
+            return
+        except Exception as exc:
+            error = exc
+        if book is None:
+            stats.tally(leg.row, "runs")
+        if isinstance(error, leg.refuses):
+            stats.tally(leg.row, "refusals")
+            continue
+        if error is not None:
+            stats.tally(leg.row, book or "crashes")
+            ctx.fail(leg, arg, *leg.crashed(error, arg))
+            continue
+        ctx.results[leg] = result
+        if book is None and leg.racy(got):
+            stats.tally(leg.row, "racy")
+        try:
+            want = leg.reference(ctx, arg)
+        except _Missing:
             continue
         except Exception as exc:
-            stats.tally(MALFORMED_NAME, "crashes")
-            fail("scoped", "crash", MALFORMED_NAME,
-                 f"scoped:malformed-crash:{kind}:{type(exc).__name__}",
-                 f"{kind} mutant raised {type(exc).__name__}: {exc}")
+            stats.tally(leg.row, book or "crashes")
+            ctx.fail(leg, arg, *leg.crashed(exc, arg, reference=True))
             continue
-        try:
-            oracle = DETECTORS[ORACLE]()
-            replay_trace(_closed(list(_decode(mutant))), [oracle])
-            want = _verdict(oracle)
-        except Exception as exc:
-            stats.tally(MALFORMED_NAME, "crashes")
-            fail("scoped", "crash", MALFORMED_NAME,
-                 f"scoped:malformed-decode:{kind}:{type(exc).__name__}",
-                 f"{kind} mutant checked, but decoding or the oracle "
-                 f"raised {type(exc).__name__}: {exc}")
-            continue
-        if got:
-            stats.tally(MALFORMED_NAME, "racy")
         if got != want:
-            stats.tally(MALFORMED_NAME, "divergences")
-            fail("scoped", "divergence", MALFORMED_NAME,
-                 f"scoped:malformed:{kind}:{_diff_direction(got, want)}",
-                 f"{kind} mutant {sorted(got, key=repr)} vs oracle "
-                 f"{sorted(want, key=repr)}")
+            stats.tally(leg.row, book or "divergences")
+            ctx.fail(leg, arg, *leg.diverged(got, want, arg))
+
+
+def _check(ctx: _Seed, modes: Sequence[str], runtimes: bool = False) -> None:
+    """Run every leg of ``modes`` whose flag is on."""
+    on = {None: True, "jobs": ctx.jobs > 1, "runtimes": runtimes}
+    for leg in LEGS:
+        if leg.mode in modes and on[leg.flag] and leg not in ctx.results:
+            _run_leg(ctx, leg)
 
 
 def check_seed(
@@ -580,259 +795,40 @@ def check_seed(
     ``dtrg`` run only — one detector's trace per seed keeps the event
     stream readable, and verdict comparisons are obs-independent.
 
-    ``jobs`` > 1 adds a parallel-parity leg per scoped seed: the recorded
-    trace is re-checked by the two-phase sharded checker
-    (:func:`repro.core.parallel_check.check_trace_parallel`, in-process
-    shards) at jobs ∈ {1, ``jobs``}, and any deviation from the live dtrg
-    racy set or from the sequential replay's ``summary()`` text is a
-    ``parallel-divergence`` failure.
-
-    ``runtimes`` adds the :data:`RUNTIME_ROWS` parity legs per scoped
-    seed: real execution on the serial elision, ThreadRuntime at
-    {1, 2, 4} workers and AsyncioRuntime, each under a fresh online
-    ``ParallelRaceDetector`` — racy sets must match the oracle, and
-    race-free final memory must match the serial elision's.
+    ``jobs`` > 1 adds the :data:`PARALLEL_NAME` leg and ``runtimes`` the
+    :data:`RUNTIME_ROWS` legs (see :data:`LEGS`).
     """
-    stats = stats if stats is not None else FuzzStats()
-    failures: List[FuzzFailure] = []
+    ctx = _Seed(seed, program, stats if stats is not None else FuzzStats(),
+                obs, jobs)
+    _check(ctx, modes, runtimes)
+    return ctx.failures
 
-    def fail(mode, kind, detector, signature, detail) -> None:
-        failures.append(FuzzFailure(
-            seed=seed, mode=mode, kind=kind, detector=detector,
-            signature=signature, detail=detail, program=program,
-        ))
-        stats.failures += 1
 
-    if "scoped" in modes:
-        oracle, trace = _run_live(ORACLE, program, scoped=True, record=True)
-        want = _verdict(oracle)
-        stats.tally(ORACLE, "runs")
-        if want:
-            stats.tally(ORACLE, "racy")
-        stats.events += len(trace)
+def _reproduces(failure: FuzzFailure) -> Callable[[Program], bool]:
+    """The shrink predicate: the failing leg, re-run on the candidate
+    (the runs it reads run on demand), brings the failure's signature
+    back."""
 
-        replayed_oracle = DETECTORS[ORACLE]()
-        replay_trace(trace, [replayed_oracle])
-        if _verdict(replayed_oracle) != want:
-            stats.tally(ORACLE, "replay_mismatches")
-            fail("scoped", "replay-divergence", ORACLE,
-                 f"scoped:replay:{ORACLE}",
-                 f"live {sorted(want, key=repr)} vs replay "
-                 f"{sorted(_verdict(replayed_oracle), key=repr)}")
-        _check_mutants(seed, trace, stats, fail)
+    def holds(candidate: Program) -> bool:
+        ctx = _Seed(failure.seed, candidate)
+        _run_leg(ctx, failure.leg, (failure.arg,))
+        return any(f.signature == failure.signature for f in ctx.failures)
 
-        for name in GENERAL + RESTRICTED + tuple(ABLATIONS) + tuple(BACKENDS):
-            try:
-                det, _ = _run_live(
-                    name, program, scoped=True,
-                    obs=obs if name == "dtrg" else None,
-                )
-            except UnsupportedConstructError:
-                stats.tally(name, "runs")
-                stats.tally(name, "refusals")
-                continue
-            except Exception as exc:
-                stats.tally(name, "runs")
-                stats.tally(name, "crashes")
-                fail("scoped", "crash", name,
-                     f"scoped:crash:{name}:{type(exc).__name__}",
-                     f"{type(exc).__name__}: {exc}")
-                continue
-            stats.tally(name, "runs")
-            got = _verdict(det)
-            if got:
-                stats.tally(name, "racy")
-            if got != want:
-                stats.tally(name, "divergences")
-                direction = _diff_direction(got, want)
-                fail("scoped", "divergence", name,
-                     f"scoped:divergence:{name}:{direction}",
-                     f"{name} {sorted(got, key=repr)} vs oracle "
-                     f"{sorted(want, key=repr)}")
-            # Record-replay parity for this detector.
-            replayed = _make_detector(name)
-            try:
-                replay_trace(trace, [replayed])
-            except UnsupportedConstructError:
-                stats.tally(name, "replay_mismatches")
-                fail("scoped", "replay-divergence", name,
-                     f"scoped:replay-refusal:{name}",
-                     "completed live but refused the recorded trace")
-                continue
-            if _verdict(replayed) != got:
-                stats.tally(name, "replay_mismatches")
-                fail("scoped", "replay-divergence", name,
-                     f"scoped:replay:{name}",
-                     f"live {sorted(got, key=repr)} vs replay "
-                     f"{sorted(_verdict(replayed), key=repr)}")
-            if name == "dtrg":
-                stats.tally(RAISE_NAME, "runs")
-                try:
-                    # An enabled obs makes the dtrg run resume per block
-                    # too; the leg compares against a batched run.
-                    collected = det if obs is None else _run_live(
-                        "dtrg", program, scoped=True)[0]
-                    mismatch = _raise_mismatch(program, collected)
-                except Exception as exc:
-                    stats.tally(RAISE_NAME, "crashes")
-                    fail("scoped", "crash", RAISE_NAME,
-                         f"scoped:crash:{RAISE_NAME}:{type(exc).__name__}",
-                         f"{type(exc).__name__}: {exc}")
-                else:
-                    if got:
-                        stats.tally(RAISE_NAME, "racy")
-                    if mismatch is not None:
-                        stats.tally(RAISE_NAME, "divergences")
-                        fail("scoped", "divergence", RAISE_NAME,
-                             f"scoped:divergence:{RAISE_NAME}", mismatch)
-            if name == "dtrg" and jobs > 1:
-                from repro.core.parallel_check import check_trace_parallel
-
-                seq_summary = replayed.report.summary()
-                for n in (1, jobs):
-                    stats.tally(PARALLEL_NAME, "runs")
-                    try:
-                        # Pinned inline: the auto backend would check
-                        # these small traces as one unsplit shard.
-                        result = check_trace_parallel(
-                            trace, jobs=n, backend="inline"
-                        )
-                    except Exception as exc:
-                        stats.tally(PARALLEL_NAME, "crashes")
-                        fail("scoped", "crash", PARALLEL_NAME,
-                             f"scoped:parallel-crash:{type(exc).__name__}",
-                             f"jobs={n} raised "
-                             f"{type(exc).__name__}: {exc}")
-                        continue
-                    par = set(result.racy_locations)
-                    if par:
-                        stats.tally(PARALLEL_NAME, "racy")
-                    if par != got or result.summary() != seq_summary:
-                        stats.tally(PARALLEL_NAME, "divergences")
-                        fail("scoped", "parallel-divergence", PARALLEL_NAME,
-                             f"scoped:parallel:{n}",
-                             f"jobs={n} {sorted(par, key=repr)} vs dtrg "
-                             f"{sorted(got, key=repr)} "
-                             f"(summary match: "
-                             f"{result.summary() == seq_summary})")
-
-        if runtimes:
-            serial_mem = None
-            for name in (RUNTIME_SERIAL,) + RUNTIME_ROWS:
-                stats.tally(name, "runs")
-                try:
-                    got, mem = _run_runtime(name, program, seed)
-                except Exception as exc:
-                    stats.tally(name, "crashes")
-                    fail("scoped", "crash", name,
-                         f"scoped:crash:{name}:{type(exc).__name__}",
-                         f"{type(exc).__name__}: {exc}")
-                    continue
-                if got:
-                    stats.tally(name, "racy")
-                if got != want:
-                    stats.tally(name, "divergences")
-                    direction = _diff_direction(got, want)
-                    fail("scoped", "divergence", name,
-                         f"scoped:divergence:{name}:{direction}",
-                         f"{name} {sorted(got, key=repr)} vs oracle "
-                         f"{sorted(want, key=repr)}")
-                if name == RUNTIME_SERIAL:
-                    serial_mem = mem
-                elif not want and serial_mem is not None and mem != serial_mem:
-                    stats.tally(name, "divergences")
-                    fail("scoped", "memory-divergence", name,
-                         f"scoped:runtime-mem:{name}",
-                         f"{name} final memory diverged from the serial "
-                         "elision on a race-free program (Determinism "
-                         "Property violated)")
-
-    if "wild" in modes:
-        verdicts: Dict[str, Set] = {}
-        for name in WILD:
-            try:
-                det, wild_trace = _run_live(
-                    name, program, scoped=False, record=True
-                )
-            except Exception as exc:
-                stats.tally(name, "runs")
-                stats.tally(name, "crashes")
-                fail("wild", "crash", name,
-                     f"wild:crash:{name}:{type(exc).__name__}",
-                     f"{type(exc).__name__}: {exc}")
-                continue
-            stats.tally(name, "runs")
-            verdicts[name] = _verdict(det)
-            if verdicts[name]:
-                stats.tally(name, "racy")
-            stats.events += len(wild_trace)
-            # Replay parity holds in wild mode too: the recorded stream is
-            # just events, and replay must reproduce the live verdict.
-            replayed = _make_detector(name)
-            try:
-                replay_trace(wild_trace, [replayed])
-            except Exception as exc:
-                stats.tally(name, "replay_mismatches")
-                fail("wild", "crash", name,
-                     f"wild:replay-crash:{name}:{type(exc).__name__}",
-                     f"replay raised {type(exc).__name__}: {exc}")
-                continue
-            if _verdict(replayed) != verdicts[name]:
-                stats.tally(name, "replay_mismatches")
-                fail("wild", "replay-divergence", name,
-                     f"wild:replay:{name}",
-                     f"live {sorted(verdicts[name], key=repr)} vs replay "
-                     f"{sorted(_verdict(replayed), key=repr)}")
-        # Access stamps need no reference-flow assumption: the
-        # vector-clock detector must match the oracle on wild flows too.
-        got, want = verdicts.get("vector-clock"), verdicts.get(ORACLE)
-        if got is not None and want is not None and got != want:
-            stats.tally("vector-clock", "divergences")
-            direction = _diff_direction(got, want)
-            fail("wild", "divergence", "vector-clock",
-                 f"wild:divergence:vector-clock:{direction}",
-                 f"vector-clock {sorted(got, key=repr)} vs oracle "
-                 f"{sorted(want, key=repr)}")
-
-    return failures
+    return holds
 
 
 def _shrink_failure(failure: FuzzFailure, budget: int) -> None:
-    scoped = failure.mode == "scoped"
-    if failure.detector.startswith("runtime["):
-        if failure.kind == "divergence":
-            failure.minimized = shrink_program(
-                failure.program,
-                _runtime_divergence_predicate(failure.detector, failure.seed),
-                budget=budget,
-            )
-        # runtime crashes and memory divergences are schedule-dependent:
-        # a shrinker predicate would flake, so those repros stay unminimized.
+    """Minimize ``failure``'s program if its leg shrinks that outcome and
+    the signature recurs on the program itself; else leave
+    ``minimized`` unset."""
+    outcome = "crash" if failure.kind == "crash" else "divergence"
+    if failure.leg is None or outcome not in failure.leg.shrinks:
         return
-    if failure.kind == "parallel-divergence":
-        predicate = _parallel_predicate(
-            int(failure.signature.rsplit(":", 1)[-1])
+    holds = _reproduces(failure)
+    if holds(failure.program):
+        failure.minimized = shrink_program(
+            failure.program, holds, budget=budget
         )
-    elif failure.detector == RAISE_NAME:
-        predicate = _raise_predicate
-    elif failure.detector in (PARALLEL_NAME, MALFORMED_NAME):
-        # parallel-crash repros are kept unminimized, and a mutant is
-        # defined on one recorded trace, not on the program.
-        return
-    elif failure.kind == "divergence":
-        predicate = _divergence_predicate(failure.detector, scoped)
-    elif failure.kind == "replay-divergence":
-        predicate = _replay_predicate(failure.detector, scoped)
-    else:  # crash: reproduce the same exception type
-        exc_name = failure.signature.rsplit(":", 1)[-1]
-        exc_type = getattr(builtins, exc_name, Exception)
-        if not (isinstance(exc_type, type)
-                and issubclass(exc_type, BaseException)):
-            exc_type = Exception
-        predicate = _crash_predicate(failure.detector, exc_type, scoped)
-    failure.minimized = shrink_program(
-        failure.program, predicate, budget=budget
-    )
 
 
 def fuzz_range(
@@ -909,39 +905,22 @@ def load_corpus(corpus_dir: Path) -> List[CorpusEntry]:
 
 
 def replay_corpus(corpus_dir: Path, out=None) -> int:
-    """Re-check every corpus entry; returns the number of failures."""
+    """Re-check every corpus entry through the scoped legs of
+    :data:`LEGS`, the entry's declared racy set standing in for the
+    oracle's verdict; returns the number of failing entries."""
     entries = load_corpus(corpus_dir)
     if not entries:
         print(f"no corpus entries under {corpus_dir}", file=out)
         return 0
     bad = 0
     for entry in entries:
-        want = entry.racy_locations
-        problems: List[str] = []
-        oracle, trace = _run_live(ORACLE, entry.program, scoped=True,
-                                  record=True)
-        if _verdict(oracle) != want:
-            problems.append(
-                f"oracle {sorted(_verdict(oracle), key=repr)} != declared "
-                f"{sorted(want, key=repr)}")
-        for name in GENERAL + RESTRICTED + tuple(ABLATIONS) + tuple(BACKENDS):
-            try:
-                det, _ = _run_live(name, entry.program, scoped=True)
-            except UnsupportedConstructError:
-                continue
-            if _verdict(det) != want:
-                problems.append(
-                    f"{name} {sorted(_verdict(det), key=repr)} != "
-                    f"{sorted(want, key=repr)}")
-            replayed = _make_detector(name)
-            replay_trace(trace, [replayed])
-            if _verdict(replayed) != _verdict(det):
-                problems.append(f"{name} replay parity broken")
-        status = "ok" if not problems else "FAIL"
-        print(f"corpus {entry.name}: {status}", file=out)
-        for problem in problems:
-            print(f"  - {problem}", file=out)
-        bad += bool(problems)
+        ctx = _Seed(0, entry.program, declared=entry.racy_locations)
+        _check(ctx, ("scoped",))
+        print(f"corpus {entry.name}: {'FAIL' if ctx.failures else 'ok'}",
+              file=out)
+        for failure in ctx.failures:
+            print(f"  - {failure.signature}: {failure.detail}", file=out)
+        bad += bool(ctx.failures)
     return bad
 
 

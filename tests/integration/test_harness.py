@@ -58,3 +58,26 @@ def test_cli_runs_single_benchmark(capsys):
 def test_cli_rejects_unknown_benchmark():
     with pytest.raises(SystemExit):
         main(["--bench", "Nope"])
+
+
+def test_seq_column_times_a_warm_call(monkeypatch):
+    """A workload's first call in a process is cold, so ``run_benchmark``
+    makes one untimed ``serial`` call before it starts the clock."""
+    import types
+
+    from repro.harness import runner
+
+    log = []
+    series = BENCHMARKS["Series-af"].module
+    module = types.SimpleNamespace(
+        default_params=series.default_params, run_af=series.run_af,
+        verify=series.verify, serial=lambda params: log.append("serial"),
+    )
+    monkeypatch.setitem(runner.BENCHMARKS, "Series-af",
+                        runner.BenchmarkDef("Series-af", module, "run_af"))
+    clock = runner.time.perf_counter
+    monkeypatch.setattr(runner, "time", types.SimpleNamespace(
+        perf_counter=lambda: log.append("clock") or clock()))
+    run_benchmark("Series-af", "tiny", repeats=2)
+    assert log.count("serial") == 3
+    assert log[:3] == ["serial", "clock", "serial"]
