@@ -59,6 +59,17 @@ instead of hanging.  A ``get`` whose producer is running on the calling
 thread's own stack (the current task or one it inlined below) can never
 complete and raises ``RuntimeStateError`` at once.
 
+**Threads outlive a run.**  A run's worker loops, compensation included,
+run on threads borrowed from one process-wide pool of parked daemon
+threads (ALGORITHM.md §15): starting a loop hands it to an idle thread,
+or to a new one when none is idle, and renames the thread
+``repro-exec-<wid>``.  ``run()`` returns only once every loop it handed
+out has returned, so no thread touches a runtime after its ``run()``.
+A returned thread parks on an untimed wait unless its run has already
+parked ``workers`` threads; then it ends.  A forked child starts from an
+empty pool.  ``pool_size`` counts the loops a run started, whether their
+threads were new or reused; deques, steal RNGs and counters stay per run.
+
 **Online detection.**  Observers are dispatched during the parallel
 execution (ALGORITHM.md §15.1):
 
@@ -156,6 +167,74 @@ class _Slot:
         self.deque: collections.deque = collections.deque()
 
 
+class _Loop:
+    """One worker loop handed to a pool thread.  ``done`` is held until
+    the loop has returned; ``exiting`` says the thread ends instead of
+    parking, so the runtime joins it (it is set before ``done`` is
+    released)."""
+
+    __slots__ = ("thread", "done", "exiting")
+
+    def __init__(self, thread: threading.Thread) -> None:
+        self.thread = thread
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.exiting = False
+
+
+class _PooledThread:
+    """A daemon thread of the process-wide pool: it runs one runtime's
+    worker loop at a time and parks on an untimed lock wait between."""
+
+    __slots__ = ("thread", "wake", "job")
+
+    def __init__(self) -> None:
+        self.wake = threading.Lock()
+        self.wake.acquire()
+        #: ``(runtime, wid, loop)``, set by whoever releases ``wake``.
+        self.job: Optional[tuple] = None
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while self._run_one():
+            pass
+
+    def _run_one(self) -> bool:
+        """Park until handed a loop, run it, then park again or end:
+        True if parked.  The job dies with this frame, so a parked thread
+        keeps no runtime alive.  A loop that raises still releases
+        ``done``, and its error ends the thread."""
+        self.wake.acquire()
+        runtime, wid, loop = self.job
+        self.job = None
+        parked = False
+        try:
+            runtime._worker_loop(wid)
+            parked = runtime._park(self)
+        finally:
+            loop.exiting = not parked
+            loop.done.release()
+        return parked
+
+
+#: Parked pool threads, most recently parked last (shared by every run).
+_idle: List[_PooledThread] = []
+_idle_lock = threading.Lock()
+
+
+def _reset_pool_after_fork() -> None:
+    """A forked child has none of the parent's pool threads, and the
+    parent may have held the lock at the fork: start from empty."""
+    global _idle, _idle_lock
+    _idle = []
+    _idle_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool_after_fork)
+
+
 class ThreadRuntime(RuntimeBase):
     """Work-stealing threaded executor for async/finish/future programs.
 
@@ -176,7 +255,8 @@ class ThreadRuntime(RuntimeBase):
         land on an ``exec-caller`` track; inlined runs nest inside the
         run they were inlined into).
     max_threads:
-        Hard cap on pool size including compensation threads.  A program
+        Hard cap on :attr:`pool_size`: the worker loops this run starts,
+        compensation included, on new or reused threads.  A program
         whose nested blocking waits need more threads than this fails
         with :class:`~repro.runtime.errors.RuntimeStateError`.
     steal_seed:
@@ -214,7 +294,10 @@ class ThreadRuntime(RuntimeBase):
         self._work_cv = threading.Condition()
         self._work_version = 0
         self._shutdown = False
-        self._threads: List[threading.Thread] = []
+        #: One entry per worker loop handed to a pool thread this run.
+        self._loops: List[_Loop] = []
+        #: Threads this run may still park when their loops return.
+        self._parkable = workers
         self._tls = threading.local()
         #: tid -> (body, args, kwargs) of every spawned task nobody has
         #: claimed yet.  Deques hold tasks; whoever pops a task's entry
@@ -486,24 +569,44 @@ class ThreadRuntime(RuntimeBase):
             self._start_one_worker()
 
     def _start_one_worker(self) -> None:
-        wid = len(self._slots)
-        self._slots.append(_Slot())
-        thread = threading.Thread(
-            target=self._worker_loop, args=(wid,),
-            name=f"repro-exec-{wid}", daemon=True,
-        )
-        self._threads.append(thread)
-        thread.start()
+        """Hand worker loop ``wid`` to a parked pool thread, or to a new
+        one when none is idle."""
+        with self._pool_lock:  # two blocking workers may get here at once
+            wid = len(self._slots)
+            self._slots.append(_Slot())
+        with _idle_lock:
+            pooled = _idle.pop() if _idle else None
+        if pooled is None:
+            pooled = _PooledThread()
+        loop = _Loop(pooled.thread)
+        self._loops.append(loop)
+        pooled.thread.name = f"repro-exec-{wid}"
+        pooled.job = (self, wid, loop)
+        pooled.wake.release()
+
+    def _park(self, pooled: "_PooledThread") -> bool:
+        """Put ``pooled``, whose loop for this run has returned, on the
+        idle list; False once this run has parked ``workers`` threads."""
+        with _idle_lock:
+            if self._parkable == 0:
+                return False
+            self._parkable -= 1
+            _idle.append(pooled)
+            return True
 
     def _stop_workers(self) -> None:
+        """Wake every loop to return and wait until each has: after this,
+        no thread touches this runtime."""
         self._shutdown = True
         with self._work_cv:
             self._work_version += 1
             self._work_cv.notify_all()
         with self._join_cv:
             self._join_cv.notify_all()
-        for thread in self._threads:
-            thread.join()
+        for loop in self._loops:
+            loop.done.acquire()
+            if loop.exiting:
+                loop.thread.join()
 
     def _push(self, task: Task) -> None:
         wid = getattr(self._tls, "worker_id", None)
@@ -651,8 +754,9 @@ class ThreadRuntime(RuntimeBase):
 
     @property
     def pool_size(self) -> int:
-        """Worker threads started so far (including compensation)."""
-        return len(self._threads)
+        """Worker loops this run has started, compensation included,
+        whether their threads were new or reused from the pool."""
+        return len(self._loops)
 
     # ------------------------------------------------------------------ #
     # Live-telemetry introspection (lock-free, approximate)               #

@@ -137,6 +137,12 @@ def test_compensation_thread_unblocks_single_worker_pool():
     assert rt.pool_size == 1
     assert rt.inlined >= 1
 
+    _run_compensating_program()
+
+
+def _run_compensating_program() -> None:
+    """A ``workers=1`` run whose only worker blocks on a task the caller
+    thread runs, so it must start a compensation thread."""
     rt = ThreadRuntime(workers=1)
     consumer_running = threading.Event()
     producer_started = threading.Event()
@@ -314,7 +320,7 @@ def test_nested_get_chain_runs_at_default_max_threads():
     assert rt.run(lambda rt: _get_chain(rt, 3)) == 3
 
 
-def _run_script(script: str) -> List[str]:
+def _run_script(script: str, timeout: float = 60) -> List[str]:
     """Run ``script`` in a subprocess, so a hang fails the calling test
     instead of the job; return its stdout lines."""
     env = dict(os.environ)
@@ -322,7 +328,7 @@ def _run_script(script: str) -> List[str]:
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
-        text=True, env=env, timeout=60,
+        text=True, env=env, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -511,3 +517,212 @@ def test_worker_waiting_on_a_caller_inlined_task_is_not_starved():
 
     assert rt.run(program) == 2
     assert rt.blocked == 0
+
+
+# ---------------------------------------------------------------------- #
+# The process-wide pool of parked worker threads                         #
+# ---------------------------------------------------------------------- #
+def _worker_threads(workers: int) -> set:
+    """Run one task per worker, all at once, and return the threads that
+    ran them (the caller only polls, so it inlines none of them)."""
+    seen = set()
+    lock = threading.Lock()
+    together = threading.Barrier(workers, timeout=10)
+
+    def body():
+        together.wait()  # each task holds its worker until all have one
+        with lock:
+            seen.add(threading.current_thread())
+
+    def program(rt):
+        with rt.finish():
+            for _ in range(workers):
+                rt.async_(body)
+            deadline = time.monotonic() + 10
+            while len(seen) < workers and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+    ThreadRuntime(workers=workers).run(program)
+    assert len(seen) == workers
+    return seen
+
+
+def test_a_second_run_reuses_the_first_runs_threads():
+    """Threads are compared as objects, which the test keeps alive: a
+    thread that ended can leave its ident to a new one."""
+    first = _worker_threads(2)
+    assert threading.main_thread() not in first
+    second = _worker_threads(2)
+    assert second <= first
+    assert {t.name for t in second} == {"repro-exec-0", "repro-exec-1"}
+
+
+def test_parked_threads_are_bounded_by_the_runs_workers():
+    """A compensation thread beyond ``workers`` ends, and ``run()``
+    joins it, so none accumulate."""
+    before = threading.active_count()
+    for _ in range(20):
+        _run_compensating_program()
+        assert threading.active_count() <= before + 1
+
+
+def test_a_failed_run_leaves_nothing_behind_on_the_parked_threads():
+    """The end-hook-error runs above, then a racy program on the threads
+    they parked, in one process: its racy set is the serial runtime's."""
+    lines = _run_script("""
+        import threading, time
+        from repro import (ParallelRaceDetector, Runtime, SharedArray,
+                           ThreadRuntime)
+        from repro.core.events import ExecutionObserver
+
+        class FailAtEnd(ExecutionObserver):
+            def on_task_end(self, task):
+                if task.tid == 1:
+                    raise ValueError("hook failed")
+
+        failed_on = set()
+        for join in ("finish", "get", "run"):
+            started = threading.Event()
+
+            def body():
+                failed_on.add(threading.current_thread())
+                started.set()
+
+            def program(rt):
+                if join == "finish":
+                    with rt.finish():
+                        rt.async_(body)
+                        assert started.wait(10)
+                elif join == "get":
+                    f = rt.future(body)
+                    assert started.wait(10)
+                    f.get()
+                else:
+                    rt.async_(body)
+                    assert started.wait(10)
+
+            try:
+                ThreadRuntime([FailAtEnd()], workers=1).run(program)
+            except ValueError as exc:
+                print(join, exc)
+
+        def racy_set(rt_class, ran):
+            det = ParallelRaceDetector()
+            rt = rt_class([det], workers=1) if rt_class is ThreadRuntime \\
+                else rt_class([det])
+            data = SharedArray(rt, "data", 3)
+
+            def writer(i, v):
+                ran.add(threading.current_thread())
+                data.write(i, v)
+
+            def program(rt):
+                f = rt.future(writer, 2, 1)
+                with rt.finish():
+                    rt.async_(writer, 0, 1)
+                    rt.async_(writer, 0, 2)
+                    rt.async_(writer, 1, 1)
+                    deadline = time.monotonic() + 10
+                    while len(ran) < 1 and time.monotonic() < deadline:
+                        time.sleep(0.001)
+                data.read(1)
+                f.get()
+                data.read(2)
+
+            rt.run(program)
+            return sorted(det.racy_locations)
+
+        ran = set()
+        threaded = racy_set(ThreadRuntime, ran)
+        print(threaded, threaded == racy_set(Runtime, set()))
+        print(bool(ran & failed_on))
+    """)
+    assert lines == ["finish hook failed", "get hook failed",
+                     "run hook failed", "[('data', 0)] True", "True"]
+
+
+def test_parked_threads_do_not_keep_the_process_alive():
+    lines = _run_script("""
+        from repro import ThreadRuntime
+        print(ThreadRuntime(workers=2).run(
+            lambda rt: rt.future(lambda: 41).get() + 1))
+    """, timeout=20)
+    assert lines == ["42"]
+
+
+def test_a_forked_child_runs_on_a_fresh_pool():
+    """The child inherits an idle list whose threads do not exist in it;
+    without the fork reset its next run would wait on them forever."""
+    lines = _run_script("""
+        import os, signal, time
+        from repro import ParallelRaceDetector, SharedArray, ThreadRuntime
+
+        def racy(rt):
+            with rt.finish():
+                rt.async_(lambda: data.write(0, 1))
+                rt.async_(lambda: data.write(0, 2))
+
+        ThreadRuntime(workers=2).run(lambda rt: rt.future(lambda: 1).get())
+        pid = os.fork()
+        if pid == 0:
+            det = ParallelRaceDetector()
+            rt = ThreadRuntime([det], workers=2)
+            data = SharedArray(rt, "data", 1)
+            rt.run(racy)
+            os._exit(0 if set(det.racy_locations) == {("data", 0)} else 3)
+        deadline = time.monotonic() + 20
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                print("exit", os.waitstatus_to_exitcode(status))
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                print("hung")
+                break
+            time.sleep(0.01)
+    """)
+    assert lines == ["exit 0"]
+
+
+def test_empty_runs_never_wait_out_a_tick():
+    ThreadRuntime(workers=2).run(lambda rt: None)  # the pool is warm
+    start = time.perf_counter()
+    for _ in range(50):
+        ThreadRuntime(workers=2).run(lambda rt: None)
+    assert time.perf_counter() - start < 50 * _WAIT_TICK / 10
+
+
+def test_concurrent_runs_share_the_pool_under_a_short_switch_interval():
+    """Four caller threads run programs at once, borrowing and parking on
+    the one idle list: every run completes, and the list holds each live
+    thread once."""
+    from repro.runtime import executor
+
+    results = collections.defaultdict(list)
+
+    def caller(k):
+        for i in range(10):
+            rt = ThreadRuntime(workers=2, steal_seed=k)
+            results[k].append(rt.run(lambda rt: sum(
+                rt.future(lambda j=j: rt.future(lambda: j).get()).get()
+                for j in range(8)) + i))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,))
+                   for k in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert dict(results) == {k: [28 + i for i in range(10)]
+                             for k in range(4)}
+    idle = list(executor._idle)
+    assert len({id(p) for p in idle}) == len(idle) <= 4 * 2
+    assert all(p.thread.is_alive() for p in idle)
