@@ -12,11 +12,8 @@ least as good.
 import pytest
 
 from repro.graph import GraphBuilder
+from repro.graph.schedule import WorkStealingSimulator, greedy_schedule
 from repro.runtime.runtime import Runtime
-from repro.runtime.workstealing import (
-    WorkStealingSimulator,
-    greedy_schedule,
-)
 from repro.workloads import jacobi, sor
 
 

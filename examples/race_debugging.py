@@ -28,7 +28,7 @@ from repro.memory.tracer import TraceRecorder
 from repro.obs import (
     RaceProvenance, explain_races, render_html_report, render_witness_text,
 )
-from repro.runtime.parallel import demonstrate_nondeterminism
+from repro.graph.schedule import demonstrate_nondeterminism
 
 import numpy as np
 

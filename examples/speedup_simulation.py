@@ -11,11 +11,8 @@ Run:  python examples/speedup_simulation.py
 """
 
 from repro.graph import GraphBuilder
+from repro.graph.schedule import WorkStealingSimulator, greedy_schedule
 from repro.runtime.runtime import Runtime
-from repro.runtime.workstealing import (
-    WorkStealingSimulator,
-    greedy_schedule,
-)
 from repro.workloads import jacobi
 
 

@@ -18,13 +18,15 @@ runtime's compiled paths do the work").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
+from itertools import islice
+from typing import FrozenSet, Hashable, Iterator, List, Sequence, Set, Tuple
 
 from repro.graph.computation_graph import Access, ComputationGraph
 
 __all__ = [
     "ReachabilityClosure",
     "RacePair",
+    "parallel_conflicts",
     "find_races",
     "racy_locations",
     "work_and_span",
@@ -95,6 +97,20 @@ class RacePair:
         return self.first.task, self.second.task
 
 
+def parallel_conflicts(
+    accesses: Sequence[Access], closure: ReachabilityClosure
+) -> Iterator[Tuple[Access, Access]]:
+    """Each pair of one location's ``accesses`` that races: at least one
+    write, on logically parallel steps.  Pairs come in log order (by the
+    first access, then the second)."""
+    if not any(a.is_write for a in accesses):
+        return
+    for i, a in enumerate(accesses):
+        for b in accesses[i + 1 :]:
+            if (a.is_write or b.is_write) and closure.parallel(a.step, b.step):
+                yield a, b
+
+
 def find_races(
     graph: ComputationGraph,
     closure: ReachabilityClosure | None = None,
@@ -108,23 +124,13 @@ def find_races(
     the detector exists precisely because this does not scale).
     """
     closure = closure or ReachabilityClosure(graph)
-    races: List[RacePair] = []
-    for loc, accesses in graph.accesses_by_loc.items():
-        found = 0
-        for i, a in enumerate(accesses):
-            for b in accesses[i + 1 :]:
-                if not (a.is_write or b.is_write):
-                    continue
-                if a.step == b.step:
-                    continue  # same step: ordered by program order
-                if closure.parallel(a.step, b.step):
-                    races.append(RacePair(loc=loc, first=a, second=b))
-                    found += 1
-                    if max_pairs_per_loc and found >= max_pairs_per_loc:
-                        break
-            if max_pairs_per_loc and found >= max_pairs_per_loc:
-                break
-    return races
+    return [
+        RacePair(loc=loc, first=a, second=b)
+        for loc, accesses in graph.accesses_by_loc.items()
+        for a, b in islice(
+            parallel_conflicts(accesses, closure), max_pairs_per_loc or None
+        )
+    ]
 
 
 def racy_locations(
@@ -132,23 +138,23 @@ def racy_locations(
 ) -> FrozenSet[Hashable]:
     """Locations with at least one race — the Theorem 2 comparison set."""
     closure = closure or ReachabilityClosure(graph)
-    out: Set[Hashable] = set()
-    for loc, accesses in graph.accesses_by_loc.items():
-        writes = [a for a in accesses if a.is_write]
-        if not writes:
-            continue
-        done = False
-        for i, a in enumerate(accesses):
-            for b in accesses[i + 1 :]:
-                if not (a.is_write or b.is_write):
-                    continue
-                if a.step != b.step and closure.parallel(a.step, b.step):
-                    out.add(loc)
-                    done = True
-                    break
-            if done:
-                break
-    return frozenset(out)
+    return frozenset(
+        loc for loc, accesses in graph.accesses_by_loc.items()
+        if any(parallel_conflicts(accesses, closure))
+    )
+
+
+def _critical_path(graph: ComputationGraph, weights: Sequence[int]) -> int:
+    """Weight of the heaviest path.  Step ids are a topological order, so
+    one forward sweep finds, for every step, the heaviest path into it."""
+    n = graph.num_steps
+    dist = [0] * n
+    for i in range(n):
+        di = dist[i] + weights[i]
+        for j in graph.successors[i]:
+            if di > dist[j]:
+                dist[j] = di
+    return max((dist[i] + weights[i] for i in range(n)), default=0)
 
 
 def work_and_span(graph: ComputationGraph) -> Tuple[int, int]:
@@ -158,13 +164,7 @@ def work_and_span(graph: ComputationGraph) -> Tuple[int, int]:
     ``work/span`` bounds the program's available parallelism.
     """
     n = graph.num_steps
-    dist = [1] * n  # longest path ending at i, in steps
-    for i in range(n):
-        di = dist[i]
-        for j in graph.successors[i]:
-            if di + 1 > dist[j]:
-                dist[j] = di + 1
-    return n, (max(dist) if n else 0)
+    return n, _critical_path(graph, [1] * n)
 
 
 def max_logical_parallelism(
@@ -172,7 +172,7 @@ def max_logical_parallelism(
 ) -> int:
     """Size of the largest antichain layer: max over steps of how many other
     steps are logically parallel with it, plus one.  A cheap upper-bound
-    proxy (exact antichain is NP-ish in general); used by examples only."""
+    proxy (exact antichain is NP-ish in general); only the tests call it."""
     closure = closure or ReachabilityClosure(graph)
     n = graph.num_steps
     best = 1 if n else 0

@@ -20,7 +20,7 @@ al. (*DePa*):
 * :mod:`repro.obs.hooks` — :class:`Observability`, the bundle the hook
   points in ``core/array_dtrg.py`` (``TracedArrayDTRG``),
   ``core/detector.py``, ``runtime/runtime.py`` and
-  ``runtime/workstealing.py`` call into, plus the
+  ``graph/schedule.py`` call into, plus the
   :data:`NULL_OBSERVABILITY` null object.  Hook points are *detached by
   default*: a component without an attached (enabled) observability object
   runs the exact pre-observability code path — the disabled cost is

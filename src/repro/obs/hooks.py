@@ -2,7 +2,8 @@
 
 One object carries both sinks — an optional :class:`~repro.obs.trace.RingTracer`
 and a :class:`~repro.obs.metrics.MetricsRegistry` — plus the callbacks the
-hook points in the core/runtime layers invoke:
+hook points in the core, runtime and graph layers invoke (the
+simulator is :class:`repro.graph.schedule.WorkStealingSimulator`):
 
 ===========================  ===========================================
 Hook point                   Callback

@@ -347,25 +347,17 @@ def confirm_witness(witness: RaceWitness, graph, closure=None) -> bool:
     Theorem 2 ground truth the property tests compare against; a witness
     this function rejects would be a detector bug.
     """
-    if closure is None:
-        from repro.graph.analysis import ReachabilityClosure
+    from repro.graph.analysis import ReachabilityClosure, parallel_conflicts
 
-        closure = ReachabilityClosure(graph)
+    closure = closure or ReachabilityClosure(graph)
     prev_is_write, cur_is_write = _access_roles(witness.kind)
-    accesses = graph.accesses_by_loc.get(witness.loc, [])
-    prev_accs = [
-        a for a in accesses
-        if a.task == witness.prev_task and a.is_write == prev_is_write
-    ]
-    cur_accs = [
-        a for a in accesses
-        if a.task == witness.current_task and a.is_write == cur_is_write
-    ]
-    for a in prev_accs:
-        for b in cur_accs:
-            if closure.parallel(a.step, b.step):
-                return True
-    return False
+    roles = {(witness.prev_task, prev_is_write),
+             (witness.current_task, cur_is_write)}
+    return any(
+        {(a.task, a.is_write), (b.task, b.is_write)} == roles
+        for a, b in parallel_conflicts(
+            graph.accesses_by_loc.get(witness.loc, []), closure)
+    )
 
 
 def explain_races(

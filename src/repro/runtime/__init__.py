@@ -1,8 +1,8 @@
 """Execution substrates for async/finish/future programs: the serial
 depth-first elision (Section 2 model), the work-stealing ThreadRuntime,
-the cooperative AsyncioRuntime — all on the RuntimeBase model core —
-plus the parallel-execution analyses built on recorded computation
-graphs."""
+the cooperative AsyncioRuntime — all on the RuntimeBase model core.
+Schedules over recorded computation graphs live in
+:mod:`repro.graph.schedule`."""
 
 from repro.runtime.accumulator import Accumulator
 from repro.runtime.asyncio_runtime import AsyncioRuntime
@@ -20,12 +20,6 @@ from repro.runtime.finish import FinishScope
 from repro.runtime.future import FutureHandle
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import Task, TaskKind
-from repro.runtime.workstealing import (
-    ScheduleStats,
-    WorkStealingSimulator,
-    greedy_schedule,
-    speedup_curve,
-)
 
 __all__ = [
     "Runtime",
@@ -38,10 +32,6 @@ __all__ = [
     "FutureHandle",
     "DependsTaskGroup",
     "Accumulator",
-    "ScheduleStats",
-    "WorkStealingSimulator",
-    "greedy_schedule",
-    "speedup_curve",
     "ReproError",
     "RuntimeStateError",
     "NullFutureError",

@@ -7,7 +7,8 @@ dispatch with its error-path rules — is
 :class:`~repro.runtime.base.RuntimeBase`; this module adds the schedule.
 Tasks execute on a pool of ``threading`` workers scheduled by the
 Blumofe–Leiserson discipline the simulator
-(:mod:`repro.runtime.workstealing`) models in virtual time:
+(:class:`repro.graph.schedule.WorkStealingSimulator`) models in virtual
+time:
 
 * each worker owns a LIFO deque — it pushes and pops freshly spawned
   tasks at the *newest* end (depth-first locally, like the serial

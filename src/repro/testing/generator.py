@@ -26,8 +26,8 @@ that produce non-tree edges).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.memory.shared import SharedArray
 from repro.runtime.asyncio_runtime import AsyncioRuntime

@@ -19,12 +19,9 @@ import argparse
 from typing import Callable, Dict, List
 
 from repro.graph import EdgeKind, GraphBuilder
+from repro.graph.schedule import WorkStealingSimulator, greedy_schedule
 from repro.harness.report import render_table
 from repro.runtime.runtime import Runtime
-from repro.runtime.workstealing import (
-    WorkStealingSimulator,
-    greedy_schedule,
-)
 from repro.workloads import (
     crypt_idea,
     jacobi,

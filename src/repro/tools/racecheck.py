@@ -124,13 +124,13 @@ from repro.core.detector import DeterminacyRaceDetector
 from repro.core.parallel_check import check_trace_parallel
 from repro.core.parallel_detector import ParallelRaceDetector
 from repro.graph import GraphBuilder, ReachabilityClosure, to_dot
+from repro.graph.schedule import demonstrate_nondeterminism
 from repro.harness.metrics import MetricsCollector
 from repro.core.events import ExecutionObserver
 from repro.memory.tracer import TraceRecorder
 from repro.runtime.errors import RaceError, UnsupportedConstructError
 from repro.runtime.asyncio_runtime import AsyncioRuntime
 from repro.runtime.executor import ThreadRuntime
-from repro.runtime.parallel import demonstrate_nondeterminism
 from repro.runtime.runtime import Runtime
 
 __all__ = ["main", "DETECTORS"]

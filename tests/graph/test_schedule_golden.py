@@ -31,14 +31,15 @@ from repro.examples_lib.figure1 import run_figure1
 from repro.examples_lib.figure2 import run_figure2
 from repro.examples_lib.figure3 import run_figure3
 from repro.graph import GraphBuilder, find_races, racy_locations, work_and_span
-from repro.runtime.parallel import (
+from repro.graph.schedule import (
+    WorkStealingSimulator,
     demonstrate_nondeterminism,
     extension_preferring,
+    greedy_schedule,
     is_determinate,
     random_linear_extension,
 )
 from repro.runtime.runtime import Runtime
-from repro.runtime.workstealing import WorkStealingSimulator, greedy_schedule
 from repro.testing.generator import random_program, run_program
 from repro.workloads import jacobi
 
@@ -105,7 +106,8 @@ def _families(graph):
     for workers in (1, 2, 4):
         for seed in range(3):
             sink = _Events()
-            stats = WorkStealingSimulator(graph, workers, seed=seed, obs=sink).run()
+            stats = WorkStealingSimulator(
+                graph, workers, seed=seed, obs=sink).run()
             stealing.append([_stats(stats), sink.events])
     return {
         "random": [
@@ -113,8 +115,8 @@ def _families(graph):
              for seed in range(5)],
             is_determinate(graph)],
         "preferring": [
-            [extension_preferring(graph, a, b), extension_preferring(graph, b, a)]
-            for a, b in pairs],
+            [extension_preferring(graph, a, b),
+             extension_preferring(graph, b, a)] for a, b in pairs],
         "greedy": [
             _stats(greedy_schedule(graph, p, unit_weights=unit))
             for p in (1, 2, 4, 16) for unit in (False, True)],

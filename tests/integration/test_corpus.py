@@ -59,7 +59,7 @@ def test_raise_policy_fires_on_racy_programs(program):
 )
 def test_race_free_corpus_is_determinate(program):
     from repro.graph import GraphBuilder
-    from repro.runtime.parallel import is_determinate
+    from repro.graph.schedule import is_determinate
 
     gb = GraphBuilder()
     run_corpus_program(program, [gb])

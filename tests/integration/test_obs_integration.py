@@ -22,7 +22,7 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.runtime.runtime import Runtime
-from repro.runtime.workstealing import WorkStealingSimulator
+from repro.graph.schedule import WorkStealingSimulator
 from repro.memory.shared import SharedArray
 from repro.workloads import jacobi, smith_waterman
 from repro.workloads.common import run_instrumented

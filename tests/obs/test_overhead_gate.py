@@ -3,7 +3,9 @@
 ``benchmarks/bench_obs_overhead.py`` gates the disabled-obs and live legs
 at 5% of the baseline.  Its samples are long enough (40 ms or more) that
 the relative bound decides, so a 50% slowdown injected into the null leg
-must fail the gate.
+must fail the gate.  Each leg keeps the best of nine interleaved
+samples: with two, a loaded machine could slow both baseline samples
+past the injected 50% and the gate would pass.
 """
 
 import importlib.util
@@ -39,7 +41,7 @@ def test_a_half_again_slower_null_leg_fails_the_gate(monkeypatch, capsys):
         return run
 
     monkeypatch.setattr(gate, "_run", slow_run)
-    assert gate.main(["--quick", "--repeats", "2"]) == 1
+    assert gate.main(["--quick", "--repeats", "9"]) == 1
     out = capsys.readouterr().out
     assert "FAIL: disabled-obs overhead" in out
     assert "runs/sample=" in out

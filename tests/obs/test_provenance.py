@@ -1,6 +1,7 @@
 """Unit tests for the race provenance layer (flight recorder + witnesses)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -144,6 +145,18 @@ class TestWitnesses:
                                      verified=True)
         assert validate_witness_report(report) == []
         json.dumps(report)  # JSON-serializable end to end
+
+    def test_confirm_witness_rejects_roles_the_graph_lacks(self):
+        gb = GraphBuilder()
+        _, (w,) = explain_racy(RaceProvenance(), extra_observers=[gb])
+        closure = ReachabilityClosure(gb.graph)
+        assert confirm_witness(w, gb.graph, closure=closure)
+        # Only the future writes and only main reads ("data", 0).
+        for wrong in (replace(w, kind="read-write"),
+                      replace(w, kind="write-write"),
+                      replace(w, current_task=w.prev_task),
+                      replace(w, loc=("data", 1))):
+            assert not confirm_witness(wrong, gb.graph, closure=closure)
 
     def test_render_witness_text(self):
         prov = RaceProvenance()

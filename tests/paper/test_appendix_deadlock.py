@@ -3,7 +3,7 @@
 from repro.core.races import AccessKind
 from repro.examples_lib.appendix_deadlock import run_deadlock_example
 from repro.graph import GraphBuilder
-from repro.runtime.parallel import is_determinate
+from repro.graph.schedule import is_determinate
 
 
 def test_faithful_mode_raises_null_future():

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import DeterminacyRaceDetector
 from repro.graph import GraphBuilder, ReachabilityClosure
-from repro.runtime.parallel import (
+from repro.graph.schedule import (
     demonstrate_nondeterminism,
     is_determinate,
     sample_outcomes,
@@ -68,7 +68,7 @@ def test_depth_first_schedule_is_among_sampled_behaviours(program):
     run_program(program, [gb, det])
     if det.report.has_races:
         return
-    from repro.runtime.parallel import schedule_outcome
+    from repro.graph.schedule import schedule_outcome
 
     dfs = schedule_outcome(gb.graph, list(range(gb.graph.num_steps)))
     for outcome in sample_outcomes(gb.graph, samples=8, seed=1):

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import GraphBuilder
-from repro.runtime.workstealing import WorkStealingSimulator, greedy_schedule
+from repro.graph.schedule import WorkStealingSimulator, greedy_schedule
 from repro.testing.generator import program_strategy, run_program
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])

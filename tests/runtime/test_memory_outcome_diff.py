@@ -7,7 +7,7 @@ different ones) and ``zip`` silently dropped whichever outcome had more
 entries.  These tests pin the fixed key-aligned behaviour.
 """
 
-from repro.runtime.parallel import MemoryOutcome
+from repro.graph.schedule import MemoryOutcome
 
 
 def test_identical_outcomes_no_diffs():

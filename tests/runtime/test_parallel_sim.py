@@ -6,7 +6,7 @@ import pytest
 
 from repro import Runtime, SharedArray
 from repro.graph import GraphBuilder
-from repro.runtime.parallel import (
+from repro.graph.schedule import (
     demonstrate_nondeterminism,
     extension_preferring,
     is_determinate,

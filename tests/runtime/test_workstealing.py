@@ -4,10 +4,9 @@ import pytest
 
 from repro import Runtime, SharedArray
 from repro.graph import GraphBuilder
-from repro.runtime.workstealing import (
+from repro.graph.schedule import (
     WorkStealingSimulator,
     greedy_schedule,
-    speedup_curve,
     step_weights,
 )
 
@@ -106,12 +105,11 @@ def test_work_stealing_deterministic_per_seed():
 
 def test_speedup_curve_monotone_for_wide_graph():
     graph = wide_graph(tasks=24, work=6)
-    curve = speedup_curve(graph, (1, 2, 4, 8))
-    speedups = [curve[p].speedup for p in (1, 2, 4, 8)]
+    speedups = [greedy_schedule(graph, p).speedup for p in (1, 2, 4, 8)]
     assert speedups[0] == pytest.approx(1.0)
     assert all(b >= a - 1e-9 for a, b in zip(speedups, speedups[1:]))
-    curve_ws = speedup_curve(graph, (1, 4), scheduler="work-stealing")
-    assert curve_ws[4].makespan <= curve_ws[1].makespan
+    ws1, ws4 = (WorkStealingSimulator(graph, p).run() for p in (1, 4))
+    assert ws4.makespan <= ws1.makespan
 
 
 def test_invalid_inputs():
@@ -119,7 +117,7 @@ def test_invalid_inputs():
     with pytest.raises(ValueError):
         greedy_schedule(graph, 0)
     with pytest.raises(ValueError):
-        speedup_curve(graph, (1,), scheduler="nope")
+        WorkStealingSimulator(graph, 0)
 
 
 def test_future_pipeline_speedup_beats_barrier():
@@ -223,7 +221,8 @@ def _greedy_schedule_listpop(graph, workers, *, unit_weights=False):
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
                     ready.append(succ)
-    from repro.runtime.workstealing import ScheduleStats, _critical_path
+    from repro.graph.analysis import _critical_path
+    from repro.graph.schedule import ScheduleStats
 
     return ScheduleStats(
         workers=workers, makespan=time, work=sum(weights),

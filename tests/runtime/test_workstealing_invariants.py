@@ -20,7 +20,7 @@ import pytest
 
 from repro.graph import GraphBuilder
 from repro.graph.computation_graph import ComputationGraph
-from repro.runtime.workstealing import WorkStealingSimulator
+from repro.graph.schedule import WorkStealingSimulator
 from repro.testing.generator import random_program, run_program
 
 

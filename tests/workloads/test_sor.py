@@ -101,7 +101,7 @@ def test_color_blind_dependences_serialize_but_stay_race_free():
     from repro.graph import GraphBuilder
     from repro.runtime.depends import DependsTaskGroup
     from repro.runtime.runtime import Runtime
-    from repro.runtime.workstealing import greedy_schedule
+    from repro.graph.schedule import greedy_schedule
     from repro.memory.shared import SharedNDArray
 
     params = sor.SORParams(interior=16, rows_per_task=4, sweeps=2)
