@@ -22,7 +22,8 @@ Columns, best of ``--repeats`` turns in ms:
 The last line brackets the break-even between the largest movable-row
 count at which the split lost to ``fast`` and the smallest at which it
 won; ``parallel_check.MIN_SPLIT_ROWS`` should sit inside it.  Exit
-status 1 if any configuration's summary differs from ``fast``'s.
+status 1 if any configuration's summary, race rows or invariant perf
+counters differ from ``fast``'s.
 """
 
 from __future__ import annotations
@@ -41,6 +42,18 @@ from repro.workloads import jacobi
 from repro.workloads.common import run_instrumented
 
 SIZES = (16, 32, 48, 64, 96, 128)
+
+#: Perf counters every sharding of the one kernel reproduces exactly.
+INVARIANT_PERF = (
+    "precede_queries", "mutation_epoch", "shadow_fast_hits",
+    "precede_calls_saved",
+)
+
+
+def _verdict(result):
+    perf = result.perf_stats
+    return (result.summary(), result.race_rows,
+            [perf[key] for key in INVARIANT_PERF])
 
 
 def _record(interior: int):
@@ -89,12 +102,15 @@ def main(argv=None) -> int:
     for interior in args.sizes:
         trace = _record(interior)
         ms, results = _best_ms(configs, trace, args.repeats)
-        golden = results["fast"].summary()
+        golden = _verdict(results["fast"])
         for name, result in results.items():
-            if result.summary() != golden:
-                print(f"error: {name} summary differs from fast at "
-                      f"interior {interior}", file=sys.stderr)
-                ok = False
+            for part, got, want in zip(
+                    ("summary", "race rows", "invariant counters"),
+                    _verdict(result), golden):
+                if got != want:
+                    print(f"error: {name} does not match fast on {part} "
+                          f"at interior {interior}", file=sys.stderr)
+                    ok = False
         movable = results[method].movable_rows
         (won if ms[method] < ms["fast"] else lost).append(movable)
         print(f"{results['fast'].num_access_events:>9} {movable:>8} "

@@ -11,8 +11,8 @@ generator, so it can run offline or online:
 * :func:`check_trace_fast` drives it over a whole recorded trace in one
   resume (``racecheck --fast``);
 * the sharded checker (:mod:`repro.core.parallel_check`) runs
-  ``check_trace_fast`` once per shard, restricted to the locations that
-  shard owns;
+  ``check_trace_fast`` once per shard, over columns that hold only that
+  shard's access rows;
 * every :class:`~repro.core.detector.DeterminacyRaceDetector`
   lowers a live run into columns and resumes the kernel at structure
   events that close an access block (at each one under ``RAISE`` or an
@@ -208,7 +208,6 @@ def _kernel(
     on_access: Optional[Callable[[int, int, int, int], None]] = None,
     drop: Optional[Callable[[], None]] = None,
     progress=None,
-    owned: Optional[bytearray] = None,
 ):
     """Algorithms 8-9 over ``enc``'s runs, as a resumable generator.
 
@@ -241,8 +240,6 @@ def _kernel(
     consumed and must delete exactly what the run segments cover
     (:meth:`~repro.core.events.ColumnBuilder.drop`); race row ordinals
     keep counting across drops.  ``progress`` is bumped once per block.
-    ``owned`` is the sharded checker's location filter (see
-    :func:`check_trace_fast`).
     """
     task_keys = enc.task_keys
     dtrg.add_root_idx(task_keys[0])
@@ -385,8 +382,6 @@ def _kernel(
                 for code in block:
                     j += 1
                     lid = code >> 1
-                    if owned is not None and not owned[lid]:
-                        continue
                     rl = readers[lid]
                     w = writers[lid]
                     if on_access is not None:
@@ -655,7 +650,6 @@ def check_trace_fast(
     *,
     names: Optional[Dict[int, str]] = None,
     progress=None,
-    _owned: Optional[bytearray] = None,
 ) -> CheckResult:
     """Check a recorded trace in one pass (see module docstring).
 
@@ -675,12 +669,6 @@ def check_trace_fast(
         deduplicating report keeps, so live telemetry costs nothing
         measurable on the hot path; ``None`` (default) keeps the function
         byte-identical to the untelemetered build.
-    _owned:
-        Internal location filter of the sharded checker: when given, only
-        accesses to locations ``lid`` with ``_owned[lid]`` set are checked
-        (structure events are always applied, so the graph stays at the
-        online epoch).  Counters then cover the owned locations only,
-        except the structural ones and ``num_accesses``.
     """
     t0 = perf_counter()
     if isinstance(trace, EncodedTrace):
@@ -709,7 +697,7 @@ def check_trace_fast(
             progress.add_races(1)
 
     kernel = _kernel(enc, result.dtrg, names_list, result, on_race=on_race,
-                     progress=progress, owned=_owned)
+                     progress=progress)
     next(kernel)
     try:
         kernel.send(True)

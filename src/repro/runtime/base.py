@@ -233,8 +233,8 @@ class RuntimeBase:
                 "runtime instances are single-use; create a new "
                 f"{type(self).__name__}"
             )
-        self._read_hooks = [ob.on_read for ob in self._observers]
-        self._write_hooks = [ob.on_write for ob in self._observers]
+        self._read_hooks = self._access_hooks("on_read")
+        self._write_hooks = self._access_hooks("on_write")
         main = Task(0, TaskKind.MAIN, parent=None, ief=None)
         self._next_tid = 1
         self.main_task = main
@@ -243,6 +243,15 @@ class RuntimeBase:
         if self._obs is not None:
             self._obs.task_begin(main.tid, main.name, False)
         return main
+
+    def _access_hooks(self, name: str) -> List[Callable]:
+        """The observers' ``name`` hooks in observer order, leaving out
+        each one that is :class:`ExecutionObserver`'s inherited no-op, so
+        an observer that ignores accesses costs no call per access."""
+        noop = getattr(ExecutionObserver, name)
+        hooks = (getattr(ob, name) for ob in self._observers)
+        return [hook for hook in hooks
+                if getattr(hook, "__func__", None) is not noop]
 
     def _end_run(self, main: Task, root: FinishScope) -> None:
         """End the root finish and main, and shut down, once the program

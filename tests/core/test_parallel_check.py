@@ -18,7 +18,13 @@ from repro.core import parallel_check as parallel_mod
 from repro.core.detector import DeterminacyRaceDetector
 from repro.core.fastcheck import check_trace_fast
 from repro.core.parallel_check import check_trace_parallel
-from repro.core.events import ReadEvent, TaskCreateEvent, WriteEvent
+from repro.core.events import (
+    RUN_ACCESS,
+    ReadEvent,
+    TaskCreateEvent,
+    WriteEvent,
+    encode_trace,
+)
 from repro.memory.tracer import TraceRecorder, replay_trace
 from repro.testing.generator import random_program, run_program
 
@@ -77,6 +83,74 @@ def test_perf_counters_invariant(jobs):
     ref = sequential(trace).perf_stats
     for key in INVARIANT_PERF:
         assert ref[key] == got[key], key
+
+
+def _racy_traces():
+    for seed in range(200):
+        enc = encode_trace(recorded(seed))
+        fast = check_trace_fast(enc)
+        if fast.races:
+            yield seed, enc, fast
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+def test_split_matches_fast_over_racy_seeds(jobs):
+    """Every shard checks only its own rows; mapped back to the trace's
+    ordinals, the races, their rows and the counters are the unsharded
+    kernel's."""
+    split = 0
+    for seed, enc, fast in _racy_traces():
+        got = check_trace_parallel(enc, jobs=jobs, backend="inline")
+        assert got.race_rows == fast.race_rows, seed
+        assert got.summary() == fast.summary(), seed
+        assert got.perf_stats == fast.perf_stats, seed
+        assert (got.num_accesses, got.num_events) == \
+            (fast.num_accesses, fast.num_events), seed
+        split += len(got.shards) > 1
+    assert split > 50
+
+
+def test_fork_split_matches_fast(monkeypatch):
+    monkeypatch.setattr(parallel_mod, "MIN_SPLIT_ROWS", 1)
+    _seed, enc, fast = next(_racy_traces())
+    got = check_trace_parallel(enc, jobs=2)
+    assert got.backend in ("fork", "spawn") and len(got.shards) == 2
+    assert got.race_rows == fast.race_rows
+    assert got.summary() == fast.summary()
+    assert got.perf_stats == fast.perf_stats
+
+
+def test_each_access_row_is_checked_by_one_shard(monkeypatch):
+    checked = []
+    real = parallel_mod.check_trace_fast
+
+    def spy(shard, **kwargs):
+        part = real(shard, **kwargs)
+        checked.append((shard, part))
+        return part
+
+    monkeypatch.setattr(parallel_mod, "check_trace_fast", spy)
+    enc = max((enc for _seed, enc, _fast in _racy_traces()),
+              key=lambda enc: enc.num_locations)
+    result = check_trace_parallel(enc, jobs=3, backend="inline")
+    assert len(checked) == len(result.shards) == 3
+    for (shard, part), row in zip(checked, result.shards):
+        # The kernel reads every row of its shard's column, and only
+        # those: as many as the plan gave the shard.
+        assert part.num_accesses == len(shard.access) == row["events"] > 0
+        assert shard.structure is enc.structure
+        assert shard.runs[0::2] == enc.runs[0::2]
+    # Each location's rows, in trace order, are in exactly one shard.
+    for lid in range(enc.num_locations):
+        rows = [code for code in enc.access if code >> 1 == lid]
+        holders = [[code for code in shard.access if code >> 1 == lid]
+                   for shard, _part in checked]
+        assert sorted(holders, key=len)[-1] == rows
+        assert sum(map(len, holders)) == len(rows)
+    # Each access run's rows are split between the shards' same runs.
+    for i in range(1, len(enc.runs), 2):
+        assert sum(shard.runs[i] for shard, _part in checked) == \
+            enc.runs[i] * (1 if enc.runs[i - 1] == RUN_ACCESS else 3)
 
 
 def test_race_free_trace():
@@ -185,12 +259,12 @@ def test_auto_above_break_even_forks_all_but_one_shard(monkeypatch):
 def _die_in_child(parent_pid, how):
     real = parallel_mod._check_shard
 
-    def check(enc, names, owned):
+    def check(shard, names):
         if os.getpid() != parent_pid:
             if how == "exit":
                 os._exit(3)
             raise MemoryError("shard worker blew up")
-        return real(enc, names, owned)
+        return real(shard, names)
 
     return check
 

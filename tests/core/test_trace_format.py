@@ -10,6 +10,7 @@ verdict.
 
 import copy
 import pickle
+import random
 from array import array
 
 import pytest
@@ -30,6 +31,9 @@ from repro.core.events import (
 from repro.core import fastcheck
 from repro.core.fastcheck import check_trace_fast
 from repro.core.parallel_check import check_trace_parallel
+from repro.memory.tracer import TraceRecorder
+from repro.testing.generator import random_program, run_program
+from repro.tools.fuzz import MUTATIONS, mutate_columns
 
 
 def _joined_future():
@@ -233,3 +237,35 @@ def test_old_columns_are_never_read_as_packed_rows():
     # Given straight to the checker, 3-wide columns fail the coverage
     # check instead of being read as twelve packed rows.
     assert "cover" in _fault(_three_wide()).reason
+
+
+# ---------------------------------------------------------------------- #
+# Malformed columns through the sharded checker                          #
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_a_split_fails_malformed_columns_as_the_whole_check_does(kind):
+    """Each mutant the fuzzer's malformed leg makes raises the same fault
+    (row and reason) in a two-shard check as in ``check_trace_fast``, or
+    passes both with the same report: the row split neither turns a bad
+    column into another error nor reports a shard's own row."""
+    faults = 0
+    for seed in range(40):
+        rec = TraceRecorder()
+        run_program(random_program(random.Random(seed)), [rec])
+        mutant = mutate_columns(encode_trace(rec.trace), kind,
+                                random.Random(seed))
+        if mutant is None:
+            continue
+        try:
+            want = check_trace_fast(mutant)
+        except TraceFormatError as err:
+            faults += 1
+            with pytest.raises(TraceFormatError) as info:
+                check_trace_parallel(mutant, jobs=2, backend="inline")
+            assert (info.value.row, info.value.reason) == \
+                (err.row, err.reason), seed
+        else:
+            got = check_trace_parallel(mutant, jobs=2, backend="inline")
+            assert got.summary() == want.summary(), seed
+            assert got.race_rows == want.race_rows, seed
+    assert faults

@@ -206,6 +206,34 @@ def test_a_served_leg_over_the_bound_fails(tmp_path, monkeypatch, capsys):
     assert "served overhead" in violation and "5.0% budget" in violation
 
 
+def test_a_half_again_slower_served_leg_fails_at_nine_rounds(
+        tmp_path, monkeypatch, capsys):
+    # CI's gate: table2 Jacobi, best of nine interleaved rounds.  A served
+    # leg that takes half as long again as its own check must still fail.
+    import time
+
+    real = runner.check_trace_fast
+
+    def slow_when_served(*args, progress=None, **kwargs):
+        start = time.perf_counter()
+        result = real(*args, progress=progress, **kwargs)
+        if progress is not None:
+            end = time.perf_counter()
+            deadline = end + 0.5 * (end - start)
+            while time.perf_counter() < deadline:
+                pass
+        return result
+
+    monkeypatch.setattr(runner, "check_trace_fast", slow_when_served)
+    out = tmp_path / "bench.json"
+    code = main(["--telemetry", "--scale", "table2", "--only", "Jacobi",
+                 "--repeats", "9", "--output", str(out)])
+    data = json.loads(out.read_text())
+    assert code == 1 and data["repeats"] == 9
+    (violation,) = data["violations"]
+    assert "served overhead" in violation and "5.0% budget" in violation
+
+
 def _floors(tmp_path, floors, tolerance=None):
     path = tmp_path / "floors.json"
     path.write_text(json.dumps({

@@ -418,6 +418,43 @@ def test_a_caught_finish_error_still_joins_the_children(make, raiser):
     assert det.racy_locations == set()
 
 
+@pytest.mark.parametrize("make", RUNTIMES)
+def test_only_access_hooks_an_observer_defines_are_bound(make):
+    # An observer without access hooks (the inherited no-op) is called
+    # for no access; an override and an instance attribute are, in
+    # observer order.
+    calls = []
+
+    class Structural(ExecutionObserver):
+        def on_task_create(self, parent, child):
+            calls.append(("create", child.tid))
+
+    class Reads(ExecutionObserver):
+        def on_read(self, task, loc):
+            calls.append(("reads", loc))
+
+    writes = ExecutionObserver()
+    writes.on_write = lambda task, loc: calls.append(("writes", loc))
+    both = Recorder()
+    observers = [Structural(), Reads(), writes, both]
+    rt = make(observers)
+    data = SharedArray(rt, "d", 1)
+
+    def program(rt):
+        data.write(0, 1)
+        data.read(0)
+
+    async def async_program(rt):
+        program(rt)
+
+    _run(rt, program, async_program)
+    assert rt._read_hooks == [observers[1].on_read, both.on_read]
+    assert rt._write_hooks == [writes.on_write, both.on_write]
+    assert calls == [("writes", ("d", 0)), ("reads", ("d", 0))]
+    assert [e[0] for e in both.log if e[0] in ("read", "write")] == \
+        ["write", "read"]
+
+
 def test_args_and_kwargs_forwarded():
     rt = Runtime()
     out = {}
