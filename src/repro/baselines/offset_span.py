@@ -72,11 +72,10 @@ def os_concurrent(l1: Label, l2: Label) -> bool:
 class _Region:
     """Bookkeeping for one open finish scope acting as a fork region."""
 
-    __slots__ = ("owner_tid", "base_label", "next_offset", "forked")
+    __slots__ = ("owner_tid", "next_offset", "forked")
 
-    def __init__(self, owner_tid: int, base_label: Label) -> None:
+    def __init__(self, owner_tid: int) -> None:
         self.owner_tid = owner_tid
-        self.base_label = base_label
         self.next_offset = 0
         self.forked = False
 
@@ -122,7 +121,7 @@ class OffsetSpanDetector(BaselineDetector):
                         "fork region between fork and join"
                     )
                 break
-        region = _Region(scope.owner.tid, self._labels[scope.owner.tid])
+        region = _Region(scope.owner.tid)
         self._regions[scope.fid] = region
         self._region_stack.append(region)
 
@@ -154,7 +153,9 @@ class OffsetSpanDetector(BaselineDetector):
                 f"fork all children; {child.name} was spawned by a "
                 "different task"
             )
-        label = region.base_label + ((region.next_offset, WIDE),)
+        # The owner's label as of this fork: a nested region it joined
+        # before its first fork here has bumped it since the scope opened.
+        label = self._labels[parent.tid] + ((region.next_offset, WIDE),)
         region.next_offset += 1
         region.forked = True
         self._labels[child.tid] = label

@@ -28,7 +28,8 @@ encode pass.  The event dataclasses are the decoded view, rebuilt from the
 columns when a trace is iterated.
 
 Event identity uses task ids and location keys only, so a recorded trace is
-self-contained and replayable in a fresh process.
+self-contained: :meth:`Trace.save` writes its columns to a trace file
+(:mod:`repro.core.tracefile`), which any process can load and replay.
 """
 
 from __future__ import annotations
@@ -119,9 +120,7 @@ class ExecutionObserver:
 # An access's ``site`` is the optional provenance call-site label
 # (``file:line (function)``) recorded when a
 # :class:`repro.obs.provenance.RaceProvenance` is attached to the
-# recorder; it defaults to ``None``.  Event objects pickled before the
-# field existed lack the attribute entirely, so code reading arbitrary
-# event iterables uses ``getattr(event, "site", None)``.
+# recorder; it defaults to ``None``.
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True, slots=True)
 class TaskCreateEvent:
@@ -220,6 +219,11 @@ OP_GET = 4
 OP_FINISH_START = 5
 OP_FINISH_END = 6
 
+#: The width of a well-formed structure tuple, by opcode (every field is
+#: an int).
+OP_WIDTHS = {OP_GET: 3, OP_TASK_CREATE: 4, OP_TASK_END: 2, OP_FINISH_START: 4,
+             OP_FINISH_END: 2}
+
 #: Run kinds in :attr:`EncodedTrace.runs` (flat ``(kind, count)`` pairs).
 RUN_ACCESS = 0
 RUN_STRUCTURE = 1
@@ -231,7 +235,8 @@ class TraceFormatError(ValueError):
     ``row`` is the ordinal of the offending event in the stream (the
     number of events before it, as iterating the trace counts them; for
     a run-length fault, the ordinal at which the columns stop matching),
-    ``reason`` says what is wrong.
+    ``reason`` says what is wrong.  A fault in a trace file's bytes puts
+    the byte offset in ``row`` and reads ``byte N: reason``.
     """
 
     def __init__(self, row: int, reason: str) -> None:
@@ -291,14 +296,6 @@ class EncodedTrace:
         self.locs: List[LocationKey] = []
         self.loc_index: Dict[LocationKey, int] = {}
         self.access_sites: Optional[List[Optional[str]]] = None
-
-    def __setstate__(self, state) -> None:
-        # Columns pickled before the structure-site column was dropped
-        # still carry its slot.
-        _, slots = state
-        slots.pop("structure_sites", None)
-        for name, value in slots.items():
-            setattr(self, name, value)
 
     def __len__(self) -> int:
         return len(self.access) + len(self.structure)
@@ -514,16 +511,15 @@ class ColumnBuilder:
                 del enc.access_sites[:covered]
             covered = 0
 
-        # Event objects pickled before ``site`` existed lack the field.
         def add_read(e: ReadEvent) -> None:
             on_task(e.task, "the reader of {!r}", e.loc)
             read(e.task, e.loc)
-            access_site(getattr(e, "site", None))
+            access_site(e.site)
 
         def add_write(e: WriteEvent) -> None:
             on_task(e.task, "the writer of {!r}", e.loc)
             write(e.task, e.loc)
-            access_site(getattr(e, "site", None))
+            access_site(e.site)
 
         def add_task_create(e: TaskCreateEvent) -> None:
             on_task(e.parent, "the parent of task {}", e.child)
@@ -646,35 +642,6 @@ def _decode(enc: EncodedTrace) -> Iterator[Event]:
             )
 
 
-def _upgrade_access(enc: EncodedTrace) -> None:
-    """Convert columns pickled with 3-wide ``(is_write, task_idx,
-    loc_id)`` access rows to packed rows in place.
-
-    Old columns are an ``array('q')`` whose access runs cover a third of
-    its length.  Each row's task must be its run's running task, the only
-    task a packed row can name; a row by any other task, a negative
-    location id, or a column that is neither format raises
-    :class:`TraceFormatError`."""
-    acc, runs = enc.access, enc.runs
-    if acc.typecode == "Q":
-        return
-    covered = sum(runs[i + 1] for i in range(0, len(runs) - 1, 2)
-                  if runs[i] == RUN_ACCESS)
-    if 3 * covered != len(acc):
-        raise TraceFormatError(
-            0, f"an {acc.typecode!r} access column of {len(acc)} ints is "
-               f"neither packed nor 3-wide for {covered} rows")
-    packed = array("Q")
-    for row, count, task, si in _access_runs(enc, [0]):
-        for j in range(3 * row, 3 * (row + count), 3):
-            if acc[j + 1] != task or acc[j + 2] < 0:
-                raise TraceFormatError(
-                    j // 3 + si, f"3-wide row {tuple(acc[j:j + 3])} in a "
-                                 f"run of task index {task}")
-            packed.append(acc[j + 2] << 1 | (1 if acc[j] else 0))
-    enc.access = packed
-
-
 class Trace:
     """A fully recorded instrumentation stream, stored as its columns.
 
@@ -688,7 +655,8 @@ class Trace:
 
     The stream excludes the implicit init/shutdown bracket; replay
     re-synthesizes those.  Traces are value objects: equality compares
-    the event streams, and they pickle cleanly (as their columns).
+    the event streams.  :meth:`save` and :meth:`load` keep one in a trace
+    file (:mod:`repro.core.tracefile`).
     """
 
     __slots__ = ("_columns", "builder")
@@ -736,41 +704,23 @@ class Trace:
         gets = sum(1 for s in enc.structure if s[0] == OP_GET)
         return enc.num_tasks - 1, gets, enc.num_access_events
 
-    # ------------------------------------------------------------------ #
-    # Persistence: traces are self-contained (ids + location keys only),
-    # so a pickled trace recorded once can be replayed into any detector
-    # in a fresh process — how the benchmark suites share inputs.
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> EncodedTrace:
-        return self._whole_columns()
+    def save(self, file) -> None:
+        """Write the trace to ``file``, a path or a binary file object."""
+        from repro.core.tracefile import write_columns
 
-    def __setstate__(self, state) -> None:
-        if isinstance(state, dict):  # pickled as an event list
-            self.__init__(state["events"])
-            return
-        _upgrade_access(state)  # columns pickled with 3-wide rows
-        self._columns = state
-        self.builder = ColumnBuilder(state)
-
-    def save(self, path) -> None:
-        """Pickle the trace to ``path``."""
-        import pickle
-
-        with open(path, "wb") as fh:
-            pickle.dump(self, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        write_columns(self._whole_columns(), file)
 
     @staticmethod
-    def load(path) -> "Trace":
-        """Load a trace previously written by :meth:`save`.
+    def load(file) -> "Trace":
+        """Read a trace that :meth:`save` wrote from ``file``, a path or a
+        binary file object.  Loading runs no code; a file that is not a
+        whole trace file, a pickle included, raises
+        :class:`TraceFormatError` at its byte offset."""
+        from repro.core.tracefile import read_columns
 
-        Only unpickle traces you created yourself — pickle executes code.
-        """
-        import pickle
-
-        with open(path, "rb") as fh:
-            trace = pickle.load(fh)
-        if not isinstance(trace, Trace):
-            raise TypeError(f"{path} does not contain a Trace")
+        trace = Trace.__new__(Trace)
+        trace._columns = read_columns(file)
+        trace.builder = ColumnBuilder(trace._columns)
         return trace
 
 

@@ -86,6 +86,7 @@ from repro.core.events import (
     OP_GET,
     OP_TASK_CREATE,
     OP_TASK_END,
+    OP_WIDTHS,
     RUN_ACCESS,
     RUN_STRUCTURE,
     EncodedTrace,
@@ -187,15 +188,9 @@ class CheckResult:
         return self.report.summary()
 
 
-#: The width of a well-formed structure tuple, by opcode (every field is
-#: an int).
-_WIDTHS = {OP_GET: 3, OP_TASK_CREATE: 4, OP_TASK_END: 2, OP_FINISH_START: 4,
-           OP_FINISH_END: 2}
-
-
 def _well_formed(t) -> bool:
     return (type(t) is tuple and all(type(v) is int for v in t)
-            and len(t) == _WIDTHS.get(t[0] if t else None))
+            and len(t) == OP_WIDTHS.get(t[0] if t else None))
 
 
 def _kernel(

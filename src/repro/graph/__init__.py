@@ -4,7 +4,6 @@ from repro.graph.analysis import (
     RacePair,
     ReachabilityClosure,
     find_races,
-    max_logical_parallelism,
     racy_locations,
     work_and_span,
 )
@@ -28,6 +27,5 @@ __all__ = [
     "find_races",
     "racy_locations",
     "work_and_span",
-    "max_logical_parallelism",
     "to_dot",
 ]

@@ -30,7 +30,6 @@ __all__ = [
     "find_races",
     "racy_locations",
     "work_and_span",
-    "max_logical_parallelism",
 ]
 
 
@@ -165,18 +164,3 @@ def work_and_span(graph: ComputationGraph) -> Tuple[int, int]:
     """
     n = graph.num_steps
     return n, _critical_path(graph, [1] * n)
-
-
-def max_logical_parallelism(
-    graph: ComputationGraph, closure: ReachabilityClosure | None = None
-) -> int:
-    """Size of the largest antichain layer: max over steps of how many other
-    steps are logically parallel with it, plus one.  A cheap upper-bound
-    proxy (exact antichain is NP-ish in general); only the tests call it."""
-    closure = closure or ReachabilityClosure(graph)
-    n = graph.num_steps
-    best = 1 if n else 0
-    for u in range(n):
-        count = sum(1 for v in range(n) if closure.parallel(u, v))
-        best = max(best, count + 1)
-    return best

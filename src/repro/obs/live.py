@@ -340,9 +340,10 @@ class TelemetryServer:
 # --------------------------------------------------------------------- #
 def detector_source(detector) -> Callable[[], Dict[str, Any]]:
     """Gauges from any detector shape we ship: the serial
-    :class:`~repro.core.detector.DeterminacyRaceDetector` (location and
-    access counts, current as of the kernel's last resume, which under
-    ``COLLECT`` comes once per batch of column entries, plus DTRG sizes),
+    :class:`~repro.core.detector.DeterminacyRaceDetector` (its own
+    location and access counts, current as of the kernel's last resume,
+    which under ``COLLECT`` comes once per batch of column entries, plus
+    DTRG sizes),
     the schedule-robust
     :class:`~repro.core.parallel_detector.ParallelRaceDetector` (clock
     table and checked accesses; its queries first check the buffered
@@ -353,13 +354,11 @@ def detector_source(detector) -> Callable[[], Dict[str, Any]]:
 
     def sample() -> Dict[str, Any]:
         g: Dict[str, Any] = {}
-        counts = (detector if hasattr(detector, "num_locations")
-                  else getattr(detector, "shadow", None))
-        if counts is not None:
-            cells = counts.num_locations
+        if hasattr(detector, "num_locations"):
+            cells = detector.num_locations
             g["shadow_cells"] = cells
             g["shadow_approx_bytes"] = cells * APPROX_SHADOW_CELL_BYTES
-            g["detector_accesses"] = counts.num_accesses
+            g["detector_accesses"] = detector.num_accesses
         dtrg = getattr(detector, "dtrg", None)
         if dtrg is not None:
             g["dtrg_tasks"] = len(getattr(dtrg, "keys", ()))

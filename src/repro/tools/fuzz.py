@@ -26,7 +26,8 @@ the row's live run's, or the serial elision's final memory.
   ``UnsupportedConstructError`` instead.  Each completed run must replay
   the oracle's recorded trace to its live verdict; ``dtrg[raise]`` must
   raise the live run's first race; ``trace[malformed]`` mutates the
-  recorded columns (:data:`MUTATIONS`).  ``--jobs N`` adds
+  recorded columns (:data:`MUTATIONS`) and the bytes of their saved
+  trace file (:data:`FILE_MUTATIONS`).  ``--jobs N`` adds
   ``dtrg[parallel]`` and ``--runtimes`` the ``runtime[...]`` rows.
 * **wild** (out-of-band handle registry, outside the model's guarantee):
   nothing may crash, each run must replay its own trace to its live
@@ -53,10 +54,12 @@ from __future__ import annotations
 
 import argparse
 import copy
+import io
 import json
 import random
 import re
 import sys
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -74,10 +77,12 @@ from repro.core.events import (
     OP_TASK_END,
     RUN_STRUCTURE,
     EncodedTrace,
+    Trace,
     TraceFormatError,
     _decode,
     encode_trace,
 )
+from repro.core.tracefile import COLUMNS, MAGIC, PREAMBLE
 from repro.core.fastcheck import check_trace_fast
 from repro.harness.report import render_kv, render_table
 from repro.memory.tracer import TraceRecorder, replay_trace
@@ -108,6 +113,7 @@ __all__ = [
     "check_seed",
     "fuzz_range",
     "mutate_columns",
+    "mutate_file",
     "replay_corpus",
     "main",
 ]
@@ -144,6 +150,8 @@ WILD = (ORACLE,) + GENERAL + tuple(BACKENDS)
 PARALLEL_NAME = "dtrg[parallel]"
 #: Stats row of the malformed-trace leg (every scoped seed): each
 #: :data:`MUTATIONS` kind breaks a copy of the recorded columns once, and
+#: each :data:`FILE_MUTATIONS` kind the bytes of its saved trace file,
+#: loaded from memory by ``Trace.load``.  The load and
 #: ``check_trace_fast`` must raise ``TraceFormatError`` (a refusal) or,
 #: if the mutant is still a valid trace, report the oracle's racy set on
 #: its decoded events.  Any other exception is a crash.
@@ -158,6 +166,12 @@ RAISE_NAME = "dtrg[raise]"
 #: id in a structure tuple or a location id in an access row put out of
 #: range; the last access rows truncated.
 MUTATIONS = ("drop", "duplicate", "swap", "task-id", "loc-id", "truncate")
+#: The trace file cut at each section boundary; one byte of the preamble
+#: or header changed (:data:`FILE_FLIPS` mutants); a header whose column
+#: lengths or typecodes lie: one length off by one, rows moved between
+#: two columns (so the sizes still add up), a typecode swapped.
+FILE_MUTATIONS = ("file-cut", "file-flip", "file-lie")
+FILE_FLIPS = 4
 #: Runtime-parity rows (``--runtimes``): the same scoped program is
 #: *executed for real* on every substrate — the serial elision, the
 #: work-stealing ThreadRuntime at several pool sizes, and the cooperative
@@ -380,6 +394,39 @@ def mutate_columns(enc: EncodedTrace, kind: str,
     return enc
 
 
+def mutate_file(data: bytes, kind: str, rng: random.Random) -> List[bytes]:
+    """The ``kind`` mutants (see :data:`FILE_MUTATIONS`) of the trace file
+    ``data``."""
+    end = PREAMBLE + int.from_bytes(data[PREAMBLE - 8:PREAMBLE], "little")
+    header = json.loads(data[PREAMBLE:end])
+    if kind == "file-cut":
+        bounds = [0, len(MAGIC), PREAMBLE - 8, PREAMBLE, end]
+        for _name, code, length in header["columns"]:
+            bounds.append(bounds[-1] + length * array(code).itemsize)
+        return [data[:b] for b in sorted(set(bounds[:-1]))]
+    if kind == "file-flip":
+        mutants = []
+        for _ in range(FILE_FLIPS):
+            i = rng.randrange(end)
+            flipped = bytes([data[i] ^ rng.randrange(1, 256)])
+            mutants.append(data[:i] + flipped + data[i + 1:])
+        return mutants
+    if kind != "file-lie":
+        raise ValueError(f"unknown mutation {kind!r}")
+    lies = [copy.deepcopy(header) for _ in range(3)]
+    off_by_one, moved_rows, typecode = (lie["columns"] for lie in lies)
+    off_by_one[rng.randrange(len(COLUMNS))][2] += rng.choice((-1, 1))
+    a = rng.randrange(len(COLUMNS) - 1)  # every column has 8-byte items
+    moved = rng.randint(1, 4) * rng.choice((-1, 1))
+    moved_rows[a][2] -= moved
+    moved_rows[a + 1][2] += moved
+    spec = typecode[rng.randrange(len(COLUMNS))]
+    spec[1] = {"Q": "q", "q": "Q"}[spec[1]]
+    texts = (json.dumps(lie).encode("ascii") for lie in lies)
+    return [data[:PREAMBLE - 8] + len(text).to_bytes(8, "little") + text
+            + data[end:] for text in texts]
+
+
 def _closed(events: list) -> list:
     """``events`` with the tasks and finish scopes it leaves open closed,
     innermost first.  A trace may end with both open, as an aborted
@@ -580,23 +627,37 @@ class Sharded(Leg):
 
 class Mutants(Leg):
     """``check_trace_fast`` on each :data:`MUTATIONS` kind of the oracle's
-    recorded columns (see :data:`MALFORMED_NAME`); the reference is the
+    recorded columns and on each :data:`FILE_MUTATIONS` mutant of its
+    saved file, loaded (see :data:`MALFORMED_NAME`); the reference is the
     oracle run on the mutant's decoded events."""
 
     def args(self, ctx: "_Seed") -> Sequence:
         rng = random.Random(ctx.seed)
-        enc = encode_trace(ctx.result(Leg, "scoped", ORACLE)[1])
-        mutants = ((kind, mutate_columns(enc, kind, rng))
-                   for kind in MUTATIONS)
+        trace = ctx.result(Leg, "scoped", ORACLE)[1]
+        enc = encode_trace(trace)
+        mutants = [(kind, mutate_columns(enc, kind, rng))
+                   for kind in MUTATIONS]
+        saved = io.BytesIO()
+        trace.save(saved)
+        mutants += [(kind, mutant) for kind in FILE_MUTATIONS
+                    for mutant in mutate_file(saved.getvalue(), kind, rng)]
         return [(kind, mutant) for kind, mutant in mutants
                 if mutant is not None]
 
+    @staticmethod
+    def columns(arg) -> EncodedTrace:
+        """The mutant's columns: a file mutant as ``Trace.load`` reads it."""
+        mutant = arg[1]
+        if isinstance(mutant, bytes):
+            return encode_trace(Trace.load(io.BytesIO(mutant)))
+        return mutant
+
     def run(self, ctx: "_Seed", arg) -> tuple:
-        return check_trace_fast(arg[1]), None
+        return check_trace_fast(self.columns(arg)), None
 
     def reference(self, ctx: "_Seed", arg):
         oracle = DETECTORS[ORACLE]()
-        replay_trace(_closed(list(_decode(arg[1]))), [oracle])
+        replay_trace(_closed(list(_decode(self.columns(arg)))), [oracle])
         return _verdict(oracle)
 
     def crashed(self, exc, arg, reference=False):

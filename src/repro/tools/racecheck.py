@@ -89,6 +89,12 @@ reject the flags whose machinery assumes that order:
 a pair lands second — and hence pair order in the report — may differ
 across schedules.
 
+``--trace FILE`` saves the recorded trace in the one trace file format
+(:mod:`repro.core.tracefile`: a magic string, a version, a JSON header and
+the raw column bytes).  :meth:`Trace.load <repro.core.events.Trace.load>`
+reads it back for replay or ``check_trace_fast`` and runs no code; a
+file in any other form, a pickle included, raises ``TraceFormatError``.
+
 ``my_program.py`` must define ``def program(rt):`` (and may define
 ``def setup(rt):`` returning shared state passed as the second argument).
 The file is executed with a fresh :class:`~repro.runtime.runtime.Runtime`;
@@ -185,7 +191,9 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--dot", metavar="FILE",
                         help="write the computation graph as Graphviz DOT")
     parser.add_argument("--trace", metavar="FILE",
-                        help="save the instrumentation trace (pickle)")
+                        help="save the instrumentation trace as a trace "
+                             "file (versioned columns; Trace.load reads "
+                             "it and runs no code)")
     parser.add_argument("--metrics", action="store_true",
                         help="print structural counters")
     parser.add_argument("--witness", action="store_true",

@@ -93,6 +93,20 @@ def test_sequential_regions_ordered():
     assert not det.report.has_races
 
 
+def test_fork_after_a_joined_nested_region_follows_it():
+    # The outer region's first fork comes after the owner joined an inner
+    # region, so its child is labelled from the bumped owner label: the
+    # second inner child's read precedes the outer child's write.
+    def prog(rt, mem):
+        with rt.finish():
+            rt.async_(lambda: None)
+            rt.async_(lambda: mem.read(0))
+        rt.async_(lambda: mem.write(0, 1))
+
+    det = run(prog)
+    assert not det.report.has_races
+
+
 def test_nested_fork_join():
     def prog(rt, mem):
         def worker():

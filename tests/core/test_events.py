@@ -5,7 +5,6 @@ import pickle
 import pytest
 
 from repro.core.events import (
-    EncodedTrace,
     FinishEndEvent,
     FinishStartEvent,
     GetEvent,
@@ -13,6 +12,7 @@ from repro.core.events import (
     TaskCreateEvent,
     TaskEndEvent,
     Trace,
+    TraceFormatError,
     WriteEvent,
     encode_trace,
 )
@@ -62,7 +62,7 @@ def test_load_rejects_non_trace(tmp_path):
     path = tmp_path / "junk.pkl"
     with open(path, "wb") as fh:
         pickle.dump([1, 2, 3], fh)
-    with pytest.raises(TypeError):
+    with pytest.raises(TraceFormatError):
         Trace.load(path)
 
 
@@ -137,22 +137,3 @@ def test_unknown_task_raises_and_appends_nothing():
 def test_unknown_event_type_is_rejected():
     with pytest.raises(TypeError):
         Trace(events=[("write", 0, "x")])
-
-
-def test_trace_pickled_as_an_event_list_still_loads():
-    old = Trace.__new__(Trace)
-    old.__setstate__({"events": sample_events()})
-    assert old == Trace(events=sample_events())
-
-
-def test_columns_pickled_with_structure_sites_still_load(monkeypatch):
-    # Columns pickled while they had a structure-site column.
-    trace = Trace(events=sample_events())
-    enc = encode_trace(trace)
-    slots = {name: getattr(enc, name) for name in EncodedTrace.__slots__}
-    slots["structure_sites"] = ["a.py:1 (main)", None, None, None, None]
-    monkeypatch.setattr(EncodedTrace, "__getstate__",
-                        lambda self: (None, slots), raising=False)
-    data = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
-    monkeypatch.undo()
-    assert pickle.loads(data) == trace

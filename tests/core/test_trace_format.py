@@ -9,14 +9,20 @@ verdict.
 """
 
 import copy
+import io
+import json
 import pickle
 import random
+import sys
 from array import array
 
+import numpy as np
 import pytest
 
+from repro import DeterminacyRaceDetector, Runtime, SharedArray
 from repro.core.events import (
     RUN_ACCESS,
+    EncodedTrace,
     FinishEndEvent,
     FinishStartEvent,
     GetEvent,
@@ -31,7 +37,11 @@ from repro.core.events import (
 from repro.core import fastcheck
 from repro.core.fastcheck import check_trace_fast
 from repro.core.parallel_check import check_trace_parallel
+from repro.core.tracefile import PREAMBLE
+from repro.memory.shared import SharedMatrix, SharedNDArray, SharedVar
 from repro.memory.tracer import TraceRecorder
+from repro.obs.provenance import RaceProvenance
+from repro.runtime.errors import RaceError
 from repro.testing.generator import random_program, run_program
 from repro.tools.fuzz import MUTATIONS, mutate_columns
 
@@ -185,52 +195,17 @@ def test_error_pickles_with_its_row():
 
 
 # ---------------------------------------------------------------------- #
-# Columns pickled with 3-wide rows                                       #
+# Columns with 3-wide rows, and the retired pickle files               #
 # ---------------------------------------------------------------------- #
-def _three_wide(task_of_row=None):
+def _three_wide():
     """The sample's columns as they were pickled before rows were packed:
     ``(is_write, task_idx, loc_id)`` per row in an ``array('q')``."""
     enc = _columns()
-    tasks = [1, 1, 0, 0] if task_of_row is None else task_of_row
     old = array("q")
-    for code, task in zip(enc.access, tasks):
+    for code, task in zip(enc.access, [1, 1, 0, 0]):
         old.extend((code & 1, task, code >> 1))
     enc.access = old
     return enc
-
-
-class _Flushed:
-    """A builder stand-in whose columns are already whole."""
-
-    def flush(self):
-        pass
-
-
-def _old_pickle(columns) -> bytes:
-    """A ``Trace`` pickle whose state is ``columns``, as ``Trace.save``
-    wrote it before rows were packed."""
-    trace = Trace.__new__(Trace)
-    trace._columns = columns
-    trace.builder = _Flushed()
-    return pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def test_old_three_wide_pickle_is_converted(tmp_path):
-    path = tmp_path / "old.trace"
-    path.write_bytes(_old_pickle(_three_wide()))
-    trace = Trace.load(path)
-    assert list(trace) == _joined_future()
-    enc = encode_trace(trace)
-    assert enc.access.typecode == "Q"
-    assert list(enc.access) == list(_columns().access)
-    assert check_trace_fast(trace).races == []
-
-
-def test_old_pickle_with_a_row_off_the_running_task_raises():
-    data = _old_pickle(_three_wide([1, 0, 0, 0]))
-    with pytest.raises(TraceFormatError) as info:
-        pickle.loads(data)
-    assert info.value.row == 3
 
 
 def test_old_columns_are_never_read_as_packed_rows():
@@ -239,7 +214,228 @@ def test_old_columns_are_never_read_as_packed_rows():
     assert "cover" in _fault(_three_wide()).reason
 
 
+class _Pickled:
+    """Pickles as a ``cls`` object whose state is ``state``."""
+
+    def __init__(self, cls, state):
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return object.__new__, (self.cls,), self.state
+
+
+def _with_structure_sites():
+    enc = _columns()
+    slots = {name: getattr(enc, name) for name in EncodedTrace.__slots__}
+    slots["structure_sites"] = [None] * len(enc.structure)
+    return _Pickled(EncodedTrace, (None, slots))
+
+
+#: What ``Trace.save`` pickled over time: the columns, 3-wide columns,
+#: an event list, and columns that still had a structure-site column.
+RETIRED = {
+    "columns": lambda: _Pickled(Trace, _columns()),
+    "three-wide": lambda: _Pickled(Trace, _three_wide()),
+    "event-list": lambda: _Pickled(Trace, {"events": _joined_future()}),
+    "structure-sites": lambda: _Pickled(Trace, _with_structure_sites()),
+}
+
+
+@pytest.mark.parametrize("shape", RETIRED)
+def test_a_pickled_trace_raises(shape, tmp_path):
+    path = tmp_path / "old.trace"
+    path.write_bytes(pickle.dumps(RETIRED[shape](),
+                                  protocol=pickle.HIGHEST_PROTOCOL))
+    with pytest.raises(TraceFormatError) as info:
+        Trace.load(path)
+    assert info.value.row == 0 and "pickle" in info.value.reason
+    assert str(info.value).startswith("byte 0: ")
+
+
 # ---------------------------------------------------------------------- #
+# The trace file                                                         #
+# ---------------------------------------------------------------------- #
+def _saved(trace) -> bytes:
+    buf = io.BytesIO()
+    trace.save(buf)
+    return buf.getvalue()
+
+
+def _loaded(data: bytes) -> Trace:
+    return Trace.load(io.BytesIO(data))
+
+
+def _every_key_shape(rt):
+    """Touch a location of every key shape the shared wrappers make."""
+    var = SharedVar(rt, "v", 0)                   # (name,)
+    arr = SharedArray(rt, "a", 4)                 # (name, i)
+    grid = SharedNDArray(rt, "g", (3, 3))         # (name, (i, j))
+    line = SharedNDArray(rt, "l", 5)              # (name, numpy int)
+    mat = SharedMatrix(rt, "m", 2, 2)             # (name, r, c)
+
+    def child():
+        var.write(1)
+        arr.write(2, 1)
+        grid.write((1, 2), 1.0)
+        line.write(np.int64(3), 1.0)
+        line.read_block(slice(None, 2))           # (name, _slice_key)
+        mat.write(1, 0, "x")
+
+    f = rt.future(child)
+    var.read()
+    f.get()
+    arr.read(2)
+    grid.read((1, 2))
+    line.read(3)
+    mat.read(1, 0)
+
+
+@pytest.mark.parametrize("sites", [False, True])
+def test_every_location_key_shape_round_trips(sites, tmp_path):
+    prov = RaceProvenance() if sites else None
+    rec = TraceRecorder(provenance=prov)
+    Runtime(observers=[rec], provenance=prov).run(_every_key_shape)
+    trace = rec.trace
+    enc = encode_trace(trace)
+    assert (enc.access_sites is not None) == sites
+    assert ("l", np.int64(3)) in enc.loc_index
+    assert ("l", (("slice", None, 2, None),)) in enc.loc_index
+
+    path = tmp_path / "t.trace"
+    trace.save(path)
+    loaded = Trace.load(path)
+    assert loaded == trace
+    got = encode_trace(loaded)
+    assert got.locs == enc.locs
+    assert all(type(a) is type(b) for key, got_key in zip(enc.locs, got.locs)
+               for a, b in zip(key, got_key) if not isinstance(a, np.integer))
+    assert type(got.locs[got.loc_index["l", 3]][1]) is int
+    assert got.access_sites == enc.access_sites
+    assert bytes(got.is_future) == bytes(enc.is_future)
+    assert check_trace_fast(got).summary() == check_trace_fast(enc).summary()
+    # A loaded trace takes more events, as a recorded one does.
+    loaded.append(WriteEvent(task=0, loc=("v",)))
+    assert len(loaded) == len(trace) + 1
+
+
+def test_an_aborted_runs_open_tasks_round_trip():
+    rec = TraceRecorder()
+    det = DeterminacyRaceDetector(policy="raise")
+
+    def program(rt):
+        a = SharedArray(rt, "a", 2)
+        with rt.finish():
+            rt.async_(lambda: a.write(0, 1))
+
+            def child():
+                with rt.finish():
+                    rt.async_(lambda: a.write(0, 2))
+            rt.async_(child)
+
+    with pytest.raises(RaceError):
+        Runtime(observers=[det, rec]).run(program)
+    trace = rec.trace
+    assert type(list(trace)[-1]) is WriteEvent  # tasks 2, 3 still open
+    loaded = _loaded(_saved(trace))
+    assert loaded == trace
+    assert check_trace_fast(loaded).summary() == \
+        check_trace_fast(trace).summary()
+
+
+def test_saving_an_equal_trace_twice_gives_identical_bytes():
+    first = _saved(Trace(events=_joined_future()))
+    assert _saved(Trace(events=_joined_future())) == first
+    assert _saved(_loaded(first)) == first
+
+
+def test_a_key_the_format_cannot_carry_raises_on_save():
+    trace = Trace(events=[WriteEvent(task=0, loc=("x", frozenset({1})))])
+    with pytest.raises(TypeError, match=r"location key \('x', frozenset"):
+        _saved(trace)
+    trace = Trace(events=[WriteEvent(task=0, loc=("x", float("nan")))])
+    with pytest.raises(TypeError, match="location key"):
+        _saved(trace)
+
+
+def _file_fault(data: bytes) -> TraceFormatError:
+    with pytest.raises(TraceFormatError) as info:
+        _loaded(data)
+    return info.value
+
+
+def _rewrite_header(data: bytes, change) -> bytes:
+    """``data`` with its JSON header passed through ``change``."""
+    end = PREAMBLE + int.from_bytes(data[PREAMBLE - 8:PREAMBLE], "little")
+    header = json.loads(data[PREAMBLE:end])
+    change(header)
+    text = json.dumps(header).encode()
+    return (data[:PREAMBLE - 8] + len(text).to_bytes(8, "little") + text
+            + data[end:])
+
+
+def test_every_cut_of_the_file_raises_at_its_end():
+    data = _saved(Trace(events=_joined_future()))
+    for cut in range(len(data)):
+        err = _file_fault(data[:cut])
+        assert err.row == cut and "the file ends" in err.reason, cut
+    assert "after the last column" in _file_fault(data + b"\0").reason
+
+
+@pytest.mark.parametrize("change, reason", [
+    (lambda h: h["columns"][0].__setitem__(2, 5), "the file ends"),
+    (lambda h: h["columns"][2].__setitem__(2, 9), "after the last column"),
+    (lambda h: (h["columns"][0].__setitem__(2, 3),    # a row moved to runs
+                h["columns"][1].__setitem__(2, 13)), "do not segment"),
+    (lambda h: h["columns"][0].__setitem__(1, "q"), "column entry"),
+    (lambda h: h["columns"][1].__setitem__(1, "i"), "column entry"),
+    (lambda h: h["columns"][0].__setitem__(2, -1), "column entry"),
+    (lambda h: h.pop("locs"), "fields"),
+    (lambda h: h.__setitem__("byteorder", "middle"), "byte order"),
+    (lambda h: h.__setitem__("locs", ["x", "x"]), "repeats a key"),
+    (lambda h: h.__setitem__("locs", ["x", {"y": 1}]), "holds an object"),
+    (lambda h: h.__setitem__("task_keys", [5, 1]), "main task"),
+    (lambda h: h.__setitem__("task_keys", [0]), "task ids for 2 tasks"),
+    (lambda h: h.__setitem__("access_sites", [None]), "access_sites"),
+])
+def test_a_header_that_lies_raises(change, reason):
+    data = _rewrite_header(_saved(Trace(events=_joined_future())), change)
+    assert reason in _file_fault(data).reason
+
+
+def test_a_bad_preamble_or_header_raises_at_its_offset():
+    data = _saved(Trace(events=_joined_future()))
+    err = _file_fault(b"RIFF" + data[4:])
+    assert err.row == 0 and "not a trace file" in err.reason
+    err = _file_fault(data[:12] + (2).to_bytes(4, "little") + data[16:])
+    assert err.row == 12 and "version 2" in err.reason
+    err = _file_fault(data[:PREAMBLE] + b"[" + data[PREAMBLE + 1:])
+    assert err.row > PREAMBLE and "not JSON" in err.reason
+    err = _file_fault(data[:PREAMBLE + 3] + b"\xff" + data[PREAMBLE + 4:])
+    assert err.row == PREAMBLE + 3 and "non-ASCII" in err.reason
+
+
+def test_an_unknown_structure_opcode_raises_at_its_offset():
+    data = bytearray(_saved(Trace(events=_joined_future())))
+    end = PREAMBLE + int.from_bytes(data[PREAMBLE - 8:PREAMBLE], "little")
+    header = json.loads(bytes(data[PREAMBLE:end]))
+    at = end + 8 * (header["columns"][0][2] + header["columns"][1][2])
+    data[at] = 99
+    err = _file_fault(bytes(data))
+    assert err.row == at and "opcode 99" in err.reason
+
+
+def test_columns_in_the_other_byte_order_load():
+    trace = Trace(events=_joined_future())
+    data = _saved(trace)
+    end = PREAMBLE + int.from_bytes(data[PREAMBLE - 8:PREAMBLE], "little")
+    other = "big" if sys.byteorder == "little" else "little"
+    cols = array("Q", data[end:])  # every column has 8-byte items
+    cols.byteswap()
+    flipped = _rewrite_header(data[:end] + cols.tobytes(),
+                              lambda h: h.__setitem__("byteorder", other))
+    assert _loaded(flipped) == trace
+
+
 # Malformed columns through the sharded checker                          #
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("kind", MUTATIONS)

@@ -5,7 +5,6 @@ from repro.graph import (
     GraphBuilder,
     ReachabilityClosure,
     find_races,
-    max_logical_parallelism,
     racy_locations,
     work_and_span,
 )
@@ -116,11 +115,3 @@ def test_work_and_span_serial_vs_parallel():
     w, s = work_and_span(parallel)
     assert w == parallel.num_steps
     assert s < w  # some parallelism exists
-
-
-def test_max_logical_parallelism():
-    graph = fork_join_graph()
-    # the two asyncs run in parallel: at least 2 simultaneous steps
-    assert max_logical_parallelism(graph) >= 2
-    serial = build(lambda rt, mem: mem.write(0, 1))
-    assert max_logical_parallelism(serial) == 1
